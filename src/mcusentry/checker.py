@@ -5,9 +5,16 @@ The input space is reduced to a configurable address width. Letters
 free inputs the attacker can steer via metadata writes) are generated
 concretely from boundary-biased candidate sets and deduplicated by their
 predicate vector: the monitor and every catalogue formula observe a letter
-only through that vector, so one representative per class is exhaustive
-over the modeled space. Simultaneous CPU read and write enables are
-excluded; the machine never asserts both.
+only through that vector, so one representative stands for its whole
+class. Simultaneous CPU read and write enables are excluded; the machine
+never asserts both.
+
+Coverage is exhaustive only over the classes the six curated windows of
+``default_er_choices`` produce, not over every realizable class. A
+breadth-first search over ``build_alphabet`` at widths 5 to 8 never
+reaches the FSM state (rUNLOCK, wUNLOCK, lastER), which needs a hostile
+window whose last word is the authorization address. Making the alphabet
+complete is ROADMAP open item 4.
 
 Checking walks the reachable product of monitor state with a small amount
 of formula-tracking state (previous letter for next-operator formulas, an
@@ -30,12 +37,10 @@ from .errors import BudgetError
 from .layout import Region
 from .ltl import And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X, eval_naive
 from .machine import StateRecord
-from .monitor import (DEFAULT_GUARDS, GuardFlags, MonitorConfig, MonitorInput,
+from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, GuardFlags, MonitorConfig,
                       MonitorState, monitor_step)
 from .mutants import mutant_guards
 from .props import build_props
-
-INITIAL = MonitorState()
 
 
 @dataclass(frozen=True)
@@ -55,11 +60,6 @@ class ScaledSpace:
 
     def region_named(self, name: str) -> Region:
         return getattr(self, name)
-
-    def monitor_config(self, ekr_enabled: bool = True) -> MonitorConfig:
-        return MonitorConfig(gpio=self.gpio, ekr=self.ekr, vr=self.vr,
-                             i_auth=self.i_auth, metadata=self.er_metadata,
-                             ekr_enabled=ekr_enabled)
 
 
 def scaled_space(width: int = 6) -> ScaledSpace:
@@ -228,23 +228,6 @@ def _eval_prop(f: Formula, rec, props) -> bool:
     raise TypeError(f"not propositional: {f!r}")
 
 
-def _eval_pair(f: Formula, rec_a, rec_b, props) -> bool:
-    if isinstance(f, X):
-        return _eval_prop(f.sub, rec_b, props)
-    if isinstance(f, Prop):
-        return bool(props[f.name](rec_a))
-    if isinstance(f, Not):
-        return not _eval_pair(f.sub, rec_a, rec_b, props)
-    if isinstance(f, And):
-        return _eval_pair(f.left, rec_a, rec_b, props) and _eval_pair(f.right, rec_a, rec_b, props)
-    if isinstance(f, Or):
-        return _eval_pair(f.left, rec_a, rec_b, props) or _eval_pair(f.right, rec_a, rec_b, props)
-    if isinstance(f, Implies):
-        return (not _eval_pair(f.left, rec_a, rec_b, props)) or \
-            _eval_pair(f.right, rec_a, rec_b, props)
-    raise TypeError(f"not a pair body: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # Results
 
@@ -270,17 +253,10 @@ def _close_lasso(prefix: list[StateRecord], state: MonitorState,
     tail: list[StateRecord] = []
     while state not in seen:
         seen[state] = len(tail)
-        state, out = monitor_step(state, _to_input(quiet), cfg, guards)
+        state, out = monitor_step(state, quiet, cfg, guards)
         tail.append(replace(quiet, reset=out, cycle=len(prefix) + len(tail)))
     cut = seen[state]
     return LassoTrace(prefix=prefix + tail[:cut], loop=tail[cut:])
-
-
-def _to_input(rec: StateRecord) -> MonitorInput:
-    return MonitorInput(pc=rec.pc, r_en=rec.r_en, w_en=rec.w_en,
-                        d_addr=rec.d_addr, dma_en=rec.dma_en,
-                        dma_addr=rec.dma_addr, irq=rec.irq,
-                        er_min=rec.er_min, er_max=rec.er_max)
 
 
 def _collect_a_props(f: Formula, out: set[str]) -> None:
@@ -332,8 +308,7 @@ class _Explorer:
         key = (mon, idx)
         hit = self._trans.get(key)
         if hit is None:
-            hit = monitor_step(mon, _to_input(self.alphabet[idx]), self.cfg,
-                               self.guards)
+            hit = monitor_step(mon, self.alphabet[idx], self.cfg, self.guards)
             self._trans[key] = hit
         return hit
 
@@ -381,7 +356,7 @@ def _bfs(plan, explorer: _Explorer, state_budget: int):
             a_vals_cache[key] = val
         return val
 
-    start = (INITIAL, None) if kind != "tracker" else (INITIAL, False)
+    start = (INITIAL_STATE, None) if kind != "tracker" else (INITIAL_STATE, False)
     parents: dict = {start: None}
     queue = deque([start])
     explored = 0
@@ -431,9 +406,9 @@ def _path(parents, node) -> list[StateRecord]:
 
 
 def _final_state(letters: list[StateRecord], cfg, guards) -> MonitorState:
-    state = INITIAL
+    state = INITIAL_STATE
     for rec in letters:
-        state, _ = monitor_step(state, _to_input(rec), cfg, guards)
+        state, _ = monitor_step(state, rec, cfg, guards)
     return state
 
 
@@ -451,7 +426,7 @@ def exhaustive_check(formula: Formula, space: ScaledSpace | None = None,
     ``brute_force_check``), which is complete only to its bound.
     """
     space = space or scaled_space()
-    cfg = space.monitor_config(ekr_enabled)
+    cfg = MonitorConfig.from_layout(space, ekr_enabled)
     if explorer is None:
         explorer = _Explorer(space, cfg, guards, build_alphabet(space, er_choices))
     explored_total = 0
@@ -510,18 +485,18 @@ def brute_force_check(formula: Formula, space: ScaledSpace | None = None,
     product exploration and as the fallback for formulas it cannot track.
     """
     space = space or scaled_space()
-    cfg = space.monitor_config(ekr_enabled)
+    cfg = MonitorConfig.from_layout(space, ekr_enabled)
     props = build_props(space)
     alphabet = alphabet or curated_alphabet(space)
     explored = 0
     for length in range(1, max_len + 1):
         for combo in iproduct(range(len(alphabet)), repeat=length):
             explored += 1
-            state = INITIAL
+            state = INITIAL_STATE
             prefix = []
             for i, idx in enumerate(combo):
                 letter = alphabet[idx]
-                state, out = monitor_step(state, _to_input(letter), cfg, guards)
+                state, out = monitor_step(state, letter, cfg, guards)
                 prefix.append(replace(letter, reset=out, cycle=i))
             lasso = _close_lasso(prefix, state, space, cfg, guards)
             if not eval_naive(formula, lasso, 0, props):
@@ -539,11 +514,11 @@ def replay_counterexample(formula: Formula, lasso: LassoTrace,
     and the violation.
     """
     space = space or scaled_space()
-    cfg = space.monitor_config(ekr_enabled)
+    cfg = MonitorConfig.from_layout(space, ekr_enabled)
     props = build_props(space)
-    state = INITIAL
+    state = INITIAL_STATE
     for rec in list(lasso.prefix) + list(lasso.loop):
-        state, out = monitor_step(state, _to_input(rec), cfg, guards)
+        state, out = monitor_step(state, rec, cfg, guards)
         if out != rec.reset:
             return False
     return not eval_naive(formula, lasso, 0, props)
@@ -556,8 +531,8 @@ def check_catalogue(space: ScaledSpace | None = None,
                     state_budget: int = 2_000_000) -> list[CheckResult]:
     """Exhaustively check every monitor formula in the catalogue."""
     space = space or scaled_space()
-    explorer = _Explorer(space, space.monitor_config(ekr_enabled), guards,
-                         build_alphabet(space))
+    explorer = _Explorer(space, MonitorConfig.from_layout(space, ekr_enabled),
+                         guards, build_alphabet(space))
     results = []
     for entry in all_formulas(ekr_enabled):
         if entry.group == "machine-axioms":
@@ -581,8 +556,8 @@ def find_mutant_violation(mutant_id: str, space: ScaledSpace | None = None,
     """
     space = space or scaled_space()
     guards = mutant_guards(mutant_id)
-    explorer = _Explorer(space, space.monitor_config(ekr_enabled), guards,
-                         build_alphabet(space))
+    explorer = _Explorer(space, MonitorConfig.from_layout(space, ekr_enabled),
+                         guards, build_alphabet(space))
     for entry in all_formulas(ekr_enabled):
         if entry.group == "machine-axioms":
             continue

@@ -76,11 +76,15 @@ def _sensor_from_args(args):
 def _schedules_from_args(args):
     dma = []
     if args.dma_file:
-        for line in Path(args.dma_file).read_text().splitlines():
+        lines = Path(args.dma_file).read_text().splitlines()
+        for lineno, line in enumerate(lines, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
+            if len(parts) not in (3, 4):
+                raise ValueError(f"DMA file line {lineno}: expected "
+                                 f"'cycle op addr [value]', got {line!r}")
             cycle, op, addr = int(parts[0], 0), parts[1], int(parts[2], 0)
             value = int(parts[3], 0) if len(parts) > 3 else 0
             dma.append(DmaRequest(cycle, op, addr, value))
@@ -147,7 +151,7 @@ def cmd_check(args) -> int:
             _dump_lasso(args.counterexample_out, result.counterexample, space)
         return EXIT_OK if replayed else EXIT_VIOLATION
 
-    if args.formula or args.formula_file:
+    if args.formula is not None or args.formula_file:
         if args.formula_file:
             formula = parse_formula(Path(args.formula_file).read_text())
             name = args.formula_file

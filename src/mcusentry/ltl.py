@@ -321,6 +321,9 @@ def eval_formula(f: Formula, trace: LassoTrace, pos: int = 0,
 
 _BINARY = {"U": U, "W": W, "B": B, "&": And, "|": Or, "->": Implies}
 _UNARY = {"X": X, "G": G, "!": Not}
+# Deeper input is refused rather than overflowing the recursive parser and
+# evaluators; the catalogue's deepest formula nests under ten levels.
+MAX_NESTING = 100
 
 
 @dataclass
@@ -377,20 +380,22 @@ def parse(text: str) -> Formula:
     return f
 
 
-def _parse_expr(toks: _Tokens) -> Formula:
+def _parse_expr(toks: _Tokens, depth: int = 0) -> Formula:
     tok, off = toks.next()
     if tok == ")":
         raise FormulaError("unexpected ')'", off)
     if tok != "(":
         return Prop(tok)
+    if depth == MAX_NESTING:
+        raise FormulaError(f"formula nests deeper than {MAX_NESTING} levels", off)
     head, hoff = toks.next()
     if head in _UNARY:
-        sub = _parse_expr(toks)
+        sub = _parse_expr(toks, depth + 1)
         _expect_close(toks, head, hoff)
         return _UNARY[head](sub)
     if head in _BINARY:
-        left = _parse_expr(toks)
-        right = _parse_expr(toks)
+        left = _parse_expr(toks, depth + 1)
+        right = _parse_expr(toks, depth + 1)
         _expect_close(toks, head, hoff)
         return _BINARY[head](left, right)
     # Parametrized proposition like (read GPIO) or (pc_at ermax).

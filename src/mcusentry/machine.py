@@ -411,13 +411,11 @@ def run(machine: Machine, monitor, ctx: RunContext, max_cycles: int,
         trace: Trace | None = None) -> Trace:
     """Step machine and monitor in lock-step until halt, budget, or settle.
 
-    ``monitor`` is any object with ``step(MonitorInput) -> bool`` and
+    ``monitor`` is any object with ``step(StateRecord) -> bool`` and
     ``force_reset()``; pass ``monitor=None`` to run the bare machine. After
     the first reset the run continues ``ctx.post_reset_cycles`` more records
     to make post-reset state observable, then terminates as a reset sink.
     """
-    from .monitor import MonitorInput  # local import to avoid a cycle
-
     if max_cycles <= 0:
         raise ValueError("max_cycles must be positive")
     trace = trace if trace is not None else Trace()
@@ -430,14 +428,7 @@ def run(machine: Machine, monitor, ctx: RunContext, max_cycles: int,
         irq_line = machine.cycle in ctx.irq_cycles
         rec = exec_step(machine, dma_req, irq_line, ctx.sensor)
         fault = rec.reset
-        monitor_reset = False
-        if monitor is not None:
-            m_in = MonitorInput(
-                pc=rec.pc, r_en=rec.r_en, w_en=rec.w_en, d_addr=rec.d_addr,
-                dma_en=rec.dma_en, dma_addr=rec.dma_addr, irq=rec.irq,
-                er_min=rec.er_min, er_max=rec.er_max,
-            )
-            monitor_reset = monitor.step(m_in)
+        monitor_reset = monitor is not None and monitor.step(rec)
         if fault or monitor_reset:
             rec = replace(rec, reset=True)
             if monitor is not None:

@@ -1,13 +1,14 @@
 """The hardware monitor: three Mealy FSMs stepped once per cycle.
 
-Each FSM sees the same per-cycle bus signals plus the live window bounds
-and emits a local reset; the global reset is their disjunction. Reset
-output convention: a local reset is 1 on the transition into RESET and
-while staying in RESET; the record where an FSM cleanly leaves RESET
-(pc = 0 with no violating access) outputs 0, otherwise the reset loop
-would never settle. Any global reset re-initialises *all* FSMs to RESET,
-matching a shared hardware reset line; without this, an unlock could
-survive a reset caused by a sibling FSM and defeat the one-shot rule.
+Each FSM reads the same per-cycle StateRecord (bus signals plus the live
+window bounds) and emits a local reset; the global reset is their
+disjunction. Reset output convention: a local reset is 1 on the
+transition into RESET and while staying in RESET; the record where an
+FSM cleanly leaves RESET (pc = 0 with no violating access) outputs 0,
+otherwise the reset loop would never settle. Any global reset
+re-initialises *all* FSMs to RESET, matching a shared hardware reset
+line; without this, an unlock could survive a reset caused by a sibling
+FSM and defeat the one-shot rule.
 
 FSM transition corners follow the access-control formulas, not the state
 diagrams, where the two disagree:
@@ -23,54 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .layout import MemoryLayout, Region
-
-
-@dataclass(frozen=True)
-class MonitorInput:
-    """Signals sampled for one cycle; window bounds come from metadata."""
-
-    pc: int
-    r_en: bool
-    w_en: bool
-    d_addr: int
-    dma_en: bool
-    dma_addr: int
-    irq: bool
-    er_min: int
-    er_max: int
-
-    def pc_in_er(self) -> bool:
-        return self.er_min <= self.pc <= self.er_max
-
-
-def _in(addr: int, region: Region) -> bool:
-    return region.start <= addr <= region.end
-
-
-def read_mem_pred(region: Region, inp: MonitorInput) -> bool:
-    """CPU-or-DMA read of any address in ``region`` this cycle."""
-    return (inp.r_en and _in(inp.d_addr, region)) or \
-        (inp.dma_en and _in(inp.dma_addr, region))
-
-
-def write_mem_pred(region: Region, inp: MonitorInput) -> bool:
-    """CPU-or-DMA write of any address in ``region`` this cycle."""
-    return (inp.w_en and _in(inp.d_addr, region)) or \
-        (inp.dma_en and _in(inp.dma_addr, region))
-
-
-def _window_pred(er_min: int, er_max: int, addr: int) -> bool:
-    return er_min <= addr <= er_max
-
-
-def read_window_pred(inp: MonitorInput) -> bool:
-    return (inp.r_en and _window_pred(inp.er_min, inp.er_max, inp.d_addr)) or \
-        (inp.dma_en and _window_pred(inp.er_min, inp.er_max, inp.dma_addr))
-
-
-def write_window_pred(inp: MonitorInput) -> bool:
-    return (inp.w_en and _window_pred(inp.er_min, inp.er_max, inp.d_addr)) or \
-        (inp.dma_en and _window_pred(inp.er_min, inp.er_max, inp.dma_addr))
+from .machine import StateRecord
+from .props import read_mem, write_mem
 
 
 class GpioState(Enum):
@@ -133,54 +88,55 @@ class GuardFlags:
 DEFAULT_GUARDS = GuardFlags()
 
 
-def _guarded_reads(cfg: MonitorConfig, guards: GuardFlags, inp: MonitorInput) -> bool:
-    hit = read_mem_pred(cfg.gpio, inp)
+def _guarded_reads(cfg: MonitorConfig, guards: GuardFlags, rec: StateRecord) -> bool:
+    hit = read_mem(rec, cfg.gpio)
     if cfg.ekr_enabled and guards.ekr_read_guard:
-        hit = hit or read_mem_pred(cfg.ekr, inp)
+        hit = hit or read_mem(rec, cfg.ekr)
     return hit
 
 
-def _protected_writes(cfg: MonitorConfig, inp: MonitorInput) -> bool:
-    return write_window_pred(inp) or write_mem_pred(cfg.metadata, inp)
+def _protected_writes(cfg: MonitorConfig, rec: StateRecord) -> bool:
+    return write_mem(rec) or write_mem(rec, cfg.metadata)
 
 
-def step_gpio_fsm(state: GpioState, inp: MonitorInput, cfg: MonitorConfig,
+def step_gpio_fsm(state: GpioState, rec: StateRecord, cfg: MonitorConfig,
                   guards: GuardFlags = DEFAULT_GUARDS) -> tuple[GpioState, bool]:
     """Read-access control for GPIO and the key region (three states)."""
     if state is GpioState.RESET:
-        if inp.pc != 0:
+        if rec.pc != 0:
             return GpioState.RESET, True
         state = GpioState.RLOCK  # leaving RESET: judge this cycle from rLOCK
 
     if state is GpioState.RLOCK:
-        if guards.gpio_rlock_read_resets and _guarded_reads(cfg, guards, inp):
+        if guards.gpio_rlock_read_resets and _guarded_reads(cfg, guards, rec):
             return GpioState.RESET, True
-        if inp.pc == cfg.i_auth:
-            if guards.gpio_iauth_write_resets and _protected_writes(cfg, inp):
+        if rec.pc == cfg.i_auth:
+            if guards.gpio_iauth_write_resets and _protected_writes(cfg, rec):
                 return GpioState.RESET, True
             if guards.gpio_unlock_requires_iauth:
                 return GpioState.RUNLOCK, False
-        if not guards.gpio_unlock_requires_iauth and not _guarded_reads(cfg, guards, inp):
+        if not guards.gpio_unlock_requires_iauth and not _guarded_reads(cfg, guards, rec):
             return GpioState.RUNLOCK, False
         return GpioState.RLOCK, False
 
     # rUNLOCK
-    reads = _guarded_reads(cfg, guards, inp)
-    if reads and guards.gpio_outside_read_resets and not inp.pc_in_er():
+    reads = _guarded_reads(cfg, guards, rec)
+    inside = rec.er_min <= rec.pc <= rec.er_max
+    if reads and guards.gpio_outside_read_resets and not inside:
         return GpioState.RESET, True
-    if reads and guards.gpio_exit_read_resets and inp.pc == inp.er_max:
+    if reads and guards.gpio_exit_read_resets and rec.pc == rec.er_max:
         return GpioState.RESET, True
-    if inp.pc == cfg.i_auth and guards.gpio_iauth_write_resets \
-            and _protected_writes(cfg, inp):
+    if rec.pc == cfg.i_auth and guards.gpio_iauth_write_resets \
+            and _protected_writes(cfg, rec):
         return GpioState.RESET, True
-    if guards.gpio_relock_on_exit and inp.pc == inp.er_max:
+    if guards.gpio_relock_on_exit and rec.pc == rec.er_max:
         return GpioState.RLOCK, False
-    if guards.gpio_relock_on_write and _protected_writes(cfg, inp):
+    if guards.gpio_relock_on_write and _protected_writes(cfg, rec):
         return GpioState.RLOCK, False
     return GpioState.RUNLOCK, False
 
 
-def step_ekr_write_fsm(state: EkrState, inp: MonitorInput, cfg: MonitorConfig,
+def step_ekr_write_fsm(state: EkrState, rec: StateRecord, cfg: MonitorConfig,
                        guards: GuardFlags = DEFAULT_GUARDS) -> tuple[EkrState, bool]:
     """Write-access control for the key region (two states).
 
@@ -190,23 +146,23 @@ def step_ekr_write_fsm(state: EkrState, inp: MonitorInput, cfg: MonitorConfig,
     if not cfg.ekr_enabled:
         return EkrState.WUNLOCK, False
     if state is EkrState.RESET:
-        if inp.pc != 0:
+        if rec.pc != 0:
             return EkrState.RESET, True
         state = EkrState.WUNLOCK
 
     if guards.ekr_write_guard:
-        cpu_write = inp.w_en and _in(inp.d_addr, cfg.ekr) and not _in(inp.pc, cfg.vr)
-        dma_touch = inp.dma_en and _in(inp.dma_addr, cfg.ekr)
+        cpu_write = rec.w_en and rec.d_addr in cfg.ekr and rec.pc not in cfg.vr
+        dma_touch = rec.dma_en and rec.dma_addr in cfg.ekr
         if cpu_write or dma_touch:
             return EkrState.RESET, True
     return EkrState.WUNLOCK, False
 
 
-def _atom_enter(inp: MonitorInput) -> AtomState:
-    return AtomState.LAST_ER if inp.pc == inp.er_max else AtomState.FIRST_ER
+def _atom_enter(rec: StateRecord) -> AtomState:
+    return AtomState.LAST_ER if rec.pc == rec.er_max else AtomState.FIRST_ER
 
 
-def step_atomicity_fsm(state: AtomState, inp: MonitorInput, cfg: MonitorConfig,
+def step_atomicity_fsm(state: AtomState, rec: StateRecord, cfg: MonitorConfig,
                        guards: GuardFlags = DEFAULT_GUARDS) -> tuple[AtomState, bool]:
     """Window atomicity and controlled invocation (five states).
 
@@ -215,19 +171,19 @@ def step_atomicity_fsm(state: AtomState, inp: MonitorInput, cfg: MonitorConfig,
     (er_min == er_max) enters directly in the exit state.
     """
     if state is AtomState.RESET:
-        if inp.pc != 0:
+        if rec.pc != 0:
             return AtomState.RESET, True
         state = AtomState.NOT_ER
 
-    inside = inp.pc_in_er()
-    if inside and guards.atom_irq_dma_resets and (inp.irq or inp.dma_en):
+    inside = rec.er_min <= rec.pc <= rec.er_max
+    if inside and guards.atom_irq_dma_resets and (rec.irq or rec.dma_en):
         return AtomState.RESET, True
 
     if state is AtomState.NOT_ER:
         if not inside:
             return AtomState.NOT_ER, False
-        if inp.pc == inp.er_min or not guards.atom_entry_guard:
-            return _atom_enter(inp), False
+        if rec.pc == rec.er_min or not guards.atom_entry_guard:
+            return _atom_enter(rec), False
         return AtomState.RESET, True
 
     if state is AtomState.FIRST_ER:
@@ -235,9 +191,9 @@ def step_atomicity_fsm(state: AtomState, inp: MonitorInput, cfg: MonitorConfig,
             if guards.atom_exit_guard:
                 return AtomState.RESET, True
             return AtomState.NOT_ER, False
-        if inp.pc == inp.er_max:
+        if rec.pc == rec.er_max:
             return AtomState.LAST_ER, False
-        if inp.pc == inp.er_min:
+        if rec.pc == rec.er_min:
             return AtomState.FIRST_ER, False
         return AtomState.MID_ER, False
 
@@ -246,16 +202,16 @@ def step_atomicity_fsm(state: AtomState, inp: MonitorInput, cfg: MonitorConfig,
             if guards.atom_exit_guard:
                 return AtomState.RESET, True
             return AtomState.NOT_ER, False
-        if inp.pc == inp.er_max:
+        if rec.pc == rec.er_max:
             return AtomState.LAST_ER, False
         return AtomState.MID_ER, False
 
     # lastER: the only legal continuations are leaving or re-entering at er_min
     if not inside:
         return AtomState.NOT_ER, False
-    if inp.pc == inp.er_min:
-        return _atom_enter(inp), False
-    if inp.pc == inp.er_max:
+    if rec.pc == rec.er_min:
+        return _atom_enter(rec), False
+    if rec.pc == rec.er_max:
         return AtomState.LAST_ER, False
     if guards.atom_entry_guard:
         return AtomState.RESET, True
@@ -272,29 +228,46 @@ class MonitorState:
     global_reset: bool = False
 
 
-def monitor_step(state: MonitorState, inp: MonitorInput, cfg: MonitorConfig,
+def _step_fsms(state: MonitorState, rec: StateRecord, cfg: MonitorConfig,
+               guards: GuardFlags) -> tuple[MonitorState, tuple[bool, bool, bool]]:
+    """Advance the three FSMs on one record, before the shared reset line.
+
+    Returns their next states (``global_reset`` is the OR of the local
+    resets) and the local resets in (gpio, ekr, atomicity) order.
+    """
+    gpio_next, gpio_reset = step_gpio_fsm(state.gpio, rec, cfg, guards)
+    ekr_next, ekr_reset = step_ekr_write_fsm(state.ekr, rec, cfg, guards)
+    atom_next, atom_reset = step_atomicity_fsm(state.atom, rec, cfg, guards)
+    nxt = MonitorState(gpio_next, ekr_next, atom_next,
+                       gpio_reset or ekr_reset or atom_reset)
+    return nxt, (gpio_reset, ekr_reset, atom_reset)
+
+
+INITIAL_STATE = MonitorState()
+RESET_STATE = MonitorState(GpioState.RESET, EkrState.RESET, AtomState.RESET, True)
+
+
+def monitor_step(state: MonitorState, rec: StateRecord, cfg: MonitorConfig,
                  guards: GuardFlags = DEFAULT_GUARDS) -> tuple[MonitorState, bool]:
-    """Advance all three FSMs on one input; OR their local resets.
+    """Advance all three FSMs on one record; OR their local resets.
 
     On a global reset every FSM is forced back to RESET so that no unlock
     survives a violation detected by a sibling FSM.
     """
-    gpio_next, gpio_reset = step_gpio_fsm(state.gpio, inp, cfg, guards)
-    ekr_next, ekr_reset = step_ekr_write_fsm(state.ekr, inp, cfg, guards)
-    atom_next, atom_reset = step_atomicity_fsm(state.atom, inp, cfg, guards)
-    global_reset = gpio_reset or ekr_reset or atom_reset
-    if global_reset:
-        nxt = MonitorState(GpioState.RESET, EkrState.RESET, AtomState.RESET, True)
-    else:
-        nxt = MonitorState(gpio_next, ekr_next, atom_next, False)
-    return nxt, global_reset
-
-
-INITIAL_STATE = MonitorState()
+    nxt, _ = _step_fsms(state, rec, cfg, guards)
+    if nxt.global_reset:
+        return RESET_STATE, True
+    return nxt, False
 
 
 class Monitor:
-    """Stateful wrapper used by the stepping loops."""
+    """Stateful wrapper used by the stepping loops.
+
+    In observe-only mode the monitor never requests a reset: each FSM
+    continues from its own next state without the shared reset line, and
+    ``local_resets_log`` collects the per-FSM outputs of every step for
+    agreement checks. Otherwise the log stays empty.
+    """
 
     def __init__(self, cfg: MonitorConfig, guards: GuardFlags = DEFAULT_GUARDS,
                  observe_only: bool = False):
@@ -302,26 +275,14 @@ class Monitor:
         self.guards = guards
         self.state = INITIAL_STATE
         self.observe_only = observe_only
-        self.reset_events: list[int] = []
-        self._cycle = 0
         self.local_resets_log: list[tuple[bool, bool, bool]] = []
 
-    def step(self, inp: MonitorInput) -> bool:
-        g_next, g_reset = step_gpio_fsm(self.state.gpio, inp, self.cfg, self.guards)
-        e_next, e_reset = step_ekr_write_fsm(self.state.ekr, inp, self.cfg, self.guards)
-        a_next, a_reset = step_atomicity_fsm(self.state.atom, inp, self.cfg, self.guards)
-        out = g_reset or e_reset or a_reset
-        self.local_resets_log.append((g_reset, e_reset, a_reset))
-        if out:
-            self.reset_events.append(self._cycle)
-        self._cycle += 1
-        if out and not self.observe_only:
-            self.state = MonitorState(GpioState.RESET, EkrState.RESET,
-                                      AtomState.RESET, True)
-        else:
-            self.state = MonitorState(g_next, e_next, a_next, out)
+    def step(self, rec: StateRecord) -> bool:
         if self.observe_only:
+            self.state, local = _step_fsms(self.state, rec, self.cfg, self.guards)
+            self.local_resets_log.append(local)
             return False
+        self.state, out = monitor_step(self.state, rec, self.cfg, self.guards)
         return out
 
     def force_reset(self) -> None:
@@ -330,8 +291,7 @@ class Monitor:
         Called for machine-fault resets too; observe-only mode suppresses
         the monitor's own output wiring, not genuine machine resets.
         """
-        self.state = MonitorState(GpioState.RESET, EkrState.RESET,
-                                  AtomState.RESET, True)
+        self.state = RESET_STATE
 
     @staticmethod
     def for_layout(layout: MemoryLayout, ekr_enabled: bool = True,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .isa import (ADD, AND, BRZ, HALT, JMP, JMP_R, LOAD, LOADI, LOAD_R,
-                  NOP, STORE, STORE_R, SUB, Instruction, assemble)
+                  NOP, STORE_R, SUB, Instruction, assemble)
 from .layout import ErWindow, MemoryLayout
 
 # A fixed high-entropy 32-byte sensor pattern; leakage scans search for it.
@@ -159,16 +159,6 @@ def jump_out_app(outside: int) -> list[Instruction]:
 
 def spin_forever(base: int) -> bytes:
     return asm([Label("spin"), JMP_TO("spin")], base)
-
-
-def reader_snippet(layout: MemoryLayout, target: str) -> list[Instruction]:
-    """Unprivileged code that reads GPIO or the key region, then halts."""
-    addr = layout.gpio.start if target == "gpio" else layout.ekr.start
-    return [LOAD(0, addr), HALT()]
-
-
-def writer_snippet(addr: int, value: int) -> list[Instruction]:
-    return [LOADI(0, value), STORE(0, addr), HALT()]
 
 
 def filler_binary(span_bytes: int) -> list[Instruction]:

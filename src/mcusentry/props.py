@@ -6,8 +6,9 @@ Window membership uses the record's own sampled bounds, so metadata
 rewrites are reflected position by position.
 
 Naming note: the machine-axiom tag sets distinguish CPU reads from DMA
-reads; the monitor's access macros deliberately do not. Both families are
-exposed here under distinct names.
+reads; the monitor's access macros (``read_mem``/``write_mem``, which the
+FSMs and the ``read``/``write`` propositions share) deliberately do not.
+Both families are exposed here under distinct names.
 """
 from __future__ import annotations
 
@@ -23,24 +24,20 @@ def _region_of(layout: MemoryLayout, name: str) -> Region:
     return layout.region_named(key)
 
 
-def _in_window(rec, addr: int) -> bool:
-    return rec.er_min <= addr <= rec.er_max
+def read_mem(rec, region: Region | None = None) -> bool:
+    """CPU-or-DMA read of any address in ``region`` this cycle; ``None``
+    means the record's own live window [er_min, er_max]."""
+    lo, hi = (rec.er_min, rec.er_max) if region is None else (region.start, region.end)
+    return (rec.r_en and lo <= rec.d_addr <= hi) or \
+        (rec.dma_en and lo <= rec.dma_addr <= hi)
 
 
-def _read_mem(rec, region: Region | None) -> bool:
-    if region is None:  # the live window
-        return (rec.r_en and _in_window(rec, rec.d_addr)) or \
-            (rec.dma_en and _in_window(rec, rec.dma_addr))
-    return (rec.r_en and rec.d_addr in region) or \
-        (rec.dma_en and rec.dma_addr in region)
-
-
-def _write_mem(rec, region: Region | None) -> bool:
-    if region is None:
-        return (rec.w_en and _in_window(rec, rec.d_addr)) or \
-            (rec.dma_en and _in_window(rec, rec.dma_addr))
-    return (rec.w_en and rec.d_addr in region) or \
-        (rec.dma_en and rec.dma_addr in region)
+def write_mem(rec, region: Region | None = None) -> bool:
+    """CPU-or-DMA write of any address in ``region`` (``None``: the live
+    window). DMA counts as both, since its direction is not a guard input."""
+    lo, hi = (rec.er_min, rec.er_max) if region is None else (region.start, region.end)
+    return (rec.w_en and lo <= rec.d_addr <= hi) or \
+        (rec.dma_en and lo <= rec.dma_addr <= hi)
 
 
 def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
@@ -55,23 +52,24 @@ def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
         "pc_at iauth": lambda r: r.pc == layout.i_auth,
         "pc_at ermin": lambda r: r.pc == r.er_min,
         "pc_at ermax": lambda r: r.pc == r.er_max,
-        "pc_in ER": lambda r: _in_window(r, r.pc),
+        "pc_in ER": lambda r: r.er_min <= r.pc <= r.er_max,
         "pc_in VR": lambda r: r.pc in layout.vr,
-        "exec_in ER": lambda r: r.executed is not None and _in_window(r, r.executed),
+        "exec_in ER": lambda r: (r.executed is not None
+                                 and r.er_min <= r.executed <= r.er_max),
     }
 
     for name in ("GPIO", "EKR", "METADATA", "VR", "ROM", "PMEM", "DMEM"):
         region = _region_of(layout, name)
-        props[f"read {name}"] = (lambda r, reg=region: _read_mem(r, reg))
-        props[f"write {name}"] = (lambda r, reg=region: _write_mem(r, reg))
+        props[f"read {name}"] = (lambda r, reg=region: read_mem(r, reg))
+        props[f"write {name}"] = (lambda r, reg=region: write_mem(r, reg))
         props[f"cpu_read {name}"] = (lambda r, reg=region: r.r_en and r.d_addr in reg)
         props[f"cpu_write {name}"] = (lambda r, reg=region: r.w_en and r.d_addr in reg)
         props[f"dma_touch {name}"] = (lambda r, reg=region: r.dma_en and r.dma_addr in reg)
-    props["read ER"] = lambda r: _read_mem(r, None)
-    props["write ER"] = lambda r: _write_mem(r, None)
-    props["cpu_read ER"] = lambda r: r.r_en and _in_window(r, r.d_addr)
-    props["cpu_write ER"] = lambda r: r.w_en and _in_window(r, r.d_addr)
-    props["dma_touch ER"] = lambda r: r.dma_en and _in_window(r, r.dma_addr)
+    props["read ER"] = read_mem
+    props["write ER"] = write_mem
+    props["cpu_read ER"] = lambda r: r.r_en and r.er_min <= r.d_addr <= r.er_max
+    props["cpu_write ER"] = lambda r: r.w_en and r.er_min <= r.d_addr <= r.er_max
+    props["dma_touch ER"] = lambda r: r.dma_en and r.er_min <= r.dma_addr <= r.er_max
 
     def tag_prop(tag: str) -> PropFn:
         return lambda r: tag in r.tags(layout)

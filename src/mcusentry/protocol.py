@@ -22,7 +22,8 @@ from .crypto import (CHAL_BYTES, KEY_BYTES, MAC_BYTES, derive_enc_key,
 from .errors import SizeError
 from .layout import ErWindow
 from .machine import Machine, RunContext, StateRecord, Trace, reset_routine, run
-from .monitor import Monitor, MonitorInput
+from .monitor import Monitor
+from .oracle import BOTTOM, TOP
 
 MAGIC = b"VRSA"
 
@@ -30,9 +31,6 @@ MAGIC = b"VRSA"
 VERIFY_HEADER_RECORDS = 6       # mailbox parse and counter compare
 VERIFY_RECORDS_PER_WORD = 1     # digest sweep over the window
 VERIFY_TAIL_RECORDS = 2         # token compare and bookkeeping
-
-TOP = True
-BOTTOM = False
 
 
 @dataclass(frozen=True)
@@ -138,16 +136,10 @@ def _emit(machine: Machine, monitor: Monitor | None, records: list[StateRecord],
                       d_addr=d_addr, irq=False, er_min=er_min, er_max=er_max,
                       executed=pc)
     machine.cycle += 1
-    reset = False
-    if monitor is not None:
-        reset = monitor.step(MonitorInput(
-            pc=rec.pc, r_en=rec.r_en, w_en=rec.w_en, d_addr=rec.d_addr,
-            dma_en=False, dma_addr=0, irq=False,
-            er_min=er_min, er_max=er_max))
-    if reset:
+    if monitor is not None and monitor.step(rec):
         rec = replace(rec, reset=True)
     records.append(rec)
-    return reset
+    return rec.reset
 
 
 def verify_dev(key: bytes, machine: Machine,
@@ -234,15 +226,18 @@ def settle_after_verify(machine: Machine, monitor: Monitor | None,
 
 
 def xsensing(machine: Machine, monitor: Monitor | None, ctx: RunContext,
-             max_cycles: int = 2000) -> tuple[Trace, bool]:
-    """Jump to the live window start and run; report whether sensing happened.
+             max_cycles: int = 2000,
+             entry: int | None = None) -> tuple[Trace, bool]:
+    """Jump to the live window start (or to ``entry``, an attacker-chosen
+    address) and run; report whether sensing happened.
 
     Success means at least one record carries an un-reset CPU read of GPIO.
     Calling without a prior successful verification is legal; the monitor
     then punishes the first GPIO access.
     """
-    er_min, _ = machine.er_window()
-    machine.pc = er_min & 0xFFFE
+    if entry is None:
+        entry, _ = machine.er_window()
+    machine.pc = entry & 0xFFFE
     machine.halted = False
     trace = run(machine, monitor, ctx, max_cycles)
     return trace, sensing_verdict(trace, machine)

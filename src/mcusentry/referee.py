@@ -14,7 +14,6 @@ are recorded but never count as wins.
 from __future__ import annotations
 
 import hashlib
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ from .monitor import Monitor
 from .oracle import atomic_exec_oracle
 from .props import build_props
 from .protocol import (AuthorizationMessage, authorize_ctrl, install,
-                       sensing_verdict, settle_after_verify, verify_dev)
+                       settle_after_verify, verify_dev, xsensing)
 from .scenarios import ScenarioPlan
 
 DEFAULT_KEY = hashlib.sha256(b"pre-shared master key (simulation)").digest()
@@ -36,15 +35,10 @@ assert len(DEFAULT_KEY) == KEY_BYTES
 
 @dataclass
 class TokenSets:
-    """Issued/used/pending bookkeeping of authorization material."""
+    """Issued/used bookkeeping of authorization material."""
 
     issued: list[bytes] = field(default_factory=list)
     used: list[bytes] = field(default_factory=list)
-
-    @property
-    def pending(self) -> list[bytes]:
-        used = set(self.used)
-        return [t for t in self.issued if t not in used]
 
 
 @dataclass
@@ -60,18 +54,6 @@ class GameOutcome:
     tokens: TokenSets
     goal_violations: list[str]
     notes: str = ""
-
-    def report_line(self) -> str:
-        return json.dumps({
-            "name": self.name,
-            "xsensing": self.xsensing_result,
-            "atomic_exec": self.atomic_exec,
-            "adversary_wins": self.adversary_wins,
-            "reset_seen": self.reset_seen,
-            "verify": self.verify_results,
-            "goal_violations": self.goal_violations,
-            "digest": self.trace_digest,
-        }, sort_keys=True)
 
 
 def _sensor_for(plan: ScenarioPlan) -> SensorProvider:
@@ -167,7 +149,7 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
         records.extend(install(msg, machine, plan.er, monitor))
         if do_verify():
             ctx1 = RunContext.build(sensor=sensor, on_reset=on_reset)
-            trace1, ok1 = _enter_window(machine, monitor, ctx1, plan, None)
+            trace1, ok1 = xsensing(machine, monitor, ctx1, plan.xsensing_cycles)
             records.extend(trace1.records)
             if ok1:
                 tokens.used.append(msg.token)
@@ -192,8 +174,8 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
         irq_cycles=[machine.cycle + off for off in plan.xs_irq_offsets],
         on_reset=on_reset)
     entry_snapshot = _window_snapshot(machine)
-    xs_trace, xs_ok = _enter_window(machine, monitor, ctx, plan,
-                                    plan.entry_override)
+    xs_trace, xs_ok = xsensing(machine, monitor, ctx, plan.xsensing_cycles,
+                               entry=plan.entry_override)
     records.extend(xs_trace.records)
     if xs_ok and tokens.issued:
         tokens.used.append(tokens.issued[-1])
@@ -233,15 +215,6 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
         goal_violations=goal_violations,
         notes=plan.description,
     )
-
-
-def _enter_window(machine: Machine, monitor: Monitor, ctx: RunContext,
-                  plan: ScenarioPlan, entry_override: int | None):
-    er_min, _ = machine.er_window()
-    machine.pc = (entry_override if entry_override is not None else er_min) & 0xFFFE
-    machine.halted = False
-    trace = run(machine, monitor, ctx, plan.xsensing_cycles)
-    return trace, sensing_verdict(trace, machine)
 
 
 def _run_named(args) -> dict:

@@ -3,12 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcusentry.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from mcusentry.isa import HALT, LOAD, assemble
 from mcusentry.layout import default_layout, format_layout
 from mcusentry.programs import boot_rom, window_for
-from mcusentry.protocol import AuthorizationMessage
+from mcusentry.protocol import AuthorizationMessage, authorize_ctrl
 from mcusentry.referee import DEFAULT_KEY
 
 LAYOUT = default_layout()
@@ -130,6 +131,56 @@ def test_check_mutant_is_convicted(tmp_path, capsys):
 
 def test_check_usage_error_on_bad_formula(capsys):
     assert main(["check", "--formula", "(G (-> p", "--width", "5"]) == EXIT_USAGE
+
+
+def test_check_empty_formula_is_a_usage_error(capsys):
+    assert main(["check", "--formula", "", "--width", "5"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("line", ["0x10 read", "5", "1 read 0x10 0 extra"])
+def test_run_short_dma_line_is_a_usage_error(workdir, capsys, line):
+    tmp, binary = workdir
+    _authorize(tmp)
+    (tmp / "dma.txt").write_text(f"# schedule\n{line}\n")
+    er = window_for(binary, 0x4000)
+    code = main(_run_args(tmp, er, ["--dma-file", str(tmp / "dma.txt")]))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: DMA file line 2:") and err.count("\n") == 1
+
+
+_TOKENS = st.sampled_from(["0x10", "0xF000", "5", "-2", "read", "write", "x",
+                           "#", "(", ")", "G", "->", ":", "=", "rom=0:0xFFF",
+                           "\n"])
+_FUZZ = st.one_of(st.text(max_size=40), st.lists(_TOKENS, max_size=10).map(" ".join))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dma=_FUZZ, irq=_FUZZ, formula=_FUZZ,
+       layout=st.one_of(st.just(format_layout(LAYOUT)), _FUZZ))
+def test_malformed_input_files_never_escape(tmp_path_factory, dma, irq,
+                                            formula, layout):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    binary = assemble([LOAD(0, LAYOUT.gpio.start), HALT()])
+    image = bytearray(0x4000) + binary
+    msg, _ = authorize_ctrl(DEFAULT_KEY, 0, binary)
+    files = {"key.bin": DEFAULT_KEY, "image.bin": bytes(image),
+             "rom.bin": boot_rom(0xEFFE), "msg.bin": msg.to_wire()}
+    for name, data in files.items():
+        (tmp / name).write_bytes(data)
+    texts = {"dma.txt": dma, "irq.txt": irq, "layout.cfg": layout,
+             "formula.txt": formula}
+    for name, text in texts.items():
+        (tmp / name).write_text(text, encoding="utf-8")
+    er = window_for(binary, 0x4000)
+    run_code = main(_run_args(tmp, er, [
+        "--dma-file", str(tmp / "dma.txt"), "--irq-file", str(tmp / "irq.txt"),
+        "--max-cycles", "20"]))
+    check_code = main(["check", "--formula-file", str(tmp / "formula.txt"),
+                       "--width", "5"])
+    assert run_code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE)
+    assert check_code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE)
 
 
 def test_attack_single_scenario(capsys):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcusentry.errors import FormulaError
-from mcusentry.ltl import (And, B, G, Implies, LassoTrace, Not, Or, Prop, U, W,
-                           X, eval_naive, eval_vector, parse, to_text)
+from mcusentry.ltl import (MAX_NESTING, And, B, G, Implies, LassoTrace, Not,
+                           Or, Prop, U, W, X, eval_naive, eval_vector, parse,
+                           to_text)
 
 
 class S:
@@ -157,6 +158,13 @@ class TestTextFormat:
             parse("(G p) trailing")
         with pytest.raises(FormulaError):
             parse(")")
+
+    def test_nesting_limit(self):
+        deepest = "(G " * MAX_NESTING + "p" + ")" * MAX_NESTING
+        assert parse(deepest) is not None
+        # Deeper input is refused before it can overflow the recursive parser.
+        with pytest.raises(FormulaError):
+            parse("(G " * 2000 + "p" + ")" * 2000)
 
 
 @settings(max_examples=200, deadline=None)

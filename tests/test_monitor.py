@@ -1,11 +1,18 @@
 """FSM transition semantics and the composed monitor."""
 
+from dataclasses import fields
+
+from hypothesis import given, settings, strategies as st
+
+from mcusentry import referee
 from mcusentry.layout import default_layout
-from mcusentry.monitor import (AtomState, EkrState, GpioState, Monitor,
-                               MonitorConfig, MonitorInput, MonitorState,
-                               monitor_step, read_mem_pred, step_atomicity_fsm,
-                               step_ekr_write_fsm, step_gpio_fsm,
-                               write_mem_pred)
+from mcusentry.machine import StateRecord
+from mcusentry.monitor import (INITIAL_STATE, AtomState, EkrState, GpioState,
+                               GuardFlags, Monitor, MonitorConfig,
+                               MonitorState, monitor_step, step_atomicity_fsm,
+                               step_ekr_write_fsm, step_gpio_fsm)
+from mcusentry.props import read_mem, write_mem
+from mcusentry.scenarios import CATALOGUE
 
 LAYOUT = default_layout()
 CFG = MonitorConfig.from_layout(LAYOUT)
@@ -14,28 +21,28 @@ ER = (0x4000, 0x4004)
 
 def inp(pc=0x5000, r_en=False, w_en=False, d_addr=0, dma_en=False,
         dma_addr=0, irq=False, er=ER):
-    return MonitorInput(pc=pc, r_en=r_en, w_en=w_en, d_addr=d_addr,
-                        dma_en=dma_en, dma_addr=dma_addr, irq=irq,
-                        er_min=er[0], er_max=er[1])
+    return StateRecord(cycle=0, pc=pc, r_en=r_en, w_en=w_en, d_addr=d_addr,
+                       dma_en=dma_en, dma_addr=dma_addr, irq=irq,
+                       er_min=er[0], er_max=er[1])
 
 
 class TestAccessPredicates:
     def test_cpu_read_in_region(self):
-        assert read_mem_pred(LAYOUT.gpio, inp(r_en=True, d_addr=LAYOUT.gpio.start))
+        assert read_mem(inp(r_en=True, d_addr=LAYOUT.gpio.start), LAYOUT.gpio)
 
     def test_all_quiet_is_no_access(self):
-        assert not read_mem_pred(LAYOUT.gpio, inp())
-        assert not write_mem_pred(LAYOUT.gpio, inp())
+        assert not read_mem(inp(), LAYOUT.gpio)
+        assert not write_mem(inp(), LAYOUT.gpio)
 
     def test_dma_counts_as_read_and_write(self):
         i = inp(dma_en=True, dma_addr=LAYOUT.gpio.start)
-        assert read_mem_pred(LAYOUT.gpio, i)
-        assert write_mem_pred(LAYOUT.gpio, i)
+        assert read_mem(i, LAYOUT.gpio)
+        assert write_mem(i, LAYOUT.gpio)
 
     def test_cpu_write_to_metadata(self):
         i = inp(w_en=True, d_addr=LAYOUT.er_metadata.start)
-        assert write_mem_pred(LAYOUT.er_metadata, i)
-        assert not read_mem_pred(LAYOUT.er_metadata, i)
+        assert write_mem(i, LAYOUT.er_metadata)
+        assert not read_mem(i, LAYOUT.er_metadata)
 
 
 class TestGpioFsm:
@@ -209,3 +216,53 @@ class TestObserverMode:
         out = monitor.step(inp(r_en=True, d_addr=LAYOUT.gpio.start, pc=0x5000))
         assert out is False
         assert monitor.local_resets_log[-1][0] is True  # gpio fsm flagged
+
+    def test_live_monitor_keeps_no_log(self, monkeypatch):
+        made = []
+        for_layout = Monitor.for_layout
+
+        def capture(*args, **kwargs):
+            made.append(for_layout(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(referee.Monitor, "for_layout", staticmethod(capture))
+        outcome = referee.run_scenario(CATALOGUE["irq-mid-er"]())
+        assert outcome.reset_seen and len(outcome.trace) > 0
+        assert len(made) == 1 and not made[0].observe_only
+        assert made[0].local_resets_log == []
+
+
+# Addresses around every boundary the FSMs compare against.
+_ADDRS = sorted({0, 2, LAYOUT.i_auth, LAYOUT.vr.start, LAYOUT.gpio.start,
+                 LAYOUT.gpio.end - 1, LAYOUT.ekr.start, LAYOUT.er_metadata.start,
+                 ER[0] - 2, ER[0], ER[0] + 2, ER[1], ER[1] + 2, 0xE000})
+
+
+@st.composite
+def records(draw):
+    access = draw(st.sampled_from(["none", "read", "write"]))
+    dma = draw(st.booleans())
+    return StateRecord(
+        cycle=0, pc=draw(st.sampled_from(_ADDRS)),
+        r_en=access == "read", w_en=access == "write",
+        d_addr=draw(st.sampled_from(_ADDRS)),
+        dma_en=dma, dma_addr=draw(st.sampled_from(_ADDRS)) if dma else 0,
+        irq=draw(st.booleans()),
+        er_min=draw(st.sampled_from([ER[0], ER[1], LAYOUT.i_auth])),
+        er_max=draw(st.sampled_from([ER[0], ER[1], ER[1] + 2])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=st.lists(records(), max_size=40),
+       flags=st.lists(st.booleans(), min_size=len(fields(GuardFlags)),
+                      max_size=len(fields(GuardFlags))),
+       ekr_enabled=st.booleans())
+def test_monitor_object_matches_folded_monitor_step(stream, flags, ekr_enabled):
+    guards = GuardFlags(*flags)
+    cfg = MonitorConfig.from_layout(LAYOUT, ekr_enabled)
+    monitor = Monitor(cfg, guards)
+    state = INITIAL_STATE
+    for rec in stream:
+        state, out = monitor_step(state, rec, cfg, guards)
+        assert monitor.step(rec) == out
+        assert monitor.state == state

@@ -23,8 +23,10 @@ the product implicitly: a safety or weak-until violation shows up on some
 reachable edge. Counterexamples are reconstructed as concrete lassos and
 replay through the real transition function.
 
-Formulas outside that fragment (the before-operator end-to-end goal) fall
-back to bounded lasso enumeration over a curated alphabet.
+A formula without temporal operators constrains position 0 only, so it
+is judged on each letter read from the initial monitor state. Formulas
+outside these fragments (the before-operator end-to-end goal) fall back to
+bounded lasso enumeration over a curated alphabet.
 """
 from __future__ import annotations
 
@@ -35,7 +37,8 @@ from itertools import product as iproduct
 from .catalogue import all_formulas
 from .errors import BudgetError
 from .layout import Region
-from .ltl import And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X, eval_naive
+from .ltl import (And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X,
+                  check_props, eval_naive)
 from .machine import StateRecord
 from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, GuardFlags, MonitorConfig,
                       MonitorState, monitor_step)
@@ -200,7 +203,7 @@ def _flatten_and(f: Formula) -> list[Formula]:
 
 def _plan(f: Formula):
     if not isinstance(f, G):
-        return None
+        return ("initial", f) if _is_propositional(f) else None
     body = f.sub
     if _is_propositional(body):
         return ("local", body)
@@ -322,6 +325,15 @@ def _bfs(plan, explorer: _Explorer, state_budget: int):
     kind = plan[0]
     props = explorer.props
     n_letters = len(explorer.alphabet)
+    if kind == "initial":
+        # Only position 0 is constrained: every letter read from the
+        # initial state, with the reset the monitor outputs on it.
+        for idx in range(n_letters):
+            _, out = explorer.step(INITIAL_STATE, idx)
+            rec = explorer.record(idx, out)
+            if not _eval_prop(plan[1], rec, props):
+                return [rec], 1
+        return None, 1
 
     local_bad: dict[tuple[int, bool], bool] = {}
     tracker_vals: dict[tuple[int, bool], tuple[bool, bool, bool]] = {}
@@ -421,11 +433,14 @@ def exhaustive_check(formula: Formula, space: ScaledSpace | None = None,
                      explorer: "_Explorer | None" = None) -> CheckResult:
     """Check a formula over the full reduced-width input space.
 
-    Conjunctions are split and checked piecewise. Formulas outside the
-    supported fragment fall back to bounded enumeration (see
-    ``brute_force_check``), which is complete only to its bound.
+    Every proposition must name an entry of ``build_props`` (else
+    ``FormulaError``). Conjunctions are split and checked piecewise.
+    Formulas outside the supported fragment fall back to bounded
+    enumeration (see ``brute_force_check``), which is complete only to its
+    bound.
     """
     space = space or scaled_space()
+    check_props(formula, build_props(space))
     cfg = MonitorConfig.from_layout(space, ekr_enabled)
     if explorer is None:
         explorer = _Explorer(space, cfg, guards, build_alphabet(space, er_choices))

@@ -7,6 +7,14 @@ recursive one that follows the operator definitions literally (the
 reference), and a vectorized one used on large trace corpora. Tests keep
 them in agreement.
 
+Propositions come from a table of named expressions (``props.build_props``)
+or, when no table is given, from same-named attributes of the states. The
+naive evaluator applies a table entry to one record at a time. The
+vectorized one applies it once to the trace's ``machine.RecordColumns``
+view, which yields the proposition at every position in one numpy
+expression; the lasso keeps that column, so every formula evaluated on the
+same trace with the same table reuses it.
+
 Operator semantics on an infinite word w at position i:
 
     X f     f holds at i+1
@@ -19,12 +27,14 @@ Text format is prefix s-expressions, e.g. ``(G (-> (read GPIO) (pc_in ER)))``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import FormulaError
+from .machine import RecordColumns
 
 # ---------------------------------------------------------------------------
 # AST
@@ -107,15 +117,22 @@ def conj(*parts: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Lasso traces
 
-PropValuation = Callable[[object], bool]
+PropValuation = Callable[[object], object]
 
 
 @dataclass
 class LassoTrace:
-    """Finite prefix plus a nonempty loop; positions index prefix+loop."""
+    """Finite prefix plus a nonempty loop; positions index prefix+loop.
+
+    The unrolled state list, its column view and the proposition columns
+    are computed on first use and kept, so a lasso's ``prefix`` and
+    ``loop`` must not change after it is evaluated.
+    """
 
     prefix: list
     loop: list
+    _prop_columns: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     def __post_init__(self):
         if not self.loop:
@@ -129,9 +146,27 @@ class LassoTrace:
     def loop_start(self) -> int:
         return len(self.prefix)
 
+    @cached_property
+    def states(self) -> list:
+        return self.prefix + self.loop
+
+    @cached_property
+    def columns(self) -> RecordColumns:
+        return RecordColumns(self.states)
+
     def state(self, pos: int):
-        states = self.prefix + self.loop
-        return states[pos]
+        return self.states[pos]
+
+    def prop_column(self, fn: "PropValuation") -> np.ndarray:
+        """Read-only bool array of table entry ``fn`` at every position,
+        evaluated once on the column view and kept per entry."""
+        out = self._prop_columns.get(fn)
+        if out is None:
+            out = np.empty(self.length, dtype=bool)
+            out[...] = fn(self.columns)  # a constant entry broadcasts
+            out.flags.writeable = False
+            self._prop_columns[fn] = out
+        return out
 
     def successor(self, pos: int) -> int:
         return pos + 1 if pos + 1 < self.length else self.loop_start
@@ -250,19 +285,19 @@ def eval_vector(f: Formula, trace: LassoTrace,
     def extend(vals: np.ndarray) -> np.ndarray:
         return np.concatenate([vals, vals[ls:n]])
 
-    cache: dict[Formula, np.ndarray] = {}
+    # Keyed by node identity: hashing a frozen node hashes its whole subtree.
+    cache: dict[int, np.ndarray] = {}
 
     def ev(g: Formula) -> np.ndarray:
-        if g in cache:
-            return cache[g]
+        hit = cache.get(id(g))
+        if hit is not None:
+            return hit
         if isinstance(g, Prop):
             if props is not None:
-                fn = props[g.name]
-                out = np.fromiter((bool(fn(trace.state(i))) for i in range(n)),
-                                  dtype=bool, count=n)
+                out = trace.prop_column(props[g.name])
             else:
-                out = np.fromiter((bool(getattr(trace.state(i), g.name))
-                                   for i in range(n)), dtype=bool, count=n)
+                out = np.fromiter((bool(getattr(s, g.name)) for s in trace.states),
+                                  dtype=bool, count=n)
         elif isinstance(g, Not):
             out = ~ev(g.sub)
         elif isinstance(g, And):
@@ -304,10 +339,21 @@ def eval_vector(f: Formula, trace: LassoTrace,
                 out = ~until
         else:
             raise TypeError(f"unknown formula node {g!r}")
-        cache[g] = out
+        cache[id(g)] = out
         return out
 
     return ev(f)
+
+
+def check_props(f: Formula, props: Mapping[str, PropValuation]) -> None:
+    """Raise ``FormulaError`` naming the first proposition of ``f`` that
+    the table ``props`` does not define."""
+    if isinstance(f, Prop):
+        if f.name not in props:
+            raise FormulaError(f"unknown proposition {f.name!r}")
+        return
+    for child in vars(f).values():
+        check_props(child, props)
 
 
 def eval_formula(f: Formula, trace: LassoTrace, pos: int = 0,

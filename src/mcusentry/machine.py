@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import DecodeError, ImageError
 from .isa import MODE_ABS, Op, WORD_MASK, decode
@@ -134,6 +137,56 @@ class StateRecord:
         return frozenset(out)
 
 
+# Field order of the packed column form; ``executed`` packs ``None`` as -1,
+# which lies below every window since addresses are unsigned words.
+COLUMNS = ("cycle", "pc", "r_en", "w_en", "d_addr", "dma_en", "dma_addr",
+           "dma_write", "irq", "reset", "executed", "er_min", "er_max")
+
+
+def pack_records(records: Sequence[StateRecord]) -> np.ndarray:
+    """The record-to-column mapping: one int32 row per field of ``COLUMNS``
+    (flags as 0/1), one column per record."""
+    n = len(records)
+    out = np.empty((len(COLUMNS), n), dtype=np.int32)
+    for row, name in zip(out, COLUMNS):
+        if name == "executed":
+            row[:] = np.fromiter((-1 if r.executed is None else r.executed
+                                  for r in records), np.int32, n)
+        else:
+            row[:] = np.fromiter(map(attrgetter(name), records), np.int32, n)
+    return out
+
+
+class RecordColumns:
+    """Struct-of-arrays view of a record sequence.
+
+    Each ``StateRecord`` field is an int32 array under the field's own
+    name, so an expression over record attributes written with ``&``,
+    ``|`` and comparisons evaluates on one record and on a whole sequence
+    alike. ``records`` keeps the sequence for what has no column form
+    (``StateRecord.tags``).
+    """
+
+    def __init__(self, records: Sequence[StateRecord]):
+        self.records = records
+        for name, column in zip(COLUMNS, pack_records(records)):
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
+def _region_table(layout: MemoryLayout) -> np.ndarray:
+    """Bounds of the fixed regions the dump's tags are computed against."""
+    bounds = []
+    for name in TAG_REGIONS:
+        if name != "ER":
+            region = layout.region_named(
+                "er_metadata" if name == "METADATA" else name.lower())
+            bounds += [region.start, region.end]
+    return np.array(bounds, dtype="<i4")
+
+
 @dataclass
 class Trace:
     """Record sequence plus how the run ended."""
@@ -161,7 +214,17 @@ class Trace:
         return "\n".join(lines) + "\n"
 
     def digest(self, layout: MemoryLayout) -> str:
-        return hashlib.sha256(self.dump(layout).encode()).hexdigest()
+        """SHA-256 over the packed record columns, ``terminal`` and the
+        layout's region table.
+
+        That is everything ``dump`` prints: the tags are a function of the
+        record fields and those regions. ``executed`` is committed to as
+        well, although the dump omits it.
+        """
+        h = hashlib.sha256(self.terminal.encode() + b"\0")
+        h.update(_region_table(layout).tobytes())
+        h.update(pack_records(self.records).astype("<i4", copy=False).tobytes())
+        return h.hexdigest()
 
 
 class Machine:

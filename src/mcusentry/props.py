@@ -1,7 +1,15 @@
-"""Named propositions over per-cycle records.
+"""Named propositions over one record or a whole record sequence.
 
-Every proposition is total over StateRecord-like objects (the simulator's
-records and the checker's synthesized letters expose the same fields).
+Every entry of the table is one expression over record attributes that
+accepts either a single StateRecord-like object (the simulator's records
+and the checker's synthesized letters expose the same fields), returning
+a bool, or a ``machine.RecordColumns`` view of a whole sequence, returning
+one value per record: a bool or 0/1 array, or a constant that holds at
+every position. To serve both, entries combine attributes with ``&``,
+``|`` and ``(lo <= x) & (x <= hi)``, never ``and``, ``or`` or ``x in
+region``. The ``tag`` entries are the one exception: they call
+``StateRecord.tags`` on each record of the view, so the machine-axiom
+formulas keep comparing the tag sets with the raw signals.
 Window membership uses the record's own sampled bounds, so metadata
 rewrites are reflected position by position.
 
@@ -14,9 +22,12 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .layout import MemoryLayout, Region
+import numpy as np
 
-PropFn = Callable[[object], bool]
+from .layout import MemoryLayout, Region
+from .machine import RecordColumns
+
+PropFn = Callable[[object], object]
 
 
 def _region_of(layout: MemoryLayout, name: str) -> Region:
@@ -24,24 +35,31 @@ def _region_of(layout: MemoryLayout, name: str) -> Region:
     return layout.region_named(key)
 
 
-def read_mem(rec, region: Region | None = None) -> bool:
+def _exec_in_window(r):
+    # A record's ``None`` is the view's -1, which no window contains.
+    x = -1 if r.executed is None else r.executed
+    return (r.er_min <= x) & (x <= r.er_max)
+
+
+def read_mem(rec, region: Region | None = None):
     """CPU-or-DMA read of any address in ``region`` this cycle; ``None``
     means the record's own live window [er_min, er_max]."""
     lo, hi = (rec.er_min, rec.er_max) if region is None else (region.start, region.end)
-    return (rec.r_en and lo <= rec.d_addr <= hi) or \
-        (rec.dma_en and lo <= rec.dma_addr <= hi)
+    d, a = rec.d_addr, rec.dma_addr
+    return (rec.r_en & (lo <= d) & (d <= hi)) | (rec.dma_en & (lo <= a) & (a <= hi))
 
 
-def write_mem(rec, region: Region | None = None) -> bool:
+def write_mem(rec, region: Region | None = None):
     """CPU-or-DMA write of any address in ``region`` (``None``: the live
     window). DMA counts as both, since its direction is not a guard input."""
     lo, hi = (rec.er_min, rec.er_max) if region is None else (region.start, region.end)
-    return (rec.w_en and lo <= rec.d_addr <= hi) or \
-        (rec.dma_en and lo <= rec.dma_addr <= hi)
+    d, a = rec.d_addr, rec.dma_addr
+    return (rec.w_en & (lo <= d) & (d <= hi)) | (rec.dma_en & (lo <= a) & (a <= hi))
 
 
 def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
     """Proposition table for one layout; keys match the formula text format."""
+    vr = layout.vr
     props: dict[str, PropFn] = {
         "irq": lambda r: r.irq,
         "reset": lambda r: r.reset,
@@ -52,27 +70,38 @@ def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
         "pc_at iauth": lambda r: r.pc == layout.i_auth,
         "pc_at ermin": lambda r: r.pc == r.er_min,
         "pc_at ermax": lambda r: r.pc == r.er_max,
-        "pc_in ER": lambda r: r.er_min <= r.pc <= r.er_max,
-        "pc_in VR": lambda r: r.pc in layout.vr,
-        "exec_in ER": lambda r: (r.executed is not None
-                                 and r.er_min <= r.executed <= r.er_max),
+        "pc_in ER": lambda r: (r.er_min <= r.pc) & (r.pc <= r.er_max),
+        "pc_in VR": lambda r: (vr.start <= r.pc) & (r.pc <= vr.end),
+        "exec_in ER": _exec_in_window,
     }
 
     for name in ("GPIO", "EKR", "METADATA", "VR", "ROM", "PMEM", "DMEM"):
-        region = _region_of(layout, name)
-        props[f"read {name}"] = (lambda r, reg=region: read_mem(r, reg))
-        props[f"write {name}"] = (lambda r, reg=region: write_mem(r, reg))
-        props[f"cpu_read {name}"] = (lambda r, reg=region: r.r_en and r.d_addr in reg)
-        props[f"cpu_write {name}"] = (lambda r, reg=region: r.w_en and r.d_addr in reg)
-        props[f"dma_touch {name}"] = (lambda r, reg=region: r.dma_en and r.dma_addr in reg)
+        reg = _region_of(layout, name)
+        lo, hi = reg.start, reg.end
+        props[f"read {name}"] = lambda r, reg=reg: read_mem(r, reg)
+        props[f"write {name}"] = lambda r, reg=reg: write_mem(r, reg)
+        props[f"cpu_read {name}"] = \
+            lambda r, lo=lo, hi=hi: r.r_en & (lo <= r.d_addr) & (r.d_addr <= hi)
+        props[f"cpu_write {name}"] = \
+            lambda r, lo=lo, hi=hi: r.w_en & (lo <= r.d_addr) & (r.d_addr <= hi)
+        props[f"dma_touch {name}"] = \
+            lambda r, lo=lo, hi=hi: r.dma_en & (lo <= r.dma_addr) & (r.dma_addr <= hi)
     props["read ER"] = read_mem
     props["write ER"] = write_mem
-    props["cpu_read ER"] = lambda r: r.r_en and r.er_min <= r.d_addr <= r.er_max
-    props["cpu_write ER"] = lambda r: r.w_en and r.er_min <= r.d_addr <= r.er_max
-    props["dma_touch ER"] = lambda r: r.dma_en and r.er_min <= r.dma_addr <= r.er_max
+    props["cpu_read ER"] = \
+        lambda r: r.r_en & (r.er_min <= r.d_addr) & (r.d_addr <= r.er_max)
+    props["cpu_write ER"] = \
+        lambda r: r.w_en & (r.er_min <= r.d_addr) & (r.d_addr <= r.er_max)
+    props["dma_touch ER"] = \
+        lambda r: r.dma_en & (r.er_min <= r.dma_addr) & (r.dma_addr <= r.er_max)
 
     def tag_prop(tag: str) -> PropFn:
-        return lambda r: tag in r.tags(layout)
+        def holds(r):
+            if isinstance(r, RecordColumns):
+                return np.fromiter((tag in rec.tags(layout) for rec in r.records),
+                                   dtype=bool, count=len(r))
+            return tag in r.tags(layout)
+        return holds
 
     for name in ("GPIO", "EKR", "ER", "METADATA", "VR", "ROM", "PMEM", "DMEM"):
         props[f"tag READ {name}"] = tag_prop(f"READ({name})")

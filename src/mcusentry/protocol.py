@@ -57,6 +57,8 @@ class AuthorizationMessage:
         body = blob[48:48 + length]
         if len(body) != length:
             raise SizeError("message truncated")
+        if len(blob) != 48 + length:
+            raise SizeError(f"{len(blob) - 48 - length} bytes after the message body")
         return AuthorizationMessage(binary=body, chal=chal, token=token)
 
 

@@ -1,5 +1,7 @@
 """Exhaustive product checking, counterexamples, and mutant coverage."""
 
+import time
+
 import pytest
 
 from mcusentry.catalogue import all_formulas, builtin_formulas, catalogue_by_name
@@ -120,3 +122,27 @@ def test_formula_text_accepted_by_checker():
     formula = parse("(G (-> (& (read GPIO) (! (pc_in ER))) reset))")
     result = exhaustive_check(formula, SPACE5)
     assert result.holds
+
+
+def test_propositional_formula_skips_brute_force():
+    start = time.perf_counter()
+    result = exhaustive_check(parse("true"), SPACE5)
+    assert result.holds and result.explored_states == 1
+    assert time.perf_counter() - start < 2
+
+
+def test_propositional_counterexample_replays():
+    formula = parse("(! reset)")
+    result = exhaustive_check(formula, SPACE5)
+    assert not result.holds
+    assert replay_counterexample(formula, result.counterexample, SPACE5)
+
+
+@pytest.mark.parametrize("text", ["true", "(! reset)", "(| reset (! reset))",
+                                  "(! (read GPIO))"])
+def test_propositional_verdict_matches_brute_force(text):
+    # Without a temporal operator only position 0 counts, so sequences of
+    # two letters decide as much as the default bound of five.
+    formula = parse(text)
+    assert exhaustive_check(formula, SPACE5).verdict == \
+        brute_force_check(formula, SPACE5, max_len=2).verdict

@@ -133,6 +133,11 @@ def test_check_usage_error_on_bad_formula(capsys):
     assert main(["check", "--formula", "(G (-> p", "--width", "5"]) == EXIT_USAGE
 
 
+def test_check_unknown_proposition_is_named(capsys):
+    assert main(["check", "--formula", "(G x)", "--width", "5"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown proposition 'x'\n"
+
+
 def test_check_empty_formula_is_a_usage_error(capsys):
     assert main(["check", "--formula", "", "--width", "5"]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
@@ -154,26 +159,38 @@ _TOKENS = st.sampled_from(["0x10", "0xF000", "5", "-2", "read", "write", "x",
                            "#", "(", ")", "G", "->", ":", "=", "rom=0:0xFFF",
                            "\n"])
 _FUZZ = st.one_of(st.text(max_size=40), st.lists(_TOKENS, max_size=10).map(" ".join))
+_FUZZ_BINARY = assemble([LOAD(0, LAYOUT.gpio.start), HALT()])
+
+
+def _blob(valid: bytes):
+    """The valid file half the time, so later files still get parsed;
+    otherwise arbitrary bytes, or the valid file cut short or extended."""
+    return st.one_of(st.just(valid), st.one_of(
+        st.binary(max_size=64),
+        st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+        st.binary(min_size=1, max_size=4).map(lambda tail: valid + tail)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(dma=_FUZZ, irq=_FUZZ, formula=_FUZZ,
-       layout=st.one_of(st.just(format_layout(LAYOUT)), _FUZZ))
+       layout=st.one_of(st.just(format_layout(LAYOUT)), _FUZZ),
+       key=_blob(DEFAULT_KEY),
+       image=_blob(bytes(0x4000) + _FUZZ_BINARY),
+       rom=_blob(boot_rom(0xEFFE)),
+       message=_blob(authorize_ctrl(DEFAULT_KEY, 0, _FUZZ_BINARY)[0].to_wire()))
 def test_malformed_input_files_never_escape(tmp_path_factory, dma, irq,
-                                            formula, layout):
+                                            formula, layout, key, image, rom,
+                                            message):
     tmp = tmp_path_factory.mktemp("fuzz")
-    binary = assemble([LOAD(0, LAYOUT.gpio.start), HALT()])
-    image = bytearray(0x4000) + binary
-    msg, _ = authorize_ctrl(DEFAULT_KEY, 0, binary)
-    files = {"key.bin": DEFAULT_KEY, "image.bin": bytes(image),
-             "rom.bin": boot_rom(0xEFFE), "msg.bin": msg.to_wire()}
+    files = {"key.bin": key, "image.bin": image, "rom.bin": rom,
+             "msg.bin": message}
     for name, data in files.items():
         (tmp / name).write_bytes(data)
     texts = {"dma.txt": dma, "irq.txt": irq, "layout.cfg": layout,
              "formula.txt": formula}
     for name, text in texts.items():
         (tmp / name).write_text(text, encoding="utf-8")
-    er = window_for(binary, 0x4000)
+    er = window_for(_FUZZ_BINARY, 0x4000)
     run_code = main(_run_args(tmp, er, [
         "--dma-file", str(tmp / "dma.txt"), "--irq-file", str(tmp / "irq.txt"),
         "--max-cycles", "20"]))

@@ -1,12 +1,17 @@
 """Temporal operator semantics, evaluator agreement, and the text format."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcusentry.catalogue import catalogue_by_name
 from mcusentry.errors import FormulaError
+from mcusentry.layout import default_layout
 from mcusentry.ltl import (MAX_NESTING, And, B, G, Implies, LassoTrace, Not,
                            Or, Prop, U, W, X, eval_naive, eval_vector, parse,
                            to_text)
+from mcusentry.machine import RecordColumns, StateRecord
+from mcusentry.props import build_props
 
 
 class S:
@@ -66,11 +71,11 @@ def test_before_needs_strictly_earlier_witness():
 
 
 @st.composite
-def formulas(draw, depth=3):
+def formulas(draw, depth=3, names="pqr"):
     if depth == 0:
-        return Prop(draw(st.sampled_from("pqr")))
+        return Prop(draw(st.sampled_from(names)))
     kind = draw(st.integers(0, 9))
-    sub = lambda: draw(formulas(depth=depth - 1))  # noqa: E731
+    sub = lambda: draw(formulas(depth=depth - 1, names=names))  # noqa: E731
     if kind == 0:
         return Not(sub())
     if kind == 1:
@@ -89,7 +94,7 @@ def formulas(draw, depth=3):
         return W(sub(), sub())
     if kind == 8:
         return B(sub(), sub())
-    return Prop(draw(st.sampled_from("pqr")))
+    return Prop(draw(st.sampled_from(names)))
 
 
 @st.composite
@@ -171,3 +176,151 @@ class TestTextFormat:
 @given(formulas())
 def test_text_roundtrip_random(f):
     assert parse(to_text(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# The proposition table against its per-record reference
+
+
+def reference_props(layout):
+    """The proposition table as plain per-record lambdas (``and``, ``or``,
+    ``in``): the reference ``build_props`` must agree with on every record,
+    whether an entry is applied to one record or to a column view."""
+    def region_of(name):
+        return layout.region_named("er_metadata" if name == "METADATA"
+                                   else name.lower())
+
+    def read_mem(r, region=None):
+        lo, hi = (r.er_min, r.er_max) if region is None else (region.start, region.end)
+        return (r.r_en and lo <= r.d_addr <= hi) or \
+            (r.dma_en and lo <= r.dma_addr <= hi)
+
+    def write_mem(r, region=None):
+        lo, hi = (r.er_min, r.er_max) if region is None else (region.start, region.end)
+        return (r.w_en and lo <= r.d_addr <= hi) or \
+            (r.dma_en and lo <= r.dma_addr <= hi)
+
+    props = {
+        "irq": lambda r: r.irq,
+        "reset": lambda r: r.reset,
+        "dmaen": lambda r: r.dma_en,
+        "true": lambda r: True,
+        "false": lambda r: False,
+        "pc_at zero": lambda r: r.pc == 0,
+        "pc_at iauth": lambda r: r.pc == layout.i_auth,
+        "pc_at ermin": lambda r: r.pc == r.er_min,
+        "pc_at ermax": lambda r: r.pc == r.er_max,
+        "pc_in ER": lambda r: r.er_min <= r.pc <= r.er_max,
+        "pc_in VR": lambda r: r.pc in layout.vr,
+        "exec_in ER": lambda r: (r.executed is not None
+                                 and r.er_min <= r.executed <= r.er_max),
+    }
+    for name in ("GPIO", "EKR", "METADATA", "VR", "ROM", "PMEM", "DMEM"):
+        region = region_of(name)
+        props[f"read {name}"] = (lambda r, reg=region: read_mem(r, reg))
+        props[f"write {name}"] = (lambda r, reg=region: write_mem(r, reg))
+        props[f"cpu_read {name}"] = (lambda r, reg=region: r.r_en and r.d_addr in reg)
+        props[f"cpu_write {name}"] = (lambda r, reg=region: r.w_en and r.d_addr in reg)
+        props[f"dma_touch {name}"] = (lambda r, reg=region: r.dma_en and r.dma_addr in reg)
+    props["read ER"] = read_mem
+    props["write ER"] = write_mem
+    props["cpu_read ER"] = lambda r: r.r_en and r.er_min <= r.d_addr <= r.er_max
+    props["cpu_write ER"] = lambda r: r.w_en and r.er_min <= r.d_addr <= r.er_max
+    props["dma_touch ER"] = lambda r: r.dma_en and r.er_min <= r.dma_addr <= r.er_max
+
+    def tag_prop(tag):
+        return lambda r: tag in r.tags(layout)
+
+    for name in ("GPIO", "EKR", "ER", "METADATA", "VR", "ROM", "PMEM", "DMEM"):
+        props[f"tag READ {name}"] = tag_prop(f"READ({name})")
+        props[f"tag WRITE {name}"] = tag_prop(f"WRITE({name})")
+        props[f"tag DMA_R {name}"] = tag_prop(f"DMA_R({name})")
+        props[f"tag DMA_W {name}"] = tag_prop(f"DMA_W({name})")
+    props["tag IRQ"] = tag_prop("IRQ")
+    props["tag RESET"] = tag_prop("RESET")
+    return props
+
+
+LAYOUT = default_layout()
+PROPS = build_props(LAYOUT)
+REFERENCE = reference_props(LAYOUT)
+_EDGES = sorted({a for r in (LAYOUT.rom, LAYOUT.pmem, LAYOUT.dmem, LAYOUT.gpio,
+                             LAYOUT.ekr, LAYOUT.vr, LAYOUT.er_metadata)
+                 for e in (r.start, r.end) for a in (e - 1, e, e + 1)
+                 if 0 <= a <= 0xFFFF} | {0, LAYOUT.i_auth, 0xFFFF})
+
+
+@st.composite
+def state_records(draw, cycle=0):
+    """Records hugging region and window boundaries; windows may be
+    inverted or start at 0, and ``executed`` may be ``None``."""
+    er_min = draw(st.one_of(st.sampled_from(_EDGES), st.integers(0, 0xFFFF)))
+    er_max = draw(st.one_of(st.sampled_from(_EDGES), st.integers(0, 0xFFFF)))
+    near = sorted({a for e in (er_min, er_max) for a in (e - 1, e, e + 1)
+                   if 0 <= a <= 0xFFFF})
+    addr = st.one_of(st.sampled_from(_EDGES + near), st.integers(0, 0xFFFF))
+    return StateRecord(
+        cycle=cycle, pc=draw(addr), r_en=draw(st.booleans()),
+        w_en=draw(st.booleans()), d_addr=draw(addr), dma_en=draw(st.booleans()),
+        dma_addr=draw(addr), dma_write=draw(st.booleans()),
+        irq=draw(st.booleans()), reset=draw(st.booleans()),
+        executed=draw(st.one_of(st.none(), addr)), er_min=er_min, er_max=er_max)
+
+
+@st.composite
+def record_lassos(draw):
+    n = draw(st.integers(1, 8))
+    records = [draw(state_records(cycle=i)) for i in range(n)]
+    loop_start = draw(st.integers(0, n - 1))
+    return LassoTrace(prefix=records[:loop_start], loop=records[loop_start:])
+
+
+def test_table_matches_reference_names():
+    assert set(PROPS) == set(REFERENCE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(state_records(), min_size=1, max_size=6))
+def test_table_on_records_and_columns_matches_reference(records):
+    view = RecordColumns(records)
+    for name, fn in PROPS.items():
+        expected = [bool(REFERENCE[name](r)) for r in records]
+        assert [bool(fn(r)) for r in records] == expected, name
+        column = np.empty(len(records), dtype=bool)
+        column[...] = fn(view)
+        assert column.tolist() == expected, name
+
+
+def test_exec_in_er_is_false_without_an_executed_address():
+    for er_min, er_max in ((0, 4), (0, 0xFFFF), (8, 4)):
+        rec = StateRecord(cycle=0, pc=0, executed=None, er_min=er_min, er_max=er_max)
+        assert not PROPS["exec_in ER"](rec)
+        assert not eval_vector(Prop("exec_in ER"),
+                               LassoTrace.from_records([rec]), PROPS)[0]
+
+
+_NAMES = sorted(PROPS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas(names=_NAMES), formulas(names=_NAMES), record_lassos())
+def test_vectorized_agrees_with_naive_on_records(f, g, tr):
+    # Two formulas on one lasso: the second reuses the proposition columns
+    # the first left on it.
+    for formula in (f, g):
+        vec = eval_vector(formula, tr, PROPS)
+        for pos in range(tr.length):
+            assert bool(vec[pos]) == eval_naive(formula, tr, pos, PROPS)
+
+
+def test_tag_propositions_read_the_tag_sets(monkeypatch):
+    """The machine axioms compare tags with signals; if a tag entry were
+    a signal expression, breaking ``tags`` would go unnoticed."""
+    axiom = catalogue_by_name()["ax-read-signals"].formula
+    rec = StateRecord(cycle=0, pc=0x4000, r_en=True, d_addr=LAYOUT.gpio.start,
+                      executed=0x4000, er_min=0x4000, er_max=0x4004)
+    assert eval_vector(axiom, LassoTrace.from_records([rec]), PROPS)[0]
+    monkeypatch.setattr(StateRecord, "tags", lambda self, layout: frozenset())
+    tr = LassoTrace.from_records([rec])
+    assert not eval_vector(axiom, tr, PROPS)[0]
+    assert not eval_naive(axiom, tr, 0, PROPS)

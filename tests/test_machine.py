@@ -1,5 +1,7 @@
 """Cycle-level machine semantics: signals, tags, reset, determinism."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,7 @@ from mcusentry.isa import (ADD, BRZ, CALL, HALT, LOAD, LOADI, NOP, RET,
                            STORE, assemble)
 from mcusentry.layout import ErWindow, default_layout
 from mcusentry.machine import (ConstantSensor, DmaRequest, RunContext,
-                               SequenceSensor, StateRecord, exec_step,
+                               SequenceSensor, StateRecord, Trace, exec_step,
                                load_image, reset_routine, run)
 
 LAYOUT = default_layout()
@@ -215,3 +217,23 @@ def test_trace_dump_is_stable():
     assert "READ(GPIO)" in dump
     assert dump == trace.dump(LAYOUT)
     assert trace.digest(LAYOUT) == trace.digest(LAYOUT)
+
+
+_DUMPED_FIELDS = ("cycle", "pc", "r_en", "w_en", "d_addr", "dma_en", "dma_write",
+                  "dma_addr", "irq", "reset", "er_min", "er_max")
+
+
+def test_digest_commits_to_every_dumped_field():
+    machine = fresh_machine(assemble([LOAD(1, LAYOUT.gpio.start), NOP(), HALT()]))
+    ctx = RunContext.build(dma=[DmaRequest(1, "write", 0xE000, 5)], irq_cycles=[2])
+    trace = run(machine, None, ctx, 10)
+    records, base = trace.records, trace.digest(LAYOUT)
+    for i, rec in enumerate(records):
+        for name in _DUMPED_FIELDS:
+            value = getattr(rec, name)
+            changed = (not value) if isinstance(value, bool) else value ^ 2
+            other = Trace(records[:i] + [replace(rec, **{name: changed})]
+                          + records[i + 1:], trace.terminal)
+            assert other.dump(LAYOUT) != trace.dump(LAYOUT), name
+            assert other.digest(LAYOUT) != base, (i, name)
+    assert Trace(records, "max-cycles").digest(LAYOUT) != base

@@ -74,6 +74,12 @@ class TestWireFormat:
         with pytest.raises(SizeError):
             AuthorizationMessage.from_wire(msg.to_wire()[:-1])
 
+    def test_trailing_bytes_rejected(self):
+        # Otherwise two different files would parse to the same message.
+        msg, _ = authorize_ctrl(KEY, 0, b"\xAA\xBB\xCC\xDD")
+        with pytest.raises(SizeError):
+            AuthorizationMessage.from_wire(msg.to_wire() + b"\x00")
+
 
 class TestInstallVerify:
     def test_install_then_verify_accepts(self):

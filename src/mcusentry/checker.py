@@ -299,12 +299,13 @@ class _Explorer:
     several formulas can share one exploration context."""
 
     def __init__(self, space: ScaledSpace, cfg: MonitorConfig,
-                 guards: GuardFlags, alphabet: list[StateRecord]):
+                 guards: GuardFlags, alphabet: list[StateRecord],
+                 props: dict):
         self.space = space
         self.cfg = cfg
         self.guards = guards
         self.alphabet = alphabet
-        self.props = build_props(space)
+        self.props = props
         self._trans: dict[tuple[MonitorState, int], tuple[MonitorState, bool]] = {}
 
     def step(self, mon: MonitorState, idx: int) -> tuple[MonitorState, bool]:
@@ -440,10 +441,12 @@ def exhaustive_check(formula: Formula, space: ScaledSpace | None = None,
     bound.
     """
     space = space or scaled_space()
-    check_props(formula, build_props(space))
+    props = build_props(space) if explorer is None else explorer.props
+    check_props(formula, props)
     cfg = MonitorConfig.from_layout(space, ekr_enabled)
     if explorer is None:
-        explorer = _Explorer(space, cfg, guards, build_alphabet(space, er_choices))
+        explorer = _Explorer(space, cfg, guards,
+                             build_alphabet(space, er_choices), props)
     explored_total = 0
     for conjunct in _flatten_and(formula):
         plan = _plan(conjunct)
@@ -547,7 +550,7 @@ def check_catalogue(space: ScaledSpace | None = None,
     """Exhaustively check every monitor formula in the catalogue."""
     space = space or scaled_space()
     explorer = _Explorer(space, MonitorConfig.from_layout(space, ekr_enabled),
-                         guards, build_alphabet(space))
+                         guards, build_alphabet(space), build_props(space))
     results = []
     for entry in all_formulas(ekr_enabled):
         if entry.group == "machine-axioms":
@@ -572,7 +575,7 @@ def find_mutant_violation(mutant_id: str, space: ScaledSpace | None = None,
     space = space or scaled_space()
     guards = mutant_guards(mutant_id)
     explorer = _Explorer(space, MonitorConfig.from_layout(space, ekr_enabled),
-                         guards, build_alphabet(space))
+                         guards, build_alphabet(space), build_props(space))
     for entry in all_formulas(ekr_enabled):
         if entry.group == "machine-axioms":
             continue

@@ -273,6 +273,14 @@ def eval_vector(f: Formula, trace: LassoTrace,
                 props: dict[str, PropValuation] | None = None) -> np.ndarray:
     """Evaluate ``f`` at every position; returns a bool array of length n.
 
+    Table contract: each entry of ``props`` is called once, on the trace's
+    ``machine.RecordColumns`` view, so it must be written as the entries of
+    ``props.build_props`` are (``&``, ``|`` and comparisons, never ``and``,
+    ``or`` or ``in``), and the states must carry every ``machine.COLUMNS``
+    field, as ``StateRecord`` does. With no table, propositions are the
+    states' same-named attributes and any state type will do. The result
+    may be read-only: a bare ``Prop`` returns the column the lasso keeps.
+
     Temporal operators are computed on the trace doubled around its loop:
     one extra unrolling is enough for the least-fixpoint operators because
     every position then sees a full loop iteration ahead of it.
@@ -358,7 +366,8 @@ def check_props(f: Formula, props: Mapping[str, PropValuation]) -> None:
 
 def eval_formula(f: Formula, trace: LassoTrace, pos: int = 0,
                  props: dict[str, PropValuation] | None = None) -> bool:
-    """Fast-path evaluation at one position (vectorized under the hood)."""
+    """Fast-path evaluation at one position through ``eval_vector``, whose
+    table contract applies (``eval_naive`` takes any per-record table)."""
     return bool(eval_vector(f, trace, props)[pos])
 
 

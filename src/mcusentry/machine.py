@@ -30,9 +30,14 @@ import numpy as np
 
 from .errors import DecodeError, ImageError
 from .isa import MODE_ABS, Op, WORD_MASK, decode
-from .layout import ADDRESS_SPACE, ErWindow, MemoryLayout
+from .layout import ADDRESS_SPACE, ErWindow, MemoryLayout, Region
 
 TAG_REGIONS = ("GPIO", "EKR", "ER", "METADATA", "VR", "ROM", "PMEM", "DMEM")
+
+
+def tag_region(layout: MemoryLayout, name: str) -> Region:
+    """The fixed layout region a ``TAG_REGIONS`` name other than ER denotes."""
+    return layout.region_named("er_metadata" if name == "METADATA" else name.lower())
 
 
 def _align(addr: int) -> int:
@@ -120,8 +125,7 @@ class StateRecord:
                 inside_r = self.er_min <= self.d_addr <= self.er_max
                 inside_dma = self.er_min <= self.dma_addr <= self.er_max
             else:
-                lookup = "er_metadata" if name == "METADATA" else name.lower()
-                region = layout.region_named(lookup)
+                region = tag_region(layout, name)
                 inside_r = self.d_addr in region
                 inside_dma = self.dma_addr in region
             if self.r_en and inside_r:
@@ -181,8 +185,7 @@ def _region_table(layout: MemoryLayout) -> np.ndarray:
     bounds = []
     for name in TAG_REGIONS:
         if name != "ER":
-            region = layout.region_named(
-                "er_metadata" if name == "METADATA" else name.lower())
+            region = tag_region(layout, name)
             bounds += [region.start, region.end]
     return np.array(bounds, dtype="<i4")
 

@@ -88,11 +88,7 @@ class GuardFlags:
 DEFAULT_GUARDS = GuardFlags()
 
 
-# Both guard inputs first test for a bus access at all: most cycles make
-# none, and the access macros evaluate every term without short-circuit.
 def _guarded_reads(cfg: MonitorConfig, guards: GuardFlags, rec: StateRecord) -> bool:
-    if not (rec.r_en or rec.dma_en):
-        return False
     hit = read_mem(rec, cfg.gpio)
     if cfg.ekr_enabled and guards.ekr_read_guard:
         hit = hit or read_mem(rec, cfg.ekr)
@@ -100,8 +96,6 @@ def _guarded_reads(cfg: MonitorConfig, guards: GuardFlags, rec: StateRecord) -> 
 
 
 def _protected_writes(cfg: MonitorConfig, rec: StateRecord) -> bool:
-    if not (rec.w_en or rec.dma_en):
-        return False
     return write_mem(rec) or write_mem(rec, cfg.metadata)
 
 

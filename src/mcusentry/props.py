@@ -25,14 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .layout import MemoryLayout, Region
-from .machine import RecordColumns
+from .machine import RecordColumns, tag_region
 
 PropFn = Callable[[object], object]
-
-
-def _region_of(layout: MemoryLayout, name: str) -> Region:
-    key = "er_metadata" if name == "METADATA" else name.lower()
-    return layout.region_named(key)
 
 
 def _exec_in_window(r):
@@ -76,7 +71,7 @@ def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
     }
 
     for name in ("GPIO", "EKR", "METADATA", "VR", "ROM", "PMEM", "DMEM"):
-        reg = _region_of(layout, name)
+        reg = tag_region(layout, name)
         lo, hi = reg.start, reg.end
         props[f"read {name}"] = lambda r, reg=reg: read_mem(r, reg)
         props[f"write {name}"] = lambda r, reg=reg: write_mem(r, reg)

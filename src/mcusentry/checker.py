@@ -20,8 +20,16 @@ Checking walks the reachable product of monitor state with a small amount
 of formula-tracking state (previous letter for next-operator formulas, an
 armed bit for triggered weak-until formulas), which covers every lasso of
 the product implicitly: a safety or weak-until violation shows up on some
-reachable edge. Counterexamples are reconstructed as concrete lassos and
-replay through the real transition function.
+reachable edge. The monitor is compiled into a transition table over the
+alphabet: reachable monitor states get small integer ids, and each state
+gets one row holding, for every letter, the next state's id and the reset
+output, from one ``monitor_step`` call per letter. Each propositional
+subformula becomes one bool column per reset output, evaluated on the
+alphabet's column view with the ``props`` entries. A product node then
+expands with array expressions over its whole row; new nodes are queued
+in the order of the first letter that reaches them, and the violation
+reported is the first violating letter. Counterexamples are rebuilt as
+concrete lassos and replay through the real transition function.
 
 A formula without temporal operators constrains position 0 only, so it
 is judged on each letter read from the initial monitor state. Formulas
@@ -31,15 +39,20 @@ bounded lasso enumeration over a curated alphabet.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product as iproduct
+from types import SimpleNamespace
+
+import numpy as np
 
 from .catalogue import all_formulas
 from .errors import BudgetError
 from .layout import Region
 from .ltl import (And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X,
                   check_props, eval_naive)
-from .machine import StateRecord
+from .machine import COLUMNS, RecordColumns, StateRecord, pack_records
 from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, GuardFlags, MonitorConfig,
                       MonitorState, monitor_step)
 from .mutants import mutant_guards
@@ -72,7 +85,9 @@ def scaled_space(width: int = 6) -> ScaledSpace:
     outside the verifier region at every width.
     """
     if width < 5:
-        raise ValueError("width below 5 cannot host all regions")
+        raise ValueError(f"width {width} is below 5 and cannot host all regions")
+    if width > 16:
+        raise ValueError(f"width {width} exceeds the 16-bit address space")
     size = 1 << width
     q = size // 8  # one eighth per coarse band
     return ScaledSpace(
@@ -105,28 +120,31 @@ def default_er_choices(space: ScaledSpace) -> list[tuple[int, int]]:
 _VECTOR_REGIONS = ("gpio", "ekr", "er_metadata", "vr")
 
 
-def _letter_vector(rec: StateRecord, space: ScaledSpace) -> tuple:
-    """Predicate abstraction: everything the monitor or a formula can see."""
+def _letter_vector(rec, space: ScaledSpace) -> tuple:
+    """Predicate abstraction: everything the monitor or a formula can see.
+
+    Written like the ``props`` entries, so it takes one record (a tuple of
+    bools) or a column view (a tuple of arrays)."""
+    pc, er_min, er_max = rec.pc, rec.er_min, rec.er_max
+    vr = space.vr
     bits = [
-        rec.pc == 0,
-        rec.pc == space.i_auth,
-        rec.pc in space.vr,
-        rec.er_min <= rec.pc <= rec.er_max,
-        rec.pc == rec.er_min,
-        rec.pc == rec.er_max,
+        pc == 0,
+        pc == space.i_auth,
+        (vr.start <= pc) & (pc <= vr.end),
+        (er_min <= pc) & (pc <= er_max),
+        pc == er_min,
+        pc == er_max,
         rec.irq,
         rec.dma_en,
         rec.r_en,
         rec.w_en,
     ]
-    for name in _VECTOR_REGIONS:
-        region = space.region_named(name)
-        bits.append(rec.r_en and rec.d_addr in region)
-        bits.append(rec.w_en and rec.d_addr in region)
-        bits.append(rec.dma_en and rec.dma_addr in region)
-    bits.append(rec.r_en and rec.er_min <= rec.d_addr <= rec.er_max)
-    bits.append(rec.w_en and rec.er_min <= rec.d_addr <= rec.er_max)
-    bits.append(rec.dma_en and rec.er_min <= rec.dma_addr <= rec.er_max)
+    bounds = [(r.start, r.end) for r in map(space.region_named, _VECTOR_REGIONS)]
+    for lo, hi in bounds + [(er_min, er_max)]:
+        d, a = rec.d_addr, rec.dma_addr
+        bits.append(rec.r_en & (lo <= d) & (d <= hi))
+        bits.append(rec.w_en & (lo <= d) & (d <= hi))
+        bits.append(rec.dma_en & (lo <= a) & (a <= hi))
     return tuple(bits)
 
 
@@ -135,37 +153,63 @@ def quiet_letter(space: ScaledSpace) -> StateRecord:
     return StateRecord(cycle=0, pc=space.pmem.end - 1, er_min=er[0], er_max=er[1])
 
 
+def _candidates(space: ScaledSpace, er_min: int, er_max: int) -> dict[str, np.ndarray]:
+    """Every candidate letter of one window as columns (int32 addresses,
+    bool flags), ordered by pc, then CPU access, then DMA access, then irq."""
+    top = (1 << space.width) - 1
+    pcs = {0, space.i_auth, space.vr.start, space.rom.end,
+           er_min, er_max, space.pmem.end - 1,
+           space.dmem.start, space.gpio.start}
+    if er_min < er_max:
+        pcs.add(er_min + 1)
+    pcs.add(min(er_max + 1, top))
+    addrs = {space.gpio.start, space.gpio.end, space.ekr.start,
+             space.er_metadata.start, space.er_metadata.end,
+             er_min, er_max, min(er_max + 1, top),
+             space.dmem.start, space.vr.start, 0}
+    if er_min < er_max:
+        addrs.add(er_min + 1)
+    n = len(addrs)
+    addrs = np.array([0] + sorted(addrs), dtype=np.int32)
+    # CPU access: none, a read of each address, or a write of each address;
+    # DMA access: none, or a transfer at each address.
+    i_pc, i_cpu, i_dma, irq = np.indices(
+        (len(pcs), 1 + 2 * n, 1 + n, 2), dtype=np.int32).reshape(4, -1)
+    return {
+        "pc": np.array(sorted(pcs), dtype=np.int32)[i_pc],
+        "r_en": (0 < i_cpu) & (i_cpu <= n),
+        "w_en": i_cpu > n,
+        "d_addr": np.concatenate([addrs, addrs[1:]])[i_cpu],
+        "dma_en": i_dma > 0,
+        "dma_addr": addrs[i_dma],
+        "irq": irq == 1,
+        "er_min": np.full(irq.size, er_min, dtype=np.int32),
+        "er_max": np.full(irq.size, er_max, dtype=np.int32),
+    }
+
+
+def _first_of_each_class(columns: dict[str, np.ndarray], space: ScaledSpace):
+    """The columns cut to the first letter of each predicate class, in
+    order, and those letters' class keys."""
+    bits = np.stack(_letter_vector(SimpleNamespace(**columns), space))
+    keys = (1 << np.arange(len(bits), dtype=np.int64)) @ bits
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    return {name: col[first] for name, col in columns.items()}, keys[first]
+
+
 def build_alphabet(space: ScaledSpace,
                    er_choices: list[tuple[int, int]] | None = None) -> list[StateRecord]:
-    """Concrete letters, one representative per predicate class."""
+    """Concrete letters, one representative per predicate class: the first
+    candidate of each class, in candidate order."""
     er_choices = er_choices or default_er_choices(space)
-    letters: dict[tuple, StateRecord] = {}
-    for er_min, er_max in er_choices:
-        pcs = {0, space.i_auth, space.vr.start, space.rom.end,
-               er_min, er_max, space.pmem.end - 1,
-               space.dmem.start, space.gpio.start}
-        if er_min < er_max:
-            pcs.add(er_min + 1)
-        pcs.add(min(er_max + 1, (1 << space.width) - 1))
-        addrs = {space.gpio.start, space.gpio.end, space.ekr.start,
-                 space.er_metadata.start, space.er_metadata.end,
-                 er_min, er_max, min(er_max + 1, (1 << space.width) - 1),
-                 space.dmem.start, space.vr.start, 0}
-        if er_min < er_max:
-            addrs.add(er_min + 1)
-        rw_opts: list[tuple[bool, bool, int]] = [(False, False, 0)]
-        rw_opts += [(True, False, a) for a in sorted(addrs)]
-        rw_opts += [(False, True, a) for a in sorted(addrs)]
-        dma_opts: list[int | None] = [None] + sorted(addrs)
-        for pc, (r_en, w_en, d_addr), dma_addr, irq in iproduct(
-                sorted(pcs), rw_opts, dma_opts, (False, True)):
-            rec = StateRecord(
-                cycle=0, pc=pc, r_en=r_en, w_en=w_en, d_addr=d_addr,
-                dma_en=dma_addr is not None, dma_addr=dma_addr or 0,
-                irq=irq, er_min=er_min, er_max=er_max,
-            )
-            letters.setdefault(_letter_vector(rec, space), rec)
-    return list(letters.values())
+    kept = [_first_of_each_class(_candidates(space, lo, hi), space)
+            for lo, hi in er_choices]
+    first = np.sort(np.unique(np.concatenate([keys for _, keys in kept]),
+                              return_index=True)[1])
+    columns = {name: np.concatenate([c[name] for c, _ in kept])[first].tolist()
+               for name in kept[0][0]}
+    return [StateRecord(cycle=0, **dict(zip(columns, row)))
+            for row in zip(*columns.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +261,18 @@ def _plan(f: Formula):
     return None
 
 
-def _eval_prop(f: Formula, rec, props) -> bool:
-    if isinstance(f, Prop):
-        return bool(props[f.name](rec))
+def _columns(f: Formula, leaf):
+    """Evaluate a boolean combination elementwise; ``leaf`` gives the
+    array (or numpy bool) of each operand that is not a connective."""
     if isinstance(f, Not):
-        return not _eval_prop(f.sub, rec, props)
+        return ~_columns(f.sub, leaf)
     if isinstance(f, And):
-        return _eval_prop(f.left, rec, props) and _eval_prop(f.right, rec, props)
+        return _columns(f.left, leaf) & _columns(f.right, leaf)
     if isinstance(f, Or):
-        return _eval_prop(f.left, rec, props) or _eval_prop(f.right, rec, props)
+        return _columns(f.left, leaf) | _columns(f.right, leaf)
     if isinstance(f, Implies):
-        return (not _eval_prop(f.left, rec, props)) or _eval_prop(f.right, rec, props)
-    raise TypeError(f"not propositional: {f!r}")
+        return ~_columns(f.left, leaf) | _columns(f.right, leaf)
+    return leaf(f)
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +291,27 @@ class CheckResult:
         return self.verdict == "holds"
 
 
-def _close_lasso(prefix: list[StateRecord], state: MonitorState,
-                 space: ScaledSpace, cfg: MonitorConfig,
-                 guards: GuardFlags) -> LassoTrace:
-    """Extend with quiet letters until the monitor state recurs, then loop."""
+def _quiet_tail(state: MonitorState, start: int, space: ScaledSpace,
+                cfg: MonitorConfig, guards: GuardFlags):
+    """Quiet letters from ``state`` until the monitor state recurs, as the
+    records before the loop and the loop, cycles numbered from ``start``."""
     quiet = quiet_letter(space)
     seen: dict[MonitorState, int] = {}
     tail: list[StateRecord] = []
     while state not in seen:
         seen[state] = len(tail)
         state, out = monitor_step(state, quiet, cfg, guards)
-        tail.append(replace(quiet, reset=out, cycle=len(prefix) + len(tail)))
+        tail.append(replace(quiet, reset=out, cycle=start + len(tail)))
     cut = seen[state]
-    return LassoTrace(prefix=prefix + tail[:cut], loop=tail[cut:])
+    return tail[:cut], tail[cut:]
+
+
+def _close_lasso(prefix: list[StateRecord], state: MonitorState,
+                 space: ScaledSpace, cfg: MonitorConfig,
+                 guards: GuardFlags) -> LassoTrace:
+    """Extend with quiet letters until the monitor state recurs, then loop."""
+    lead, loop = _quiet_tail(state, len(prefix), space, cfg, guards)
+    return LassoTrace(prefix=prefix + lead, loop=loop)
 
 
 def _collect_a_props(f: Formula, out: set[str]) -> None:
@@ -275,101 +327,143 @@ def _collect_a_props(f: Formula, out: set[str]) -> None:
         _collect_a_props(f.right, out)
 
 
-def _eval_pair_values(f: Formula, a_values: dict, rec_b, props) -> bool:
-    if isinstance(f, X):
-        return _eval_prop(f.sub, rec_b, props)
-    if isinstance(f, Prop):
-        return a_values[f.name]
-    if isinstance(f, Not):
-        return not _eval_pair_values(f.sub, a_values, rec_b, props)
-    if isinstance(f, And):
-        return _eval_pair_values(f.left, a_values, rec_b, props) and \
-            _eval_pair_values(f.right, a_values, rec_b, props)
-    if isinstance(f, Or):
-        return _eval_pair_values(f.left, a_values, rec_b, props) or \
-            _eval_pair_values(f.right, a_values, rec_b, props)
-    if isinstance(f, Implies):
-        return (not _eval_pair_values(f.left, a_values, rec_b, props)) or \
-            _eval_pair_values(f.right, a_values, rec_b, props)
-    raise TypeError(f"not a pair body: {f!r}")
+class _WithReset(Sequence):
+    """The letters with one reset output baked in, each built on access;
+    only the ``tag`` entries read records off a view."""
+
+    def __init__(self, letters: list[StateRecord], out: bool):
+        self.letters = letters
+        self.out = out
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __getitem__(self, idx: int) -> StateRecord:
+        return replace(self.letters[idx], reset=self.out)
 
 
 class _Explorer:
-    """Caches the monitor transition relation over the deduped alphabet so
-    several formulas can share one exploration context."""
+    """The monitor as a transition table over one alphabet, shared by the
+    formulas checked against it.
 
-    def __init__(self, space: ScaledSpace, cfg: MonitorConfig,
-                 guards: GuardFlags, alphabet: list[StateRecord],
-                 props: dict):
-        self.space = space
+    Monitor states are numbered as they are reached (``states[id]``).
+    ``row(id)`` holds, for every letter, the next state's id and the reset
+    output, from one ``monitor_step`` call per letter, made once per state.
+    ``column(f)`` holds a propositional formula's value on every letter
+    under either reset output, as a (2, letters) bool array evaluated with
+    the ``props`` entries on the alphabet's column view.
+    """
+
+    def __init__(self, cfg: MonitorConfig, guards: GuardFlags,
+                 alphabet: list[StateRecord], props: dict):
         self.cfg = cfg
         self.guards = guards
         self.alphabet = alphabet
         self.props = props
-        self._trans: dict[tuple[MonitorState, int], tuple[MonitorState, bool]] = {}
+        self.states: list[MonitorState] = []
+        self._ids: dict[MonitorState, int] = {}
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._columns: dict[Formula, np.ndarray] = {}
 
-    def step(self, mon: MonitorState, idx: int) -> tuple[MonitorState, bool]:
-        key = (mon, idx)
-        hit = self._trans.get(key)
-        if hit is None:
-            hit = monitor_step(mon, self.alphabet[idx], self.cfg, self.guards)
-            self._trans[key] = hit
-        return hit
+    def state_id(self, mon: MonitorState) -> int:
+        sid = self._ids.get(mon)
+        if sid is None:
+            sid = self._ids[mon] = len(self.states)
+            self.states.append(mon)
+        return sid
 
-    def record(self, idx: int, out: bool) -> StateRecord:
-        return replace(self.alphabet[idx], reset=out)
+    def row(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Next-state ids and reset outputs (0/1) of state ``sid``, both
+        indexed by letter."""
+        row = self._rows.get(sid)
+        if row is None:
+            mon, n = self.states[sid], len(self.alphabet)
+            steps = [monitor_step(mon, letter, self.cfg, self.guards)
+                     for letter in self.alphabet]
+            row = self._rows[sid] = (
+                np.fromiter((self.state_id(s) for s, _ in steps), np.intp, n),
+                np.fromiter((out for _, out in steps), np.intp, n))
+        return row
+
+    @cached_property
+    def views(self) -> tuple[RecordColumns, RecordColumns]:
+        """The alphabet's column view with reset output 0 and with 1."""
+        packed = pack_records(self.alphabet)
+        views = []
+        for out in (False, True):
+            rows = packed.copy()
+            rows[COLUMNS.index("reset")] = out
+            views.append(RecordColumns(_WithReset(self.alphabet, out), rows))
+        return tuple(views)
+
+    def column(self, f: Formula) -> np.ndarray:
+        col = self._columns.get(f)
+        if col is None:
+            if isinstance(f, Prop):
+                col = np.empty((2, len(self.alphabet)), dtype=bool)
+                for values, view in zip(col, self.views):
+                    values[...] = self.props[f.name](view)  # constants broadcast
+            else:
+                col = _columns(f, self.column)
+            self._columns[f] = col
+        return col
+
+    def record(self, idx: int, out: int) -> StateRecord:
+        return replace(self.alphabet[idx], reset=bool(out))
+
+
+def _expander(plan, explorer: _Explorer):
+    """For one plan: the start node's tracking value, the number of
+    tracking values, and ``expand(value, outs)``, which takes a node's
+    tracking value and its row's reset outputs and gives the violating
+    letters (or None) and each letter's next tracking value (or None when
+    the plan tracks nothing)."""
+    kind = plan[0]
+    letters = np.arange(len(explorer.alphabet))
+    if kind in ("initial", "local"):
+        bad = ~explorer.column(plan[1])
+        return None, 1, lambda _, outs: (bad[outs, letters], None)
+    if kind == "tracker":
+        trig, safe, unlock = (explorer.column(f) for f in plan[1:])
+
+        def expand_tracker(armed, outs):
+            armed = armed | trig[outs, letters]
+            released = unlock[outs, letters]
+            return armed & ~safe[outs, letters] & ~released, armed & ~released
+        return False, 2, expand_tracker
+
+    # pair: the tracking value packs the previous letter's propositions
+    # (those outside X) into bits, in sorted name order.
+    body = plan[1]
+    names: set[str] = set()
+    _collect_a_props(body, names)
+    names = sorted(names)
+    codes = np.zeros((2, len(letters)), dtype=np.intp)
+    for bit, name in enumerate(names):
+        codes |= explorer.column(Prop(name)).astype(np.intp) << bit
+
+    def expand_pair(prev, outs):
+        nxt = codes[outs, letters]
+        if prev is None:
+            return None, nxt
+        values = {name: np.bool_(prev >> bit & 1) for bit, name in enumerate(names)}
+
+        def leaf(f):
+            if isinstance(f, X):
+                return explorer.column(f.sub)[outs, letters]
+            return values[f.name]
+        return ~_columns(body, leaf), nxt
+    return None, 1 << len(names), expand_pair
 
 
 def _bfs(plan, explorer: _Explorer, state_budget: int):
-    """BFS over (monitor x tracking) nodes; returns a violation path
-    (letters with baked outputs) or None, plus the explored-state count."""
-    kind = plan[0]
-    props = explorer.props
-    n_letters = len(explorer.alphabet)
-    if kind == "initial":
-        # Only position 0 is constrained: every letter read from the
-        # initial state, with the reset the monitor outputs on it.
-        for idx in range(n_letters):
-            _, out = explorer.step(INITIAL_STATE, idx)
-            rec = explorer.record(idx, out)
-            if not _eval_prop(plan[1], rec, props):
-                return [rec], 1
-        return None, 1
+    """BFS over (monitor x tracking) nodes.
 
-    local_bad: dict[tuple[int, bool], bool] = {}
-    tracker_vals: dict[tuple[int, bool], tuple[bool, bool, bool]] = {}
-    a_prop_names: tuple[str, ...] = ()
-    a_vals_cache: dict[tuple[int, bool], tuple] = {}
-    if kind == "pair":
-        names: set[str] = set()
-        _collect_a_props(plan[1], names)
-        a_prop_names = tuple(sorted(names))
-
-    def letter_info(idx: int, out: bool):
-        key = (idx, out)
-        if kind == "local":
-            val = local_bad.get(key)
-            if val is None:
-                val = not _eval_prop(plan[1], explorer.record(idx, out), props)
-                local_bad[key] = val
-            return val
-        if kind == "tracker":
-            val = tracker_vals.get(key)
-            if val is None:
-                rec = explorer.record(idx, out)
-                val = (_eval_prop(plan[1], rec, props),
-                       _eval_prop(plan[2], rec, props),
-                       _eval_prop(plan[3], rec, props))
-                tracker_vals[key] = val
-            return val
-        val = a_vals_cache.get(key)
-        if val is None:
-            rec = explorer.record(idx, out)
-            val = tuple(bool(props[name](rec)) for name in a_prop_names)
-            a_vals_cache[key] = val
-        return val
-
-    start = (INITIAL_STATE, None) if kind != "tracker" else (INITIAL_STATE, False)
+    Returns the violation path (letters with baked outputs) and the
+    monitor state after it, or (None, None), plus the explored count.
+    """
+    start_value, n_values, expand = _expander(plan, explorer)
+    start = (explorer.state_id(INITIAL_STATE), start_value)
     parents: dict = {start: None}
     queue = deque([start])
     explored = 0
@@ -378,51 +472,32 @@ def _bfs(plan, explorer: _Explorer, state_budget: int):
         explored += 1
         if explored > state_budget:
             raise BudgetError(f"state budget {state_budget} exceeded")
-        mon, extra = node
-        for idx in range(n_letters):
-            nxt_mon, out = explorer.step(mon, idx)
-            if kind == "local":
-                if letter_info(idx, out):
-                    return _path(parents, node) + [explorer.record(idx, out)], explored
-                nxt = (nxt_mon, None)
-            elif kind == "pair":
-                a_vals = letter_info(idx, out)
-                if extra is not None:
-                    a_values = dict(zip(a_prop_names, extra))
-                    rec_b = explorer.record(idx, out)
-                    if not _eval_pair_values(plan[1], a_values, rec_b, props):
-                        return _path(parents, node) + [rec_b], explored
-                nxt = (nxt_mon, a_vals)
-            else:  # tracker
-                trig, safe, unlock = letter_info(idx, out)
-                armed = extra or trig
-                if unlock:
-                    armed_next = False
-                elif armed and not safe:
-                    return _path(parents, node) + [explorer.record(idx, out)], explored
-                else:
-                    armed_next = armed
-                nxt = (nxt_mon, armed_next)
+        sid, value = node
+        nxt_ids, outs = explorer.row(sid)
+        bad, nxt_values = expand(value, outs)
+        if bad is not None and bad.any():
+            idx = int(np.argmax(bad))
+            path = _path(parents, node, explorer) + [explorer.record(idx, outs[idx])]
+            return path, explorer.states[nxt_ids[idx]], explored
+        if plan[0] == "initial":
+            break  # only position 0 is constrained
+        keys = nxt_ids if nxt_values is None else nxt_ids * n_values + nxt_values
+        for idx in np.sort(np.unique(keys, return_index=True)[1]).tolist():
+            nxt = (int(nxt_ids[idx]),
+                   None if nxt_values is None else nxt_values[idx].item())
             if nxt not in parents:
-                parents[nxt] = (node, explorer.record(idx, out))
+                parents[nxt] = (node, idx, int(outs[idx]))
                 queue.append(nxt)
-    return None, explored
+    return None, None, explored
 
 
-def _path(parents, node) -> list[StateRecord]:
+def _path(parents, node, explorer: _Explorer) -> list[StateRecord]:
     out = []
     while parents[node] is not None:
-        node, rec = parents[node]
-        out.append(rec)
+        node, idx, reset = parents[node]
+        out.append(explorer.record(idx, reset))
     out.reverse()
     return out
-
-
-def _final_state(letters: list[StateRecord], cfg, guards) -> MonitorState:
-    state = INITIAL_STATE
-    for rec in letters:
-        state, _ = monitor_step(state, rec, cfg, guards)
-    return state
 
 
 def exhaustive_check(formula: Formula, space: ScaledSpace | None = None,
@@ -445,8 +520,8 @@ def exhaustive_check(formula: Formula, space: ScaledSpace | None = None,
     check_props(formula, props)
     cfg = MonitorConfig.from_layout(space, ekr_enabled)
     if explorer is None:
-        explorer = _Explorer(space, cfg, guards,
-                             build_alphabet(space, er_choices), props)
+        explorer = _Explorer(cfg, guards, build_alphabet(space, er_choices),
+                             props)
     explored_total = 0
     for conjunct in _flatten_and(formula):
         plan = _plan(conjunct)
@@ -458,10 +533,9 @@ def exhaustive_check(formula: Formula, space: ScaledSpace | None = None,
                 return CheckResult("violated", result.counterexample,
                                    explored_total, name)
             continue
-        violation, explored = _bfs(plan, explorer, state_budget)
+        violation, state, explored = _bfs(plan, explorer, state_budget)
         explored_total += explored
         if violation is not None:
-            state = _final_state(violation, cfg, guards)
             lasso = _close_lasso(violation, state, space, cfg, guards)
             return CheckResult("violated", lasso, explored_total, name)
     return CheckResult("holds", None, explored_total, name)
@@ -506,17 +580,35 @@ def brute_force_check(formula: Formula, space: ScaledSpace | None = None,
     cfg = MonitorConfig.from_layout(space, ekr_enabled)
     props = build_props(space)
     alphabet = alphabet or curated_alphabet(space)
+    # Memos: the transition table's rows give (state, letter) -> (state,
+    # reset); ``baked`` keeps each (letter, reset, cycle) record and
+    # ``tails`` each quiet tail by (end state, prefix length).
+    table = _Explorer(cfg, guards, alphabet, props)
+    rows: dict[int, tuple[list[int], list[int]]] = {}
+    baked: dict[tuple[int, int, int], StateRecord] = {}
+    tails: dict[tuple[int, int], tuple[list, list]] = {}
+    start = table.state_id(INITIAL_STATE)
     explored = 0
     for length in range(1, max_len + 1):
         for combo in iproduct(range(len(alphabet)), repeat=length):
             explored += 1
-            state = INITIAL_STATE
+            sid = start
             prefix = []
             for i, idx in enumerate(combo):
-                letter = alphabet[idx]
-                state, out = monitor_step(state, letter, cfg, guards)
-                prefix.append(replace(letter, reset=out, cycle=i))
-            lasso = _close_lasso(prefix, state, space, cfg, guards)
+                row = rows.get(sid)
+                if row is None:
+                    row = rows[sid] = tuple(a.tolist() for a in table.row(sid))
+                sid, out = row[0][idx], row[1][idx]
+                rec = baked.get((idx, out, i))
+                if rec is None:
+                    rec = baked[idx, out, i] = replace(
+                        alphabet[idx], reset=bool(out), cycle=i)
+                prefix.append(rec)
+            tail = tails.get((sid, length))
+            if tail is None:
+                tail = tails[sid, length] = _quiet_tail(
+                    table.states[sid], length, space, cfg, guards)
+            lasso = LassoTrace(prefix=prefix + tail[0], loop=list(tail[1]))
             if not eval_naive(formula, lasso, 0, props):
                 return CheckResult("violated", lasso, explored, name)
     return CheckResult("holds", None, explored, name)
@@ -549,8 +641,8 @@ def check_catalogue(space: ScaledSpace | None = None,
                     state_budget: int = 2_000_000) -> list[CheckResult]:
     """Exhaustively check every monitor formula in the catalogue."""
     space = space or scaled_space()
-    explorer = _Explorer(space, MonitorConfig.from_layout(space, ekr_enabled),
-                         guards, build_alphabet(space), build_props(space))
+    explorer = _Explorer(MonitorConfig.from_layout(space, ekr_enabled), guards,
+                         build_alphabet(space), build_props(space))
     results = []
     for entry in all_formulas(ekr_enabled):
         if entry.group == "machine-axioms":
@@ -574,8 +666,8 @@ def find_mutant_violation(mutant_id: str, space: ScaledSpace | None = None,
     """
     space = space or scaled_space()
     guards = mutant_guards(mutant_id)
-    explorer = _Explorer(space, MonitorConfig.from_layout(space, ekr_enabled),
-                         guards, build_alphabet(space), build_props(space))
+    explorer = _Explorer(MonitorConfig.from_layout(space, ekr_enabled), guards,
+                         build_alphabet(space), build_props(space))
     for entry in all_formulas(ekr_enabled):
         if entry.group == "machine-axioms":
             continue

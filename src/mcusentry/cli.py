@@ -134,7 +134,6 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     space = scaled_space(args.width)
-    guards = mutant_guards(args.mutate) if args.mutate else None
     ekr = not args.no_ekr
     if args.mutate:
         name, result = find_mutant_violation(args.mutate, space, ekr_enabled=ekr)

@@ -168,16 +168,29 @@ class RecordColumns:
     name, so an expression over record attributes written with ``&``,
     ``|`` and comparisons evaluates on one record and on a whole sequence
     alike. ``records`` keeps the sequence for what has no column form
-    (``StateRecord.tags``).
+    (``StateRecord.tags``, see ``tag_sets``). A caller that already holds
+    the records' ``pack_records`` rows passes them as ``packed``.
     """
 
-    def __init__(self, records: Sequence[StateRecord]):
+    def __init__(self, records: Sequence[StateRecord],
+                 packed: np.ndarray | None = None):
         self.records = records
-        for name, column in zip(COLUMNS, pack_records(records)):
+        if packed is None:
+            packed = pack_records(records)
+        for name, column in zip(COLUMNS, packed):
             setattr(self, name, column)
+        self._tag_sets: dict[MemoryLayout, list[frozenset[str]]] = {}
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def tag_sets(self, layout: MemoryLayout) -> list[frozenset[str]]:
+        """``StateRecord.tags(layout)`` of every record, computed on first
+        use and kept per layout."""
+        sets = self._tag_sets.get(layout)
+        if sets is None:
+            sets = self._tag_sets[layout] = [r.tags(layout) for r in self.records]
+        return sets
 
 
 def _region_table(layout: MemoryLayout) -> np.ndarray:

@@ -7,9 +7,10 @@ a bool, or a ``machine.RecordColumns`` view of a whole sequence, returning
 one value per record: a bool or 0/1 array, or a constant that holds at
 every position. To serve both, entries combine attributes with ``&``,
 ``|`` and ``(lo <= x) & (x <= hi)``, never ``and``, ``or`` or ``x in
-region``. The ``tag`` entries are the one exception: they call
-``StateRecord.tags`` on each record of the view, so the machine-axiom
-formulas keep comparing the tag sets with the raw signals.
+region``. The ``tag`` entries are the one exception: they read each
+record's ``StateRecord.tags`` (computed once per view, see
+``RecordColumns.tag_sets``), so the machine-axiom formulas keep comparing
+the tag sets with the raw signals.
 Window membership uses the record's own sampled bounds, so metadata
 rewrites are reflected position by position.
 
@@ -93,7 +94,7 @@ def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
     def tag_prop(tag: str) -> PropFn:
         def holds(r):
             if isinstance(r, RecordColumns):
-                return np.fromiter((tag in rec.tags(layout) for rec in r.records),
+                return np.fromiter((tag in tags for tags in r.tag_sets(layout)),
                                    dtype=bool, count=len(r))
             return tag in r.tags(layout)
         return holds

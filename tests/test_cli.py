@@ -138,6 +138,18 @@ def test_check_unknown_proposition_is_named(capsys):
     assert capsys.readouterr().err == "error: unknown proposition 'x'\n"
 
 
+def test_check_whole_catalogue_at_width_8(capsys):
+    assert main(["check", "--width", "8"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "violated" not in out and out.count("holds") == 12
+
+
+def test_check_width_beyond_the_address_space_is_a_usage_error(capsys):
+    assert main(["check", "--width", "40"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "40" in err[0]
+
+
 def test_check_empty_formula_is_a_usage_error(capsys):
     assert main(["check", "--formula", "", "--width", "5"]) == EXIT_USAGE
     assert capsys.readouterr().out == ""

@@ -291,6 +291,14 @@ def test_table_on_records_and_columns_matches_reference(records):
         assert column.tolist() == expected, name
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(state_records(), min_size=1, max_size=6))
+def test_view_tag_sets_equal_each_record_tags(records):
+    view = RecordColumns(records)
+    assert view.tag_sets(LAYOUT) == [r.tags(LAYOUT) for r in records]
+    assert view.tag_sets(LAYOUT) is view.tag_sets(LAYOUT)  # computed once
+
+
 def test_exec_in_er_is_false_without_an_executed_address():
     for er_min, er_max in ((0, 4), (0, 0xFFFF), (8, 4)):
         rec = StateRecord(cycle=0, pc=0, executed=None, er_min=er_min, er_max=er_max)

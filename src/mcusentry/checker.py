@@ -23,7 +23,9 @@ the product implicitly: a safety or weak-until violation shows up on some
 reachable edge. The monitor is compiled into a transition table over the
 alphabet: reachable monitor states get small integer ids, and each state
 gets one row holding, for every letter, the next state's id and the reset
-output, from one ``monitor_step`` call per letter. Each propositional
+output, read from the live monitor's memo (``monitor.transition_table``),
+so ``monitor_step`` runs once per distinct transition key, not once per
+letter (1,002 keys for 2,716 letters at width 6). Each propositional
 subformula becomes one bool column per reset output, evaluated on the
 alphabet's column view with the ``props`` entries. A product node then
 expands with array expressions over its whole row; new nodes are queued
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 from types import SimpleNamespace
@@ -54,7 +56,7 @@ from .ltl import (And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X,
                   check_props, eval_naive)
 from .machine import COLUMNS, RecordColumns, StateRecord, pack_records
 from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, GuardFlags, MonitorConfig,
-                      MonitorState, monitor_step)
+                      MonitorState, monitor_step, transition_table)
 from .mutants import mutant_guards
 from .props import build_props
 
@@ -301,7 +303,7 @@ def _quiet_tail(state: MonitorState, start: int, space: ScaledSpace,
     while state not in seen:
         seen[state] = len(tail)
         state, out = monitor_step(state, quiet, cfg, guards)
-        tail.append(replace(quiet, reset=out, cycle=start + len(tail)))
+        tail.append(quiet._replace(reset=out, cycle=start + len(tail)))
     cut = seen[state]
     return tail[:cut], tail[cut:]
 
@@ -339,7 +341,7 @@ class _WithReset(Sequence):
         return len(self.letters)
 
     def __getitem__(self, idx: int) -> StateRecord:
-        return replace(self.letters[idx], reset=self.out)
+        return self.letters[idx]._replace(reset=self.out)
 
 
 class _Explorer:
@@ -348,7 +350,9 @@ class _Explorer:
 
     Monitor states are numbered as they are reached (``states[id]``).
     ``row(id)`` holds, for every letter, the next state's id and the reset
-    output, from one ``monitor_step`` call per letter, made once per state.
+    output, made once per state from the live monitor's transition table
+    (``monitor.transition_table``): letters with one transition key share
+    one entry, so ``monitor_step`` runs at most once per distinct key.
     ``column(f)`` holds a propositional formula's value on every letter
     under either reset output, as a (2, letters) bool array evaluated with
     the ``props`` entries on the alphabet's column view.
@@ -358,6 +362,7 @@ class _Explorer:
                  alphabet: list[StateRecord], props: dict):
         self.cfg = cfg
         self.guards = guards
+        self.table = transition_table(cfg, guards)
         self.alphabet = alphabet
         self.props = props
         self.states: list[MonitorState] = []
@@ -372,17 +377,41 @@ class _Explorer:
             self.states.append(mon)
         return sid
 
+    @cached_property
+    def _key_classes(self) -> tuple[list[int], list[int], np.ndarray]:
+        """The alphabet's distinct transition keys in order of the first
+        letter that has each, those letters' indices, and every letter's
+        position in that list."""
+        keys = self.table.key(self.views[0])
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        first = first[order]
+        return keys[first].tolist(), first.tolist(), rank[inverse.ravel()]
+
     def row(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
         """Next-state ids and reset outputs (0/1) of state ``sid``, both
-        indexed by letter."""
+        indexed by letter; the pair's ``transition_table`` supplies one
+        step per distinct key, and ``monitor_step`` runs only on a miss."""
         row = self._rows.get(sid)
         if row is None:
-            mon, n = self.states[sid], len(self.alphabet)
-            steps = [monitor_step(mon, letter, self.cfg, self.guards)
-                     for letter in self.alphabet]
-            row = self._rows[sid] = (
-                np.fromiter((self.state_id(s) for s, _ in steps), np.intp, n),
-                np.fromiter((out for _, out in steps), np.intp, n))
+            mon = self.states[sid]
+            keys, firsts, letter_class = self._key_classes
+            entries = self.table.entries[mon]
+            steps = []
+            for key, idx in zip(keys, firsts):
+                hit = entries.get(key)
+                if hit is None:
+                    hit = self.table.store(mon, key, monitor_step(
+                        mon, self.alphabet[idx], self.cfg, self.guards))
+                steps.append(hit)
+            n = len(steps)
+            # State ids are handed out in letter order, as stepping every
+            # letter would: a key's first letter precedes all its others.
+            ids = np.fromiter((self.state_id(s) for s, _ in steps), np.intp, n)
+            outs = np.fromiter((out for _, out in steps), np.intp, n)
+            row = self._rows[sid] = (ids[letter_class], outs[letter_class])
         return row
 
     @cached_property
@@ -409,7 +438,7 @@ class _Explorer:
         return col
 
     def record(self, idx: int, out: int) -> StateRecord:
-        return replace(self.alphabet[idx], reset=bool(out))
+        return self.alphabet[idx]._replace(reset=bool(out))
 
 
 def _expander(plan, explorer: _Explorer):
@@ -601,8 +630,8 @@ def brute_force_check(formula: Formula, space: ScaledSpace | None = None,
                 sid, out = row[0][idx], row[1][idx]
                 rec = baked.get((idx, out, i))
                 if rec is None:
-                    rec = baked[idx, out, i] = replace(
-                        alphabet[idx], reset=bool(out), cycle=i)
+                    rec = baked[idx, out, i] = alphabet[idx]._replace(
+                        reset=bool(out), cycle=i)
                 prefix.append(rec)
             tail = tails.get((sid, length))
             if tail is None:

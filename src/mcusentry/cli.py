@@ -180,9 +180,7 @@ def cmd_check(args) -> int:
 def _dump_lasso(path: str, lasso, space) -> None:
     # Same tab-separated record format as simulator trace dumps, with the
     # loop boundary marked in the trailing comment line.
-    from dataclasses import replace
-
-    records = [replace(r, cycle=i)
+    records = [r._replace(cycle=i)
                for i, r in enumerate(list(lasso.prefix) + list(lasso.loop))]
     trace = Trace(records=records, terminal="lasso")
     dump = trace.dump(space)

@@ -172,11 +172,18 @@ class LassoTrace:
         return pos + 1 if pos + 1 < self.length else self.loop_start
 
     @staticmethod
-    def from_records(records: Sequence) -> "LassoTrace":
-        """Stutter-complete a finite record sequence on its final record."""
+    def from_records(records: Sequence,
+                     packed: np.ndarray | None = None) -> "LassoTrace":
+        """Stutter-complete a finite record sequence on its final record.
+
+        A caller that already holds the records' ``pack_records`` rows
+        passes them as ``packed``; the column view then reuses them."""
         if not records:
             raise ValueError("cannot lift an empty trace")
-        return LassoTrace(prefix=list(records[:-1]), loop=[records[-1]])
+        lasso = LassoTrace(prefix=list(records[:-1]), loop=[records[-1]])
+        if packed is not None:
+            lasso.columns = RecordColumns(lasso.states, packed)
+        return lasso
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ enables with the data address, DMA enable/address, the interrupt line, and
 the reset signal. Record tags are recomputed from those raw signals, never
 stored independently, so the tag/signal correspondence is structural.
 
+A StateRecord is a ``typing.NamedTuple``: immutable (assigning a field
+raises ``AttributeError``), hashable, iterable in ``COLUMNS`` order and
+equal to the plain tuple of its field values. Derive a changed record with
+``rec._replace(reset=True)``; ``dataclasses.replace`` does not accept it.
+
 Conventions fixed here:
 
 - all word accesses (pc, data, DMA) are forced to even addresses;
@@ -22,9 +27,9 @@ Conventions fixed here:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,9 +99,15 @@ class SequenceSensor(SensorProvider):
         return word
 
 
-@dataclass(frozen=True)
-class StateRecord:
-    """Observable state of one cycle; the unit all properties range over."""
+class StateRecord(NamedTuple):
+    """Observable state of one cycle; the unit all properties range over.
+
+    A named tuple of the fields below, in ``COLUMNS`` order: it compares
+    equal to the plain tuple of those values, iterates over them, and is
+    changed only by building a new one, ``rec._replace(field=value)``.
+    ``tags`` is a method, so it is recomputed from the fields of whichever
+    record it is called on.
+    """
 
     cycle: int
     pc: int
@@ -229,17 +240,20 @@ class Trace:
         lines.append(f"#terminal={self.terminal}")
         return "\n".join(lines) + "\n"
 
-    def digest(self, layout: MemoryLayout) -> str:
+    def digest(self, layout: MemoryLayout, packed: np.ndarray | None = None) -> str:
         """SHA-256 over the packed record columns, ``terminal`` and the
         layout's region table.
 
         That is everything ``dump`` prints: the tags are a function of the
         record fields and those regions. ``executed`` is committed to as
-        well, although the dump omits it.
+        well, although the dump omits it. A caller that already holds the
+        records' ``pack_records`` rows passes them as ``packed``.
         """
+        if packed is None:
+            packed = pack_records(self.records)
         h = hashlib.sha256(self.terminal.encode() + b"\0")
         h.update(_region_table(layout).tobytes())
-        h.update(pack_records(self.records).astype("<i4", copy=False).tobytes())
+        h.update(packed.astype("<i4", copy=False).tobytes())
         return h.hexdigest()
 
 
@@ -274,9 +288,11 @@ class Machine:
         self.memory[addr:addr + 2] = (value & WORD_MASK).to_bytes(2, "little")
 
     def er_window(self) -> tuple[int, int]:
-        """Live window bounds as the monitor samples them each cycle."""
-        return (self.load_word(self.layout.er_min_cell),
-                self.load_word(self.layout.er_max_cell))
+        """Live window bounds as the monitor samples them each cycle: the
+        little-endian words in the two metadata cells, both word aligned."""
+        mem, layout = self.memory, self.layout
+        lo, hi = layout.er_min_cell, layout.er_max_cell
+        return mem[lo] | mem[lo + 1] << 8, mem[hi] | mem[hi + 1] << 8
 
     def copy(self) -> "Machine":
         other = Machine(self.layout)
@@ -449,11 +465,10 @@ def exec_step(
         next_pc = layout.effective_irq_vector
 
     machine.pc = next_pc
-    return StateRecord(
-        cycle=cycle, pc=pc, r_en=r_en, w_en=w_en, d_addr=d_addr,
-        dma_en=dma_en, dma_addr=dma_addr, dma_write=dma_write,
-        irq=irq_line, reset=False, executed=pc, er_min=er[0], er_max=er[1],
-    )
+    # Positional, in ``COLUMNS`` order: keywords cost about 1 us more per
+    # record, once per simulated cycle.
+    return StateRecord(cycle, pc, r_en, w_en, d_addr, dma_en, dma_addr,
+                       dma_write, irq_line, False, pc, er[0], er[1])
 
 
 @dataclass
@@ -509,7 +524,7 @@ def run(machine: Machine, monitor, ctx: RunContext, max_cycles: int,
         fault = rec.reset
         monitor_reset = monitor is not None and monitor.step(rec)
         if fault or monitor_reset:
-            rec = replace(rec, reset=True)
+            rec = rec._replace(reset=True)
             if monitor is not None:
                 monitor.force_reset()
             reset_routine(machine)

@@ -17,29 +17,53 @@ diagrams, where the two disagree:
   (the one-shot rule re-arms *at* the exit cycle, inclusive);
 - a write to the window or its metadata while pc sits at the
   authorization address resets rather than merely re-locking.
+
+The live monitor memoizes the transition. ``monitor_step`` is a pure
+function of (state, record, config, guards) that reads the record only
+through the 17 predicates ``TransitionTable.key`` packs into one int: pc
+at 0, at the authorization address, in the verifier region, in the live
+window, at er_min and at er_max; the interrupt line; the DMA enable; CPU
+reads of GPIO and the key region; CPU writes of the window, its metadata
+and the key region; and DMA transfers at GPIO, the key region, the window
+and its metadata. Two records with one key therefore step every state
+alike, and ``Monitor.step`` looks up (state, key) in the table of its
+(config, guards) pair, calling ``monitor_step`` only on a miss. The
+checker fills the same tables from its alphabet's column view.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 from .layout import MemoryLayout, Region
 from .machine import StateRecord
 from .props import read_mem, write_mem
 
 
+# Enum members are singletons, so identity hashing agrees with equality and
+# spares ``Enum.__hash__``'s Python-level call on every monitor-state hash.
+
 class GpioState(Enum):
+    __hash__ = object.__hash__
+
     RESET = "RESET"
     RLOCK = "rLOCK"
     RUNLOCK = "rUNLOCK"
 
 
 class EkrState(Enum):
+    __hash__ = object.__hash__
+
     RESET = "RESET"
     WUNLOCK = "wUNLOCK"
 
 
 class AtomState(Enum):
+    __hash__ = object.__hash__
+
     RESET = "RESET"
     NOT_ER = "notER"
     FIRST_ER = "firstER"
@@ -218,8 +242,7 @@ def step_atomicity_fsm(state: AtomState, rec: StateRecord, cfg: MonitorConfig,
     return AtomState.MID_ER, False
 
 
-@dataclass(frozen=True)
-class MonitorState:
+class MonitorState(NamedTuple):
     """Composed state of the three FSMs plus the last global output."""
 
     gpio: GpioState = GpioState.RESET
@@ -260,13 +283,87 @@ def monitor_step(state: MonitorState, rec: StateRecord, cfg: MonitorConfig,
     return nxt, False
 
 
+def _key_function(cfg: MonitorConfig):
+    gpio_lo, gpio_hi = cfg.gpio.start, cfg.gpio.end
+    ekr_lo, ekr_hi = cfg.ekr.start, cfg.ekr.end
+    vr_lo, vr_hi = cfg.vr.start, cfg.vr.end
+    meta_lo, meta_hi = cfg.metadata.start, cfg.metadata.end
+    i_auth = cfg.i_auth
+
+    def key(rec):
+        pc, lo, hi = rec.pc, rec.er_min, rec.er_max
+        d, a, r, w, dma = rec.d_addr, rec.dma_addr, rec.r_en, rec.w_en, rec.dma_en
+        return ((pc == 0)
+                | (pc == i_auth) << 1
+                | ((vr_lo <= pc) & (pc <= vr_hi)) << 2
+                | ((lo <= pc) & (pc <= hi)) << 3
+                | (pc == lo) << 4
+                | (pc == hi) << 5
+                | rec.irq << 6
+                | dma << 7
+                | (r & (gpio_lo <= d) & (d <= gpio_hi)) << 8
+                | (r & (ekr_lo <= d) & (d <= ekr_hi)) << 9
+                | (w & (lo <= d) & (d <= hi)) << 10
+                | (w & (meta_lo <= d) & (d <= meta_hi)) << 11
+                | (w & (ekr_lo <= d) & (d <= ekr_hi)) << 12
+                | (dma & (gpio_lo <= a) & (a <= gpio_hi)) << 13
+                | (dma & (ekr_lo <= a) & (a <= ekr_hi)) << 14
+                | (dma & (lo <= a) & (a <= hi)) << 15
+                | (dma & (meta_lo <= a) & (a <= meta_hi)) << 16)
+    return key
+
+
+class TransitionTable:
+    """Memo of ``monitor_step`` for one (config, guards) pair.
+
+    ``key(rec)`` packs the 17 predicates the FSMs read (see the module
+    docstring) into one int; written like the ``props`` entries, it also
+    takes a ``machine.RecordColumns`` view and then gives an int array.
+    ``entries[state][key]`` is ``monitor_step``'s (next state, reset) from
+    ``state`` on any record with that key. Sharing the table is sound
+    because it memoizes a pure function of its key and the pair: an entry,
+    once made, is what ``monitor_step`` returns for every such record,
+    whichever caller made it. It holds only immutable values (states,
+    ints, bools, and each distinct result once), never a record.
+    """
+
+    def __init__(self, cfg: MonitorConfig, guards: GuardFlags):
+        self.cfg = cfg
+        self.guards = guards
+        self.key = _key_function(cfg)
+        self.entries: defaultdict[MonitorState, dict[int, tuple[MonitorState, bool]]] \
+            = defaultdict(dict)
+        self._results: dict[tuple[MonitorState, bool], tuple[MonitorState, bool]] = {}
+
+    def store(self, state: MonitorState, key: int,
+              result: tuple[MonitorState, bool]) -> tuple[MonitorState, bool]:
+        """Enter ``monitor_step``'s result for (state, key); returns the
+        table's copy of it."""
+        result = self._results.setdefault(result, result)
+        self.entries[state][key] = result
+        return result
+
+
+@lru_cache(maxsize=1)
+def transition_table(cfg: MonitorConfig, guards: GuardFlags) -> TransitionTable:
+    """The table of a (config, guards) pair; a new ``Monitor`` per round
+    reuses it, and monitors with other guards get their own. Only the
+    latest pair's table is kept: a campaign steps one pair throughout,
+    while a checker's table holds about 1,000 keys per monitor state
+    (0.36 MB at width 6), so keeping one per mutant of a sweep would hold
+    several MB."""
+    return TransitionTable(cfg, guards)
+
+
 class Monitor:
     """Stateful wrapper used by the stepping loops.
 
-    In observe-only mode the monitor never requests a reset: each FSM
-    continues from its own next state without the shared reset line, and
-    ``local_resets_log`` collects the per-FSM outputs of every step for
-    agreement checks. Otherwise the log stays empty.
+    A step looks up (state, key) in the pair's ``transition_table`` and
+    calls ``monitor_step`` only on a miss. In observe-only mode the
+    monitor never requests a reset: each FSM continues from its own next
+    state without the shared reset line, and ``local_resets_log`` collects
+    the per-FSM outputs of every step for agreement checks. Otherwise the
+    log stays empty.
     """
 
     def __init__(self, cfg: MonitorConfig, guards: GuardFlags = DEFAULT_GUARDS,
@@ -276,13 +373,21 @@ class Monitor:
         self.state = INITIAL_STATE
         self.observe_only = observe_only
         self.local_resets_log: list[tuple[bool, bool, bool]] = []
+        self._table = transition_table(cfg, guards)
+        self._key, self._entries = self._table.key, self._table.entries
 
     def step(self, rec: StateRecord) -> bool:
+        state = self.state
         if self.observe_only:
-            self.state, local = _step_fsms(self.state, rec, self.cfg, self.guards)
+            self.state, local = _step_fsms(state, rec, self.cfg, self.guards)
             self.local_resets_log.append(local)
             return False
-        self.state, out = monitor_step(self.state, rec, self.cfg, self.guards)
+        key = self._key(rec)
+        hit = self._entries[state].get(key)
+        if hit is None:
+            hit = self._table.store(state, key, monitor_step(state, rec, self.cfg,
+                                                             self.guards))
+        self.state, out = hit
         return out
 
     def force_reset(self) -> None:

@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 from .catalogue import authorized_sensing_goal
 from .crypto import KEY_BYTES
+from .layout import MemoryLayout
 from .machine import (ConstantSensor, DmaRequest, Machine, RunContext,
-                      SequenceSensor, SensorProvider, Trace, load_image, run)
+                      SequenceSensor, SensorProvider, Trace, load_image,
+                      pack_records, run)
 from .ltl import LassoTrace, eval_formula
 from .monitor import Monitor
 from .oracle import atomic_exec_oracle
@@ -90,6 +95,13 @@ def _mutate(msg: AuthorizationMessage, which: str, seed: int) -> AuthorizationMe
         return AuthorizationMessage(bytes(body), msg.chal, msg.token)
     chal = msg.chal + 1 + rnd[0]  # token no longer matches this challenge
     return AuthorizationMessage(msg.binary, chal, msg.token)
+
+
+@lru_cache(maxsize=8)
+def _layout_props(layout: MemoryLayout) -> Mapping:
+    """The goal check's proposition table, built once per layout and
+    shared read-only by every round."""
+    return MappingProxyType(build_props(layout))
 
 
 def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
@@ -189,17 +201,19 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
     wins = win_unauthorized or win_tampered
 
     full = Trace(records=records, terminal=xs_trace.terminal)
+    packed = pack_records(records)  # shared by the goal check and the digest
+    packed.flags.writeable = False
     goal_violations = []
     if check_goal and records:
-        layout_props = build_props(layout)
         gpio = layout.gpio
         for rec in records:
             if rec.r_en and rec.d_addr in gpio and not rec.reset:
                 if not (rec.er_min <= rec.pc <= rec.er_max):
                     goal_violations.append("unreset-gpio-read-outside-window")
                     break
-        lasso = LassoTrace.from_records(records)
-        if not eval_formula(authorized_sensing_goal(), lasso, 0, layout_props):
+        lasso = LassoTrace.from_records(records, packed)
+        if not eval_formula(authorized_sensing_goal(), lasso, 0,
+                            _layout_props(layout)):
             goal_violations.append("authorized-sensing-goal")
 
     return GameOutcome(
@@ -210,7 +224,7 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
         reset_seen=any(r.reset for r in records),
         verify_results=verify_results,
         trace=full,
-        trace_digest=full.digest(layout),
+        trace_digest=full.digest(layout, packed),
         tokens=tokens,
         goal_violations=goal_violations,
         notes=plan.description,

@@ -1,7 +1,6 @@
 """Exhaustive product checking, counterexamples, and mutant coverage."""
 
 import time
-from dataclasses import replace
 from itertools import product as iproduct
 
 import pytest
@@ -286,5 +285,5 @@ def test_explorer_columns_equal_the_table_on_each_letter():
         assert column.shape == (2, len(alphabet))
         for idx in range(0, len(alphabet), 3):
             for out in (False, True):
-                expected = bool(fn(replace(alphabet[idx], reset=out)))
+                expected = bool(fn(alphabet[idx]._replace(reset=out)))
                 assert column[int(out), idx] == expected, (name, idx, out)

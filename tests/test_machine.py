@@ -1,7 +1,5 @@
 """Cycle-level machine semantics: signals, tags, reset, determinism."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -232,8 +230,25 @@ def test_digest_commits_to_every_dumped_field():
         for name in _DUMPED_FIELDS:
             value = getattr(rec, name)
             changed = (not value) if isinstance(value, bool) else value ^ 2
-            other = Trace(records[:i] + [replace(rec, **{name: changed})]
+            other = Trace(records[:i] + [rec._replace(**{name: changed})]
                           + records[i + 1:], trace.terminal)
             assert other.dump(LAYOUT) != trace.dump(LAYOUT), name
             assert other.digest(LAYOUT) != base, (i, name)
     assert Trace(records, "max-cycles").digest(LAYOUT) != base
+
+
+def test_state_record_is_an_immutable_hashable_named_tuple():
+    rec = StateRecord(cycle=3, pc=0x4002, r_en=True, d_addr=LAYOUT.gpio.start,
+                      dma_en=True, dma_addr=0x4000, executed=0x4002,
+                      er_min=0x4000, er_max=0x4004)
+    with pytest.raises(AttributeError):
+        rec.reset = True
+    same = StateRecord(*rec)
+    assert same == rec == tuple(rec) and hash(same) == hash(rec)
+    assert {rec: "x"}[same] == "x"
+    assert len(list(rec)) == len(rec._fields)
+    reset = rec._replace(reset=True)
+    assert not rec.reset and reset.reset
+    assert reset.tags(LAYOUT) == rec.tags(LAYOUT) | {"RESET"}
+    assert "READ(GPIO)" in reset.tags(LAYOUT)
+    assert "DMA_R(ER)" in reset.tags(LAYOUT)

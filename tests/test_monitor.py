@@ -1,16 +1,19 @@
 """FSM transition semantics and the composed monitor."""
 
 from dataclasses import fields
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 from mcusentry import referee
 from mcusentry.layout import default_layout
 from mcusentry.machine import StateRecord
-from mcusentry.monitor import (INITIAL_STATE, AtomState, EkrState, GpioState,
-                               GuardFlags, Monitor, MonitorConfig,
-                               MonitorState, monitor_step, step_atomicity_fsm,
-                               step_ekr_write_fsm, step_gpio_fsm)
+from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, AtomState,
+                               EkrState, GpioState, GuardFlags, Monitor,
+                               MonitorConfig, MonitorState, monitor_step,
+                               step_atomicity_fsm, step_ekr_write_fsm,
+                               step_gpio_fsm, transition_table)
+from mcusentry.mutants import MUTANTS
 from mcusentry.props import read_mem, write_mem
 from mcusentry.scenarios import CATALOGUE
 
@@ -266,3 +269,108 @@ def test_monitor_object_matches_folded_monitor_step(stream, flags, ekr_enabled):
         state, out = monitor_step(state, rec, cfg, guards)
         assert monitor.step(rec) == out
         assert monitor.state == state
+
+
+# The memoized step against the folded transition function, on records that
+# hug every boundary the transition key compares against.
+_EVERY_STATE = [MonitorState(*combo) for combo in product(
+    GpioState, EkrState, AtomState, (False, True))]
+_GUARD_SETS = [DEFAULT_GUARDS] + [guards for _, guards in MUTANTS.values()]
+_WINDOWS = [ER, (ER[0], ER[0]), (ER[1], ER[0]), (LAYOUT.i_auth, LAYOUT.i_auth + 4),
+            (LAYOUT.gpio.start, LAYOUT.gpio.start + 4)]
+
+
+def _hugging(*bounds):
+    """start-2, start, end and end+2 of each (start, end) pair, in range."""
+    out = set()
+    for lo, hi in bounds:
+        out |= {lo - 2, lo, hi, hi + 2}
+    return sorted(a for a in out if 0 <= a <= 0xFFFF)
+
+
+_FIXED = [(r.start, r.end) for r in (LAYOUT.gpio, LAYOUT.ekr, LAYOUT.er_metadata,
+                                     LAYOUT.vr)]
+
+
+@st.composite
+def hugging_streams(draw):
+    """Records over a few boundary-hugging addresses and one window (with
+    a word inside it), plus pc at i_auth, er_min and er_max."""
+    er = draw(st.sampled_from(_WINDOWS))
+    pool = draw(st.lists(st.sampled_from(_hugging(*_FIXED, er) + [er[0] + 2]),
+                         min_size=1, max_size=4, unique=True))
+    pcs = [0, LAYOUT.i_auth, er[0], er[1]] + pool
+    stream = []
+    for _ in range(draw(st.integers(1, 12))):
+        access = draw(st.sampled_from(["none", "read", "write"]))
+        dma = draw(st.booleans())
+        stream.append(StateRecord(
+            cycle=0, pc=draw(st.sampled_from(pcs)),
+            r_en=access == "read", w_en=access == "write",
+            d_addr=draw(st.sampled_from(pool)),
+            dma_en=dma, dma_addr=draw(st.sampled_from(pool)) if dma else 0,
+            dma_write=draw(st.booleans()) if dma else False,
+            irq=draw(st.booleans()), er_min=er[0], er_max=er[1]))
+    return stream, sorted(set(pcs) | set(_hugging(*_FIXED, er)) | {er[0] + 2})
+
+
+def _twins(rec, key, addrs):
+    """Records that differ from ``rec`` in one field, set to one of
+    ``addrs`` or flipped, but share its key."""
+    changes = [(name, a) for name in ("pc", "d_addr", "dma_addr") for a in addrs]
+    changes += [("irq", not rec.irq), ("dma_write", not rec.dma_write)]
+    twins = (rec._replace(**{name: value}) for name, value in changes)
+    return [t for t in twins if t != rec and key(t) == key(rec)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=hugging_streams(), guards=st.sampled_from(_GUARD_SETS),
+       ekr_enabled=st.booleans())
+def test_memoized_step_equals_monitor_step_from_every_state(drawn, guards,
+                                                            ekr_enabled):
+    """Each record, then each of its same-key twins, is stepped from all
+    60 monitor states, so the twins' lookups hit the record's entries."""
+    stream, addrs = drawn
+    cfg = MonitorConfig.from_layout(LAYOUT, ekr_enabled)
+    monitor = Monitor(cfg, guards)
+    for original in stream:
+        for rec in [original] + _twins(original, monitor._key, addrs):
+            for state in _EVERY_STATE:
+                expected_state, expected_out = monitor_step(state, rec, cfg, guards)
+                monitor.state = state
+                assert monitor.step(rec) == expected_out, (state, rec)
+                assert monitor.state == expected_state, (state, rec)
+
+
+def test_guard_sets_never_share_a_table():
+    cfg = MonitorConfig.from_layout(LAYOUT)
+    stream = [inp(pc=0), inp(r_en=True, d_addr=LAYOUT.gpio.start),
+              inp(pc=0), inp(pc=LAYOUT.i_auth), inp(pc=ER[0] + 2), inp(pc=ER[0]),
+              inp(pc=ER[0] + 2, irq=True), inp(pc=0),
+              inp(w_en=True, d_addr=LAYOUT.ekr.start)]
+    monitors = [Monitor(cfg, guards) for guards in _GUARD_SETS]
+    assert len({id(m._table) for m in monitors}) == len(_GUARD_SETS)
+    for monitor in monitors:
+        assert monitor._table.guards == monitor.guards
+        state = INITIAL_STATE
+        for rec in stream:
+            state, out = monitor_step(state, rec, cfg, monitor.guards)
+            assert monitor.step(rec) == out
+            assert monitor.state == state
+    # The stream tells the healthy monitor from some mutants.
+    assert len({tuple(_outputs(cfg, g, stream)) for g in _GUARD_SETS}) > 1
+
+
+def _outputs(cfg, guards, stream):
+    monitor = Monitor(cfg, guards)
+    return [monitor.step(rec) for rec in stream]
+
+
+def test_one_table_per_config_and_guards():
+    cfg = MonitorConfig.from_layout(LAYOUT)
+    assert transition_table(cfg, DEFAULT_GUARDS) is \
+        transition_table(MonitorConfig.from_layout(LAYOUT), GuardFlags())
+    assert Monitor(cfg)._table is Monitor(cfg)._table
+    other = MonitorConfig.from_layout(LAYOUT, ekr_enabled=False)
+    assert transition_table(other, DEFAULT_GUARDS) is not \
+        transition_table(cfg, DEFAULT_GUARDS)

@@ -1,5 +1,7 @@
 """Game outcomes for the scenario catalogue and the randomized generator."""
 
+import hashlib
+
 import pytest
 
 from mcusentry.layout import default_layout
@@ -145,3 +147,27 @@ def test_summary_table_mentions_wins():
     results = run_campaign(names=["happy-path"])
     table = summary_table(results)
     assert "happy-path" in table and "0 adversary wins" in table
+
+
+# Digests and dump hashes of three catalogue rounds, recorded before records
+# became named tuples; a change of record type must not move them.
+PINNED_TRACES = {
+    "happy-path": (
+        "544a5093ad90108a9450720d9228495e5acbf0b566c870d30f1eaedb56936fdc",
+        "88358c5b329c8a1461085c39b1c9d1ca8f4571db986802695b4d8c5517ac58e7"),
+    "irq-mid-er": (
+        "a6fbae85fa745f6db14b9e6b633d608dad71a1060dade3920c679b96a53ea443",
+        "b37f3a696d86766f2fa40b0052f6a7d5430db0db3c3837188392a25d49f06276"),
+    "token-replay": (
+        "2acf4cc3f067400f329cad491c3461bddf7741506e2d24ee5524f73e1d18a28e",
+        "793511861851021e42ed9131861de37fd1226c1b30e62d52ddce0ffdbb473301"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+def test_catalogue_trace_digests_are_pinned(outcomes, name):
+    digest, dump_sha = PINNED_TRACES[name]
+    out = outcomes[name]
+    assert out.trace_digest == digest
+    assert out.trace.digest(LAYOUT) == digest
+    assert hashlib.sha256(out.trace.dump(LAYOUT).encode()).hexdigest() == dump_sha

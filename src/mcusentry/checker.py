@@ -3,18 +3,21 @@
 The input space is reduced to a configurable address width. Letters
 (per-cycle signal assignments, including the live window bounds, which are
 free inputs the attacker can steer via metadata writes) are generated
-concretely from boundary-biased candidate sets and deduplicated by their
-predicate vector: the monitor and every catalogue formula observe a letter
-only through that vector, so one representative stands for its whole
-class. Simultaneous CPU read and write enables are excluded; the machine
-never asserts both.
-
-Coverage is exhaustive only over the classes the six curated windows of
-``default_er_choices`` produce, not over every realizable class. A
-breadth-first search over ``build_alphabet`` at widths 5 to 8 never
-reaches the FSM state (rUNLOCK, wUNLOCK, lastER), which needs a hostile
-window whose last word is the authorization address. Making the alphabet
-complete is ROADMAP open item 4.
+concretely from boundary-biased candidate sets over the six curated
+windows of ``default_er_choices``; the machine never asserts CPU read and
+write together, so neither do they. One class key deduplicates them: the
+monitor's transition key (``TransitionTable.key``, the 17 predicates the
+FSMs read) plus the value of each ``build_props`` proposition the checked
+formulas name. The monitor and those formulas see a letter only through
+that key, so the first candidate of a class stands for all of it
+(predicate abstraction keeps every predicate the property names; Graf &
+Saïdi, CAV 1997). A formula naming a proposition outside an explorer's key
+is refused, and so are the ``tag`` entries and ``exec_in ER``: they read
+machine-derived fields (the DMA direction, the executed address) that are
+no monitor input and that the candidates lack, so they are checked on
+traces, with the machine axioms. Coverage is exhaustive only over the
+classes the curated windows produce: the FSM state (rUNLOCK, wUNLOCK,
+lastER) is never reached (ROADMAP open item 2).
 
 Checking walks the reachable product of monitor state with a small amount
 of formula-tracking state (previous letter for next-operator formulas, an
@@ -24,14 +27,13 @@ reachable edge. The monitor is compiled into a transition table over the
 alphabet: reachable monitor states get small integer ids, and each state
 gets one row holding, for every letter, the next state's id and the reset
 output, read from the live monitor's memo (``monitor.transition_table``),
-so ``monitor_step`` runs once per distinct transition key, not once per
-letter (1,002 keys for 2,716 letters at width 6). Each propositional
-subformula becomes one bool column per reset output, evaluated on the
-alphabet's column view with the ``props`` entries. A product node then
-expands with array expressions over its whole row; new nodes are queued
-in the order of the first letter that reaches them, and the violation
-reported is the first violating letter. Counterexamples are rebuilt as
-concrete lassos and replay through the real transition function.
+so ``monitor_step`` runs at most once per distinct transition key. Each
+propositional subformula becomes one bool column per reset output,
+evaluated on the alphabet's column view with the ``props`` entries. A
+product node then expands with array expressions over its whole row; new
+nodes are queued in the order of the first letter that reaches them, and
+the violation reported is the first violating letter. Counterexamples are
+rebuilt as concrete lassos and replay through the real transition function.
 
 A formula without temporal operators constrains position 0 only, so it
 is judged on each letter read from the initial monitor state. Formulas
@@ -41,7 +43,7 @@ bounded lasso enumeration over a curated alphabet.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
@@ -50,7 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .catalogue import all_formulas
-from .errors import BudgetError
+from .errors import BudgetError, FormulaError
 from .layout import Region
 from .ltl import (And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X,
                   check_props, eval_naive)
@@ -119,37 +121,6 @@ def default_er_choices(space: ScaledSpace) -> list[tuple[int, int]]:
     ]
 
 
-_VECTOR_REGIONS = ("gpio", "ekr", "er_metadata", "vr")
-
-
-def _letter_vector(rec, space: ScaledSpace) -> tuple:
-    """Predicate abstraction: everything the monitor or a formula can see.
-
-    Written like the ``props`` entries, so it takes one record (a tuple of
-    bools) or a column view (a tuple of arrays)."""
-    pc, er_min, er_max = rec.pc, rec.er_min, rec.er_max
-    vr = space.vr
-    bits = [
-        pc == 0,
-        pc == space.i_auth,
-        (vr.start <= pc) & (pc <= vr.end),
-        (er_min <= pc) & (pc <= er_max),
-        pc == er_min,
-        pc == er_max,
-        rec.irq,
-        rec.dma_en,
-        rec.r_en,
-        rec.w_en,
-    ]
-    bounds = [(r.start, r.end) for r in map(space.region_named, _VECTOR_REGIONS)]
-    for lo, hi in bounds + [(er_min, er_max)]:
-        d, a = rec.d_addr, rec.dma_addr
-        bits.append(rec.r_en & (lo <= d) & (d <= hi))
-        bits.append(rec.w_en & (lo <= d) & (d <= hi))
-        bits.append(rec.dma_en & (lo <= a) & (a <= hi))
-    return tuple(bits)
-
-
 def quiet_letter(space: ScaledSpace) -> StateRecord:
     er = default_er_choices(space)[0]
     return StateRecord(cycle=0, pc=space.pmem.end - 1, er_min=er[0], er_max=er[1])
@@ -185,27 +156,43 @@ def _candidates(space: ScaledSpace, er_min: int, er_max: int) -> dict[str, np.nd
         "dma_en": i_dma > 0,
         "dma_addr": addrs[i_dma],
         "irq": irq == 1,
+        "reset": np.zeros(irq.size, dtype=bool),  # the explorer bakes it in
         "er_min": np.full(irq.size, er_min, dtype=np.int32),
         "er_max": np.full(irq.size, er_max, dtype=np.int32),
     }
 
 
-def _first_of_each_class(columns: dict[str, np.ndarray], space: ScaledSpace):
-    """The columns cut to the first letter of each predicate class, in
-    order, and those letters' class keys."""
-    bits = np.stack(_letter_vector(SimpleNamespace(**columns), space))
-    keys = (1 << np.arange(len(bits), dtype=np.int64)) @ bits
+def _class_key(space: ScaledSpace, names: Set[str]):
+    """A candidate view's class keys: the 17-bit transition key, then one
+    bit per named proposition; past 46 names, Python ints, not int64."""
+    key = transition_table(MonitorConfig.from_layout(space), DEFAULT_GUARDS).key
+    props = build_props(space)
+    names = sorted(names)
+    dtype = np.int64 if len(names) <= 46 else object
+
+    def class_key(view) -> np.ndarray:
+        keys = np.asarray(key(view)).astype(dtype)
+        for name in names:
+            value = np.broadcast_to(props[name](view), keys.shape)  # constants too
+            keys = keys << 1 | value.astype(dtype)
+        return keys
+    return class_key
+
+
+def _first_of_each_class(columns: dict[str, np.ndarray], class_key):
+    """The columns cut to the first candidate of each class, in order, and
+    those candidates' class keys."""
+    keys = class_key(SimpleNamespace(**columns))
     first = np.sort(np.unique(keys, return_index=True)[1])
     return {name: col[first] for name, col in columns.items()}, keys[first]
 
 
-def build_alphabet(space: ScaledSpace,
-                   er_choices: list[tuple[int, int]] | None = None) -> list[StateRecord]:
-    """Concrete letters, one representative per predicate class: the first
-    candidate of each class, in candidate order."""
-    er_choices = er_choices or default_er_choices(space)
-    kept = [_first_of_each_class(_candidates(space, lo, hi), space)
-            for lo, hi in er_choices]
+def build_alphabet(space: ScaledSpace, names: Set[str]) -> list[StateRecord]:
+    """Concrete letters: the first candidate of each class of the key
+    that extends the transition key with ``names``, in candidate order."""
+    class_key = _class_key(space, names)
+    kept = [_first_of_each_class(_candidates(space, lo, hi), class_key)
+            for lo, hi in default_er_choices(space)]
     first = np.sort(np.unique(np.concatenate([keys for _, keys in kept]),
                               return_index=True)[1])
     columns = {name: np.concatenate([c[name] for c, _ in kept])[first].tolist()
@@ -329,19 +316,16 @@ def _collect_a_props(f: Formula, out: set[str]) -> None:
         _collect_a_props(f.right, out)
 
 
-class _WithReset(Sequence):
-    """The letters with one reset output baked in, each built on access;
-    only the ``tag`` entries read records off a view."""
-
-    def __init__(self, letters: list[StateRecord], out: bool):
-        self.letters = letters
-        self.out = out
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __getitem__(self, idx: int) -> StateRecord:
-        return self.letters[idx]._replace(reset=self.out)
+def _key_names(formulas: Iterable[Formula], props: dict) -> frozenset[str]:
+    """The propositions ``formulas`` name, which a class key must carry;
+    ``FormulaError`` for an unknown or a machine-derived one (see the
+    module docstring)."""
+    names = frozenset().union(*(check_props(f, props) for f in formulas))
+    for name in sorted(names):
+        if name.startswith("tag ") or name == "exec_in ER":
+            raise FormulaError(f"proposition {name!r} reads a machine-derived "
+                               "field; it is checked on traces, not exhaustively")
+    return names
 
 
 class _Explorer:
@@ -355,16 +339,19 @@ class _Explorer:
     one entry, so ``monitor_step`` runs at most once per distinct key.
     ``column(f)`` holds a propositional formula's value on every letter
     under either reset output, as a (2, letters) bool array evaluated with
-    the ``props`` entries on the alphabet's column view.
+    the ``props`` entries on the alphabet's column view. ``names`` are the
+    propositions the alphabet's class key carries.
     """
 
     def __init__(self, cfg: MonitorConfig, guards: GuardFlags,
-                 alphabet: list[StateRecord], props: dict):
+                 alphabet: list[StateRecord], props: dict,
+                 names: frozenset[str] = frozenset()):
         self.cfg = cfg
         self.guards = guards
         self.table = transition_table(cfg, guards)
         self.alphabet = alphabet
         self.props = props
+        self.names = names
         self.states: list[MonitorState] = []
         self._ids: dict[MonitorState, int] = {}
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -422,7 +409,7 @@ class _Explorer:
         for out in (False, True):
             rows = packed.copy()
             rows[COLUMNS.index("reset")] = out
-            views.append(RecordColumns(_WithReset(self.alphabet, out), rows))
+            views.append(RecordColumns(self.alphabet, rows))
         return tuple(views)
 
     def column(self, f: Formula) -> np.ndarray:
@@ -529,28 +516,48 @@ def _path(parents, node, explorer: _Explorer) -> list[StateRecord]:
     return out
 
 
+def _explorer(space: ScaledSpace, guards: GuardFlags, ekr_enabled: bool,
+              formulas: Iterable[Formula]) -> _Explorer:
+    """An explorer whose alphabet's class key carries every proposition
+    ``formulas`` name."""
+    props = build_props(space)
+    names = _key_names(formulas, props)
+    return _Explorer(MonitorConfig.from_layout(space, ekr_enabled), guards,
+                     build_alphabet(space, names), props, names)
+
+
+def _catalogue_explorer(space: ScaledSpace, guards: GuardFlags,
+                        ekr_enabled: bool) -> _Explorer:
+    """The explorer ``check_catalogue`` and ``find_mutant_violation`` use,
+    keyed on every catalogue formula but the machine axioms."""
+    return _explorer(space, guards, ekr_enabled,
+                     [e.formula for e in all_formulas(ekr_enabled)
+                      if e.group != "machine-axioms"])
+
+
 def exhaustive_check(formula: Formula, space: ScaledSpace | None = None,
                      guards: GuardFlags = DEFAULT_GUARDS,
                      ekr_enabled: bool = True,
-                     er_choices: list[tuple[int, int]] | None = None,
                      state_budget: int = 2_000_000,
                      name: str = "",
                      explorer: "_Explorer | None" = None) -> CheckResult:
     """Check a formula over the full reduced-width input space.
 
-    Every proposition must name an entry of ``build_props`` (else
-    ``FormulaError``). Conjunctions are split and checked piecewise.
-    Formulas outside the supported fragment fall back to bounded
-    enumeration (see ``brute_force_check``), which is complete only to its
-    bound.
+    Every proposition must name an entry of ``build_props`` that
+    ``_key_names`` accepts (else ``FormulaError``) and that the class key of
+    a handed-in ``explorer`` carries (else ``ValueError``). Conjunctions are
+    split and checked piecewise. Formulas outside the supported fragment
+    fall back to bounded enumeration (see ``brute_force_check``), which is
+    complete only to its bound.
     """
     space = space or scaled_space()
-    props = build_props(space) if explorer is None else explorer.props
-    check_props(formula, props)
-    cfg = MonitorConfig.from_layout(space, ekr_enabled)
     if explorer is None:
-        explorer = _Explorer(cfg, guards, build_alphabet(space, er_choices),
-                             props)
+        explorer = _explorer(space, guards, ekr_enabled, [formula])
+    outside = _key_names([formula], explorer.props) - explorer.names
+    if outside:
+        raise ValueError(f"proposition {min(outside)!r} is outside the "
+                         "explorer's class key")
+    cfg = MonitorConfig.from_layout(space, ekr_enabled)
     explored_total = 0
     for conjunct in _flatten_and(formula):
         plan = _plan(conjunct)
@@ -670,8 +677,7 @@ def check_catalogue(space: ScaledSpace | None = None,
                     state_budget: int = 2_000_000) -> list[CheckResult]:
     """Exhaustively check every monitor formula in the catalogue."""
     space = space or scaled_space()
-    explorer = _Explorer(MonitorConfig.from_layout(space, ekr_enabled), guards,
-                         build_alphabet(space), build_props(space))
+    explorer = _catalogue_explorer(space, guards, ekr_enabled)
     results = []
     for entry in all_formulas(ekr_enabled):
         if entry.group == "machine-axioms":
@@ -695,8 +701,7 @@ def find_mutant_violation(mutant_id: str, space: ScaledSpace | None = None,
     """
     space = space or scaled_space()
     guards = mutant_guards(mutant_id)
-    explorer = _Explorer(MonitorConfig.from_layout(space, ekr_enabled), guards,
-                         build_alphabet(space), build_props(space))
+    explorer = _catalogue_explorer(space, guards, ekr_enabled)
     for entry in all_formulas(ekr_enabled):
         if entry.group == "machine-axioms":
             continue

@@ -360,15 +360,14 @@ def eval_vector(f: Formula, trace: LassoTrace,
     return ev(f)
 
 
-def check_props(f: Formula, props: Mapping[str, PropValuation]) -> None:
-    """Raise ``FormulaError`` naming the first proposition of ``f`` that
-    the table ``props`` does not define."""
+def check_props(f: Formula, props: Mapping[str, PropValuation]) -> set[str]:
+    """The names of ``f``'s propositions; raise ``FormulaError`` naming
+    the first one that the table ``props`` does not define."""
     if isinstance(f, Prop):
         if f.name not in props:
             raise FormulaError(f"unknown proposition {f.name!r}")
-        return
-    for child in vars(f).values():
-        check_props(child, props)
+        return {f.name}
+    return set().union(*(check_props(child, props) for child in vars(f).values()))
 
 
 def eval_formula(f: Formula, trace: LassoTrace, pos: int = 0,

@@ -5,9 +5,9 @@ An adversary win is exactly one of:
 - a sensing success whose window content at entry was never authorized, or
 - a sensing success whose execution fails the independent atomicity oracle.
 
-Verdicts additionally cross-check the monitor against the trace-level
-properties: every un-reset GPIO read must sit inside the window, and the
-authorized-sensing goal must hold over the whole concatenated trace.
+Verdicts additionally cross-check the monitor against the
+authorized-sensing goal over the whole concatenated trace; its first
+conjunct puts every un-reset GPIO read, CPU or DMA, inside the window.
 Denial-of-service outcomes (endless resets, runs cut by the cycle budget)
 are recorded but never count as wins.
 """
@@ -205,12 +205,6 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
     packed.flags.writeable = False
     goal_violations = []
     if check_goal and records:
-        gpio = layout.gpio
-        for rec in records:
-            if rec.r_en and rec.d_addr in gpio and not rec.reset:
-                if not (rec.er_min <= rec.pc <= rec.er_max):
-                    goal_violations.append("unreset-gpio-read-outside-window")
-                    break
         lasso = LassoTrace.from_records(records, packed)
         if not eval_formula(authorized_sensing_goal(), lasso, 0,
                             _layout_props(layout)):

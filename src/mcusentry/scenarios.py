@@ -244,10 +244,6 @@ CATALOGUE = {
 }
 
 
-def catalogue_plans() -> list[ScenarioPlan]:
-    return [factory() for factory in CATALOGUE.values()]
-
-
 # ---------------------------------------------------------------------------
 # Randomized scenarios
 

@@ -13,16 +13,17 @@ import time
 import numpy as np
 
 from mcusentry.catalogue import all_formulas, builtin_formulas, catalogue_by_name
-from mcusentry.checker import (check_catalogue, find_mutant_violation,
-                               replay_counterexample, scaled_space)
+from mcusentry.checker import (_catalogue_explorer, check_catalogue,
+                               find_mutant_violation, replay_counterexample,
+                               scaled_space)
 from mcusentry.crypto import (decrypt_output, derive_enc_key, encrypt_output,
                               hmac_sha256, token_mac)
 from mcusentry.isa import HALT, JMP, JMP_R, LOAD_R, NOP, assemble
 from mcusentry.layout import ErWindow, default_layout
-from mcusentry.ltl import LassoTrace, eval_vector
+from mcusentry.ltl import LassoTrace, Prop, eval_vector
 from mcusentry.machine import (DmaRequest, Machine, RunContext, load_image,
                                run)
-from mcusentry.monitor import Monitor
+from mcusentry.monitor import DEFAULT_GUARDS, Monitor
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.oracle import atomic_exec_oracle, monitor_flagged_episode
 from mcusentry.programs import SENSOR_MARKER
@@ -65,14 +66,24 @@ def test_criterion_1_exhaustive_monitor_verification():
             entries[name].formula, result.counterexample, space,
             mutant_guards(mutant_id))
     elapsed = time.time() - t0
+    # Every proposition the catalogue's class key carries must take both
+    # values on its alphabet, or the check could not witness it.
+    explorer = _catalogue_explorer(space, DEFAULT_GUARDS, True)
+    keyed = sorted(explorer.names - {"true", "false"})
+    constant = [name for name in keyed
+                if len(np.unique(explorer.column(Prop(name)))) < 2]
     ok = (len(holds) == len(results) and len(construction) == 9
           and convicted == len(MUTANTS) == replayed and len(MUTANTS) >= 9
-          and elapsed < 60)
+          and elapsed < 60 and not constant)
     _report(1, ok, f"{len(construction)} construction formulas + "
                    f"{len(results) - len(construction)} more hold with zero "
                    f"counterexamples at width {CHECK_WIDTH}; "
                    f"{convicted}/{len(MUTANTS)} mutants convicted "
-                   f"({replayed} replayed) in {elapsed:.1f}s")
+                   f"({replayed} replayed) in {elapsed:.1f}s; "
+                   f"{len(explorer.alphabet)} letters, "
+                   f"{len(keyed) - len(constant)}/{len(keyed)} keyed "
+                   f"propositions two-valued")
+    assert not constant, constant
     assert len(holds) == len(results)
     assert len(construction) == 9
     assert convicted == len(MUTANTS) >= 9

@@ -1,20 +1,22 @@
 """Exhaustive product checking, counterexamples, and mutant coverage."""
 
+import hashlib
 import time
 from itertools import product as iproduct
 
 import pytest
 
 from mcusentry.catalogue import all_formulas, builtin_formulas, catalogue_by_name
-from mcusentry.checker import (_Explorer, brute_force_check, build_alphabet,
+from mcusentry.checker import (_catalogue_explorer, _explorer, _key_names,
+                               brute_force_check, build_alphabet,
                                check_catalogue, curated_alphabet,
                                default_er_choices, exhaustive_check,
                                find_mutant_violation, replay_counterexample,
                                scaled_space)
-from mcusentry.errors import BudgetError
-from mcusentry.ltl import G, Prop, parse
+from mcusentry.errors import BudgetError, FormulaError
+from mcusentry.ltl import G, Not, Prop, parse
 from mcusentry.machine import StateRecord
-from mcusentry.monitor import DEFAULT_GUARDS, MonitorConfig
+from mcusentry.monitor import DEFAULT_GUARDS, MonitorConfig, transition_table
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.props import build_props
 
@@ -79,15 +81,65 @@ def test_state_budget_is_enforced():
         exhaustive_check(entry.formula, SPACE5, state_budget=2)
 
 
+def accepted_names(space) -> list[str]:
+    """Every ``build_props`` entry the exhaustive checker accepts."""
+    props = build_props(space)
+    names = []
+    for name in props:
+        try:
+            _key_names([Prop(name)], props)
+        except FormulaError:
+            continue
+        names.append(name)
+    return names
+
+
+def catalogue_names(space) -> frozenset[str]:
+    return _catalogue_explorer(space, DEFAULT_GUARDS, True).names
+
+
+def test_checker_refuses_exactly_the_machine_derived_propositions():
+    props = build_props(SPACE5)
+    refused = set(props) - set(accepted_names(SPACE5))
+    assert refused == {n for n in props if n.startswith("tag ")} | {"exec_in ER"}
+    for name in sorted(refused):
+        with pytest.raises(FormulaError, match=repr(name)):
+            exhaustive_check(G(Not(Prop(name))), SPACE5)
+
+
+def test_handed_explorer_refuses_a_proposition_outside_its_key():
+    explorer = _catalogue_explorer(SPACE5, DEFAULT_GUARDS, True)
+    assert "read DMEM" not in explorer.names
+    with pytest.raises(ValueError, match="'read DMEM'"):
+        exhaustive_check(parse("(G (! (read DMEM)))"), SPACE5,
+                         explorer=explorer)
+
+
+@pytest.mark.parametrize("width", [5, 6])
+def test_every_accepted_proposition_takes_both_values(width):
+    # A class key that dropped a named proposition would merge its witness
+    # into another class and give a false "holds" for G(!p) or G(p).
+    space = scaled_space(width)
+    for name in accepted_names(space):
+        if name in ("true", "false"):
+            continue
+        for formula in (G(Not(Prop(name))), G(Prop(name))):
+            result = exhaustive_check(formula, space)
+            assert not result.holds, (name, formula)
+            assert replay_counterexample(formula, result.counterexample, space)
+
+
 def test_alphabet_is_deduplicated_and_bounded():
-    alphabet = build_alphabet(SPACE5)
+    names = catalogue_names(SPACE5)
+    alphabet = build_alphabet(SPACE5, names)
     assert 100 < len(alphabet) < 20000
-    vectors = set()
-    from mcusentry.checker import _letter_vector
+    keys = set()
+    table = transition_table(MonitorConfig.from_layout(SPACE5), DEFAULT_GUARDS)
+    props = build_props(SPACE5)
     for letter in alphabet:
-        vec = _letter_vector(letter, SPACE5)
-        assert vec not in vectors
-        vectors.add(vec)
+        key = reference_class_key(letter, table, props, names)
+        assert key not in keys
+        keys.add(key)
 
 
 class TestBruteForceAgreement:
@@ -171,6 +223,21 @@ CATALOGUE_AT_5 = [
     ("mon-revoke-ekr-on-write", "holds", 14),
 ]
 
+CATALOGUE_AT_6 = [
+    ("mon-gpio-read-in-er", "holds", 9),
+    ("mon-gpio-one-shot", "holds", 13),
+    ("mon-no-write-at-auth", "holds", 9),
+    ("mon-er-exit-at-end", "holds", 13),
+    ("mon-er-entry-at-start", "holds", 10),
+    ("mon-er-no-irq-dma", "holds", 9),
+    ("mon-ekr-read-in-er", "holds", 9),
+    ("mon-ekr-one-shot", "holds", 13),
+    ("mon-ekr-write-vr-only", "holds", 9),
+    ("e2e-atomic-execution", "holds", 19),
+    ("mon-revoke-gpio-on-write", "holds", 14),
+    ("mon-revoke-ekr-on-write", "holds", 14),
+]
+
 # mutant: (violated formula, explored states, prefix length, loop length)
 MUTANTS_AT_5 = {
     "rlock-reads-allowed": ("mon-gpio-read-in-er", 1, 1, 1),
@@ -188,6 +255,36 @@ MUTANTS_AT_5 = {
 }
 
 
+# mutant: (violated formula, explored states, prefix length, loop length,
+# SHA-256 of the counterexample's repr)
+MUTANTS_AT_6 = {
+    "rlock-reads-allowed": ("mon-gpio-read-in-er", 1, 1, 1,
+        "e1fa0651d020d7c0fa53e0998b7ee8ceefd07551d540bb4332858b679b1093dd"),
+    "unlock-without-auth": ("mon-gpio-one-shot", 10, 4, 1,
+        "0ac822afc2eb29ae45da727fe3b7909c0b6af865737b2fb364180ee2029206e2"),
+    "outside-reads-allowed": ("mon-gpio-read-in-er", 5, 3, 1,
+        "6cb40f539a54f0f32af39d524ce4e7186755742732c19f29569eb603f4d257ad"),
+    "exit-reads-allowed": ("mon-gpio-one-shot", 6, 4, 1,
+        "797a82ad96e90afbf97acefddccc42d305ae768478a6f6670ae89d0df729bdbb"),
+    "no-relock-on-exit": ("mon-gpio-one-shot", 12, 5, 1,
+        "85519eff5341d0cf6d1ff765585d4e5dec055ff507e18725d48c1052b70a43fc"),
+    "no-relock-on-write": ("mon-revoke-gpio-on-write", 14, 5, 1,
+        "5bf26fe31877fdddbfd15c2584ece38622123324c91b8df1e6e2e54986b60f23"),
+    "auth-write-relocks-only": ("mon-no-write-at-auth", 2, 2, 1,
+        "5f25f9946cf297625d10d0a4f77f8f8beeac0c7aba1f26a7f53f69d547d2be67"),
+    "entry-anywhere": ("mon-er-entry-at-start", 2, 3, 1,
+        "2ec1696c3dfaf27144a61aa33be0f0d8987f184d609be514146708a36f64d56f"),
+    "exit-anywhere": ("mon-er-exit-at-end", 6, 2, 1,
+        "189f65dd019ee3bb35eec265c13c3071309d619132b98ed649abdbc0bdcdc785"),
+    "irq-dma-ignored": ("mon-er-no-irq-dma", 1, 2, 1,
+        "017dfc29d49b6aff944f0c501171f59704f98db3e8e2e9e09c973f3ccde0410e"),
+    "ekr-write-anywhere": ("mon-ekr-write-vr-only", 1, 1, 1,
+        "210686568114780e890e6193b7632b4849e710ab3e32dc71765a4d55767f0f1f"),
+    "ekr-reads-ignored": ("mon-ekr-read-in-er", 1, 1, 1,
+        "d3ac7cfcc03dd421e27907ad836a7b0cbc8273f92bc58583d3b7001d4a6c93d4"),
+}
+
+
 def test_catalogue_results_are_pinned_at_width_5():
     results = check_catalogue(SPACE5)
     assert [(r.formula_name, r.verdict, r.explored_states)
@@ -202,37 +299,39 @@ def test_mutant_convictions_are_pinned_at_width_5(mutant_id):
             len(lasso.loop)) == MUTANTS_AT_5[mutant_id]
 
 
+SPACE6 = scaled_space(6)
+
+
+def test_catalogue_results_are_pinned_at_width_6():
+    results = check_catalogue(SPACE6)
+    assert [(r.formula_name, r.verdict, r.explored_states)
+            for r in results] == CATALOGUE_AT_6
+
+
+@pytest.mark.parametrize("mutant_id", sorted(MUTANTS_AT_6))
+def test_mutant_convictions_are_pinned_at_width_6(mutant_id):
+    name, result = find_mutant_violation(mutant_id, SPACE6)
+    lasso = result.counterexample
+    assert (name, result.explored_states, len(lasso.prefix), len(lasso.loop),
+            hashlib.sha256(repr(lasso).encode()).hexdigest()) \
+        == MUTANTS_AT_6[mutant_id]
+
+
 # ---------------------------------------------------------------------------
-# The alphabet against the scalar enumeration it replaced
+# The alphabet against a scalar enumeration of its class key
 
 
-def reference_letter_vector(rec: StateRecord, space) -> tuple:
-    bits = [
-        rec.pc == 0,
-        rec.pc == space.i_auth,
-        rec.pc in space.vr,
-        rec.er_min <= rec.pc <= rec.er_max,
-        rec.pc == rec.er_min,
-        rec.pc == rec.er_max,
-        rec.irq,
-        rec.dma_en,
-        rec.r_en,
-        rec.w_en,
-    ]
-    for name in ("gpio", "ekr", "er_metadata", "vr"):
-        region = space.region_named(name)
-        bits.append(rec.r_en and rec.d_addr in region)
-        bits.append(rec.w_en and rec.d_addr in region)
-        bits.append(rec.dma_en and rec.dma_addr in region)
-    bits.append(rec.r_en and rec.er_min <= rec.d_addr <= rec.er_max)
-    bits.append(rec.w_en and rec.er_min <= rec.d_addr <= rec.er_max)
-    bits.append(rec.dma_en and rec.er_min <= rec.dma_addr <= rec.er_max)
-    return tuple(bits)
+def reference_class_key(rec: StateRecord, table, props, names) -> tuple:
+    """The monitor's transition key of one record, then each named entry
+    evaluated on it."""
+    return (table.key(rec),) + tuple(bool(props[n](rec)) for n in sorted(names))
 
 
-def reference_alphabet(space) -> list[StateRecord]:
-    """One record per predicate class, first candidate first, enumerated
-    one candidate at a time."""
+def reference_alphabet(space, names) -> list[StateRecord]:
+    """One record per class, first candidate first, enumerated one
+    candidate at a time."""
+    table = transition_table(MonitorConfig.from_layout(space), DEFAULT_GUARDS)
+    props = build_props(space)
     letters: dict[tuple, StateRecord] = {}
     for er_min, er_max in default_er_choices(space):
         top = (1 << space.width) - 1
@@ -258,29 +357,43 @@ def reference_alphabet(space) -> list[StateRecord]:
                 cycle=0, pc=pc, r_en=r_en, w_en=w_en, d_addr=d_addr,
                 dma_en=dma_addr is not None, dma_addr=dma_addr or 0,
                 irq=irq, er_min=er_min, er_max=er_max)
-            letters.setdefault(reference_letter_vector(rec, space), rec)
+            letters.setdefault(reference_class_key(rec, table, props, names), rec)
     return list(letters.values())
 
 
-@pytest.mark.parametrize("width", [5, 6, 7, 8])
-def test_alphabet_equals_scalar_enumeration(width):
-    space = scaled_space(width)
-    alphabet = build_alphabet(space)
-    expected = reference_alphabet(space)
+def assert_alphabet_equals_scalar_enumeration(space, names):
+    alphabet = build_alphabet(space, names)
+    expected = reference_alphabet(space, names)
     assert len(alphabet) == len(expected)
     for got, want in zip(alphabet, expected):
         assert repr(got) == repr(want)  # field types too, not just values
 
 
+@pytest.mark.parametrize("width", [5, 6, 7, 8])
+def test_alphabet_equals_scalar_enumeration(width):
+    space = scaled_space(width)
+    assert_alphabet_equals_scalar_enumeration(space, catalogue_names(space))
+
+
+def test_alphabet_keyed_past_63_bits_equals_scalar_enumeration():
+    # 48 names and the 17-bit transition key need Python ints. Without the
+    # three entries from which the others would rebuild the key's top bit
+    # (a DMA transfer at the metadata), that bit carries information.
+    names = set(accepted_names(SPACE5)) - {
+        "dma_touch METADATA", "read METADATA", "write METADATA"}
+    assert len(names) == 48
+    assert_alphabet_equals_scalar_enumeration(SPACE5, frozenset(names))
+
+
 def test_explorer_columns_equal_the_table_on_each_letter():
-    # Every table entry, tag entries included, on every letter under both
-    # reset outputs; a stride over the letters keeps the per-record tag
-    # sets affordable.
+    # Every entry the checker accepts, on every third letter of an alphabet
+    # keyed on all of them, under both reset outputs.
     props = build_props(SPACE5)
-    alphabet = build_alphabet(SPACE5)
-    explorer = _Explorer(MonitorConfig.from_layout(SPACE5), DEFAULT_GUARDS,
-                         alphabet, props)
-    for name, fn in props.items():
+    names = accepted_names(SPACE5)
+    explorer = _explorer(SPACE5, DEFAULT_GUARDS, True, map(Prop, names))
+    alphabet = explorer.alphabet
+    for name in names:
+        fn = props[name]
         column = explorer.column(Prop(name))
         assert column.shape == (2, len(alphabet))
         for idx in range(0, len(alphabet), 3):

@@ -138,6 +138,22 @@ def test_check_unknown_proposition_is_named(capsys):
     assert capsys.readouterr().err == "error: unknown proposition 'x'\n"
 
 
+def test_check_dmem_read_is_violated(capsys):
+    assert main(["check", "--width", "6", "--formula",
+                 "(G (! (cpu_read DMEM)))"]) == EXIT_VIOLATION
+    assert "violated" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["tag READ GPIO", "tag DMA_W DMEM", "exec_in ER"])
+def test_check_refuses_machine_derived_propositions(capsys, name):
+    assert main(["check", "--width", "6", "--formula",
+                 f"(G (-> (read GPIO) (! ({name}))))"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and repr(name) in err[0]
+
+
 def test_check_whole_catalogue_at_width_8(capsys):
     assert main(["check", "--width", "8"]) == EXIT_OK
     out = capsys.readouterr().out

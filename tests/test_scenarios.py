@@ -3,10 +3,14 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mcusentry.catalogue import authorized_sensing_goal
 from mcusentry.layout import default_layout
-from mcusentry.machine import SequenceSensor
+from mcusentry.ltl import LassoTrace, eval_formula, eval_naive
+from mcusentry.machine import SequenceSensor, StateRecord
 from mcusentry.programs import SENSOR_MARKER
+from mcusentry.props import build_props
 from mcusentry.referee import run_campaign, run_scenario, summary_table
 from mcusentry.scenarios import CATALOGUE, happy_path, random_plan
 
@@ -171,3 +175,45 @@ def test_catalogue_trace_digests_are_pinned(outcomes, name):
     assert out.trace_digest == digest
     assert out.trace.digest(LAYOUT) == digest
     assert hashlib.sha256(out.trace.dump(LAYOUT).encode()).hexdigest() == dump_sha
+
+
+# ---------------------------------------------------------------------------
+# The goal subsumes the referee's former hand-written check
+
+
+def unreset_gpio_read_outside_window(rec: StateRecord) -> bool:
+    """An un-reset CPU read of GPIO with pc outside the record's window."""
+    return (rec.r_en and rec.d_addr in LAYOUT.gpio and not rec.reset
+            and not rec.er_min <= rec.pc <= rec.er_max)
+
+
+_GPIO = LAYOUT.gpio
+_WINDOWS = [(0x4000, 0x4004), (0x4004, 0x4000), (0x4002, 0x4002)]
+_PCS = [0x3FFE, 0x4000, 0x4002, 0x4004, 0x4006, LAYOUT.i_auth]
+_ADDRS = [_GPIO.start - 2, _GPIO.start, _GPIO.end - 1, _GPIO.end + 1, 0x4000]
+
+
+@st.composite
+def record_lists(draw):
+    records = []
+    for cycle in range(draw(st.integers(1, 12))):
+        er = draw(st.sampled_from(_WINDOWS))
+        dma = draw(st.booleans())
+        records.append(StateRecord(
+            cycle=cycle, pc=draw(st.sampled_from(_PCS)),
+            r_en=draw(st.booleans()), d_addr=draw(st.sampled_from(_ADDRS)),
+            dma_en=dma, dma_addr=draw(st.sampled_from(_ADDRS)) if dma else 0,
+            irq=draw(st.booleans()), reset=draw(st.booleans()),
+            er_min=er[0], er_max=er[1]))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=record_lists())
+def test_goal_fails_wherever_an_unreset_gpio_read_is_outside_the_window(records):
+    if not any(map(unreset_gpio_read_outside_window, records)):
+        return
+    lasso = LassoTrace.from_records(records)
+    props = build_props(LAYOUT)
+    assert not eval_formula(authorized_sensing_goal(), lasso, 0, props)
+    assert not eval_naive(authorized_sensing_goal(), lasso, 0, props)

@@ -216,10 +216,8 @@ def builtin_formulas(ekr_enabled: bool = True) -> list[CatalogueEntry]:
 
 def all_formulas(ekr_enabled: bool = True) -> list[CatalogueEntry]:
     """Primary catalogue plus the supplementary revocation properties."""
-    entries = builtin_formulas(ekr_enabled) + _supplementary()
-    if not ekr_enabled:
-        entries = [e for e in entries if not e.needs_ekr]
-    return entries
+    return builtin_formulas(ekr_enabled) + [
+        e for e in _supplementary() if ekr_enabled or not e.needs_ekr]
 
 
 def catalogue_by_name(ekr_enabled: bool = True) -> dict[str, CatalogueEntry]:

@@ -19,26 +19,33 @@ traces, with the machine axioms. Coverage is exhaustive only over the
 classes the curated windows produce: the FSM state (rUNLOCK, wUNLOCK,
 lastER) is never reached (ROADMAP open item 2).
 
-Checking walks the reachable product of monitor state with a small amount
-of formula-tracking state (previous letter for next-operator formulas, an
-armed bit for triggered weak-until formulas), which covers every lasso of
-the product implicitly: a safety or weak-until violation shows up on some
-reachable edge. The monitor is compiled into a transition table over the
-alphabet: reachable monitor states get small integer ids, and each state
-gets one row holding, for every letter, the next state's id and the reset
-output, read from the live monitor's memo (``monitor.transition_table``),
-so ``monitor_step`` runs at most once per distinct transition key. Each
-propositional subformula becomes one bool column per reset output,
-evaluated on the alphabet's column view with the ``props`` entries. A
-product node then expands with array expressions over its whole row; new
-nodes are queued in the order of the first letter that reaches them, and
-the violation reported is the first violating letter. Counterexamples are
-rebuilt as concrete lassos and replay through the real transition function.
+Checking walks the reachable product of monitor state with a small-int
+tracking value per conjunct (0 for a safety formula ``G p``, an armed bit
+for a triggered weak-until ``G (a -> (b W c))``, 1 + the previous letter's
+propositions for a formula with next operators), which covers every lasso
+of the product implicitly: a safety or weak-until violation shows up on
+some reachable edge. Each conjunct compiles into two tables indexed by
+reset output and letter (Havelund & Roşu, TACAS 2002): the letters that
+violate from each tracking value, and each letter's next value. The
+monitor is compiled into a transition table over the alphabet: reachable
+monitor states get small integer ids, and each state gets one row holding,
+for every letter, the next state's id and the reset output, read from the
+live monitor's memo (``monitor.transition_table``), so ``monitor_step``
+runs at most once per distinct transition key. Each propositional
+subformula becomes one bool column per reset output, evaluated on the
+alphabet's column view with the ``props`` entries. A product node then
+expands with array lookups over its whole row; new nodes are queued in the
+order of the first letter that reaches them, and the violation reported is
+the first violating letter. Counterexamples are rebuilt as concrete lassos
+and replay through the real transition function.
 
 A formula without temporal operators constrains position 0 only, so it
-is judged on each letter read from the initial monitor state. Formulas
-outside these fragments (the before-operator end-to-end goal) fall back to
-bounded lasso enumeration over a curated alphabet.
+is judged on each letter read from the initial monitor state. A conjunct
+outside these fragments (the before-operator end-to-end goal) is refused
+with ``FormulaError``: it is checked on traces. Bounded lasso enumeration
+(``brute_force_check``) can show a violation but not its absence, so it is
+no verdict path; it cross-checks the walk and searches the end-to-end goal
+for mutant convictions.
 """
 from __future__ import annotations
 
@@ -55,7 +62,7 @@ from .catalogue import all_formulas
 from .errors import BudgetError, FormulaError
 from .layout import Region
 from .ltl import (And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X,
-                  check_props, eval_naive)
+                  check_props, eval_naive, to_text)
 from .machine import COLUMNS, RecordColumns, StateRecord, pack_records
 from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, GuardFlags, MonitorConfig,
                       MonitorState, monitor_step, transition_table)
@@ -119,11 +126,6 @@ def default_er_choices(space: ScaledSpace) -> list[tuple[int, int]]:
         (space.i_auth, space.i_auth + 4),
         (p + 8, p + 4),
     ]
-
-
-def quiet_letter(space: ScaledSpace) -> StateRecord:
-    er = default_er_choices(space)[0]
-    return StateRecord(cycle=0, pc=space.pmem.end - 1, er_min=er[0], er_max=er[1])
 
 
 def _candidates(space: ScaledSpace, er_min: int, er_max: int) -> dict[str, np.ndarray]:
@@ -205,26 +207,18 @@ def build_alphabet(space: ScaledSpace, names: Set[str]) -> list[StateRecord]:
 # Formula classification
 
 
-def _is_propositional(f: Formula) -> bool:
-    if isinstance(f, Prop):
-        return True
-    if isinstance(f, Not):
-        return _is_propositional(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return _is_propositional(f.left) and _is_propositional(f.right)
-    return False
-
-
-def _is_pair_body(f: Formula) -> bool:
-    """Boolean combination of propositions and X(propositional)."""
+def _is_propositional(f: Formula, next_ok: bool = False) -> bool:
+    """A boolean combination of propositions, and with ``next_ok`` also of
+    X(propositional)."""
     if isinstance(f, Prop):
         return True
     if isinstance(f, X):
-        return _is_propositional(f.sub)
+        return next_ok and _is_propositional(f.sub)
     if isinstance(f, Not):
-        return _is_pair_body(f.sub)
+        return _is_propositional(f.sub, next_ok)
     if isinstance(f, (And, Or, Implies)):
-        return _is_pair_body(f.left) and _is_pair_body(f.right)
+        return _is_propositional(f.left, next_ok) \
+            and _is_propositional(f.right, next_ok)
     return False
 
 
@@ -245,7 +239,7 @@ def _plan(f: Formula):
             and _is_propositional(body.right.left) \
             and _is_propositional(body.right.right):
         return ("tracker", body.left, body.right.left, body.right.right)
-    if _is_pair_body(body):
+    if _is_propositional(body, next_ok=True):
         return ("pair", body)
     return None
 
@@ -284,7 +278,8 @@ def _quiet_tail(state: MonitorState, start: int, space: ScaledSpace,
                 cfg: MonitorConfig, guards: GuardFlags):
     """Quiet letters from ``state`` until the monitor state recurs, as the
     records before the loop and the loop, cycles numbered from ``start``."""
-    quiet = quiet_letter(space)
+    er_min, er_max = default_er_choices(space)[0]
+    quiet = StateRecord(cycle=0, pc=space.pmem.end - 1, er_min=er_min, er_max=er_max)
     seen: dict[MonitorState, int] = {}
     tail: list[StateRecord] = []
     while state not in seen:
@@ -293,14 +288,6 @@ def _quiet_tail(state: MonitorState, start: int, space: ScaledSpace,
         tail.append(quiet._replace(reset=out, cycle=start + len(tail)))
     cut = seen[state]
     return tail[:cut], tail[cut:]
-
-
-def _close_lasso(prefix: list[StateRecord], state: MonitorState,
-                 space: ScaledSpace, cfg: MonitorConfig,
-                 guards: GuardFlags) -> LassoTrace:
-    """Extend with quiet letters until the monitor state recurs, then loop."""
-    lead, loop = _quiet_tail(state, len(prefix), space, cfg, guards)
-    return LassoTrace(prefix=prefix + lead, loop=loop)
 
 
 def _collect_a_props(f: Formula, out: set[str]) -> None:
@@ -428,58 +415,51 @@ class _Explorer:
         return self.alphabet[idx]._replace(reset=bool(out))
 
 
-def _expander(plan, explorer: _Explorer):
-    """For one plan: the start node's tracking value, the number of
-    tracking values, and ``expand(value, outs)``, which takes a node's
-    tracking value and its row's reset outputs and gives the violating
-    letters (or None) and each letter's next tracking value (or None when
-    the plan tracks nothing)."""
+def _compile(plan, explorer: _Explorer):
+    """One plan as two tables over small-int tracking values, both indexed
+    ``[reset output, letter]``: ``bad[v]`` marks the letters that violate
+    from tracking value ``v`` and ``nxt[v]`` gives each letter's next value.
+    The walk starts at value 0."""
     kind = plan[0]
-    letters = np.arange(len(explorer.alphabet))
+    zero = np.zeros((2, len(explorer.alphabet)), dtype=np.intp)
     if kind in ("initial", "local"):
-        bad = ~explorer.column(plan[1])
-        return None, 1, lambda _, outs: (bad[outs, letters], None)
+        return {0: ~explorer.column(plan[1])}, {0: zero}
     if kind == "tracker":
+        # Value 1: armed by the trigger and not yet released.
         trig, safe, unlock = (explorer.column(f) for f in plan[1:])
+        bad = {0: trig & ~safe & ~unlock, 1: ~safe & ~unlock}
+        nxt = {0: (trig & ~unlock).astype(np.intp), 1: (~unlock).astype(np.intp)}
+        return bad, nxt
 
-        def expand_tracker(armed, outs):
-            armed = armed | trig[outs, letters]
-            released = unlock[outs, letters]
-            return armed & ~safe[outs, letters] & ~released, armed & ~released
-        return False, 2, expand_tracker
-
-    # pair: the tracking value packs the previous letter's propositions
-    # (those outside X) into bits, in sorted name order.
+    # pair: 0 before the first letter, else 1 + the previous letter's code,
+    # its propositions outside X packed into bits in sorted name order.
     body = plan[1]
     names: set[str] = set()
     _collect_a_props(body, names)
     names = sorted(names)
-    codes = np.zeros((2, len(letters)), dtype=np.intp)
+    codes = zero.copy()
     for bit, name in enumerate(names):
         codes |= explorer.column(Prop(name)).astype(np.intp) << bit
-
-    def expand_pair(prev, outs):
-        nxt = codes[outs, letters]
-        if prev is None:
-            return None, nxt
-        values = {name: np.bool_(prev >> bit & 1) for bit, name in enumerate(names)}
+    bad = {0: np.zeros(zero.shape, dtype=bool)}
+    for code in set(codes.ravel().tolist()):
+        values = {name: np.bool_(code >> bit & 1) for bit, name in enumerate(names)}
 
         def leaf(f):
-            if isinstance(f, X):
-                return explorer.column(f.sub)[outs, letters]
-            return values[f.name]
-        return ~_columns(body, leaf), nxt
-    return None, 1 << len(names), expand_pair
+            return explorer.column(f.sub) if isinstance(f, X) else values[f.name]
+        bad[1 + code] = np.broadcast_to(~_columns(body, leaf), zero.shape)
+    return bad, dict.fromkeys(bad, 1 + codes)
 
 
 def _bfs(plan, explorer: _Explorer, state_budget: int):
-    """BFS over (monitor x tracking) nodes.
+    """BFS over (monitor state, tracking value) nodes.
 
     Returns the violation path (letters with baked outputs) and the
     monitor state after it, or (None, None), plus the explored count.
     """
-    start_value, n_values, expand = _expander(plan, explorer)
-    start = (explorer.state_id(INITIAL_STATE), start_value)
+    bad, nxt = _compile(plan, explorer)
+    n_values = max(bad) + 1
+    letters = np.arange(len(explorer.alphabet))
+    start = (explorer.state_id(INITIAL_STATE), 0)
     parents: dict = {start: None}
     queue = deque([start])
     explored = 0
@@ -490,20 +470,20 @@ def _bfs(plan, explorer: _Explorer, state_budget: int):
             raise BudgetError(f"state budget {state_budget} exceeded")
         sid, value = node
         nxt_ids, outs = explorer.row(sid)
-        bad, nxt_values = expand(value, outs)
-        if bad is not None and bad.any():
-            idx = int(np.argmax(bad))
+        violating = bad[value][outs, letters]
+        if violating.any():
+            idx = int(np.argmax(violating))
             path = _path(parents, node, explorer) + [explorer.record(idx, outs[idx])]
             return path, explorer.states[nxt_ids[idx]], explored
         if plan[0] == "initial":
             break  # only position 0 is constrained
-        keys = nxt_ids if nxt_values is None else nxt_ids * n_values + nxt_values
+        values = nxt[value][outs, letters]
+        keys = nxt_ids * n_values + values
         for idx in np.sort(np.unique(keys, return_index=True)[1]).tolist():
-            nxt = (int(nxt_ids[idx]),
-                   None if nxt_values is None else nxt_values[idx].item())
-            if nxt not in parents:
-                parents[nxt] = (node, idx, int(outs[idx]))
-                queue.append(nxt)
+            succ = (int(nxt_ids[idx]), int(values[idx]))
+            if succ not in parents:
+                parents[succ] = (node, idx, int(outs[idx]))
+                queue.append(succ)
     return None, None, explored
 
 
@@ -535,7 +515,7 @@ def _catalogue_explorer(space: ScaledSpace, guards: GuardFlags,
                       if e.group != "machine-axioms"])
 
 
-def exhaustive_check(formula: Formula, space: ScaledSpace | None = None,
+def exhaustive_check(formula: Formula, space: ScaledSpace,
                      guards: GuardFlags = DEFAULT_GUARDS,
                      ekr_enabled: bool = True,
                      state_budget: int = 2_000_000,
@@ -543,37 +523,36 @@ def exhaustive_check(formula: Formula, space: ScaledSpace | None = None,
                      explorer: "_Explorer | None" = None) -> CheckResult:
     """Check a formula over the full reduced-width input space.
 
-    Every proposition must name an entry of ``build_props`` that
-    ``_key_names`` accepts (else ``FormulaError``) and that the class key of
-    a handed-in ``explorer`` carries (else ``ValueError``). Conjunctions are
-    split and checked piecewise. Formulas outside the supported fragment
-    fall back to bounded enumeration (see ``brute_force_check``), which is
-    complete only to its bound.
+    Conjunctions are split and each conjunct is walked on the product. A
+    conjunct outside the fragments (see the module docstring) raises
+    ``FormulaError`` before any alphabet is built, and so does a
+    proposition that is not a ``build_props`` entry ``_key_names`` accepts;
+    a handed-in ``explorer`` whose class key lacks a named proposition
+    raises ``ValueError``.
     """
-    space = space or scaled_space()
+    plans = []
+    for conjunct in _flatten_and(formula):
+        plan = _plan(conjunct)
+        if plan is None:
+            raise FormulaError(f"{to_text(conjunct)} is outside the exhaustive "
+                               "checker's fragments; it is checked on traces")
+        plans.append(plan)
     if explorer is None:
         explorer = _explorer(space, guards, ekr_enabled, [formula])
     outside = _key_names([formula], explorer.props) - explorer.names
     if outside:
         raise ValueError(f"proposition {min(outside)!r} is outside the "
                          "explorer's class key")
-    cfg = MonitorConfig.from_layout(space, ekr_enabled)
     explored_total = 0
-    for conjunct in _flatten_and(formula):
-        plan = _plan(conjunct)
-        if plan is None:
-            result = brute_force_check(conjunct, space, guards, ekr_enabled,
-                                       name=name)
-            explored_total += result.explored_states
-            if not result.holds:
-                return CheckResult("violated", result.counterexample,
-                                   explored_total, name)
-            continue
+    for plan in plans:
         violation, state, explored = _bfs(plan, explorer, state_budget)
         explored_total += explored
         if violation is not None:
-            lasso = _close_lasso(violation, state, space, cfg, guards)
-            return CheckResult("violated", lasso, explored_total, name)
+            # Close the lasso with quiet letters until the state recurs.
+            lead, loop = _quiet_tail(state, len(violation), space,
+                                     explorer.cfg, explorer.guards)
+            return CheckResult("violated", LassoTrace(violation + lead, loop),
+                               explored_total, name)
     return CheckResult("holds", None, explored_total, name)
 
 
@@ -601,7 +580,7 @@ def curated_alphabet(space: ScaledSpace) -> list[StateRecord]:
     ]
 
 
-def brute_force_check(formula: Formula, space: ScaledSpace | None = None,
+def brute_force_check(formula: Formula, space: ScaledSpace,
                       guards: GuardFlags = DEFAULT_GUARDS,
                       ekr_enabled: bool = True,
                       alphabet: list[StateRecord] | None = None,
@@ -609,10 +588,10 @@ def brute_force_check(formula: Formula, space: ScaledSpace | None = None,
     """Enumerate every letter sequence up to ``max_len``, close each to a
     lasso with quiet letters, and evaluate the formula directly.
 
-    Complete only to the bound; used as the independent cross-check for the
-    product exploration and as the fallback for formulas it cannot track.
+    Complete only to the bound, so a "holds" proves nothing past it: this is
+    the independent cross-check for the product exploration, and the search
+    ``find_mutant_violation`` runs on formulas outside its fragments.
     """
-    space = space or scaled_space()
     cfg = MonitorConfig.from_layout(space, ekr_enabled)
     props = build_props(space)
     alphabet = alphabet or curated_alphabet(space)
@@ -651,7 +630,7 @@ def brute_force_check(formula: Formula, space: ScaledSpace | None = None,
 
 
 def replay_counterexample(formula: Formula, lasso: LassoTrace,
-                          space: ScaledSpace | None = None,
+                          space: ScaledSpace,
                           guards: GuardFlags = DEFAULT_GUARDS,
                           ekr_enabled: bool = True) -> bool:
     """Re-step the monitor over the lasso letters and re-evaluate.
@@ -659,7 +638,6 @@ def replay_counterexample(formula: Formula, lasso: LassoTrace,
     Returns True when the replay reproduces both the recorded reset outputs
     and the violation.
     """
-    space = space or scaled_space()
     cfg = MonitorConfig.from_layout(space, ekr_enabled)
     props = build_props(space)
     state = INITIAL_STATE
@@ -670,36 +648,31 @@ def replay_counterexample(formula: Formula, lasso: LassoTrace,
     return not eval_naive(formula, lasso, 0, props)
 
 
-def check_catalogue(space: ScaledSpace | None = None,
+def check_catalogue(space: ScaledSpace,
                     guards: GuardFlags = DEFAULT_GUARDS,
                     ekr_enabled: bool = True,
-                    include_supplementary: bool = True,
                     state_budget: int = 2_000_000) -> list[CheckResult]:
     """Exhaustively check every monitor formula in the catalogue."""
-    space = space or scaled_space()
     explorer = _catalogue_explorer(space, guards, ekr_enabled)
     results = []
     for entry in all_formulas(ekr_enabled):
         if entry.group == "machine-axioms":
             continue  # tags are recomputed from signals; checked on traces
         if entry.name == "e2e-authorized-sensing":
-            continue  # before-operator goal; checked on traces and by fallback
-        if entry.supplementary and not include_supplementary:
-            continue
+            continue  # before-operator goal; checked on traces
         results.append(exhaustive_check(entry.formula, space, guards,
                                         ekr_enabled, state_budget=state_budget,
                                         name=entry.name, explorer=explorer))
     return results
 
 
-def find_mutant_violation(mutant_id: str, space: ScaledSpace | None = None,
+def find_mutant_violation(mutant_id: str, space: ScaledSpace,
                           ekr_enabled: bool = True,
                           state_budget: int = 2_000_000):
     """Search the catalogue for a formula the mutant violates.
 
     Returns (formula_name, CheckResult with a replayable counterexample).
     """
-    space = space or scaled_space()
     guards = mutant_guards(mutant_id)
     explorer = _catalogue_explorer(space, guards, ekr_enabled)
     for entry in all_formulas(ekr_enabled):

@@ -24,7 +24,6 @@ from .errors import DecodeError
 WORD_MASK = 0xFFFF
 WORD_BYTES = 2
 NUM_REGS = 8
-SP_REG = 7
 
 MODE_ABS = 0
 MODE_REG = 1

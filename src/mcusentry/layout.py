@@ -13,7 +13,7 @@ still covers every byte of the window.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import LayoutError
 
@@ -87,7 +87,6 @@ class MemoryLayout:
     i_auth: int
     boot_entry: int = 0
     irq_vector: int | None = None
-    names: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         top = {k: getattr(self, k) for k in _REGION_KEYS}

@@ -382,6 +382,8 @@ def eval_formula(f: Formula, trace: LassoTrace, pos: int = 0,
 
 _BINARY = {"U": U, "W": W, "B": B, "&": And, "|": Or, "->": Implies}
 _UNARY = {"X": X, "G": G, "!": Not}
+_SYMBOLS = {node: symbol for table in (_UNARY, _BINARY)
+            for symbol, node in table.items()}
 # Deeper input is refused rather than overflowing the recursive parser and
 # evaluators; the catalogue's deepest formula nests under ten levels.
 MAX_NESTING = 100
@@ -484,22 +486,9 @@ def _expect_close(toks: _Tokens, head: str, off: int) -> None:
 def to_text(f: Formula) -> str:
     if isinstance(f, Prop):
         return f"({f.name})" if " " in f.name else f.name
-    if isinstance(f, Not):
-        return f"(! {to_text(f.sub)})"
-    if isinstance(f, X):
-        return f"(X {to_text(f.sub)})"
-    if isinstance(f, G):
-        return f"(G {to_text(f.sub)})"
-    if isinstance(f, And):
-        return f"(& {to_text(f.left)} {to_text(f.right)})"
-    if isinstance(f, Or):
-        return f"(| {to_text(f.left)} {to_text(f.right)})"
-    if isinstance(f, Implies):
-        return f"(-> {to_text(f.left)} {to_text(f.right)})"
-    if isinstance(f, U):
-        return f"(U {to_text(f.left)} {to_text(f.right)})"
-    if isinstance(f, W):
-        return f"(W {to_text(f.left)} {to_text(f.right)})"
-    if isinstance(f, B):
-        return f"(B {to_text(f.left)} {to_text(f.right)})"
-    raise TypeError(f"unknown formula node {f!r}")
+    symbol = _SYMBOLS.get(type(f))
+    if symbol is None:
+        raise TypeError(f"unknown formula node {f!r}")
+    if symbol in _UNARY:
+        return f"({symbol} {to_text(f.sub)})"
+    return f"({symbol} {to_text(f.left)} {to_text(f.right)})"

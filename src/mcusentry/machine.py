@@ -294,17 +294,6 @@ class Machine:
         lo, hi = layout.er_min_cell, layout.er_max_cell
         return mem[lo] | mem[lo + 1] << 8, mem[hi] | mem[hi + 1] << 8
 
-    def copy(self) -> "Machine":
-        other = Machine(self.layout)
-        other.memory = bytearray(self.memory)
-        other.pc = self.pc
-        other.gpr = list(self.gpr)
-        other.halted = self.halted
-        other.cycle = self.cycle
-        other.gpio_out = list(self.gpio_out)
-        other.dma_read_log = list(self.dma_read_log)
-        return other
-
 
 def load_image(layout: MemoryLayout, image: bytes, er: ErWindow,
                rom: bytes | None = None) -> Machine:
@@ -471,6 +460,9 @@ def exec_step(
                        dma_write, irq_line, False, pc, er[0], er[1])
 
 
+POST_RESET_CYCLES = 16  # records ``run`` keeps after the first reset
+
+
 @dataclass
 class RunContext:
     """Schedules and knobs shared by every stepping loop."""
@@ -478,14 +470,12 @@ class RunContext:
     sensor: SensorProvider = field(default_factory=ConstantSensor)
     dma_schedule: dict[int, DmaRequest] = field(default_factory=dict)
     irq_cycles: frozenset[int] = frozenset()
-    post_reset_cycles: int = 16
     on_reset: Callable[["Machine"], None] | None = None
 
     @staticmethod
     def build(sensor: SensorProvider | None = None,
               dma: Iterable[DmaRequest] = (),
               irq_cycles: Iterable[int] = (),
-              post_reset_cycles: int = 16,
               on_reset: Callable[["Machine"], None] | None = None) -> "RunContext":
         schedule: dict[int, DmaRequest] = {}
         for req in dma:
@@ -496,7 +486,6 @@ class RunContext:
             sensor=sensor or ConstantSensor(),
             dma_schedule=schedule,
             irq_cycles=frozenset(irq_cycles),
-            post_reset_cycles=post_reset_cycles,
             on_reset=on_reset,
         )
 
@@ -507,7 +496,7 @@ def run(machine: Machine, monitor, ctx: RunContext, max_cycles: int,
 
     ``monitor`` is any object with ``step(StateRecord) -> bool`` and
     ``force_reset()``; pass ``monitor=None`` to run the bare machine. After
-    the first reset the run continues ``ctx.post_reset_cycles`` more records
+    the first reset the run continues ``POST_RESET_CYCLES`` more records
     to make post-reset state observable, then terminates as a reset sink.
     """
     if max_cycles <= 0:
@@ -531,7 +520,7 @@ def run(machine: Machine, monitor, ctx: RunContext, max_cycles: int,
             if ctx.on_reset is not None:
                 ctx.on_reset(machine)
             if remaining_after_reset is None:
-                remaining_after_reset = ctx.post_reset_cycles
+                remaining_after_reset = POST_RESET_CYCLES
         trace.records.append(rec)
         if remaining_after_reset is not None:
             if remaining_after_reset == 0:

@@ -82,8 +82,7 @@ def authorize_ctrl(key: bytes, ctrl_counter: int, binary: bytes,
 
 
 def install(msg: AuthorizationMessage, machine: Machine, er: ErWindow,
-            monitor: Monitor | None = None,
-            installer_pc: int | None = None) -> list[StateRecord]:
+            monitor: Monitor | None = None) -> list[StateRecord]:
     """Stage a message on the device: binary into the window (zero padded),
     challenge and token into the mailbox, bounds into the metadata cells.
 
@@ -97,8 +96,7 @@ def install(msg: AuthorizationMessage, machine: Machine, er: ErWindow,
     span = er.byte_span
     if len(msg.binary) > span:
         raise SizeError(f"binary of {len(msg.binary)} bytes exceeds window of {span}")
-    if installer_pc is None:
-        installer_pc = (layout.pmem.start + 0x80) & 0xFFFE
+    installer_pc = (layout.pmem.start + 0x80) & 0xFFFE
     padded = msg.binary + bytes(span - len(msg.binary))
     records: list[StateRecord] = []
 

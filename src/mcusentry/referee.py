@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -39,14 +39,6 @@ assert len(DEFAULT_KEY) == KEY_BYTES
 
 
 @dataclass
-class TokenSets:
-    """Issued/used bookkeeping of authorization material."""
-
-    issued: list[bytes] = field(default_factory=list)
-    used: list[bytes] = field(default_factory=list)
-
-
-@dataclass
 class GameOutcome:
     name: str
     xsensing_result: bool
@@ -56,9 +48,7 @@ class GameOutcome:
     verify_results: list[bool]
     trace: Trace
     trace_digest: str
-    tokens: TokenSets
     goal_violations: list[str]
-    notes: str = ""
 
 
 def _sensor_for(plan: ScenarioPlan) -> SensorProvider:
@@ -114,7 +104,6 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
     monitor = Monitor.for_layout(layout)
     sensor = _sensor_for(plan)
     records: list = []
-    tokens = TokenSets()
     verify_results: list[bool] = []
     sw_contents: list[bytes] = []
     ctrl_counter = 0
@@ -135,7 +124,6 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
         nonlocal ctrl_counter
         msg, ctrl_counter = authorize_ctrl(key, ctrl_counter, binary,
                                            capacity=span)
-        tokens.issued.append(msg.token)
         sw_contents.append(msg.binary + bytes(span - len(msg.binary)))
         return msg
 
@@ -161,10 +149,8 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
         records.extend(install(msg, machine, plan.er, monitor))
         if do_verify():
             ctx1 = RunContext.build(sensor=sensor, on_reset=on_reset)
-            trace1, ok1 = xsensing(machine, monitor, ctx1, plan.xsensing_cycles)
+            trace1, _ = xsensing(machine, monitor, ctx1, plan.xsensing_cycles)
             records.extend(trace1.records)
-            if ok1:
-                tokens.used.append(msg.token)
         records.extend(install(msg, machine, plan.er, monitor))
         do_verify()
     elif strategy != "none":
@@ -189,8 +175,6 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
     xs_trace, xs_ok = xsensing(machine, monitor, ctx, plan.xsensing_cycles,
                                entry=plan.entry_override)
     records.extend(xs_trace.records)
-    if xs_ok and tokens.issued:
-        tokens.used.append(tokens.issued[-1])
 
     er_at_entry = (entry_snapshot[0], entry_snapshot[1])
     atomic = atomic_exec_oracle(xs_trace.records, er_at_entry) \
@@ -219,9 +203,7 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
         verify_results=verify_results,
         trace=full,
         trace_digest=full.digest(layout, packed),
-        tokens=tokens,
         goal_violations=goal_violations,
-        notes=plan.description,
     )
 
 

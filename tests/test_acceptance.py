@@ -49,7 +49,7 @@ def test_criterion_1_exhaustive_monitor_verification():
     every single-guard mutant is convicted with a replayable counterexample."""
     t0 = time.time()
     space = scaled_space(CHECK_WIDTH)
-    results = check_catalogue(space, include_supplementary=True)
+    results = check_catalogue(space)
     holds = [r for r in results if r.holds]
     construction = [r for r in results
                     if r.formula_name.startswith("mon-")

@@ -6,7 +6,9 @@ from itertools import product as iproduct
 
 import pytest
 
-from mcusentry.catalogue import all_formulas, builtin_formulas, catalogue_by_name
+from mcusentry import checker
+from mcusentry.catalogue import (all_formulas, authorized_sensing_goal,
+                                 builtin_formulas, catalogue_by_name)
 from mcusentry.checker import (_catalogue_explorer, _explorer, _key_names,
                                brute_force_check, build_alphabet,
                                check_catalogue, curated_alphabet,
@@ -179,6 +181,19 @@ def test_formula_text_accepted_by_checker():
     formula = parse("(G (-> (& (read GPIO) (! (pc_in ER))) reset))")
     result = exhaustive_check(formula, SPACE5)
     assert result.holds
+
+
+@pytest.mark.parametrize("formula", [parse("(U (! reset) (pc_at iauth))"),
+                                     authorized_sensing_goal()],
+                         ids=["until", "e2e-authorized-sensing"])
+def test_conjunct_outside_the_fragments_is_refused(formula, monkeypatch):
+    # Refused before any alphabet is built, never settled by bounded search.
+    def no_alphabet(*args):
+        raise AssertionError("alphabet built for a refused formula")
+    monkeypatch.setattr(checker, "build_alphabet", no_alphabet)
+    monkeypatch.setattr(checker, "brute_force_check", no_alphabet)
+    with pytest.raises(FormulaError, match="checked on traces"):
+        exhaustive_check(formula, SPACE5)
 
 
 def test_propositional_formula_skips_brute_force():

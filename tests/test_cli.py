@@ -1,6 +1,7 @@
 """Command-line surface: file formats, verdicts, exit codes."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,20 @@ def test_check_refuses_machine_derived_propositions(capsys, name):
     err = captured.err.splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error:") and repr(name) in err[0]
+
+
+def test_check_refuses_a_formula_outside_the_fragments(capsys):
+    # The before-operator goal is checked on traces: no bounded search may
+    # stand in for a verdict, and refusing takes no alphabet.
+    start = time.perf_counter()
+    assert main(["check", "--width", "5", "--formula",
+                 "e2e-authorized-sensing"]) == EXIT_USAGE
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "checked on traces" in err[0]
 
 
 def test_check_whole_catalogue_at_width_8(capsys):

@@ -6,8 +6,8 @@ free inputs the attacker can steer via metadata writes) are generated
 concretely from boundary-biased candidate sets over the six curated
 windows of ``default_er_choices``; the machine never asserts CPU read and
 write together, so neither do they. One class key deduplicates them: the
-monitor's transition key (``TransitionTable.key``, the 17 predicates the
-FSMs read) plus the value of each ``build_props`` proposition the checked
+monitor letter (``MonitorConfig.letter``, the 17 predicates the FSMs
+read) plus the value of each ``build_props`` proposition the checked
 formulas name. The monitor and those formulas see a letter only through
 that key, so the first candidate of a class stands for all of it
 (predicate abstraction keeps every predicate the property names; Graf &
@@ -29,9 +29,8 @@ reset output and letter (Havelund & Roşu, TACAS 2002): the letters that
 violate from each tracking value, and each letter's next value. The
 monitor is compiled into a transition table over the alphabet: reachable
 monitor states get small integer ids, and each state gets one row holding,
-for every letter, the next state's id and the reset output, read from the
-live monitor's memo (``monitor.transition_table``), so ``monitor_step``
-runs at most once per distinct transition key. Each propositional
+for every letter, the next state's id and the reset output, with one
+``monitor_step`` per distinct monitor letter. Each propositional
 subformula becomes one bool column per reset output, evaluated on the
 alphabet's column view with the ``props`` entries. A product node then
 expands with array lookups over its whole row; new nodes are queued in the
@@ -65,7 +64,7 @@ from .ltl import (And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X,
                   check_props, eval_naive, to_text)
 from .machine import COLUMNS, RecordColumns, StateRecord, pack_records
 from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, GuardFlags, MonitorConfig,
-                      MonitorState, monitor_step, transition_table)
+                      MonitorState, monitor_step)
 from .mutants import mutant_guards
 from .props import build_props
 
@@ -165,15 +164,15 @@ def _candidates(space: ScaledSpace, er_min: int, er_max: int) -> dict[str, np.nd
 
 
 def _class_key(space: ScaledSpace, names: Set[str]):
-    """A candidate view's class keys: the 17-bit transition key, then one
+    """A candidate view's class keys: the 17-bit monitor letter, then one
     bit per named proposition; past 46 names, Python ints, not int64."""
-    key = transition_table(MonitorConfig.from_layout(space), DEFAULT_GUARDS).key
+    letter = MonitorConfig.from_layout(space).letter
     props = build_props(space)
     names = sorted(names)
     dtype = np.int64 if len(names) <= 46 else object
 
     def class_key(view) -> np.ndarray:
-        keys = np.asarray(key(view)).astype(dtype)
+        keys = np.asarray(letter(view)).astype(dtype)
         for name in names:
             value = np.broadcast_to(props[name](view), keys.shape)  # constants too
             keys = keys << 1 | value.astype(dtype)
@@ -191,7 +190,7 @@ def _first_of_each_class(columns: dict[str, np.ndarray], class_key):
 
 def build_alphabet(space: ScaledSpace, names: Set[str]) -> list[StateRecord]:
     """Concrete letters: the first candidate of each class of the key
-    that extends the transition key with ``names``, in candidate order."""
+    that extends the monitor letter with ``names``, in candidate order."""
     class_key = _class_key(space, names)
     kept = [_first_of_each_class(_candidates(space, lo, hi), class_key)
             for lo, hi in default_er_choices(space)]
@@ -280,11 +279,12 @@ def _quiet_tail(state: MonitorState, start: int, space: ScaledSpace,
     records before the loop and the loop, cycles numbered from ``start``."""
     er_min, er_max = default_er_choices(space)[0]
     quiet = StateRecord(cycle=0, pc=space.pmem.end - 1, er_min=er_min, er_max=er_max)
+    letter = cfg.letter(quiet)
     seen: dict[MonitorState, int] = {}
     tail: list[StateRecord] = []
     while state not in seen:
         seen[state] = len(tail)
-        state, out = monitor_step(state, quiet, cfg, guards)
+        state, out = monitor_step(state, letter, guards, cfg.ekr_enabled)
         tail.append(quiet._replace(reset=out, cycle=start + len(tail)))
     cut = seen[state]
     return tail[:cut], tail[cut:]
@@ -321,12 +321,11 @@ class _Explorer:
 
     Monitor states are numbered as they are reached (``states[id]``).
     ``row(id)`` holds, for every letter, the next state's id and the reset
-    output, made once per state from the live monitor's transition table
-    (``monitor.transition_table``): letters with one transition key share
-    one entry, so ``monitor_step`` runs at most once per distinct key.
-    ``column(f)`` holds a propositional formula's value on every letter
-    under either reset output, as a (2, letters) bool array evaluated with
-    the ``props`` entries on the alphabet's column view. ``names`` are the
+    output, made once per state with one ``monitor_step`` per distinct
+    monitor letter (``MonitorConfig.letter``). ``column(f)`` holds a
+    propositional formula's value on every letter under either reset
+    output, as a (2, letters) bool array evaluated with the ``props``
+    entries on the alphabet's column view. ``names`` are the
     propositions the alphabet's class key carries.
     """
 
@@ -335,7 +334,6 @@ class _Explorer:
                  names: frozenset[str] = frozenset()):
         self.cfg = cfg
         self.guards = guards
-        self.table = transition_table(cfg, guards)
         self.alphabet = alphabet
         self.props = props
         self.names = names
@@ -352,37 +350,29 @@ class _Explorer:
         return sid
 
     @cached_property
-    def _key_classes(self) -> tuple[list[int], list[int], np.ndarray]:
-        """The alphabet's distinct transition keys in order of the first
-        letter that has each, those letters' indices, and every letter's
-        position in that list."""
-        keys = self.table.key(self.views[0])
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    def _monitor_letters(self) -> tuple[list[int], np.ndarray]:
+        """The alphabet's distinct monitor letters in order of the first
+        letter that has each, and every letter's position in that list."""
+        letters = self.cfg.letter(self.views[0])
+        _, first, inverse = np.unique(letters, return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        first = first[order]
-        return keys[first].tolist(), first.tolist(), rank[inverse.ravel()]
+        return letters[first[order]].tolist(), rank[inverse.ravel()]
 
     def row(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
         """Next-state ids and reset outputs (0/1) of state ``sid``, both
-        indexed by letter; the pair's ``transition_table`` supplies one
-        step per distinct key, and ``monitor_step`` runs only on a miss."""
+        indexed by letter, from one step per distinct monitor letter."""
         row = self._rows.get(sid)
         if row is None:
             mon = self.states[sid]
-            keys, firsts, letter_class = self._key_classes
-            entries = self.table.entries[mon]
-            steps = []
-            for key, idx in zip(keys, firsts):
-                hit = entries.get(key)
-                if hit is None:
-                    hit = self.table.store(mon, key, monitor_step(
-                        mon, self.alphabet[idx], self.cfg, self.guards))
-                steps.append(hit)
+            letters, letter_class = self._monitor_letters
+            steps = [monitor_step(mon, letter, self.guards, self.cfg.ekr_enabled)
+                     for letter in letters]
             n = len(steps)
             # State ids are handed out in letter order, as stepping every
-            # letter would: a key's first letter precedes all its others.
+            # letter would: the first letter with a monitor letter precedes
+            # all the others with it.
             ids = np.fromiter((self.state_id(s) for s, _ in steps), np.intp, n)
             outs = np.fromiter((out for _, out in steps), np.intp, n)
             row = self._rows[sid] = (ids[letter_class], outs[letter_class])
@@ -583,7 +573,6 @@ def curated_alphabet(space: ScaledSpace) -> list[StateRecord]:
 def brute_force_check(formula: Formula, space: ScaledSpace,
                       guards: GuardFlags = DEFAULT_GUARDS,
                       ekr_enabled: bool = True,
-                      alphabet: list[StateRecord] | None = None,
                       max_len: int = 5, name: str = "") -> CheckResult:
     """Enumerate every letter sequence up to ``max_len``, close each to a
     lasso with quiet letters, and evaluate the formula directly.
@@ -594,7 +583,7 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
     """
     cfg = MonitorConfig.from_layout(space, ekr_enabled)
     props = build_props(space)
-    alphabet = alphabet or curated_alphabet(space)
+    alphabet = curated_alphabet(space)
     # Memos: the transition table's rows give (state, letter) -> (state,
     # reset); ``baked`` keeps each (letter, reset, cycle) record and
     # ``tails`` each quiet tail by (end state, prefix length).
@@ -642,7 +631,7 @@ def replay_counterexample(formula: Formula, lasso: LassoTrace,
     props = build_props(space)
     state = INITIAL_STATE
     for rec in list(lasso.prefix) + list(lasso.loop):
-        state, out = monitor_step(state, rec, cfg, guards)
+        state, out = monitor_step(state, cfg.letter(rec), guards, ekr_enabled)
         if out != rec.reset:
             return False
     return not eval_naive(formula, lasso, 0, props)

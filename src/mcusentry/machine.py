@@ -269,6 +269,8 @@ class Machine:
         self.cycle = 0
         self.gpio_out: list[tuple[int, int, int]] = []  # (cycle, addr, value)
         self.dma_read_log: list[tuple[int, int, int]] = []
+        # Called with the machine after every completed reset routine.
+        self.on_reset: Callable[["Machine"], None] | None = None
 
     # r7 doubles as the stack pointer.
     @property
@@ -327,7 +329,8 @@ def reset_routine(machine: Machine) -> Machine:
     """Hardware reset: zero all registers and the data RAM, restart at boot.
 
     Flash (pmem), ROM, and the persistent counter survive; the erasure of
-    dmem completes before any subsequent instruction is observable.
+    dmem completes before any subsequent instruction is observable, and
+    before ``machine.on_reset`` sees the machine.
     """
     layout = machine.layout
     machine.gpr = [0] * 8
@@ -335,6 +338,8 @@ def reset_routine(machine: Machine) -> Machine:
     machine.memory[dmem.start:dmem.end + 1] = bytes(len(dmem))
     machine.pc = layout.boot_entry
     machine.halted = False
+    if machine.on_reset is not None:
+        machine.on_reset(machine)
     return machine
 
 
@@ -470,13 +475,11 @@ class RunContext:
     sensor: SensorProvider = field(default_factory=ConstantSensor)
     dma_schedule: dict[int, DmaRequest] = field(default_factory=dict)
     irq_cycles: frozenset[int] = frozenset()
-    on_reset: Callable[["Machine"], None] | None = None
 
     @staticmethod
     def build(sensor: SensorProvider | None = None,
               dma: Iterable[DmaRequest] = (),
-              irq_cycles: Iterable[int] = (),
-              on_reset: Callable[["Machine"], None] | None = None) -> "RunContext":
+              irq_cycles: Iterable[int] = ()) -> "RunContext":
         schedule: dict[int, DmaRequest] = {}
         for req in dma:
             if req.at_cycle in schedule:
@@ -486,12 +489,10 @@ class RunContext:
             sensor=sensor or ConstantSensor(),
             dma_schedule=schedule,
             irq_cycles=frozenset(irq_cycles),
-            on_reset=on_reset,
         )
 
 
-def run(machine: Machine, monitor, ctx: RunContext, max_cycles: int,
-        trace: Trace | None = None) -> Trace:
+def run(machine: Machine, monitor, ctx: RunContext, max_cycles: int) -> Trace:
     """Step machine and monitor in lock-step until halt, budget, or settle.
 
     ``monitor`` is any object with ``step(StateRecord) -> bool`` and
@@ -501,7 +502,7 @@ def run(machine: Machine, monitor, ctx: RunContext, max_cycles: int,
     """
     if max_cycles <= 0:
         raise ValueError("max_cycles must be positive")
-    trace = trace if trace is not None else Trace()
+    trace = Trace()
     remaining_after_reset: int | None = None
     for _ in range(max_cycles):
         if machine.halted:
@@ -517,8 +518,6 @@ def run(machine: Machine, monitor, ctx: RunContext, max_cycles: int,
             if monitor is not None:
                 monitor.force_reset()
             reset_routine(machine)
-            if ctx.on_reset is not None:
-                ctx.on_reset(machine)
             if remaining_after_reset is None:
                 remaining_after_reset = POST_RESET_CYCLES
         trace.records.append(rec)

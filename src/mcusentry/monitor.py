@@ -1,11 +1,10 @@
 """The hardware monitor: three Mealy FSMs stepped once per cycle.
 
-Each FSM reads the same per-cycle StateRecord (bus signals plus the live
-window bounds) and emits a local reset; the global reset is their
-disjunction. Reset output convention: a local reset is 1 on the
-transition into RESET and while staying in RESET; the record where an
-FSM cleanly leaves RESET (pc = 0 with no violating access) outputs 0,
-otherwise the reset loop would never settle. Any global reset
+Each FSM reads the same per-cycle letter and emits a local reset; the
+global reset is their disjunction. Reset output convention: a local reset
+is 1 on the transition into RESET and while staying in RESET; the letter
+where an FSM cleanly leaves RESET (pc = 0 with no violating access)
+outputs 0, otherwise the reset loop would never settle. Any global reset
 re-initialises *all* FSMs to RESET, matching a shared hardware reset
 line; without this, an unlock could survive a reset caused by a sibling
 FSM and defeat the one-shot rule.
@@ -18,29 +17,22 @@ diagrams, where the two disagree:
 - a write to the window or its metadata while pc sits at the
   authorization address resets rather than merely re-locking.
 
-The live monitor memoizes the transition. ``monitor_step`` is a pure
-function of (state, record, config, guards) that reads the record only
-through the 17 predicates ``TransitionTable.key`` packs into one int: pc
-at 0, at the authorization address, in the verifier region, in the live
-window, at er_min and at er_max; the interrupt line; the DMA enable; CPU
-reads of GPIO and the key region; CPU writes of the window, its metadata
-and the key region; and DMA transfers at GPIO, the key region, the window
-and its metadata. Two records with one key therefore step every state
-alike, and ``Monitor.step`` looks up (state, key) in the table of its
-(config, guards) pair, calling ``monitor_step`` only on a miss. The
-checker fills the same tables from its alphabet's column view.
+A letter is one int holding the 17 comparator outputs the FSMs read, bit
+``i`` being the ``props`` entry ``LETTER[i]``. ``MonitorConfig.letter``
+computes it from a record (bus signals plus the live window bounds) and
+is the monitor's only reader of records, so ``Monitor.step`` memoizes
+each (state, letter) transition.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .layout import MemoryLayout, Region
 from .machine import StateRecord
-from .props import read_mem, write_mem
 
 
 # Enum members are singletons, so identity hashing agrees with equality and
@@ -71,6 +63,20 @@ class AtomState(Enum):
     LAST_ER = "lastER"
 
 
+# The letter's bits, low to high, by the ``props`` entry each one equals.
+LETTER = ("pc_at zero", "pc_at iauth", "pc_in VR", "pc_in ER",
+          "pc_at ermin", "pc_at ermax", "irq", "dmaen",
+          "cpu_read GPIO", "cpu_read EKR",
+          "cpu_write ER", "cpu_write METADATA", "cpu_write EKR",
+          "dma_touch GPIO", "dma_touch EKR", "dma_touch ER", "dma_touch METADATA")
+(PC_ZERO, PC_IAUTH, PC_VR, PC_ER, PC_ERMIN, PC_ERMAX, IRQ, DMA_EN,
+ READ_GPIO, READ_EKR, WRITE_ER, WRITE_META, WRITE_EKR,
+ DMA_GPIO, DMA_EKR, DMA_ER, DMA_META) = (1 << bit for bit in range(len(LETTER)))
+
+# CPU or DMA access to the window or its metadata: the writes that revoke.
+_PROTECTED_WRITES = WRITE_ER | DMA_ER | WRITE_META | DMA_META
+
+
 @dataclass(frozen=True)
 class MonitorConfig:
     """Static inputs of the monitor: guarded regions and key addresses."""
@@ -89,6 +95,39 @@ class MonitorConfig:
             i_auth=layout.i_auth, metadata=layout.er_metadata,
             ekr_enabled=ekr_enabled,
         )
+
+    @cached_property
+    def letter(self):
+        """The function from a record to its letter. Written like the
+        ``props`` entries, it also takes a ``machine.RecordColumns`` view
+        and then gives an int array."""
+        gpio_lo, gpio_hi = self.gpio.start, self.gpio.end
+        ekr_lo, ekr_hi = self.ekr.start, self.ekr.end
+        vr_lo, vr_hi = self.vr.start, self.vr.end
+        meta_lo, meta_hi = self.metadata.start, self.metadata.end
+        i_auth = self.i_auth
+
+        def letter(rec):
+            pc, lo, hi = rec.pc, rec.er_min, rec.er_max
+            d, a, r, w, dma = rec.d_addr, rec.dma_addr, rec.r_en, rec.w_en, rec.dma_en
+            return ((pc == 0)
+                    | (pc == i_auth) << 1
+                    | ((vr_lo <= pc) & (pc <= vr_hi)) << 2
+                    | ((lo <= pc) & (pc <= hi)) << 3
+                    | (pc == lo) << 4
+                    | (pc == hi) << 5
+                    | rec.irq << 6
+                    | dma << 7
+                    | (r & (gpio_lo <= d) & (d <= gpio_hi)) << 8
+                    | (r & (ekr_lo <= d) & (d <= ekr_hi)) << 9
+                    | (w & (lo <= d) & (d <= hi)) << 10
+                    | (w & (meta_lo <= d) & (d <= meta_hi)) << 11
+                    | (w & (ekr_lo <= d) & (d <= ekr_hi)) << 12
+                    | (dma & (gpio_lo <= a) & (a <= gpio_hi)) << 13
+                    | (dma & (ekr_lo <= a) & (a <= ekr_hi)) << 14
+                    | (dma & (lo <= a) & (a <= hi)) << 15
+                    | (dma & (meta_lo <= a) & (a <= meta_hi)) << 16)
+        return letter
 
 
 @dataclass(frozen=True)
@@ -112,81 +151,73 @@ class GuardFlags:
 DEFAULT_GUARDS = GuardFlags()
 
 
-def _guarded_reads(cfg: MonitorConfig, guards: GuardFlags, rec: StateRecord) -> bool:
-    hit = read_mem(rec, cfg.gpio)
-    if cfg.ekr_enabled and guards.ekr_read_guard:
-        hit = hit or read_mem(rec, cfg.ekr)
-    return hit
-
-
-def _protected_writes(cfg: MonitorConfig, rec: StateRecord) -> bool:
-    return write_mem(rec) or write_mem(rec, cfg.metadata)
-
-
-def step_gpio_fsm(state: GpioState, rec: StateRecord, cfg: MonitorConfig,
-                  guards: GuardFlags = DEFAULT_GUARDS) -> tuple[GpioState, bool]:
+def step_gpio_fsm(state: GpioState, letter: int,
+                  guards: GuardFlags = DEFAULT_GUARDS,
+                  ekr_enabled: bool = True) -> tuple[GpioState, bool]:
     """Read-access control for GPIO and the key region (three states)."""
     if state is GpioState.RESET:
-        if rec.pc != 0:
+        if not letter & PC_ZERO:
             return GpioState.RESET, True
         state = GpioState.RLOCK  # leaving RESET: judge this cycle from rLOCK
 
+    guarded = READ_GPIO | DMA_GPIO
+    if ekr_enabled and guards.ekr_read_guard:
+        guarded |= READ_EKR | DMA_EKR
+    reads = letter & guarded
+    writes = letter & _PROTECTED_WRITES
     if state is GpioState.RLOCK:
-        if guards.gpio_rlock_read_resets and _guarded_reads(cfg, guards, rec):
+        if guards.gpio_rlock_read_resets and reads:
             return GpioState.RESET, True
-        if rec.pc == cfg.i_auth:
-            if guards.gpio_iauth_write_resets and _protected_writes(cfg, rec):
+        if letter & PC_IAUTH:
+            if guards.gpio_iauth_write_resets and writes:
                 return GpioState.RESET, True
             if guards.gpio_unlock_requires_iauth:
                 return GpioState.RUNLOCK, False
-        if not guards.gpio_unlock_requires_iauth and not _guarded_reads(cfg, guards, rec):
+        if not guards.gpio_unlock_requires_iauth and not reads:
             return GpioState.RUNLOCK, False
         return GpioState.RLOCK, False
 
     # rUNLOCK
-    reads = _guarded_reads(cfg, guards, rec)
-    inside = rec.er_min <= rec.pc <= rec.er_max
-    if reads and guards.gpio_outside_read_resets and not inside:
+    if reads and guards.gpio_outside_read_resets and not letter & PC_ER:
         return GpioState.RESET, True
-    if reads and guards.gpio_exit_read_resets and rec.pc == rec.er_max:
+    if reads and guards.gpio_exit_read_resets and letter & PC_ERMAX:
         return GpioState.RESET, True
-    if rec.pc == cfg.i_auth and guards.gpio_iauth_write_resets \
-            and _protected_writes(cfg, rec):
+    if letter & PC_IAUTH and guards.gpio_iauth_write_resets and writes:
         return GpioState.RESET, True
-    if guards.gpio_relock_on_exit and rec.pc == rec.er_max:
+    if guards.gpio_relock_on_exit and letter & PC_ERMAX:
         return GpioState.RLOCK, False
-    if guards.gpio_relock_on_write and _protected_writes(cfg, rec):
+    if guards.gpio_relock_on_write and writes:
         return GpioState.RLOCK, False
     return GpioState.RUNLOCK, False
 
 
-def step_ekr_write_fsm(state: EkrState, rec: StateRecord, cfg: MonitorConfig,
-                       guards: GuardFlags = DEFAULT_GUARDS) -> tuple[EkrState, bool]:
+def step_ekr_write_fsm(state: EkrState, letter: int,
+                       guards: GuardFlags = DEFAULT_GUARDS,
+                       ekr_enabled: bool = True) -> tuple[EkrState, bool]:
     """Write-access control for the key region (two states).
 
     Any DMA transaction touching the key region resets: DMA carries no
     pc authority, so it can never count as trusted-verifier execution.
     """
-    if not cfg.ekr_enabled:
+    if not ekr_enabled:
         return EkrState.WUNLOCK, False
     if state is EkrState.RESET:
-        if rec.pc != 0:
+        if not letter & PC_ZERO:
             return EkrState.RESET, True
         state = EkrState.WUNLOCK
 
     if guards.ekr_write_guard:
-        cpu_write = rec.w_en and rec.d_addr in cfg.ekr and rec.pc not in cfg.vr
-        dma_touch = rec.dma_en and rec.dma_addr in cfg.ekr
-        if cpu_write or dma_touch:
+        cpu_write = letter & WRITE_EKR and not letter & PC_VR
+        if cpu_write or letter & DMA_EKR:
             return EkrState.RESET, True
     return EkrState.WUNLOCK, False
 
 
-def _atom_enter(rec: StateRecord) -> AtomState:
-    return AtomState.LAST_ER if rec.pc == rec.er_max else AtomState.FIRST_ER
+def _atom_enter(letter: int) -> AtomState:
+    return AtomState.LAST_ER if letter & PC_ERMAX else AtomState.FIRST_ER
 
 
-def step_atomicity_fsm(state: AtomState, rec: StateRecord, cfg: MonitorConfig,
+def step_atomicity_fsm(state: AtomState, letter: int,
                        guards: GuardFlags = DEFAULT_GUARDS) -> tuple[AtomState, bool]:
     """Window atomicity and controlled invocation (five states).
 
@@ -195,19 +226,19 @@ def step_atomicity_fsm(state: AtomState, rec: StateRecord, cfg: MonitorConfig,
     (er_min == er_max) enters directly in the exit state.
     """
     if state is AtomState.RESET:
-        if rec.pc != 0:
+        if not letter & PC_ZERO:
             return AtomState.RESET, True
         state = AtomState.NOT_ER
 
-    inside = rec.er_min <= rec.pc <= rec.er_max
-    if inside and guards.atom_irq_dma_resets and (rec.irq or rec.dma_en):
+    inside = letter & PC_ER
+    if inside and guards.atom_irq_dma_resets and letter & (IRQ | DMA_EN):
         return AtomState.RESET, True
 
     if state is AtomState.NOT_ER:
         if not inside:
             return AtomState.NOT_ER, False
-        if rec.pc == rec.er_min or not guards.atom_entry_guard:
-            return _atom_enter(rec), False
+        if letter & PC_ERMIN or not guards.atom_entry_guard:
+            return _atom_enter(letter), False
         return AtomState.RESET, True
 
     if state is AtomState.FIRST_ER:
@@ -215,9 +246,9 @@ def step_atomicity_fsm(state: AtomState, rec: StateRecord, cfg: MonitorConfig,
             if guards.atom_exit_guard:
                 return AtomState.RESET, True
             return AtomState.NOT_ER, False
-        if rec.pc == rec.er_max:
+        if letter & PC_ERMAX:
             return AtomState.LAST_ER, False
-        if rec.pc == rec.er_min:
+        if letter & PC_ERMIN:
             return AtomState.FIRST_ER, False
         return AtomState.MID_ER, False
 
@@ -226,16 +257,16 @@ def step_atomicity_fsm(state: AtomState, rec: StateRecord, cfg: MonitorConfig,
             if guards.atom_exit_guard:
                 return AtomState.RESET, True
             return AtomState.NOT_ER, False
-        if rec.pc == rec.er_max:
+        if letter & PC_ERMAX:
             return AtomState.LAST_ER, False
         return AtomState.MID_ER, False
 
     # lastER: the only legal continuations are leaving or re-entering at er_min
     if not inside:
         return AtomState.NOT_ER, False
-    if rec.pc == rec.er_min:
-        return _atom_enter(rec), False
-    if rec.pc == rec.er_max:
+    if letter & PC_ERMIN:
+        return _atom_enter(letter), False
+    if letter & PC_ERMAX:
         return AtomState.LAST_ER, False
     if guards.atom_entry_guard:
         return AtomState.RESET, True
@@ -251,16 +282,16 @@ class MonitorState(NamedTuple):
     global_reset: bool = False
 
 
-def _step_fsms(state: MonitorState, rec: StateRecord, cfg: MonitorConfig,
-               guards: GuardFlags) -> tuple[MonitorState, tuple[bool, bool, bool]]:
-    """Advance the three FSMs on one record, before the shared reset line.
+def _step_fsms(state: MonitorState, letter: int, guards: GuardFlags,
+               ekr_enabled: bool) -> tuple[MonitorState, tuple[bool, bool, bool]]:
+    """Advance the three FSMs on one letter, before the shared reset line.
 
     Returns their next states (``global_reset`` is the OR of the local
     resets) and the local resets in (gpio, ekr, atomicity) order.
     """
-    gpio_next, gpio_reset = step_gpio_fsm(state.gpio, rec, cfg, guards)
-    ekr_next, ekr_reset = step_ekr_write_fsm(state.ekr, rec, cfg, guards)
-    atom_next, atom_reset = step_atomicity_fsm(state.atom, rec, cfg, guards)
+    gpio_next, gpio_reset = step_gpio_fsm(state.gpio, letter, guards, ekr_enabled)
+    ekr_next, ekr_reset = step_ekr_write_fsm(state.ekr, letter, guards, ekr_enabled)
+    atom_next, atom_reset = step_atomicity_fsm(state.atom, letter, guards)
     nxt = MonitorState(gpio_next, ekr_next, atom_next,
                        gpio_reset or ekr_reset or atom_reset)
     return nxt, (gpio_reset, ekr_reset, atom_reset)
@@ -270,77 +301,35 @@ INITIAL_STATE = MonitorState()
 RESET_STATE = MonitorState(GpioState.RESET, EkrState.RESET, AtomState.RESET, True)
 
 
-def monitor_step(state: MonitorState, rec: StateRecord, cfg: MonitorConfig,
-                 guards: GuardFlags = DEFAULT_GUARDS) -> tuple[MonitorState, bool]:
-    """Advance all three FSMs on one record; OR their local resets.
+def monitor_step(state: MonitorState, letter: int,
+                 guards: GuardFlags = DEFAULT_GUARDS,
+                 ekr_enabled: bool = True) -> tuple[MonitorState, bool]:
+    """Advance all three FSMs on one letter; OR their local resets.
 
     On a global reset every FSM is forced back to RESET so that no unlock
     survives a violation detected by a sibling FSM.
     """
-    nxt, _ = _step_fsms(state, rec, cfg, guards)
+    nxt, _ = _step_fsms(state, letter, guards, ekr_enabled)
     if nxt.global_reset:
         return RESET_STATE, True
     return nxt, False
 
 
-def _key_function(cfg: MonitorConfig):
-    gpio_lo, gpio_hi = cfg.gpio.start, cfg.gpio.end
-    ekr_lo, ekr_hi = cfg.ekr.start, cfg.ekr.end
-    vr_lo, vr_hi = cfg.vr.start, cfg.vr.end
-    meta_lo, meta_hi = cfg.metadata.start, cfg.metadata.end
-    i_auth = cfg.i_auth
-
-    def key(rec):
-        pc, lo, hi = rec.pc, rec.er_min, rec.er_max
-        d, a, r, w, dma = rec.d_addr, rec.dma_addr, rec.r_en, rec.w_en, rec.dma_en
-        return ((pc == 0)
-                | (pc == i_auth) << 1
-                | ((vr_lo <= pc) & (pc <= vr_hi)) << 2
-                | ((lo <= pc) & (pc <= hi)) << 3
-                | (pc == lo) << 4
-                | (pc == hi) << 5
-                | rec.irq << 6
-                | dma << 7
-                | (r & (gpio_lo <= d) & (d <= gpio_hi)) << 8
-                | (r & (ekr_lo <= d) & (d <= ekr_hi)) << 9
-                | (w & (lo <= d) & (d <= hi)) << 10
-                | (w & (meta_lo <= d) & (d <= meta_hi)) << 11
-                | (w & (ekr_lo <= d) & (d <= ekr_hi)) << 12
-                | (dma & (gpio_lo <= a) & (a <= gpio_hi)) << 13
-                | (dma & (ekr_lo <= a) & (a <= ekr_hi)) << 14
-                | (dma & (lo <= a) & (a <= hi)) << 15
-                | (dma & (meta_lo <= a) & (a <= meta_hi)) << 16)
-    return key
-
-
 class TransitionTable:
-    """Memo of ``monitor_step`` for one (config, guards) pair.
-
-    ``key(rec)`` packs the 17 predicates the FSMs read (see the module
-    docstring) into one int; written like the ``props`` entries, it also
-    takes a ``machine.RecordColumns`` view and then gives an int array.
-    ``entries[state][key]`` is ``monitor_step``'s (next state, reset) from
-    ``state`` on any record with that key. Sharing the table is sound
-    because it memoizes a pure function of its key and the pair: an entry,
-    once made, is what ``monitor_step`` returns for every such record,
-    whichever caller made it. It holds only immutable values (states,
-    ints, bools, and each distinct result once), never a record.
-    """
+    """Memo of ``monitor_step`` for one (config, guards) pair:
+    ``entries[state][letter]`` is its (next state, reset) from ``state``
+    on ``letter``."""
 
     def __init__(self, cfg: MonitorConfig, guards: GuardFlags):
-        self.cfg = cfg
         self.guards = guards
-        self.key = _key_function(cfg)
+        self.ekr_enabled = cfg.ekr_enabled
         self.entries: defaultdict[MonitorState, dict[int, tuple[MonitorState, bool]]] \
             = defaultdict(dict)
-        self._results: dict[tuple[MonitorState, bool], tuple[MonitorState, bool]] = {}
 
-    def store(self, state: MonitorState, key: int,
-              result: tuple[MonitorState, bool]) -> tuple[MonitorState, bool]:
-        """Enter ``monitor_step``'s result for (state, key); returns the
-        table's copy of it."""
-        result = self._results.setdefault(result, result)
-        self.entries[state][key] = result
+    def step(self, state: MonitorState, letter: int) -> tuple[MonitorState, bool]:
+        """A miss: step the FSMs and enter the result."""
+        result = self.entries[state][letter] = monitor_step(
+            state, letter, self.guards, self.ekr_enabled)
         return result
 
 
@@ -348,22 +337,20 @@ class TransitionTable:
 def transition_table(cfg: MonitorConfig, guards: GuardFlags) -> TransitionTable:
     """The table of a (config, guards) pair; a new ``Monitor`` per round
     reuses it, and monitors with other guards get their own. Only the
-    latest pair's table is kept: a campaign steps one pair throughout,
-    while a checker's table holds about 1,000 keys per monitor state
-    (0.36 MB at width 6), so keeping one per mutant of a sweep would hold
-    several MB."""
+    latest pair's table is kept, since a campaign steps one pair
+    throughout."""
     return TransitionTable(cfg, guards)
 
 
 class Monitor:
     """Stateful wrapper used by the stepping loops.
 
-    A step looks up (state, key) in the pair's ``transition_table`` and
-    calls ``monitor_step`` only on a miss. In observe-only mode the
-    monitor never requests a reset: each FSM continues from its own next
-    state without the shared reset line, and ``local_resets_log`` collects
-    the per-FSM outputs of every step for agreement checks. Otherwise the
-    log stays empty.
+    A step looks up (state, letter) in the pair's ``transition_table``
+    and steps the FSMs only on a miss. In observe-only mode the monitor
+    never requests a reset: each FSM continues from its own next state
+    without the shared reset line, and ``local_resets_log`` collects the
+    per-FSM outputs of every step for agreement checks. Otherwise the log
+    stays empty.
     """
 
     def __init__(self, cfg: MonitorConfig, guards: GuardFlags = DEFAULT_GUARDS,
@@ -374,19 +361,19 @@ class Monitor:
         self.observe_only = observe_only
         self.local_resets_log: list[tuple[bool, bool, bool]] = []
         self._table = transition_table(cfg, guards)
-        self._key, self._entries = self._table.key, self._table.entries
+        self._letter, self._entries = cfg.letter, self._table.entries
 
     def step(self, rec: StateRecord) -> bool:
         state = self.state
         if self.observe_only:
-            self.state, local = _step_fsms(state, rec, self.cfg, self.guards)
+            self.state, local = _step_fsms(state, self._letter(rec), self.guards,
+                                           self.cfg.ekr_enabled)
             self.local_resets_log.append(local)
             return False
-        key = self._key(rec)
-        hit = self._entries[state].get(key)
+        letter = self._letter(rec)
+        hit = self._entries[state].get(letter)
         if hit is None:
-            hit = self._table.store(state, key, monitor_step(state, rec, self.cfg,
-                                                             self.guards))
+            hit = self._table.step(state, letter)
         self.state, out = hit
         return out
 

@@ -15,9 +15,11 @@ Window membership uses the record's own sampled bounds, so metadata
 rewrites are reflected position by position.
 
 Naming note: the machine-axiom tag sets distinguish CPU reads from DMA
-reads; the monitor's access macros (``read_mem``/``write_mem``, which the
-FSMs and the ``read``/``write`` propositions share) deliberately do not.
-Both families are exposed here under distinct names.
+reads; the ``read``/``write`` propositions (``read_mem``/``write_mem``)
+deliberately do not, since DMA counts as both. The ``cpu_read``,
+``cpu_write`` and ``dma_touch`` entries split the two, and the monitor's
+letter (``monitor.LETTER``) is made of them and the ``pc``, ``irq`` and
+``dmaen`` entries.
 """
 from __future__ import annotations
 

@@ -97,10 +97,11 @@ def _layout_props(layout: MemoryLayout) -> Mapping:
 def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
                  check_goal: bool = True, on_reset=None) -> GameOutcome:
     """Play one game round: boot, stage/verify per the token strategy,
-    optional interlude, then the sensing attempt. ``on_reset`` is invoked
-    with the machine right after every completed reset routine."""
+    optional interlude, then the sensing attempt. ``on_reset`` becomes the
+    machine's ``Machine.on_reset`` hook once the image is loaded."""
     layout = plan.layout
     machine = load_image(layout, plan.image, plan.er, rom=plan.rom)
+    machine.on_reset = on_reset
     monitor = Monitor.for_layout(layout)
     sensor = _sensor_for(plan)
     records: list = []
@@ -109,7 +110,7 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
     ctrl_counter = 0
     span = plan.er.byte_span
 
-    boot_ctx = RunContext.build(sensor=sensor, on_reset=on_reset)
+    boot_ctx = RunContext.build(sensor=sensor)
     boot = run(machine, monitor, boot_ctx, plan.boot_cycles)
     records.extend(boot.records)
 
@@ -148,7 +149,7 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
         msg = authorize_once(plan.binary)
         records.extend(install(msg, machine, plan.er, monitor))
         if do_verify():
-            ctx1 = RunContext.build(sensor=sensor, on_reset=on_reset)
+            ctx1 = RunContext.build(sensor=sensor)
             trace1, _ = xsensing(machine, monitor, ctx1, plan.xsensing_cycles)
             records.extend(trace1.records)
         records.extend(install(msg, machine, plan.er, monitor))
@@ -161,16 +162,14 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
         machine.halted = False
         ctx = RunContext.build(
             sensor=sensor,
-            dma=_abs_schedule(machine.cycle, plan.interlude_dma),
-            on_reset=on_reset)
+            dma=_abs_schedule(machine.cycle, plan.interlude_dma))
         inter = run(machine, monitor, ctx, plan.interlude_cycles)
         records.extend(inter.records)
 
     ctx = RunContext.build(
         sensor=sensor,
         dma=_abs_schedule(machine.cycle, plan.xs_dma),
-        irq_cycles=[machine.cycle + off for off in plan.xs_irq_offsets],
-        on_reset=on_reset)
+        irq_cycles=[machine.cycle + off for off in plan.xs_irq_offsets])
     entry_snapshot = _window_snapshot(machine)
     xs_trace, xs_ok = xsensing(machine, monitor, ctx, plan.xsensing_cycles,
                                entry=plan.entry_override)
@@ -232,10 +231,15 @@ def run_campaign(names: list[str] | None = None, random_count: int = 0,
                  seed: int = 0, jobs: int = 1) -> list[dict]:
     """Run catalogue scenarios and/or randomized rounds; deterministic order.
 
-    ``names=None`` means the whole catalogue; an empty list means none.
+    ``names=None`` means the whole catalogue; an empty list means none. An
+    unknown name raises ``ValueError`` before any round runs.
     """
     from .scenarios import CATALOGUE
     selected = list(CATALOGUE) if names is None else names
+    for name in selected:
+        if name not in CATALOGUE:
+            raise ValueError(f"unknown scenario {name!r}; "
+                             f"known: {', '.join(CATALOGUE)}")
     tasks = [("catalogue", n) for n in selected]
     tasks += [("random", (seed, i)) for i in range(random_count)]
     if jobs > 1:

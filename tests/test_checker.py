@@ -11,14 +11,14 @@ from mcusentry.catalogue import (all_formulas, authorized_sensing_goal,
                                  builtin_formulas, catalogue_by_name)
 from mcusentry.checker import (_catalogue_explorer, _explorer, _key_names,
                                brute_force_check, build_alphabet,
-                               check_catalogue, curated_alphabet,
-                               default_er_choices, exhaustive_check,
+                               check_catalogue, default_er_choices,
+                               exhaustive_check,
                                find_mutant_violation, replay_counterexample,
                                scaled_space)
 from mcusentry.errors import BudgetError, FormulaError
 from mcusentry.ltl import G, Not, Prop, parse
 from mcusentry.machine import StateRecord
-from mcusentry.monitor import DEFAULT_GUARDS, MonitorConfig, transition_table
+from mcusentry.monitor import DEFAULT_GUARDS, MonitorConfig
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.props import build_props
 
@@ -136,10 +136,10 @@ def test_alphabet_is_deduplicated_and_bounded():
     alphabet = build_alphabet(SPACE5, names)
     assert 100 < len(alphabet) < 20000
     keys = set()
-    table = transition_table(MonitorConfig.from_layout(SPACE5), DEFAULT_GUARDS)
+    cfg = MonitorConfig.from_layout(SPACE5)
     props = build_props(SPACE5)
     for letter in alphabet:
-        key = reference_class_key(letter, table, props, names)
+        key = reference_class_key(letter, cfg, props, names)
         assert key not in keys
         keys.add(key)
 
@@ -148,12 +148,10 @@ class TestBruteForceAgreement:
     """The product exploration and bounded enumeration must agree."""
 
     def test_agreement_on_healthy_monitor(self):
-        alphabet = curated_alphabet(SPACE5)
         for entry in all_formulas():
             if entry.group == "machine-axioms":
                 continue
-            brute = brute_force_check(entry.formula, SPACE5,
-                                      alphabet=alphabet, max_len=3)
+            brute = brute_force_check(entry.formula, SPACE5, max_len=3)
             assert brute.holds, entry.name
             if entry.name == "e2e-authorized-sensing":
                 continue
@@ -163,16 +161,14 @@ class TestBruteForceAgreement:
     def test_agreement_on_a_violated_guard(self):
         guards = mutant_guards("irq-dma-ignored")
         entry = catalogue_by_name()["mon-er-no-irq-dma"]
-        brute = brute_force_check(entry.formula, SPACE5, guards,
-                                  alphabet=curated_alphabet(SPACE5), max_len=3)
+        brute = brute_force_check(entry.formula, SPACE5, guards, max_len=3)
         exhaustive = exhaustive_check(entry.formula, SPACE5, guards)
         assert not brute.holds and not exhaustive.holds
 
     def test_agreement_on_unlock_guard(self):
         guards = mutant_guards("rlock-reads-allowed")
         entry = catalogue_by_name()["mon-gpio-read-in-er"]
-        brute = brute_force_check(entry.formula, SPACE5, guards,
-                                  alphabet=curated_alphabet(SPACE5), max_len=3)
+        brute = brute_force_check(entry.formula, SPACE5, guards, max_len=3)
         exhaustive = exhaustive_check(entry.formula, SPACE5, guards)
         assert not brute.holds and not exhaustive.holds
 
@@ -336,16 +332,16 @@ def test_mutant_convictions_are_pinned_at_width_6(mutant_id):
 # The alphabet against a scalar enumeration of its class key
 
 
-def reference_class_key(rec: StateRecord, table, props, names) -> tuple:
-    """The monitor's transition key of one record, then each named entry
-    evaluated on it."""
-    return (table.key(rec),) + tuple(bool(props[n](rec)) for n in sorted(names))
+def reference_class_key(rec: StateRecord, cfg, props, names) -> tuple:
+    """The monitor letter of one record, then each named entry evaluated
+    on it."""
+    return (cfg.letter(rec),) + tuple(bool(props[n](rec)) for n in sorted(names))
 
 
 def reference_alphabet(space, names) -> list[StateRecord]:
     """One record per class, first candidate first, enumerated one
     candidate at a time."""
-    table = transition_table(MonitorConfig.from_layout(space), DEFAULT_GUARDS)
+    cfg = MonitorConfig.from_layout(space)
     props = build_props(space)
     letters: dict[tuple, StateRecord] = {}
     for er_min, er_max in default_er_choices(space):
@@ -372,7 +368,7 @@ def reference_alphabet(space, names) -> list[StateRecord]:
                 cycle=0, pc=pc, r_en=r_en, w_en=w_en, d_addr=d_addr,
                 dma_en=dma_addr is not None, dma_addr=dma_addr or 0,
                 irq=irq, er_min=er_min, er_max=er_max)
-            letters.setdefault(reference_class_key(rec, table, props, names), rec)
+            letters.setdefault(reference_class_key(rec, cfg, props, names), rec)
     return list(letters.values())
 
 

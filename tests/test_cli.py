@@ -266,3 +266,10 @@ def test_attack_deterministic_digests(tmp_path):
               "--random", "3", "--report", str(path)])
         reports.append(path.read_text())
     assert reports[0] == reports[1]
+
+
+def test_attack_unknown_scenario_is_a_usage_error(capsys):
+    assert main(["attack", "--name", "nope"]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown scenario 'nope'")
+    assert "happy-path" in err[0]

@@ -3,18 +3,20 @@
 from dataclasses import fields
 from itertools import product
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from mcusentry import referee
+from mcusentry.checker import scaled_space
 from mcusentry.layout import default_layout
-from mcusentry.machine import StateRecord
-from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, AtomState,
+from mcusentry.machine import RecordColumns, StateRecord
+from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, LETTER, AtomState,
                                EkrState, GpioState, GuardFlags, Monitor,
                                MonitorConfig, MonitorState, monitor_step,
                                step_atomicity_fsm, step_ekr_write_fsm,
                                step_gpio_fsm, transition_table)
 from mcusentry.mutants import MUTANTS
-from mcusentry.props import read_mem, write_mem
+from mcusentry.props import build_props, read_mem, write_mem
 from mcusentry.scenarios import CATALOGUE
 
 LAYOUT = default_layout()
@@ -50,146 +52,150 @@ class TestAccessPredicates:
 
 class TestGpioFsm:
     def test_reset_leaves_only_at_zero(self):
-        assert step_gpio_fsm(GpioState.RESET, inp(pc=0x1234), CFG) == \
+        assert step_gpio_fsm(GpioState.RESET, CFG.letter(inp(pc=0x1234))) == \
             (GpioState.RESET, True)
-        assert step_gpio_fsm(GpioState.RESET, inp(pc=0), CFG) == \
+        assert step_gpio_fsm(GpioState.RESET, CFG.letter(inp(pc=0))) == \
             (GpioState.RLOCK, False)
 
     def test_locked_unlocks_on_auth_address(self):
-        state, reset = step_gpio_fsm(GpioState.RLOCK, inp(pc=LAYOUT.i_auth), CFG)
+        state, reset = step_gpio_fsm(GpioState.RLOCK, CFG.letter(inp(pc=LAYOUT.i_auth)))
         assert state is GpioState.RUNLOCK and not reset
 
     def test_locked_read_resets(self):
         state, reset = step_gpio_fsm(
-            GpioState.RLOCK, inp(dma_en=True, dma_addr=LAYOUT.gpio.start), CFG)
+            GpioState.RLOCK, CFG.letter(inp(dma_en=True, dma_addr=LAYOUT.gpio.start)))
         assert state is GpioState.RESET and reset
 
     def test_unlocked_outside_read_resets(self):
         state, reset = step_gpio_fsm(
-            GpioState.RUNLOCK, inp(pc=0x5000, r_en=True, d_addr=LAYOUT.gpio.start),
-            CFG)
+            GpioState.RUNLOCK,
+            CFG.letter(inp(pc=0x5000, r_en=True, d_addr=LAYOUT.gpio.start)))
         assert state is GpioState.RESET and reset
 
     def test_unlocked_inside_read_allowed(self):
         state, reset = step_gpio_fsm(
-            GpioState.RUNLOCK, inp(pc=0x4002, r_en=True, d_addr=LAYOUT.gpio.start),
-            CFG)
+            GpioState.RUNLOCK,
+            CFG.letter(inp(pc=0x4002, r_en=True, d_addr=LAYOUT.gpio.start)))
         assert state is GpioState.RUNLOCK and not reset
 
     def test_read_at_exit_word_resets(self):
         state, reset = step_gpio_fsm(
-            GpioState.RUNLOCK, inp(pc=ER[1], r_en=True, d_addr=LAYOUT.gpio.start),
-            CFG)
+            GpioState.RUNLOCK,
+            CFG.letter(inp(pc=ER[1], r_en=True, d_addr=LAYOUT.gpio.start)))
         assert state is GpioState.RESET and reset
 
     def test_exit_relocks(self):
-        state, reset = step_gpio_fsm(GpioState.RUNLOCK, inp(pc=ER[1]), CFG)
+        state, reset = step_gpio_fsm(GpioState.RUNLOCK, CFG.letter(inp(pc=ER[1])))
         assert state is GpioState.RLOCK and not reset
 
     def test_metadata_write_revokes(self):
         state, reset = step_gpio_fsm(
             GpioState.RUNLOCK,
-            inp(pc=0x5000, w_en=True, d_addr=LAYOUT.er_metadata.start), CFG)
+            CFG.letter(inp(pc=0x5000, w_en=True, d_addr=LAYOUT.er_metadata.start)))
         assert state is GpioState.RLOCK and not reset
 
     def test_write_during_auth_cycle_resets(self):
         for start in (GpioState.RLOCK, GpioState.RUNLOCK):
             state, reset = step_gpio_fsm(
-                start, inp(pc=LAYOUT.i_auth, dma_en=True,
-                           dma_addr=ER[0]), CFG)
+                start, CFG.letter(inp(pc=LAYOUT.i_auth, dma_en=True,
+                                      dma_addr=ER[0])))
             assert state is GpioState.RESET and reset
 
 
 class TestEkrWriteFsm:
     def test_boot_unlocks(self):
-        assert step_ekr_write_fsm(EkrState.RESET, inp(pc=0), CFG) == \
+        assert step_ekr_write_fsm(EkrState.RESET, CFG.letter(inp(pc=0))) == \
             (EkrState.WUNLOCK, False)
 
     def test_trusted_write_allowed(self):
         state, reset = step_ekr_write_fsm(
             EkrState.WUNLOCK,
-            inp(pc=LAYOUT.vr.start, w_en=True, d_addr=LAYOUT.ekr.start), CFG)
+            CFG.letter(inp(pc=LAYOUT.vr.start, w_en=True,
+                           d_addr=LAYOUT.ekr.start)))
         assert state is EkrState.WUNLOCK and not reset
 
     def test_untrusted_write_resets(self):
         state, reset = step_ekr_write_fsm(
             EkrState.WUNLOCK,
-            inp(pc=0x5000, w_en=True, d_addr=LAYOUT.ekr.start), CFG)
+            CFG.letter(inp(pc=0x5000, w_en=True, d_addr=LAYOUT.ekr.start)))
         assert state is EkrState.RESET and reset
 
     def test_dma_touch_always_resets(self):
         state, reset = step_ekr_write_fsm(
             EkrState.WUNLOCK,
-            inp(pc=LAYOUT.vr.start, dma_en=True, dma_addr=LAYOUT.ekr.start), CFG)
+            CFG.letter(inp(pc=LAYOUT.vr.start, dma_en=True,
+                           dma_addr=LAYOUT.ekr.start)))
         assert state is EkrState.RESET and reset
 
 
 class TestAtomicityFsm:
     def test_entry_at_first_word(self):
-        state, reset = step_atomicity_fsm(AtomState.NOT_ER, inp(pc=ER[0]), CFG)
+        state, reset = step_atomicity_fsm(AtomState.NOT_ER, CFG.letter(inp(pc=ER[0])))
         assert state is AtomState.FIRST_ER and not reset
 
     def test_entry_elsewhere_resets(self):
-        state, reset = step_atomicity_fsm(AtomState.NOT_ER, inp(pc=ER[0] + 2), CFG)
+        state, reset = step_atomicity_fsm(AtomState.NOT_ER,
+                                          CFG.letter(inp(pc=ER[0] + 2)))
         assert state is AtomState.RESET and reset
 
     def test_irq_inside_resets(self):
         state, reset = step_atomicity_fsm(AtomState.MID_ER,
-                                          inp(pc=ER[0] + 2, irq=True), CFG)
+                                          CFG.letter(inp(pc=ER[0] + 2, irq=True)))
         assert state is AtomState.RESET and reset
 
     def test_dma_inside_resets(self):
         state, reset = step_atomicity_fsm(
-            AtomState.MID_ER, inp(pc=ER[0] + 2, dma_en=True, dma_addr=0xE000),
-            CFG)
+            AtomState.MID_ER,
+            CFG.letter(inp(pc=ER[0] + 2, dma_en=True, dma_addr=0xE000)))
         assert state is AtomState.RESET and reset
 
     def test_illegal_exit_resets(self):
-        state, reset = step_atomicity_fsm(AtomState.MID_ER, inp(pc=0x5000), CFG)
+        state, reset = step_atomicity_fsm(AtomState.MID_ER, CFG.letter(inp(pc=0x5000)))
         assert state is AtomState.RESET and reset
 
     def test_legal_walk(self):
         state = AtomState.NOT_ER
         for pc in (ER[0], ER[0] + 2, ER[1], 0x5000):
-            state, reset = step_atomicity_fsm(state, inp(pc=pc), CFG)
+            state, reset = step_atomicity_fsm(state, CFG.letter(inp(pc=pc)))
             assert not reset
         assert state is AtomState.NOT_ER
 
     def test_reentry_from_exit_word(self):
-        state, reset = step_atomicity_fsm(AtomState.LAST_ER, inp(pc=ER[0]), CFG)
+        state, reset = step_atomicity_fsm(AtomState.LAST_ER, CFG.letter(inp(pc=ER[0])))
         assert state is AtomState.FIRST_ER and not reset
-        state, reset = step_atomicity_fsm(AtomState.LAST_ER, inp(pc=ER[0] + 2), CFG)
+        state, reset = step_atomicity_fsm(AtomState.LAST_ER,
+                                          CFG.letter(inp(pc=ER[0] + 2)))
         assert state is AtomState.RESET and reset
 
     def test_degenerate_window_enters_exit_state(self):
         er = (0x4000, 0x4000)
         state, reset = step_atomicity_fsm(AtomState.NOT_ER,
-                                          inp(pc=0x4000, er=er), CFG)
+                                          CFG.letter(inp(pc=0x4000, er=er)))
         assert state is AtomState.LAST_ER and not reset
-        state, reset = step_atomicity_fsm(state, inp(pc=0x5000, er=er), CFG)
+        state, reset = step_atomicity_fsm(state, CFG.letter(inp(pc=0x5000, er=er)))
         assert state is AtomState.NOT_ER and not reset
 
 
 class TestComposition:
     def test_global_reset_is_disjunction(self):
         live = MonitorState(GpioState.RLOCK, EkrState.WUNLOCK, AtomState.NOT_ER)
-        nxt, reset = monitor_step(live, inp(), CFG)
+        nxt, reset = monitor_step(live, CFG.letter(inp()))
         assert not reset
         nxt, reset = monitor_step(
-            live, inp(r_en=True, d_addr=LAYOUT.gpio.start), CFG)
+            live, CFG.letter(inp(r_en=True, d_addr=LAYOUT.gpio.start)))
         assert reset
 
     def test_any_reset_reinitializes_all_fsms(self):
         live = MonitorState(GpioState.RUNLOCK, EkrState.WUNLOCK, AtomState.NOT_ER)
         nxt, reset = monitor_step(
-            live, inp(pc=0x5000, w_en=True, d_addr=LAYOUT.ekr.start), CFG)
+            live, CFG.letter(inp(pc=0x5000, w_en=True, d_addr=LAYOUT.ekr.start)))
         assert reset
         assert nxt == MonitorState(GpioState.RESET, EkrState.RESET,
                                    AtomState.RESET, True)
 
     def test_boot_record_releases_all_fsms(self):
         state = MonitorState()
-        nxt, reset = monitor_step(state, inp(pc=0), CFG)
+        nxt, reset = monitor_step(state, CFG.letter(inp(pc=0)))
         assert not reset
         assert nxt == MonitorState(GpioState.RLOCK, EkrState.WUNLOCK,
                                    AtomState.NOT_ER, False)
@@ -197,7 +203,7 @@ class TestComposition:
     def test_dirty_boot_record_stays_reset(self):
         state = MonitorState()
         nxt, reset = monitor_step(
-            state, inp(pc=0, dma_en=True, dma_addr=LAYOUT.gpio.start), CFG)
+            state, CFG.letter(inp(pc=0, dma_en=True, dma_addr=LAYOUT.gpio.start)))
         assert reset
         assert nxt.gpio is GpioState.RESET
 
@@ -205,10 +211,12 @@ class TestComposition:
         cfg = MonitorConfig.from_layout(LAYOUT, ekr_enabled=False)
         live = MonitorState(GpioState.RLOCK, EkrState.WUNLOCK, AtomState.NOT_ER)
         _, reset = monitor_step(
-            live, inp(r_en=True, d_addr=LAYOUT.ekr.start), cfg)
+            live, cfg.letter(inp(r_en=True, d_addr=LAYOUT.ekr.start)),
+            DEFAULT_GUARDS, cfg.ekr_enabled)
         assert not reset
         _, reset = monitor_step(
-            live, inp(w_en=True, d_addr=LAYOUT.ekr.start, pc=0x5000), cfg)
+            live, cfg.letter(inp(w_en=True, d_addr=LAYOUT.ekr.start, pc=0x5000)),
+            DEFAULT_GUARDS, cfg.ekr_enabled)
         assert not reset
 
 
@@ -266,7 +274,7 @@ def test_monitor_object_matches_folded_monitor_step(stream, flags, ekr_enabled):
     monitor = Monitor(cfg, guards)
     state = INITIAL_STATE
     for rec in stream:
-        state, out = monitor_step(state, rec, cfg, guards)
+        state, out = monitor_step(state, cfg.letter(rec), guards, cfg.ekr_enabled)
         assert monitor.step(rec) == out
         assert monitor.state == state
 
@@ -334,9 +342,10 @@ def test_memoized_step_equals_monitor_step_from_every_state(drawn, guards,
     cfg = MonitorConfig.from_layout(LAYOUT, ekr_enabled)
     monitor = Monitor(cfg, guards)
     for original in stream:
-        for rec in [original] + _twins(original, monitor._key, addrs):
+        for rec in [original] + _twins(original, cfg.letter, addrs):
             for state in _EVERY_STATE:
-                expected_state, expected_out = monitor_step(state, rec, cfg, guards)
+                expected_state, expected_out = monitor_step(
+                    state, cfg.letter(rec), guards, cfg.ekr_enabled)
                 monitor.state = state
                 assert monitor.step(rec) == expected_out, (state, rec)
                 assert monitor.state == expected_state, (state, rec)
@@ -354,7 +363,7 @@ def test_guard_sets_never_share_a_table():
         assert monitor._table.guards == monitor.guards
         state = INITIAL_STATE
         for rec in stream:
-            state, out = monitor_step(state, rec, cfg, monitor.guards)
+            state, out = monitor_step(state, cfg.letter(rec), monitor.guards)
             assert monitor.step(rec) == out
             assert monitor.state == state
     # The stream tells the healthy monitor from some mutants.
@@ -374,3 +383,43 @@ def test_one_table_per_config_and_guards():
     other = MonitorConfig.from_layout(LAYOUT, ekr_enabled=False)
     assert transition_table(other, DEFAULT_GUARDS) is not \
         transition_table(cfg, DEFAULT_GUARDS)
+
+
+# The letter against the ``props`` entries its bits are named after, on
+# records whose addresses hug every bound the letter compares against.
+_LETTER_LAYOUTS = [default_layout(), scaled_space(5)]
+
+
+@st.composite
+def letter_records(draw, layout):
+    top = max(r.end for r in (layout.rom, layout.pmem, layout.dmem,
+                              layout.gpio, layout.ekr))
+    bounds = {0, layout.i_auth, top}
+    for region in (layout.gpio, layout.ekr, layout.er_metadata, layout.vr):
+        bounds |= {region.start, region.end}
+    near = sorted({b + d for b in bounds for d in (-1, 0, 1) if 0 <= b + d <= top})
+    er_min, er_max = draw(st.sampled_from(near)), draw(st.sampled_from(near))
+    addrs = st.sampled_from(sorted(set(near) | {
+        a for b in (er_min, er_max) for a in (b - 1, b, b + 1) if 0 <= a <= top}))
+    return StateRecord(
+        cycle=0, pc=draw(addrs), r_en=draw(st.booleans()),
+        w_en=draw(st.booleans()), d_addr=draw(addrs), dma_en=draw(st.booleans()),
+        dma_addr=draw(addrs), dma_write=draw(st.booleans()),
+        irq=draw(st.booleans()), reset=draw(st.booleans()),
+        er_min=er_min, er_max=er_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), layout=st.sampled_from(_LETTER_LAYOUTS))
+def test_letter_bits_are_the_named_propositions(data, layout):
+    assert len(LETTER) == 17
+    recs = data.draw(st.lists(letter_records(layout), min_size=1, max_size=40))
+    letter, props = MonitorConfig.from_layout(layout).letter, build_props(layout)
+    view = RecordColumns(recs)
+    letters = letter(view)
+    for bit, name in enumerate(LETTER):
+        expected = np.broadcast_to(props[name](view), (len(recs),))
+        assert ((letters >> bit & 1) == expected).all(), name
+        for rec, got in zip(recs, letters.tolist()):
+            assert letter(rec) == got
+            assert bool(letter(rec) >> bit & 1) == bool(props[name](rec)), (name, rec)

@@ -13,7 +13,7 @@ from mcusentry.machine import ConstantSensor, RunContext, load_image, run
 from mcusentry.monitor import GpioState, Monitor
 from mcusentry.programs import boot_rom, filler_binary, window_for
 from mcusentry.protocol import (AuthorizationMessage, authorize_ctrl, install,
-                                stored_counter, verify_dev,
+                                settle_after_verify, stored_counter, verify_dev,
                                 verify_record_count, xsensing)
 
 LAYOUT = default_layout()
@@ -246,3 +246,18 @@ class TestUnforgeability:
             ok, _ = verify_dev(KEY, machine, monitor)
             rejected += not ok
         assert rejected == trials
+
+
+def test_refused_verification_reset_reaches_the_reset_hook():
+    # A monitor held in RESET fails the first verifier cycle; the reset
+    # routine that settle_after_verify completes runs the machine's hook.
+    machine, monitor, _, _ = staged(assemble([NOP(), HALT()]))
+    dmem = LAYOUT.dmem
+    machine.memory[dmem.start:dmem.start + 4] = b"\xde\xad\xbe\xef"
+    seen = []
+    machine.on_reset = lambda m: seen.append(bytes(m.memory[dmem.start:dmem.end + 1]))
+    monitor.force_reset()
+    ok, records = verify_dev(KEY, machine, monitor)
+    assert not ok and len(records) == 1 and records[-1].reset
+    settle_after_verify(machine, monitor, records)
+    assert len(seen) == 1 and not any(seen[0])

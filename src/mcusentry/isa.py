@@ -133,11 +133,16 @@ def assemble(instrs: list[Instruction]) -> bytes:
 
 
 def disassemble_at(mem: bytes | bytearray, addr: int) -> Instruction:
-    """Decode the instruction starting at byte address ``addr``."""
+    """Decode the instruction starting at byte address ``addr``.
+
+    On a whole 64 KB memory the second word wraps to address 0 past the
+    top, as the machine fetches it; a shorter buffer ends at its end.
+    """
     word0 = int.from_bytes(mem[addr:addr + 2], "little")
+    nxt = (addr + 2) & WORD_MASK if len(mem) == WORD_MASK + 1 else addr + 2
     word1 = None
-    if addr + 4 <= len(mem):
-        word1 = int.from_bytes(mem[addr + 2:addr + 4], "little")
+    if nxt + 2 <= len(mem):
+        word1 = int.from_bytes(mem[nxt:nxt + 2], "little")
     return decode(word0, word1)
 
 

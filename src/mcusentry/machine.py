@@ -23,18 +23,24 @@ Conventions fixed here:
   entry;
 - the executable-window bounds the monitor compares against are sampled
   from the metadata cells at the start of every cycle.
+
+Each ``Machine`` keeps a decode memo keyed on the four bytes fetched at pc
+(the second word wrapping to address 0 at the top word), so a cycle whose
+bytes were seen before skips ``decode``. Because the key is the live
+bytes, not the address, nothing invalidates it: self-modifying code, a DMA
+write into code, the reset routine's DMEM erasure and a direct write to
+``memory`` all change what the next fetch looks up.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DecodeError, ImageError
-from .isa import MODE_ABS, Op, WORD_MASK, decode
+from .isa import MODE_ABS, WORD_MASK, decode
 from .layout import ADDRESS_SPACE, ErWindow, MemoryLayout, Region
 
 TAG_REGIONS = ("GPIO", "EKR", "ER", "METADATA", "VR", "ROM", "PMEM", "DMEM")
@@ -159,16 +165,17 @@ COLUMNS = ("cycle", "pc", "r_en", "w_en", "d_addr", "dma_en", "dma_addr",
 
 
 def pack_records(records: Sequence[StateRecord]) -> np.ndarray:
-    """The record-to-column mapping: one int32 row per field of ``COLUMNS``
-    (flags as 0/1), one column per record."""
-    n = len(records)
-    out = np.empty((len(COLUMNS), n), dtype=np.int32)
-    for row, name in zip(out, COLUMNS):
+    """The record-to-column mapping for a sequence of ``StateRecord``
+    tuples: one int32 row per field of ``COLUMNS`` (flags as 0/1), one
+    column per record."""
+    if records and not isinstance(records[0], StateRecord):
+        raise TypeError("pack_records takes StateRecords, not "
+                        f"{type(records[0]).__name__}")
+    out = np.empty((len(COLUMNS), len(records)), dtype=np.int32)
+    for name, row, column in zip(COLUMNS, out, zip(*records)):
         if name == "executed":
-            row[:] = np.fromiter((-1 if r.executed is None else r.executed
-                                  for r in records), np.int32, n)
-        else:
-            row[:] = np.fromiter(map(attrgetter(name), records), np.int32, n)
+            column = [-1 if pc is None else pc for pc in column]
+        row[:] = column
     return out
 
 
@@ -271,15 +278,8 @@ class Machine:
         self.dma_read_log: list[tuple[int, int, int]] = []
         # Called with the machine after every completed reset routine.
         self.on_reset: Callable[["Machine"], None] | None = None
-
-    # r7 doubles as the stack pointer.
-    @property
-    def sp(self) -> int:
-        return self.gpr[7]
-
-    @sp.setter
-    def sp(self, value: int) -> None:
-        self.gpr[7] = value & WORD_MASK
+        # Decoded form of each fetched four bytes, see ``exec_step``.
+        self.decode_memo: dict[bytes, tuple] = {}
 
     def load_word(self, addr: int) -> int:
         addr = _align(addr)
@@ -343,12 +343,7 @@ def reset_routine(machine: Machine) -> Machine:
     return machine
 
 
-def _fault_record(machine: Machine, cycle: int, irq_line: bool,
-                  er: tuple[int, int]) -> StateRecord:
-    return StateRecord(
-        cycle=cycle, pc=machine.pc, irq=irq_line, reset=True,
-        executed=None, er_min=er[0], er_max=er[1],
-    )
+_FAULT = ()  # memo value of fetched bytes that do not decode
 
 
 def exec_step(
@@ -361,80 +356,92 @@ def exec_step(
 
     The returned record's ``reset`` flag covers machine faults only; the
     caller merges in the monitor's verdict and runs the reset routine. DMA
-    effects apply after the CPU's own access within the same cycle.
+    effects apply after the CPU's own access within the same cycle. The
+    module-level ``decode`` runs only for fetched bytes missing from
+    ``machine.decode_memo``, which gains at most one entry per cycle.
     """
     layout = machine.layout
-    er = machine.er_window()
-    pc = _align(machine.pc)
+    mem = machine.memory
+    lo, hi = layout.er_min_cell, layout.er_max_cell
+    er_min = mem[lo] | mem[lo + 1] << 8
+    er_max = mem[hi] | mem[hi + 1] << 8
+    pc = machine.pc & 0xFFFE
     cycle = machine.cycle
-    machine.cycle += 1
+    machine.cycle = cycle + 1
 
-    try:
-        instr = decode(machine.load_word(pc),
-                       machine.load_word((pc + 2) & WORD_MASK))
-    except DecodeError:
-        return _fault_record(machine, cycle, irq_line, er)
-
-    r_en = False
-    w_en = False
-    d_addr = 0
-    next_pc = (pc + instr.size_bytes()) & WORD_MASK
-    g = machine.gpr
-
-    def data_read(addr: int) -> int:
-        nonlocal r_en, d_addr
-        addr = _align(addr)
-        r_en = True
-        d_addr = addr
-        if addr in layout.gpio:
-            return sensor.read(cycle, addr) & WORD_MASK
-        return machine.load_word(addr)
-
-    def data_write(addr: int, value: int) -> None:
-        nonlocal w_en, d_addr
-        addr = _align(addr)
-        w_en = True
-        d_addr = addr
-        if addr in layout.gpio:
-            machine.gpio_out.append((cycle, addr, value & WORD_MASK))
-        elif addr in layout.rom:
-            pass  # ROM ignores writes; the bus signals still assert
+    fetched = bytes(mem[pc:pc + 4]) if pc != 0xFFFE else bytes(mem[pc:] + mem[:2])
+    decoded = machine.decode_memo.get(fetched)
+    if decoded is None:
+        try:
+            instr = decode(fetched[0] | fetched[1] << 8, fetched[2] | fetched[3] << 8)
+        except DecodeError:
+            decoded = _FAULT
         else:
-            machine.store_word(addr, value)
+            decoded = (int(instr.op), instr.rd, instr.rs, instr.imm,
+                       instr.mode == MODE_ABS, instr.size_bytes())
+        machine.decode_memo[fetched] = decoded
+    if decoded is _FAULT:
+        return StateRecord(cycle, machine.pc, irq=irq_line, reset=True,
+                           er_min=er_min, er_max=er_max)
+    op, rd, rs, imm, absolute, size = decoded
 
-    op = instr.op
-    if op is Op.NOP:
-        pass
-    elif op is Op.LOADI:
-        g[instr.rd] = instr.imm & WORD_MASK
-    elif op is Op.LOAD:
-        target = instr.imm if instr.mode == MODE_ABS else g[instr.rs]
-        g[instr.rd] = data_read(target)
-    elif op is Op.STORE:
-        target = instr.imm if instr.mode == MODE_ABS else g[instr.rd]
-        data_write(target, g[instr.rs])
-    elif op is Op.ADD:
-        g[instr.rd] = (g[instr.rd] + g[instr.rs]) & WORD_MASK
-    elif op is Op.SUB:
-        g[instr.rd] = (g[instr.rd] - g[instr.rs]) & WORD_MASK
-    elif op is Op.AND:
-        g[instr.rd] = g[instr.rd] & g[instr.rs]
-    elif op is Op.JMP:
-        next_pc = _align(instr.imm if instr.mode == MODE_ABS else g[instr.rs])
-    elif op is Op.BRZ:
-        if g[instr.rd] == 0:
-            next_pc = _align(instr.imm)
-    elif op is Op.CALL:
-        target = instr.imm if instr.mode == MODE_ABS else g[instr.rs]
-        machine.sp = (machine.sp - 2) & WORD_MASK
-        data_write(machine.sp, next_pc)
-        next_pc = _align(target)
-    elif op is Op.RET:
-        next_pc = _align(data_read(machine.sp))
-        machine.sp = (machine.sp + 2) & WORD_MASK
-    elif op is Op.HALT:
+    # The chain compares ``Op`` values as plain ints (an enum attribute costs
+    # more than the comparison). It sets registers and pc and names the
+    # cycle's one data access, which is applied once, after the chain.
+    r_en = w_en = False
+    d_addr = 0
+    next_pc = (pc + size) & WORD_MASK
+    g = machine.gpr
+    if op == 2:  # LOADI
+        g[rd] = imm
+    elif op == 3:  # LOAD
+        r_en = True
+        d_addr = (imm if absolute else g[rs]) & 0xFFFE
+    elif op == 4:  # STORE
+        w_en = True
+        d_addr = (imm if absolute else g[rd]) & 0xFFFE
+        value = g[rs]
+    elif op == 5:  # ADD
+        g[rd] = (g[rd] + g[rs]) & WORD_MASK
+    elif op == 6:  # SUB
+        g[rd] = (g[rd] - g[rs]) & WORD_MASK
+    elif op == 7:  # AND
+        g[rd] &= g[rs]
+    elif op == 8:  # JMP
+        next_pc = (imm if absolute else g[rs]) & 0xFFFE
+    elif op == 9:  # BRZ
+        if g[rd] == 0:
+            next_pc = imm & 0xFFFE
+    elif op == 10:  # CALL; r7 doubles as the stack pointer
+        target = imm if absolute else g[rs]
+        g[7] = (g[7] - 2) & WORD_MASK
+        w_en = True
+        d_addr = g[7] & 0xFFFE
+        value = next_pc
+        next_pc = target & 0xFFFE
+    elif op == 11:  # RET
+        r_en = True
+        d_addr = g[7] & 0xFFFE
+        g[7] = (g[7] + 2) & WORD_MASK
+    elif op == 12:  # HALT
         machine.halted = True
         next_pc = pc
+
+    if r_en:
+        if d_addr in layout.gpio:
+            value = sensor.read(cycle, d_addr) & WORD_MASK
+        else:
+            value = mem[d_addr] | mem[d_addr + 1] << 8
+        if op == 3:  # LOAD, else RET
+            g[rd] = value
+        else:
+            next_pc = value & 0xFFFE
+    elif w_en:
+        if d_addr in layout.gpio:
+            machine.gpio_out.append((cycle, d_addr, value & WORD_MASK))
+        elif d_addr not in layout.rom:  # ROM ignores writes; the signals still assert
+            mem[d_addr] = value & 0xFF
+            mem[d_addr + 1] = value >> 8 & 0xFF
 
     dma_en = False
     dma_addr = 0
@@ -462,7 +469,7 @@ def exec_step(
     # Positional, in ``COLUMNS`` order: keywords cost about 1 us more per
     # record, once per simulated cycle.
     return StateRecord(cycle, pc, r_en, w_en, d_addr, dma_en, dma_addr,
-                       dma_write, irq_line, False, pc, er[0], er[1])
+                       dma_write, irq_line, False, pc, er_min, er_max)
 
 
 POST_RESET_CYCLES = 16  # records ``run`` keeps after the first reset

@@ -1,7 +1,11 @@
 """Command-line surface: file formats, verdicts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +171,18 @@ def test_check_refuses_a_formula_outside_the_fragments(capsys):
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error:")
     assert "checked on traces" in err[0]
+
+
+def test_python_dash_m_runs_the_cli_without_an_install():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "mcusentry", "check", "--formula",
+         "e2e-authorized-sensing"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_check_whole_catalogue_at_width_8(capsys):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mcusentry.errors import DecodeError
-from mcusentry.isa import (MODE_ABS, MODE_REG, Instruction, Op, WORD_MASK,
-                           assemble, decode, disassemble_at, encode)
+from mcusentry.isa import (LOADI, MODE_ABS, MODE_REG, Instruction, Op,
+                           WORD_MASK, assemble, decode, disassemble_at, encode)
 
 _PLAIN = [Op.NOP, Op.ADD, Op.SUB, Op.AND, Op.RET, Op.HALT]
 _MODAL = [Op.LOAD, Op.STORE, Op.JMP, Op.CALL]
@@ -62,6 +62,16 @@ def test_assemble_is_little_endian():
     assert len(blob) == 4
     assert blob[2:4] == b"\x34\x12"
     assert disassemble_at(blob, 0) == Instruction(Op.LOADI, rd=2, imm=0x1234)
+
+
+def test_disassemble_wraps_the_second_word_like_the_machine():
+    # LOADI r1, 0x1234 split across 0xFFFE and address 0 of a full memory.
+    mem = bytearray(WORD_MASK + 1)
+    mem[0xFFFE:] = assemble([LOADI(1, 0x1234)])[:2]
+    mem[0:2] = (0x1234).to_bytes(2, "little")
+    assert disassemble_at(mem, 0xFFFE) == LOADI(1, 0x1234)
+    with pytest.raises(DecodeError):
+        disassemble_at(bytes(mem[0xFFF0:]), 0xE)
 
 
 def test_register_mode_is_one_word():

@@ -1,15 +1,18 @@
 """Cycle-level machine semantics: signals, tags, reset, determinism."""
 
+from operator import attrgetter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcusentry.errors import ImageError
-from mcusentry.isa import (ADD, BRZ, CALL, HALT, LOAD, LOADI, NOP, RET,
+from mcusentry.isa import (ADD, BRZ, CALL, HALT, JMP, LOAD, LOADI, NOP, RET,
                            STORE, assemble)
 from mcusentry.layout import ErWindow, default_layout
-from mcusentry.machine import (ConstantSensor, DmaRequest, RunContext,
+from mcusentry.machine import (COLUMNS, ConstantSensor, DmaRequest, RunContext,
                                SequenceSensor, StateRecord, Trace, exec_step,
-                               load_image, reset_routine, run)
+                               load_image, pack_records, reset_routine, run)
 
 LAYOUT = default_layout()
 ER = ErWindow(0x4000, 0x4004)
@@ -252,3 +255,160 @@ def test_state_record_is_an_immutable_hashable_named_tuple():
     assert reset.tags(LAYOUT) == rec.tags(LAYOUT) | {"RESET"}
     assert "READ(GPIO)" in reset.tags(LAYOUT)
     assert "DMA_R(ER)" in reset.tags(LAYOUT)
+
+
+def _halt_word() -> int:
+    return int.from_bytes(assemble([HALT()]), "little")
+
+
+def _step_undecoded(machine, *args):
+    machine.decode_memo.clear()
+    return exec_step(machine, *args)
+
+
+def _steps(step_fn, machine, cycles, dma=()):
+    """Up to ``cycles`` records of the bare machine, stopping at a halt."""
+    schedule = {req.at_cycle: req for req in dma}
+    records = []
+    while len(records) < cycles and not machine.halted:
+        records.append(step_fn(machine, schedule.get(machine.cycle), False,
+                               ConstantSensor(0)))
+    return records
+
+
+def _same_with_and_without_memo(scenario):
+    """``scenario(step_fn)`` returns a run's records and machine; the run
+    through the decode memo must match one that empties the memo before
+    every step, record for record and in the end state."""
+    records, machine = scenario(exec_step)
+    ref_records, ref_machine = scenario(_step_undecoded)
+    assert records == ref_records
+    assert (machine.pc, machine.gpr, machine.halted) == \
+        (ref_machine.pc, ref_machine.gpr, ref_machine.halted)
+    assert machine.memory == ref_machine.memory
+    return records, machine
+
+
+def test_decode_memo_follows_a_store_over_the_next_instruction():
+    # The STORE first rewrites the NOP after it with itself, then, on the
+    # second pass, with HALT.
+    program = assemble([LOADI(3, int.from_bytes(assemble([NOP()]), "little")),
+                        STORE(3, 0x4008), NOP(), LOADI(3, _halt_word()),
+                        JMP(0x4004)])
+
+    def scenario(step_fn):
+        machine = fresh_machine(program)
+        return _steps(step_fn, machine, 20), machine
+
+    records, machine = _same_with_and_without_memo(scenario)
+    assert machine.halted and records[-1].pc == 0x4008
+    assert [r.pc for r in records].count(0x4008) == 2
+
+
+def test_decode_memo_follows_a_dma_write_into_a_loop_body():
+    program = assemble([NOP(), JMP(0x4000)])
+    dma = [DmaRequest(at_cycle=5, op="write", addr=0x4000, value=_halt_word())]
+
+    def scenario(step_fn):
+        machine = fresh_machine(program)
+        return _steps(step_fn, machine, 20, dma), machine
+
+    records, machine = _same_with_and_without_memo(scenario)
+    assert machine.halted and len(records) == 7
+
+
+def test_decode_memo_follows_a_rewritten_immediate_word():
+    # The loop rewrites the address word of its own LOAD.
+    program = assemble([LOAD(1, 0xE100), LOADI(2, 0xE200), STORE(2, 0x4002),
+                        JMP(0x4000)])
+
+    def scenario(step_fn):
+        machine = fresh_machine(program)
+        return _steps(step_fn, machine, 8), machine
+
+    records, _ = _same_with_and_without_memo(scenario)
+    assert [r.d_addr for r in records if r.r_en] == [0xE100, 0xE200]
+
+
+def test_decode_memo_follows_the_reset_erasure_of_dmem_code():
+    code = LAYOUT.dmem.start + 0x100
+
+    def scenario(step_fn):
+        machine = fresh_machine()
+        machine.memory[code:code + 4] = assemble([NOP(), NOP()])
+        machine.pc = code
+        records = _steps(step_fn, machine, 2)
+        reset_routine(machine)
+        machine.pc = code
+        return records + _steps(step_fn, machine, 1), machine
+
+    records, _ = _same_with_and_without_memo(scenario)
+    assert [r.reset for r in records] == [False, False, True]
+    assert records[-1].pc == code and records[-1].executed is None
+
+
+def test_decode_memo_follows_the_wrapped_second_word_at_the_top():
+    # A two-word JMP at 0xFFFE takes its target from address 0, which the
+    # CPU cannot write (ROM), so the test rewrites it directly.
+    def scenario(step_fn):
+        machine = fresh_machine()
+        machine.memory[0xFFFE:] = assemble([JMP(0)])[:2]
+        records = []
+        for target in (0x4000, 0x4010):
+            machine.memory[0:2] = target.to_bytes(2, "little")
+            machine.pc = 0xFFFE
+            records += _steps(step_fn, machine, 2)
+        return records, machine
+
+    records, _ = _same_with_and_without_memo(scenario)
+    assert [r.pc for r in records] == [0xFFFE, 0x4000, 0xFFFE, 0x4010]
+    machine = fresh_machine()
+    machine.memory[0xFFFE:] = assemble([LOADI(1, 0x1234)])[:2]
+    machine.memory[0:2] = (0x1234).to_bytes(2, "little")
+    machine.pc = 0xFFFE
+    step(machine)
+    assert machine.gpr[1] == 0x1234 and machine.pc == 0x0002
+
+
+def _pack_per_field(records):
+    """Reference packing: one row per ``COLUMNS`` field, read by name."""
+    rows = []
+    for name in COLUMNS:
+        values = map(attrgetter(name), records)
+        if name == "executed":
+            values = (-1 if v is None else v for v in values)
+        rows.append(np.fromiter(values, np.int32, len(records)))
+    return np.array(rows, dtype=np.int32).reshape(len(COLUMNS), len(records))
+
+
+_words = st.integers(0, 0xFFFF)
+_records = st.builds(
+    StateRecord, cycle=st.integers(0, 2**31 - 1), pc=_words,
+    r_en=st.booleans(), w_en=st.booleans(), d_addr=_words,
+    dma_en=st.booleans(), dma_addr=_words, dma_write=st.booleans(),
+    irq=st.booleans(), reset=st.booleans(),
+    executed=st.none() | _words, er_min=_words, er_max=_words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_records, max_size=40))
+def test_pack_records_equals_per_field_packing(records):
+    packed = pack_records(records)
+    assert packed.dtype == np.int32 and packed.shape == (len(COLUMNS), len(records))
+    assert np.array_equal(packed, _pack_per_field(records))
+    executed = packed[COLUMNS.index("executed")]
+    assert list(executed == -1) == [r.executed is None for r in records]
+    flags = packed[[COLUMNS.index(n) for n in ("r_en", "irq", "reset")]]
+    assert set(np.unique(flags)) <= {0, 1}
+
+
+def test_pack_records_of_nothing_has_a_row_per_column():
+    assert pack_records([]).shape == (len(COLUMNS), 0)
+
+
+def test_pack_records_refuses_what_is_not_a_state_record():
+    rec = StateRecord(cycle=0, pc=0x4000)
+    with pytest.raises(TypeError):
+        pack_records([rec._asdict(), rec._asdict()])
+    with pytest.raises(TypeError):
+        pack_records([tuple(rec)])

@@ -257,8 +257,8 @@ def test_state_record_is_an_immutable_hashable_named_tuple():
     assert "DMA_R(ER)" in reset.tags(LAYOUT)
 
 
-def _halt_word() -> int:
-    return int.from_bytes(assemble([HALT()]), "little")
+def _word(instr) -> int:
+    return int.from_bytes(assemble([instr]), "little")
 
 
 def _step_undecoded(machine, *args):
@@ -292,9 +292,8 @@ def _same_with_and_without_memo(scenario):
 def test_decode_memo_follows_a_store_over_the_next_instruction():
     # The STORE first rewrites the NOP after it with itself, then, on the
     # second pass, with HALT.
-    program = assemble([LOADI(3, int.from_bytes(assemble([NOP()]), "little")),
-                        STORE(3, 0x4008), NOP(), LOADI(3, _halt_word()),
-                        JMP(0x4004)])
+    program = assemble([LOADI(3, _word(NOP())), STORE(3, 0x4008), NOP(),
+                        LOADI(3, _word(HALT())), JMP(0x4004)])
 
     def scenario(step_fn):
         machine = fresh_machine(program)
@@ -307,7 +306,7 @@ def test_decode_memo_follows_a_store_over_the_next_instruction():
 
 def test_decode_memo_follows_a_dma_write_into_a_loop_body():
     program = assemble([NOP(), JMP(0x4000)])
-    dma = [DmaRequest(at_cycle=5, op="write", addr=0x4000, value=_halt_word())]
+    dma = [DmaRequest(at_cycle=5, op="write", addr=0x4000, value=_word(HALT()))]
 
     def scenario(step_fn):
         machine = fresh_machine(program)
@@ -378,7 +377,7 @@ def _pack_per_field(records):
         if name == "executed":
             values = (-1 if v is None else v for v in values)
         rows.append(np.fromiter(values, np.int32, len(records)))
-    return np.array(rows, dtype=np.int32).reshape(len(COLUMNS), len(records))
+    return np.stack(rows)
 
 
 _words = st.integers(0, 0xFFFF)

@@ -58,10 +58,11 @@ def main():
                 for i in range(len(SENSOR_MARKER) - 3))
     print(f"marker fragments left in RAM after self-cleanup: {leaks}")
 
-    print("\nfirst sensing cycles:")
+    print("\nfirst sensing cycles (read/write enables, data address):")
     for rec in trace.records[:6]:
-        tags = ",".join(sorted(rec.tags(layout))) or "-"
-        print(f"  cycle {rec.cycle:4d}  pc=0x{rec.pc:04X}  {tags}")
+        access = f"rw={int(rec.r_en)}{int(rec.w_en)}  d_addr=0x{rec.d_addr:04X}"
+        gpio = "  <- sensor read" if rec.r_en and rec.d_addr in layout.gpio else ""
+        print(f"  cycle {rec.cycle:4d}  pc=0x{rec.pc:04X}  {access}{gpio}")
 
 
 if __name__ == "__main__":

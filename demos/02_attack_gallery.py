@@ -18,10 +18,12 @@ def main():
     outcome = run_scenario(CATALOGUE["dma-gpio-snoop"]())
     layout = CATALOGUE["dma-gpio-snoop"]().layout
     for rec in outcome.trace.records:
-        tags = ",".join(sorted(rec.tags(layout))) or "-"
+        dma = "off"
+        if rec.dma_en:
+            target = "GPIO" if rec.dma_addr in layout.gpio else f"0x{rec.dma_addr:04X}"
+            dma = f"{'write' if rec.dma_write else 'read'} {target}"
         marker = "  <-- punished" if rec.reset else ""
-        print(f"  cycle {rec.cycle:3d}  pc=0x{rec.pc:04X}  "
-              f"dma={'on ' if rec.dma_en else 'off'}  {tags}{marker}")
+        print(f"  cycle {rec.cycle:3d}  pc=0x{rec.pc:04X}  dma={dma}{marker}")
         if rec.reset:
             break
     print(f"\nsensing verdict: {'top' if outcome.xsensing_result else 'bottom'}; "

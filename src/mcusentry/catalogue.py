@@ -1,8 +1,7 @@
 """The named property catalogue.
 
-Seventeen primary formulas in three groups:
+Eleven primary formulas in two parts:
 
-- six machine axioms tying record tags to raw bus signals;
 - nine monitor access-control properties (GPIO read control, write
   immutability at authorization, window atomicity/controlled invocation,
   and the optional key-region properties);
@@ -12,14 +11,19 @@ Two supplementary weak-until revocation properties are exposed separately:
 they strengthen the immutability group (any window/metadata write blocks
 sensing and key reads until re-authorization) and are included in the
 exhaustive verification runs, but are not counted in the primary set.
+
+The machine facts these rest on (each cycle changes memory only at its
+record's write addresses, a sensor value reaches software only through a
+record with a GPIO read, the next pc is a successor the instruction allows)
+are no formulas here: they relate a record to machine state that records
+do not carry, so the test suite checks them per cycle on the simulator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ltl import And, B, Formula, G, Implies, Not, Or, Prop, U, W, X, conj, iff
+from .ltl import And, B, Formula, G, Implies, Not, Or, Prop, U, W, X, conj
 
-GROUP_AXIOMS = "machine-axioms"
 GROUP_GPIO = "gpio-read-control"
 GROUP_IMMUT = "immutability"
 GROUP_ATOM = "atomicity"
@@ -37,66 +41,27 @@ class CatalogueEntry:
     supplementary: bool = False
 
 
-def _p(name: str) -> Prop:
-    return Prop(name)
-
-
-RESET = _p("reset")
-IRQ = _p("irq")
-DMAEN = _p("dmaen")
-PC_IN_ER = _p("pc_in ER")
-PC_ERMIN = _p("pc_at ermin")
-PC_ERMAX = _p("pc_at ermax")
-PC_IAUTH = _p("pc_at iauth")
-PC_IN_VR = _p("pc_in VR")
-READ_GPIO = _p("read GPIO")
-READ_EKR = _p("read EKR")
-WRITE_ER = _p("write ER")
-WRITE_MD = _p("write METADATA")
-WRITE_EKR = _p("write EKR")
+RESET = Prop("reset")
+IRQ = Prop("irq")
+DMAEN = Prop("dmaen")
+PC_IN_ER = Prop("pc_in ER")
+PC_ERMIN = Prop("pc_at ermin")
+PC_ERMAX = Prop("pc_at ermax")
+PC_IAUTH = Prop("pc_at iauth")
+PC_IN_VR = Prop("pc_in VR")
+READ_GPIO = Prop("read GPIO")
+READ_EKR = Prop("read EKR")
+WRITE_ER = Prop("write ER")
+WRITE_MD = Prop("write METADATA")
+WRITE_EKR = Prop("write EKR")
 
 _PROTECTED_WRITE = Or(WRITE_ER, WRITE_MD)
-
-
-def _axioms() -> list[CatalogueEntry]:
-    entries = []
-    entries.append(CatalogueEntry(
-        "ax-pc-tracks-execution", GROUP_AXIOMS,
-        G(Implies(_p("exec_in ER"), PC_IN_ER)),
-        "the program counter names the region the executed instruction lives in",
-    ))
-    entries.append(CatalogueEntry(
-        "ax-read-signals", GROUP_AXIOMS,
-        G(iff(_p("tag READ GPIO"), _p("cpu_read GPIO"))),
-        "a CPU-read tag appears exactly when the read enable targets the region",
-    ))
-    entries.append(CatalogueEntry(
-        "ax-write-signals", GROUP_AXIOMS,
-        G(iff(_p("tag WRITE GPIO"), _p("cpu_write GPIO"))),
-        "a CPU-write tag appears exactly when the write enable targets the region",
-    ))
-    entries.append(CatalogueEntry(
-        "ax-dma-signals", GROUP_AXIOMS,
-        G(iff(Or(_p("tag DMA_R GPIO"), _p("tag DMA_W GPIO")), _p("dma_touch GPIO"))),
-        "a DMA tag appears exactly when DMA is enabled on an address in the region",
-    ))
-    entries.append(CatalogueEntry(
-        "ax-irq-signal", GROUP_AXIOMS,
-        G(iff(_p("tag IRQ"), IRQ)),
-        "the interrupt tag mirrors the interrupt line",
-    ))
-    entries.append(CatalogueEntry(
-        "ax-reset-signal", GROUP_AXIOMS,
-        G(iff(_p("tag RESET"), RESET)),
-        "the reset tag mirrors the reset signal",
-    ))
-    return entries
 
 
 def _monitor() -> list[CatalogueEntry]:
     safe_gpio = Or(Not(READ_GPIO), RESET)
     safe_ekr = Or(Not(READ_EKR), RESET)
-    entries = [
+    return [
         CatalogueEntry(
             "mon-gpio-read-in-er", GROUP_GPIO,
             G(Implies(And(READ_GPIO, Not(PC_IN_ER)), RESET)),
@@ -150,7 +115,6 @@ def _monitor() -> list[CatalogueEntry]:
             needs_ekr=True,
         ),
     ]
-    return entries
 
 
 def _supplementary() -> list[CatalogueEntry]:
@@ -199,8 +163,8 @@ def authorized_sensing_goal() -> Formula:
 
 
 def builtin_formulas(ekr_enabled: bool = True) -> list[CatalogueEntry]:
-    """The 17 primary named formulas (6 axioms + 9 monitor + 2 end-to-end)."""
-    entries = _axioms() + _monitor()
+    """The 11 primary named formulas (9 monitor + 2 end-to-end)."""
+    entries = _monitor()
     entries.append(CatalogueEntry(
         "e2e-atomic-execution", GROUP_E2E, atomic_execution_goal(),
         "every window execution is atomic with controlled invocation",

@@ -12,12 +12,11 @@ formulas name. The monitor and those formulas see a letter only through
 that key, so the first candidate of a class stands for all of it
 (predicate abstraction keeps every predicate the property names; Graf &
 Saïdi, CAV 1997). A formula naming a proposition outside an explorer's key
-is refused, and so are the ``tag`` entries and ``exec_in ER``: they read
-machine-derived fields (the DMA direction, the executed address) that are
-no monitor input and that the candidates lack, so they are checked on
-traces, with the machine axioms. Coverage is exhaustive only over the
-classes the curated windows produce: the FSM state (rUNLOCK, wUNLOCK,
-lastER) is never reached (ROADMAP open item 2).
+is refused. The alphabet depends only on the space and the key's names, so
+``build_alphabet`` keeps the last few it built: a catalogue sweep and each
+mutant conviction share one. Coverage is exhaustive only over the classes
+the curated windows produce: the FSM state (rUNLOCK, wUNLOCK, lastER) is
+never reached (ROADMAP open item 3).
 
 Checking walks the reachable product of monitor state with a small-int
 tracking value per conjunct (0 for a safety formula ``G p``, an armed bit
@@ -49,9 +48,9 @@ for mutant convictions.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Set
+from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from types import SimpleNamespace
 
@@ -188,9 +187,12 @@ def _first_of_each_class(columns: dict[str, np.ndarray], class_key):
     return {name: col[first] for name, col in columns.items()}, keys[first]
 
 
-def build_alphabet(space: ScaledSpace, names: Set[str]) -> list[StateRecord]:
+@lru_cache(maxsize=8)
+def build_alphabet(space: ScaledSpace,
+                   names: frozenset[str]) -> tuple[StateRecord, ...]:
     """Concrete letters: the first candidate of each class of the key
-    that extends the monitor letter with ``names``, in candidate order."""
+    that extends the monitor letter with ``names``, in candidate order.
+    Memoised on its (hashable) arguments, hence immutable."""
     class_key = _class_key(space, names)
     kept = [_first_of_each_class(_candidates(space, lo, hi), class_key)
             for lo, hi in default_er_choices(space)]
@@ -198,8 +200,8 @@ def build_alphabet(space: ScaledSpace, names: Set[str]) -> list[StateRecord]:
                               return_index=True)[1])
     columns = {name: np.concatenate([c[name] for c, _ in kept])[first].tolist()
                for name in kept[0][0]}
-    return [StateRecord(cycle=0, **dict(zip(columns, row)))
-            for row in zip(*columns.values())]
+    return tuple(StateRecord(cycle=0, **dict(zip(columns, row)))
+                 for row in zip(*columns.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +307,8 @@ def _collect_a_props(f: Formula, out: set[str]) -> None:
 
 def _key_names(formulas: Iterable[Formula], props: dict) -> frozenset[str]:
     """The propositions ``formulas`` name, which a class key must carry;
-    ``FormulaError`` for an unknown or a machine-derived one (see the
-    module docstring)."""
-    names = frozenset().union(*(check_props(f, props) for f in formulas))
-    for name in sorted(names):
-        if name.startswith("tag ") or name == "exec_in ER":
-            raise FormulaError(f"proposition {name!r} reads a machine-derived "
-                               "field; it is checked on traces, not exhaustively")
-    return names
+    ``FormulaError`` for one that is no ``props`` entry."""
+    return frozenset().union(*(check_props(f, props) for f in formulas))
 
 
 class _Explorer:
@@ -330,7 +326,7 @@ class _Explorer:
     """
 
     def __init__(self, cfg: MonitorConfig, guards: GuardFlags,
-                 alphabet: list[StateRecord], props: dict,
+                 alphabet: Sequence[StateRecord], props: dict,
                  names: frozenset[str] = frozenset()):
         self.cfg = cfg
         self.guards = guards
@@ -499,10 +495,9 @@ def _explorer(space: ScaledSpace, guards: GuardFlags, ekr_enabled: bool,
 def _catalogue_explorer(space: ScaledSpace, guards: GuardFlags,
                         ekr_enabled: bool) -> _Explorer:
     """The explorer ``check_catalogue`` and ``find_mutant_violation`` use,
-    keyed on every catalogue formula but the machine axioms."""
+    keyed on every catalogue formula."""
     return _explorer(space, guards, ekr_enabled,
-                     [e.formula for e in all_formulas(ekr_enabled)
-                      if e.group != "machine-axioms"])
+                     [e.formula for e in all_formulas(ekr_enabled)])
 
 
 def exhaustive_check(formula: Formula, space: ScaledSpace,
@@ -516,9 +511,9 @@ def exhaustive_check(formula: Formula, space: ScaledSpace,
     Conjunctions are split and each conjunct is walked on the product. A
     conjunct outside the fragments (see the module docstring) raises
     ``FormulaError`` before any alphabet is built, and so does a
-    proposition that is not a ``build_props`` entry ``_key_names`` accepts;
-    a handed-in ``explorer`` whose class key lacks a named proposition
-    raises ``ValueError``.
+    proposition that is not a ``build_props`` entry; a handed-in
+    ``explorer`` whose class key lacks a named proposition raises
+    ``ValueError``.
     """
     plans = []
     for conjunct in _flatten_and(formula):
@@ -645,8 +640,6 @@ def check_catalogue(space: ScaledSpace,
     explorer = _catalogue_explorer(space, guards, ekr_enabled)
     results = []
     for entry in all_formulas(ekr_enabled):
-        if entry.group == "machine-axioms":
-            continue  # tags are recomputed from signals; checked on traces
         if entry.name == "e2e-authorized-sensing":
             continue  # before-operator goal; checked on traces
         results.append(exhaustive_check(entry.formula, space, guards,
@@ -665,8 +658,6 @@ def find_mutant_violation(mutant_id: str, space: ScaledSpace,
     guards = mutant_guards(mutant_id)
     explorer = _catalogue_explorer(space, guards, ekr_enabled)
     for entry in all_formulas(ekr_enabled):
-        if entry.group == "machine-axioms":
-            continue
         if _plan_supported(entry.formula):
             result = exhaustive_check(entry.formula, space, guards,
                                       ekr_enabled, state_budget=state_budget,

@@ -103,10 +103,6 @@ class B(Formula):
     right: Formula
 
 
-def iff(left: Formula, right: Formula) -> Formula:
-    return And(Implies(left, right), Implies(right, left))
-
-
 def conj(*parts: Formula) -> Formula:
     out = parts[0]
     for p in parts[1:]:

@@ -3,8 +3,8 @@
 One instruction executes per cycle and emits exactly one StateRecord
 carrying the bus signals the hardware monitor consumes: pc, read/write
 enables with the data address, DMA enable/address, the interrupt line, and
-the reset signal. Record tags are recomputed from those raw signals, never
-stored independently, so the tag/signal correspondence is structural.
+the reset signal. Propositions over records are the ``props`` entries; the
+trace dump's region-tag column is printed from the same raw signals.
 
 A StateRecord is a ``typing.NamedTuple``: immutable (assigning a field
 raises ``AttributeError``), hashable, iterable in ``COLUMNS`` order and
@@ -43,11 +43,13 @@ from .errors import DecodeError, ImageError
 from .isa import MODE_ABS, WORD_MASK, decode
 from .layout import ADDRESS_SPACE, ErWindow, MemoryLayout, Region
 
-TAG_REGIONS = ("GPIO", "EKR", "ER", "METADATA", "VR", "ROM", "PMEM", "DMEM")
+# Region names of the dump's tag column and of the ``props`` entries; ER is
+# the record's own live window, the others are fixed layout regions.
+REGION_NAMES = ("GPIO", "EKR", "ER", "METADATA", "VR", "ROM", "PMEM", "DMEM")
 
 
-def tag_region(layout: MemoryLayout, name: str) -> Region:
-    """The fixed layout region a ``TAG_REGIONS`` name other than ER denotes."""
+def named_region(layout: MemoryLayout, name: str) -> Region:
+    """The fixed layout region a ``REGION_NAMES`` name other than ER denotes."""
     return layout.region_named("er_metadata" if name == "METADATA" else name.lower())
 
 
@@ -111,8 +113,6 @@ class StateRecord(NamedTuple):
     A named tuple of the fields below, in ``COLUMNS`` order: it compares
     equal to the plain tuple of those values, iterates over them, and is
     changed only by building a new one, ``rec._replace(field=value)``.
-    ``tags`` is a method, so it is recomputed from the fields of whichever
-    record it is called on.
     """
 
     cycle: int
@@ -128,34 +128,6 @@ class StateRecord(NamedTuple):
     executed: int | None = None
     er_min: int = 0
     er_max: int = 0
-
-    def tags(self, layout: MemoryLayout) -> frozenset[str]:
-        """Region-indexed event tags, derived purely from the raw signals.
-
-        The live window bounds are raw sampled values and may be arbitrary
-        (metadata is attacker writable), so membership is a plain interval
-        test, empty when inverted.
-        """
-        out = set()
-        for name in TAG_REGIONS:
-            if name == "ER":
-                inside_r = self.er_min <= self.d_addr <= self.er_max
-                inside_dma = self.er_min <= self.dma_addr <= self.er_max
-            else:
-                region = tag_region(layout, name)
-                inside_r = self.d_addr in region
-                inside_dma = self.dma_addr in region
-            if self.r_en and inside_r:
-                out.add(f"READ({name})")
-            if self.w_en and inside_r:
-                out.add(f"WRITE({name})")
-            if self.dma_en and inside_dma:
-                out.add(f"DMA_W({name})" if self.dma_write else f"DMA_R({name})")
-        if self.irq:
-            out.add("IRQ")
-        if self.reset:
-            out.add("RESET")
-        return frozenset(out)
 
 
 # Field order of the packed column form; ``executed`` packs ``None`` as -1,
@@ -185,40 +157,57 @@ class RecordColumns:
     Each ``StateRecord`` field is an int32 array under the field's own
     name, so an expression over record attributes written with ``&``,
     ``|`` and comparisons evaluates on one record and on a whole sequence
-    alike. ``records`` keeps the sequence for what has no column form
-    (``StateRecord.tags``, see ``tag_sets``). A caller that already holds
-    the records' ``pack_records`` rows passes them as ``packed``.
+    alike. A caller that already holds the records' ``pack_records`` rows
+    passes them as ``packed``.
     """
 
     def __init__(self, records: Sequence[StateRecord],
                  packed: np.ndarray | None = None):
-        self.records = records
         if packed is None:
             packed = pack_records(records)
+        self._len = packed.shape[1]
         for name, column in zip(COLUMNS, packed):
             setattr(self, name, column)
-        self._tag_sets: dict[MemoryLayout, list[frozenset[str]]] = {}
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def tag_sets(self, layout: MemoryLayout) -> list[frozenset[str]]:
-        """``StateRecord.tags(layout)`` of every record, computed on first
-        use and kept per layout."""
-        sets = self._tag_sets.get(layout)
-        if sets is None:
-            sets = self._tag_sets[layout] = [r.tags(layout) for r in self.records]
-        return sets
+        return self._len
 
 
 def _region_table(layout: MemoryLayout) -> np.ndarray:
     """Bounds of the fixed regions the dump's tags are computed against."""
     bounds = []
-    for name in TAG_REGIONS:
+    for name in REGION_NAMES:
         if name != "ER":
-            region = tag_region(layout, name)
+            region = named_region(layout, name)
             bounds += [region.start, region.end]
     return np.array(bounds, dtype="<i4")
+
+
+def _dump_tags(rec: StateRecord, layout: MemoryLayout) -> list[str]:
+    """The dump's tag column of one record, in sorted order: per region
+    name, the CPU read or write and the DMA transfer (by direction) that
+    touch it, and the interrupt and reset lines. The live window bounds
+    are raw sampled values (metadata is attacker writable), so window
+    membership is a plain interval test, empty when inverted."""
+    out = []
+    for name in REGION_NAMES:
+        if name == "ER":
+            lo, hi = rec.er_min, rec.er_max
+        else:
+            region = named_region(layout, name)
+            lo, hi = region.start, region.end
+        if lo <= rec.d_addr <= hi:
+            if rec.r_en:
+                out.append(f"READ({name})")
+            if rec.w_en:
+                out.append(f"WRITE({name})")
+        if rec.dma_en and lo <= rec.dma_addr <= hi:
+            out.append(f"DMA_W({name})" if rec.dma_write else f"DMA_R({name})")
+    if rec.irq:
+        out.append("IRQ")
+    if rec.reset:
+        out.append("RESET")
+    return sorted(out)
 
 
 @dataclass
@@ -238,7 +227,7 @@ class Trace:
         """Tab-separated dump, bit-exact across runs."""
         lines = []
         for r in self.records:
-            tags = ",".join(sorted(r.tags(layout)))
+            tags = ",".join(_dump_tags(r, layout))
             lines.append(
                 f"{r.cycle}\t{r.pc:04x}\t{int(r.r_en)}{int(r.w_en)}\t{r.d_addr:04x}"
                 f"\t{int(r.dma_en)}{int(r.dma_write)}\t{r.dma_addr:04x}"

@@ -7,36 +7,24 @@ a bool, or a ``machine.RecordColumns`` view of a whole sequence, returning
 one value per record: a bool or 0/1 array, or a constant that holds at
 every position. To serve both, entries combine attributes with ``&``,
 ``|`` and ``(lo <= x) & (x <= hi)``, never ``and``, ``or`` or ``x in
-region``. The ``tag`` entries are the one exception: they read each
-record's ``StateRecord.tags`` (computed once per view, see
-``RecordColumns.tag_sets``), so the machine-axiom formulas keep comparing
-the tag sets with the raw signals.
-Window membership uses the record's own sampled bounds, so metadata
-rewrites are reflected position by position.
+region``. Window membership uses the record's own sampled bounds, so
+metadata rewrites are reflected position by position.
 
-Naming note: the machine-axiom tag sets distinguish CPU reads from DMA
-reads; the ``read``/``write`` propositions (``read_mem``/``write_mem``)
-deliberately do not, since DMA counts as both. The ``cpu_read``,
-``cpu_write`` and ``dma_touch`` entries split the two, and the monitor's
-letter (``monitor.LETTER``) is made of them and the ``pc``, ``irq`` and
-``dmaen`` entries.
+Naming note: the ``read``/``write`` propositions (``read_mem`` /
+``write_mem``) count a DMA transfer as both, since its direction is not a
+guard input. The ``cpu_read``, ``cpu_write`` and ``dma_touch`` entries
+split CPU from DMA accesses, and the monitor's letter (``monitor.LETTER``)
+is made of them and the ``pc``, ``irq`` and ``dmaen`` entries. No entry
+reads ``executed``.
 """
 from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from .layout import MemoryLayout, Region
-from .machine import RecordColumns, tag_region
+from .machine import named_region
 
 PropFn = Callable[[object], object]
-
-
-def _exec_in_window(r):
-    # A record's ``None`` is the view's -1, which no window contains.
-    x = -1 if r.executed is None else r.executed
-    return (r.er_min <= x) & (x <= r.er_max)
 
 
 def read_mem(rec, region: Region | None = None):
@@ -70,11 +58,10 @@ def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
         "pc_at ermax": lambda r: r.pc == r.er_max,
         "pc_in ER": lambda r: (r.er_min <= r.pc) & (r.pc <= r.er_max),
         "pc_in VR": lambda r: (vr.start <= r.pc) & (r.pc <= vr.end),
-        "exec_in ER": _exec_in_window,
     }
 
     for name in ("GPIO", "EKR", "METADATA", "VR", "ROM", "PMEM", "DMEM"):
-        reg = tag_region(layout, name)
+        reg = named_region(layout, name)
         lo, hi = reg.start, reg.end
         props[f"read {name}"] = lambda r, reg=reg: read_mem(r, reg)
         props[f"write {name}"] = lambda r, reg=reg: write_mem(r, reg)
@@ -92,20 +79,4 @@ def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
         lambda r: r.w_en & (r.er_min <= r.d_addr) & (r.d_addr <= r.er_max)
     props["dma_touch ER"] = \
         lambda r: r.dma_en & (r.er_min <= r.dma_addr) & (r.dma_addr <= r.er_max)
-
-    def tag_prop(tag: str) -> PropFn:
-        def holds(r):
-            if isinstance(r, RecordColumns):
-                return np.fromiter((tag in tags for tags in r.tag_sets(layout)),
-                                   dtype=bool, count=len(r))
-            return tag in r.tags(layout)
-        return holds
-
-    for name in ("GPIO", "EKR", "ER", "METADATA", "VR", "ROM", "PMEM", "DMEM"):
-        props[f"tag READ {name}"] = tag_prop(f"READ({name})")
-        props[f"tag WRITE {name}"] = tag_prop(f"WRITE({name})")
-        props[f"tag DMA_R {name}"] = tag_prop(f"DMA_R({name})")
-        props[f"tag DMA_W {name}"] = tag_prop(f"DMA_W({name})")
-    props["tag IRQ"] = tag_prop("IRQ")
-    props["tag RESET"] = tag_prop("RESET")
     return props

@@ -232,9 +232,14 @@ def run_campaign(names: list[str] | None = None, random_count: int = 0,
     """Run catalogue scenarios and/or randomized rounds; deterministic order.
 
     ``names=None`` means the whole catalogue; an empty list means none. An
-    unknown name raises ``ValueError`` before any round runs.
+    unknown name, a negative ``random_count`` or ``jobs`` below 1 raises
+    ``ValueError`` before any round runs.
     """
     from .scenarios import CATALOGUE
+    if random_count < 0:
+        raise ValueError(f"random count must not be negative, got {random_count}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     selected = list(CATALOGUE) if names is None else names
     for name in selected:
         if name not in CATALOGUE:

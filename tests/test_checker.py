@@ -27,11 +27,11 @@ SPACE5 = scaled_space(5)
 
 def test_catalogue_names_and_count():
     entries = builtin_formulas()
-    assert len(entries) == 17
+    assert len(entries) == 11
     groups = {e.group for e in entries}
-    assert {"machine-axioms", "gpio-read-control", "immutability",
+    assert {"gpio-read-control", "immutability",
             "atomicity", "key-protection", "end-to-end"} == groups
-    assert len(all_formulas()) == 19  # plus two supplementary revocations
+    assert len(all_formulas()) == 13  # plus two supplementary revocations
 
 
 def test_catalogue_text_roundtrip():
@@ -100,13 +100,13 @@ def catalogue_names(space) -> frozenset[str]:
     return _catalogue_explorer(space, DEFAULT_GUARDS, True).names
 
 
-def test_checker_refuses_exactly_the_machine_derived_propositions():
+def test_checker_accepts_every_proposition():
+    # One record encoding: every table entry can be keyed, and a name
+    # outside the table is the only proposition refused.
     props = build_props(SPACE5)
-    refused = set(props) - set(accepted_names(SPACE5))
-    assert refused == {n for n in props if n.startswith("tag ")} | {"exec_in ER"}
-    for name in sorted(refused):
-        with pytest.raises(FormulaError, match=repr(name)):
-            exhaustive_check(G(Not(Prop(name))), SPACE5)
+    assert accepted_names(SPACE5) == list(props)
+    with pytest.raises(FormulaError, match="unknown proposition 'tag READ GPIO'"):
+        exhaustive_check(G(Not(Prop("tag READ GPIO"))), SPACE5)
 
 
 def test_handed_explorer_refuses_a_proposition_outside_its_key():
@@ -149,8 +149,6 @@ class TestBruteForceAgreement:
 
     def test_agreement_on_healthy_monitor(self):
         for entry in all_formulas():
-            if entry.group == "machine-axioms":
-                continue
             brute = brute_force_check(entry.formula, SPACE5, max_len=3)
             assert brute.holds, entry.name
             if entry.name == "e2e-authorized-sensing":

@@ -151,12 +151,13 @@ def test_check_dmem_read_is_violated(capsys):
 
 @pytest.mark.parametrize("name", ["tag READ GPIO", "tag DMA_W DMEM", "exec_in ER"])
 def test_check_refuses_machine_derived_propositions(capsys, name):
+    # The tag encoding and ``exec_in ER`` are gone: such a name is an
+    # unknown proposition.
     assert main(["check", "--width", "6", "--formula",
                  f"(G (-> (read GPIO) (! ({name}))))"]) == EXIT_USAGE
     captured = capsys.readouterr()
-    err = captured.err.splitlines()
     assert captured.out == ""
-    assert len(err) == 1 and err[0].startswith("error:") and repr(name) in err[0]
+    assert captured.err == f"error: unknown proposition {name!r}\n"
 
 
 def test_check_refuses_a_formula_outside_the_fragments(capsys):
@@ -289,3 +290,14 @@ def test_attack_unknown_scenario_is_a_usage_error(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: unknown scenario 'nope'")
     assert "happy-path" in err[0]
+
+
+@pytest.mark.parametrize("args", [["--random", "-5"], ["--jobs", "0"],
+                                  ["--jobs", "-1", "--random", "2"]],
+                         ids=["negative-random", "zero-jobs", "negative-jobs"])
+def test_attack_rejects_out_of_range_counts(capsys, args):
+    assert main(["attack", "--name", "happy-path"] + args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and args[1] in err[0]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcusentry.catalogue import catalogue_by_name
 from mcusentry.errors import FormulaError
 from mcusentry.layout import default_layout
 from mcusentry.ltl import (MAX_NESTING, And, B, G, Implies, LassoTrace, Not,
@@ -212,8 +211,6 @@ def reference_props(layout):
         "pc_at ermax": lambda r: r.pc == r.er_max,
         "pc_in ER": lambda r: r.er_min <= r.pc <= r.er_max,
         "pc_in VR": lambda r: r.pc in layout.vr,
-        "exec_in ER": lambda r: (r.executed is not None
-                                 and r.er_min <= r.executed <= r.er_max),
     }
     for name in ("GPIO", "EKR", "METADATA", "VR", "ROM", "PMEM", "DMEM"):
         region = region_of(name)
@@ -227,17 +224,6 @@ def reference_props(layout):
     props["cpu_read ER"] = lambda r: r.r_en and r.er_min <= r.d_addr <= r.er_max
     props["cpu_write ER"] = lambda r: r.w_en and r.er_min <= r.d_addr <= r.er_max
     props["dma_touch ER"] = lambda r: r.dma_en and r.er_min <= r.dma_addr <= r.er_max
-
-    def tag_prop(tag):
-        return lambda r: tag in r.tags(layout)
-
-    for name in ("GPIO", "EKR", "ER", "METADATA", "VR", "ROM", "PMEM", "DMEM"):
-        props[f"tag READ {name}"] = tag_prop(f"READ({name})")
-        props[f"tag WRITE {name}"] = tag_prop(f"WRITE({name})")
-        props[f"tag DMA_R {name}"] = tag_prop(f"DMA_R({name})")
-        props[f"tag DMA_W {name}"] = tag_prop(f"DMA_W({name})")
-    props["tag IRQ"] = tag_prop("IRQ")
-    props["tag RESET"] = tag_prop("RESET")
     return props
 
 
@@ -291,22 +277,6 @@ def test_table_on_records_and_columns_matches_reference(records):
         assert column.tolist() == expected, name
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(state_records(), min_size=1, max_size=6))
-def test_view_tag_sets_equal_each_record_tags(records):
-    view = RecordColumns(records)
-    assert view.tag_sets(LAYOUT) == [r.tags(LAYOUT) for r in records]
-    assert view.tag_sets(LAYOUT) is view.tag_sets(LAYOUT)  # computed once
-
-
-def test_exec_in_er_is_false_without_an_executed_address():
-    for er_min, er_max in ((0, 4), (0, 0xFFFF), (8, 4)):
-        rec = StateRecord(cycle=0, pc=0, executed=None, er_min=er_min, er_max=er_max)
-        assert not PROPS["exec_in ER"](rec)
-        assert not eval_vector(Prop("exec_in ER"),
-                               LassoTrace.from_records([rec]), PROPS)[0]
-
-
 _NAMES = sorted(PROPS)
 
 
@@ -319,16 +289,3 @@ def test_vectorized_agrees_with_naive_on_records(f, g, tr):
         vec = eval_vector(formula, tr, PROPS)
         for pos in range(tr.length):
             assert bool(vec[pos]) == eval_naive(formula, tr, pos, PROPS)
-
-
-def test_tag_propositions_read_the_tag_sets(monkeypatch):
-    """The machine axioms compare tags with signals; if a tag entry were
-    a signal expression, breaking ``tags`` would go unnoticed."""
-    axiom = catalogue_by_name()["ax-read-signals"].formula
-    rec = StateRecord(cycle=0, pc=0x4000, r_en=True, d_addr=LAYOUT.gpio.start,
-                      executed=0x4000, er_min=0x4000, er_max=0x4004)
-    assert eval_vector(axiom, LassoTrace.from_records([rec]), PROPS)[0]
-    monkeypatch.setattr(StateRecord, "tags", lambda self, layout: frozenset())
-    tr = LassoTrace.from_records([rec])
-    assert not eval_vector(axiom, tr, PROPS)[0]
-    assert not eval_naive(axiom, tr, 0, PROPS)

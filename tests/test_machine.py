@@ -1,4 +1,4 @@
-"""Cycle-level machine semantics: signals, tags, reset, determinism."""
+"""Cycle-level machine semantics: signals, dump tags, reset, determinism."""
 
 from operator import attrgetter
 
@@ -12,7 +12,8 @@ from mcusentry.isa import (ADD, BRZ, CALL, HALT, JMP, LOAD, LOADI, NOP, RET,
 from mcusentry.layout import ErWindow, default_layout
 from mcusentry.machine import (COLUMNS, ConstantSensor, DmaRequest, RunContext,
                                SequenceSensor, StateRecord, Trace, exec_step,
-                               load_image, pack_records, reset_routine, run)
+                               _dump_tags, load_image, pack_records,
+                               reset_routine, run)
 
 LAYOUT = default_layout()
 ER = ErWindow(0x4000, 0x4004)
@@ -35,7 +36,7 @@ def test_gpio_load_sets_read_signals():
     machine = fresh_machine(assemble([LOAD(1, gpio_addr)]))
     rec = step(machine, sensor=ConstantSensor(0x1234))
     assert rec.r_en and rec.d_addr == gpio_addr
-    assert "READ(GPIO)" in rec.tags(LAYOUT)
+    assert not (rec.w_en or rec.dma_en or rec.irq or rec.reset)
     assert machine.gpr[1] == 0x1234
 
 
@@ -43,7 +44,7 @@ def test_nop_advances_pc_without_tags():
     machine = fresh_machine(assemble([NOP()]))
     rec = step(machine)
     assert machine.pc == 0x4002
-    assert rec.tags(LAYOUT) == frozenset()
+    assert not (rec.r_en or rec.w_en or rec.dma_en or rec.irq or rec.reset)
 
 
 def test_dma_write_sets_dma_signals():
@@ -51,7 +52,7 @@ def test_dma_write_sets_dma_signals():
     req = DmaRequest(at_cycle=0, op="write", addr=0xE100, value=0xBEEF)
     rec = step(machine, dma=req)
     assert rec.dma_en and rec.dma_addr == 0xE100 and rec.dma_write
-    assert "DMA_W(DMEM)" in rec.tags(LAYOUT)
+    assert rec.dma_addr in LAYOUT.dmem and not (rec.r_en or rec.w_en)
     assert machine.load_word(0xE100) == 0xBEEF
 
 
@@ -59,7 +60,8 @@ def test_dma_read_of_gpio_uses_sensor_and_logs():
     machine = fresh_machine(assemble([NOP()]))
     req = DmaRequest(at_cycle=0, op="read", addr=LAYOUT.gpio.start)
     rec = step(machine, dma=req, sensor=ConstantSensor(0x77))
-    assert "DMA_R(GPIO)" in rec.tags(LAYOUT)
+    assert rec.dma_en and not rec.dma_write and rec.dma_addr == LAYOUT.gpio.start
+    assert not (rec.r_en or rec.w_en)
     assert machine.dma_read_log == [(0, LAYOUT.gpio.start, 0x77)]
 
 
@@ -67,13 +69,13 @@ def test_invalid_opcode_faults_as_reset():
     machine = fresh_machine(b"\x00\x00")
     rec = step(machine)
     assert rec.reset and rec.executed is None
-    assert "RESET" in rec.tags(LAYOUT)
+    assert not (rec.r_en or rec.w_en or rec.dma_en)
 
 
 def test_irq_tags_and_vectors():
     machine = fresh_machine(assemble([NOP(), NOP()]))
     rec = step(machine, irq=True)
-    assert rec.irq and "IRQ" in rec.tags(LAYOUT)
+    assert rec.irq and not rec.reset
     assert machine.pc == LAYOUT.effective_irq_vector
 
 
@@ -199,7 +201,8 @@ def test_tags_match_signal_predicates(r_en, w_en, d_addr, dma_en, dma_addr,
     rec = StateRecord(cycle=0, pc=0x4000, r_en=r_en, w_en=w_en, d_addr=d_addr,
                       dma_en=dma_en, dma_addr=dma_addr, dma_write=dma_write,
                       irq=irq, reset=reset, er_min=er_min, er_max=er_max)
-    tags = rec.tags(LAYOUT)
+    tags = _dump_tags(rec, LAYOUT)
+    assert tags == sorted(set(tags))
     assert ("IRQ" in tags) == irq
     assert ("RESET" in tags) == reset
     for name, region in (("GPIO", LAYOUT.gpio), ("DMEM", LAYOUT.dmem),
@@ -252,9 +255,9 @@ def test_state_record_is_an_immutable_hashable_named_tuple():
     assert len(list(rec)) == len(rec._fields)
     reset = rec._replace(reset=True)
     assert not rec.reset and reset.reset
-    assert reset.tags(LAYOUT) == rec.tags(LAYOUT) | {"RESET"}
-    assert "READ(GPIO)" in reset.tags(LAYOUT)
-    assert "DMA_R(ER)" in reset.tags(LAYOUT)
+    assert reset == rec[:9] + (True,) + rec[10:]
+    assert _dump_tags(reset, LAYOUT) == sorted(_dump_tags(rec, LAYOUT) + ["RESET"])
+    assert {"READ(GPIO)", "DMA_R(ER)"} <= set(_dump_tags(reset, LAYOUT))
 
 
 def _word(instr) -> int:

@@ -5,9 +5,9 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcusentry.catalogue import authorized_sensing_goal, builtin_formulas
+from mcusentry.catalogue import authorized_sensing_goal
 from mcusentry.layout import default_layout
-from mcusentry.ltl import LassoTrace, Prop, eval_formula, eval_naive, eval_vector
+from mcusentry.ltl import LassoTrace, eval_formula, eval_naive
 from mcusentry.machine import SequenceSensor, StateRecord
 from mcusentry.programs import SENSOR_MARKER
 from mcusentry.props import build_props
@@ -217,29 +217,3 @@ def test_goal_fails_wherever_an_unreset_gpio_read_is_outside_the_window(records)
     props = build_props(LAYOUT)
     assert not eval_formula(authorized_sensing_goal(), lasso, 0, props)
     assert not eval_naive(authorized_sensing_goal(), lasso, 0, props)
-
-
-# The machine-derived side of each axiom; every one occurs in the corpus.
-_AXIOM_TAGS = ("exec_in ER", "tag READ GPIO", "tag WRITE GPIO",
-               "tag DMA_R GPIO", "tag DMA_W GPIO", "tag IRQ", "tag RESET")
-
-
-def test_machine_axioms_hold_on_simulated_traces(outcomes):
-    # The formulas the exhaustive checker refuses are checked on traces,
-    # with the machine axioms: those must hold on what the machine emits.
-    axioms = [e for e in builtin_formulas() if e.group == "machine-axioms"]
-    assert len(axioms) == 6
-    props = build_props(LAYOUT)
-    traces = [out.trace for out in outcomes.values()]
-    traces += [run_scenario(random_plan(2_001, i), check_goal=False).trace
-               for i in range(1_000)]
-    tags_seen = set()
-    for trace in traces:
-        if not trace.records:
-            continue
-        lasso = LassoTrace.from_records(trace.records)
-        for entry in axioms:
-            assert eval_vector(entry.formula, lasso, props)[0], entry.name
-        tags_seen.update(name for name in _AXIOM_TAGS
-                         if eval_vector(Prop(name), lasso, props).any())
-    assert tags_seen == set(_AXIOM_TAGS)

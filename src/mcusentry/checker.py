@@ -43,7 +43,10 @@ outside these fragments (the before-operator end-to-end goal) is refused
 with ``FormulaError``: it is checked on traces. Bounded lasso enumeration
 (``brute_force_check``) can show a violation but not its absence, so it is
 no verdict path; it cross-checks the walk and searches the end-to-end goal
-for mutant convictions.
+for mutant convictions. It decides each distinct proposition word (the
+formula's propositions at each position plus the loop start) once, as
+bounded search over a finite alphabet may (Biere, Cimatti, Clarke & Zhu,
+TACAS 1999); past its bound it stays incomplete.
 """
 from __future__ import annotations
 
@@ -51,7 +54,6 @@ from collections import deque
 from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as iproduct
 from types import SimpleNamespace
 
 import numpy as np
@@ -565,6 +567,105 @@ def curated_alphabet(space: ScaledSpace) -> list[StateRecord]:
     ]
 
 
+class _LassoSearch:
+    """Bounded lasso enumeration of one formula on one monitor, deciding
+    each distinct word once.
+
+    A lasso's word is, at each position, the bits of the formula's
+    propositions (``code``) and a mark at the loop start; ``eval_naive``
+    reads nothing else. The words seen to hold are a set split above their
+    last two positions: ``held`` maps the bits above to a bitmask over the
+    low parts, numbered in ``lows``. The width-6 goal search spreads its
+    7,080 words over about a thousand high parts and a dozen low parts, so
+    this is far smaller than a set of the words. It is a class because a
+    recursive closure would be a reference cycle, keeping the memos alive
+    until the next full garbage collection.
+
+    Memos: ``rows`` gives (state, letter) -> (state, reset); ``baked``
+    keeps each (letter, reset, cycle) record with its code, and ``tails``
+    each quiet tail by (end state, prefix length) with its codes packed.
+    """
+
+    def __init__(self, formula: Formula, space: ScaledSpace,
+                 guards: GuardFlags, ekr_enabled: bool):
+        self.formula = formula
+        self.space = space
+        self.props = build_props(space)
+        self.fns = [self.props[p] for p in sorted(check_props(formula, self.props))]
+        self.width = len(self.fns) + 1  # per position: the propositions, the mark
+        self.alphabet = curated_alphabet(space)
+        self.table = _Explorer(MonitorConfig.from_layout(space, ekr_enabled),
+                               guards, self.alphabet, self.props)
+        self.rows: dict[int, tuple[list[int], list[int]]] = {}
+        self.baked: dict[tuple[int, int, int], tuple[StateRecord, int]] = {}
+        self.tails: dict[tuple[int, int], tuple[list, list, int, int]] = {}
+        self.held: dict[int, int] = {}
+        self.lows: dict[int, int] = {}
+        self.path: list[StateRecord] = []  # the prefix being extended
+        self.explored = 0
+
+    def code(self, rec: StateRecord) -> int:
+        return sum(bool(fn(rec)) << bit for bit, fn in enumerate(self.fns))
+
+    def tail(self, sid: int, length: int) -> tuple[list, list, int, int]:
+        """The quiet tail after ``length`` letters ending in state ``sid``:
+        the records before its loop, the loop, and their bit count and
+        codes with the loop start marked."""
+        tail = self.tails.get((sid, length))
+        if tail is None:
+            lead, loop = _quiet_tail(self.table.states[sid], length, self.space,
+                                     self.table.cfg, self.table.guards)
+            bits = 0
+            for rec in lead + loop:
+                bits = bits << self.width | self.code(rec)
+            bits |= 1 << (self.width * len(loop) - 1)  # the loop start's mark
+            tail = self.tails[sid, length] = (
+                lead, loop, self.width * (len(lead) + len(loop)), bits)
+        return tail
+
+    def judge(self, word: int, lead: list, loop: list) -> LassoTrace | None:
+        """The lasso of ``path``, ``lead`` and ``loop`` if it violates the
+        formula; it is evaluated only if its word ``word`` is new."""
+        split = 2 * self.width
+        high = word >> split
+        bit = 1 << self.lows.setdefault(word & ((1 << split) - 1), len(self.lows))
+        seen = self.held.get(high, 0)
+        if seen & bit:
+            return None
+        trace = LassoTrace(prefix=self.path + lead, loop=list(loop))
+        if not eval_naive(self.formula, trace, 0, self.props):
+            return trace
+        self.held[high] = seen | bit
+        return None
+
+    def extend(self, sid: int, packed: int, length: int) -> LassoTrace | None:
+        """Extend ``path`` (ending in monitor state ``sid``, its codes
+        ``packed`` after a leading 1) to ``length`` letters in product
+        order, judging each lasso; the first violating one, or None."""
+        row = self.rows.get(sid)
+        if row is None:
+            row = self.rows[sid] = tuple(a.tolist() for a in self.table.row(sid))
+        path = self.path
+        i = len(path)
+        for idx, (nxt, out) in enumerate(zip(*row)):
+            entry = self.baked.get((idx, out, i))
+            if entry is None:
+                rec = self.alphabet[idx]._replace(reset=bool(out), cycle=i)
+                entry = self.baked[idx, out, i] = (rec, self.code(rec))
+            path.append(entry[0])
+            word = packed << self.width | entry[1]
+            if i + 1 < length:
+                found = self.extend(nxt, word, length)
+            else:
+                self.explored += 1
+                lead, loop, shift, bits = self.tail(nxt, length)
+                found = self.judge(word << shift | bits, lead, loop)
+            path.pop()
+            if found is not None:
+                return found
+        return None
+
+
 def brute_force_check(formula: Formula, space: ScaledSpace,
                       guards: GuardFlags = DEFAULT_GUARDS,
                       ekr_enabled: bool = True,
@@ -575,42 +676,20 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
     Complete only to the bound, so a "holds" proves nothing past it: this is
     the independent cross-check for the product exploration, and the search
     ``find_mutant_violation`` runs on formulas outside its fragments.
+    Sequences go shortest first, each length in product order, and the
+    first violating lasso is returned; ``eval_naive`` runs once per
+    distinct word (see ``_LassoSearch``). ``max_len`` below 1 raises
+    ``ValueError``.
     """
-    cfg = MonitorConfig.from_layout(space, ekr_enabled)
-    props = build_props(space)
-    alphabet = curated_alphabet(space)
-    # Memos: the transition table's rows give (state, letter) -> (state,
-    # reset); ``baked`` keeps each (letter, reset, cycle) record and
-    # ``tails`` each quiet tail by (end state, prefix length).
-    table = _Explorer(cfg, guards, alphabet, props)
-    rows: dict[int, tuple[list[int], list[int]]] = {}
-    baked: dict[tuple[int, int, int], StateRecord] = {}
-    tails: dict[tuple[int, int], tuple[list, list]] = {}
-    start = table.state_id(INITIAL_STATE)
-    explored = 0
+    if max_len < 1:
+        raise ValueError(f"max_len {max_len} is below 1: no lasso to search")
+    search = _LassoSearch(formula, space, guards, ekr_enabled)
+    start = search.table.state_id(INITIAL_STATE)
     for length in range(1, max_len + 1):
-        for combo in iproduct(range(len(alphabet)), repeat=length):
-            explored += 1
-            sid = start
-            prefix = []
-            for i, idx in enumerate(combo):
-                row = rows.get(sid)
-                if row is None:
-                    row = rows[sid] = tuple(a.tolist() for a in table.row(sid))
-                sid, out = row[0][idx], row[1][idx]
-                rec = baked.get((idx, out, i))
-                if rec is None:
-                    rec = baked[idx, out, i] = alphabet[idx]._replace(
-                        reset=bool(out), cycle=i)
-                prefix.append(rec)
-            tail = tails.get((sid, length))
-            if tail is None:
-                tail = tails[sid, length] = _quiet_tail(
-                    table.states[sid], length, space, cfg, guards)
-            lasso = LassoTrace(prefix=prefix + tail[0], loop=list(tail[1]))
-            if not eval_naive(formula, lasso, 0, props):
-                return CheckResult("violated", lasso, explored, name)
-    return CheckResult("holds", None, explored, name)
+        found = search.extend(start, 1, length)
+        if found is not None:
+            return CheckResult("violated", found, search.explored, name)
+    return CheckResult("holds", None, search.explored, name)
 
 
 def replay_counterexample(formula: Formula, lasso: LassoTrace,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .crypto import (CHAL_BYTES, KEY_BYTES, MAC_BYTES, derive_enc_key,
                      token_mac)
 from .errors import SizeError
-from .layout import ErWindow
+from .layout import ErWindow, MemoryLayout, default_layout
 from .machine import Machine, RunContext, StateRecord, Trace, reset_routine, run
 from .monitor import Monitor
 from .oracle import BOTTOM, TOP
@@ -200,7 +200,7 @@ def verify_dev(key: bytes, machine: Machine,
     _set_stored_counter(machine, chal)
     k_enc = derive_enc_key(key, chal)
     ekr = layout.ekr
-    for i in range(0, min(len(k_enc), len(ekr)), 2):
+    for i in _key_offsets(layout):
         machine.store_word(ekr.start + i, int.from_bytes(k_enc[i:i + 2], "little"))
         if _emit(machine, monitor, records, vr_pc(),
                  w_en=True, d_addr=ekr.start + i):
@@ -209,10 +209,19 @@ def verify_dev(key: bytes, machine: Machine,
     return TOP, records
 
 
-def verify_record_count(window_span_bytes: int) -> int:
-    """Closed-form record count of a successful verification (cost model)."""
+def _key_offsets(layout: MemoryLayout) -> range:
+    """Byte offsets of the one-time key's words written into the key
+    region: as many as both the key and the region hold."""
+    return range(0, min(MAC_BYTES, len(layout.ekr)), 2)
+
+
+def verify_record_count(window_span_bytes: int,
+                        layout: MemoryLayout | None = None) -> int:
+    """Closed-form record count of a successful verification (cost model)
+    on ``layout`` (default: ``default_layout()``), whose key region bounds
+    the key writes."""
     words = window_span_bytes // 2
-    kenc_writes = 16
+    kenc_writes = len(_key_offsets(layout or default_layout()))
     return (VERIFY_HEADER_RECORDS + VERIFY_RECORDS_PER_WORD * words
             + VERIFY_TAIL_RECORDS + kenc_writes + 1)
 

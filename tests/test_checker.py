@@ -9,16 +9,17 @@ import pytest
 from mcusentry import checker
 from mcusentry.catalogue import (all_formulas, authorized_sensing_goal,
                                  builtin_formulas, catalogue_by_name)
-from mcusentry.checker import (_catalogue_explorer, _explorer, _key_names,
-                               brute_force_check, build_alphabet,
-                               check_catalogue, default_er_choices,
+from mcusentry.checker import (_catalogue_explorer, _Explorer, _explorer,
+                               _key_names, _quiet_tail, brute_force_check,
+                               build_alphabet, check_catalogue,
+                               curated_alphabet, default_er_choices,
                                exhaustive_check,
                                find_mutant_violation, replay_counterexample,
                                scaled_space)
 from mcusentry.errors import BudgetError, FormulaError
-from mcusentry.ltl import G, Not, Prop, parse
+from mcusentry.ltl import G, LassoTrace, Not, Prop, eval_naive, parse
 from mcusentry.machine import StateRecord
-from mcusentry.monitor import DEFAULT_GUARDS, MonitorConfig
+from mcusentry.monitor import DEFAULT_GUARDS, INITIAL_STATE, MonitorConfig
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.props import build_props
 
@@ -409,3 +410,72 @@ def test_explorer_columns_equal_the_table_on_each_letter():
             for out in (False, True):
                 expected = bool(fn(alphabet[idx]._replace(reset=out)))
                 assert column[int(out), idx] == expected, (name, idx, out)
+
+
+# ---------------------------------------------------------------------------
+# Bounded search against one eval_naive per lasso
+
+
+def reference_brute_force(formula, space, guards=DEFAULT_GUARDS,
+                          max_len: int = 3) -> tuple[str, int, str]:
+    """The bounded search with no word memo, every lasso evaluated: its
+    verdict, explored count and counterexample ``repr``."""
+    cfg = MonitorConfig.from_layout(space)
+    props = build_props(space)
+    alphabet = curated_alphabet(space)
+    table = _Explorer(cfg, guards, alphabet, props)
+    rows = {}
+    start = table.state_id(INITIAL_STATE)
+    explored = 0
+    for length in range(1, max_len + 1):
+        for combo in iproduct(range(len(alphabet)), repeat=length):
+            explored += 1
+            sid = start
+            prefix = []
+            for i, idx in enumerate(combo):
+                if sid not in rows:
+                    rows[sid] = tuple(a.tolist() for a in table.row(sid))
+                sid, out = rows[sid][0][idx], rows[sid][1][idx]
+                prefix.append(alphabet[idx]._replace(reset=bool(out), cycle=i))
+            lead, loop = _quiet_tail(table.states[sid], length, space, cfg, guards)
+            lasso = LassoTrace(prefix=prefix + lead, loop=list(loop))
+            if not eval_naive(formula, lasso, 0, props):
+                return "violated", explored, repr(lasso)
+    return "holds", explored, repr(None)
+
+
+@pytest.mark.parametrize("mutant_id", ["healthy"] + sorted(MUTANTS))
+def test_bounded_search_equals_one_evaluation_per_lasso(mutant_id):
+    guards = DEFAULT_GUARDS if mutant_id == "healthy" else mutant_guards(mutant_id)
+    for entry in all_formulas():
+        result = brute_force_check(entry.formula, SPACE5, guards, max_len=3)
+        assert (result.verdict, result.explored_states,
+                repr(result.counterexample)) == \
+            reference_brute_force(entry.formula, SPACE5, guards), entry.name
+
+
+def test_bounded_search_evaluates_each_word_once(monkeypatch):
+    # The width-6 sweep's longest search: 22,620 lassos spell far fewer
+    # distinct proposition words, and each is evaluated once.
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return eval_naive(*args)
+    monkeypatch.setattr(checker, "eval_naive", counting)
+    entry = catalogue_by_name()["e2e-authorized-sensing"]
+    result = brute_force_check(entry.formula, SPACE6,
+                               mutant_guards("no-relock-on-write"), max_len=4)
+    assert result.holds and result.explored_states == 22_620
+    assert 0 < calls < 22_620 / 3
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_bounded_search_refuses_a_bound_below_one(max_len, monkeypatch):
+    # An empty search is no "holds": refused before any alphabet is built.
+    def no_alphabet(*args):
+        raise AssertionError("alphabet built for an empty bound")
+    monkeypatch.setattr(checker, "curated_alphabet", no_alphabet)
+    with pytest.raises(ValueError, match="max_len"):
+        brute_force_check(G(Prop("false")), SPACE5, max_len=max_len)

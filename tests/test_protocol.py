@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mcusentry.crypto import derive_enc_key, token_mac
 from mcusentry.errors import SizeError
 from mcusentry.isa import HALT, LOAD, NOP, assemble
-from mcusentry.layout import ErWindow, default_layout
+from mcusentry.layout import ErWindow, default_layout, format_layout, parse_layout
 from mcusentry.machine import ConstantSensor, RunContext, load_image, run
 from mcusentry.monitor import GpioState, Monitor
 from mcusentry.programs import boot_rom, filler_binary, window_for
@@ -20,16 +20,16 @@ LAYOUT = default_layout()
 KEY = bytes(range(32))
 
 
-def booted_machine(er: ErWindow):
-    machine = load_image(LAYOUT, b"", er, rom=boot_rom(0xEFFE))
-    monitor = Monitor.for_layout(LAYOUT)
+def booted_machine(er: ErWindow, layout=LAYOUT):
+    machine = load_image(layout, b"", er, rom=boot_rom(0xEFFE))
+    monitor = Monitor.for_layout(layout)
     run(machine, monitor, RunContext.build(), 3)
     return machine, monitor
 
 
-def staged(binary: bytes, er_min: int = 0x4000):
+def staged(binary: bytes, er_min: int = 0x4000, layout=LAYOUT):
     er = window_for(binary, er_min)
-    machine, monitor = booted_machine(er)
+    machine, monitor = booted_machine(er, layout)
     msg, _ = authorize_ctrl(KEY, 0, binary)
     install(msg, machine, er, monitor)
     return machine, monitor, msg, er
@@ -185,6 +185,19 @@ class TestVerifyCost:
         slopes = [(counts[b] - counts[a]) / (b - a)
                   for a, b in zip(sorted(counts), sorted(counts)[1:])]
         assert all(s == slopes[0] > 0 for s in slopes)
+
+    def test_record_count_follows_the_layout_key_region(self):
+        # An 8-byte key region takes four key writes, not sixteen.
+        text = format_layout(LAYOUT).replace("ekr=0xF100:0xF11F",
+                                             "ekr=0xF100:0xF107")
+        layout = parse_layout(text)
+        assert len(layout.ekr) == 8
+        binary = assemble(filler_binary(16))
+        machine, monitor, msg, er = staged(binary, layout=layout)
+        ok, records = verify_dev(KEY, machine, monitor)
+        assert ok
+        assert len(records) == verify_record_count(16, layout) == 21
+        assert verify_record_count(16) == verify_record_count(16, LAYOUT) == 33
 
 
 class TestXSensing:

@@ -98,6 +98,10 @@ def _schedules_from_args(args):
 
 
 def cmd_run(args) -> int:
+    for flag, value in (("--boot-cycles", args.boot_cycles),
+                        ("--max-cycles", args.max_cycles)):
+        if value < 1:
+            raise ValueError(f"{flag} must be positive, got {value}")
     layout = _load_layout(args.layout)
     er = _parse_window(args.er)
     image = Path(args.image).read_bytes() if args.image else b""

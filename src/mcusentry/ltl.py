@@ -190,75 +190,73 @@ def eval_naive(f: Formula, trace: LassoTrace, pos: int = 0,
                props: dict[str, PropValuation] | None = None) -> bool:
     """Literal recursive evaluation; the semantic reference."""
     n = trace.length
-    ls = trace.loop_start
     if not 0 <= pos < n:
         raise ValueError(f"position {pos} outside unrolled trace of length {n}")
+    return _ev(f, pos, trace, props)
 
-    def prop_at(name: str, i: int) -> bool:
+
+def _ev(g: Formula, i: int, trace: LassoTrace,
+        props: dict[str, PropValuation] | None) -> bool:
+    # A module function, not a closure over itself: a recursive closure is
+    # a reference cycle that keeps the trace alive until a full collection.
+    if isinstance(g, Prop):
         state = trace.state(i)
         if props is not None:
-            return bool(props[name](state))
-        return bool(getattr(state, name))
-
-    def reach(i: int) -> range:
+            return bool(props[g.name](state))
+        return bool(getattr(state, g.name))
+    if isinstance(g, Not):
+        return not _ev(g.sub, i, trace, props)
+    if isinstance(g, And):
+        return _ev(g.left, i, trace, props) and _ev(g.right, i, trace, props)
+    if isinstance(g, Or):
+        return _ev(g.left, i, trace, props) or _ev(g.right, i, trace, props)
+    if isinstance(g, Implies):
+        return (not _ev(g.left, i, trace, props)) or _ev(g.right, i, trace, props)
+    if isinstance(g, X):
+        return _ev(g.sub, trace.successor(i), trace, props)
+    if isinstance(g, G):
         # Positions visited from i onward: the remaining prefix plus the
         # whole loop (from inside the loop, the wrap covers [ls, i) too).
-        return range(i if i < ls else ls, n)
-
-    def ev(g: Formula, i: int) -> bool:
-        if isinstance(g, Prop):
-            return prop_at(g.name, i)
-        if isinstance(g, Not):
-            return not ev(g.sub, i)
-        if isinstance(g, And):
-            return ev(g.left, i) and ev(g.right, i)
-        if isinstance(g, Or):
-            return ev(g.left, i) or ev(g.right, i)
-        if isinstance(g, Implies):
-            return (not ev(g.left, i)) or ev(g.right, i)
-        if isinstance(g, X):
-            return ev(g.sub, trace.successor(i))
-        if isinstance(g, G):
-            return all(ev(g.sub, j) for j in reach(i))
-        if isinstance(g, U):
-            # Walk successors until a repeat: if right never holds before the
-            # walk closes on itself, the until fails.
-            j = i
-            seen = set()
-            while j not in seen:
-                seen.add(j)
-                if ev(g.right, j):
-                    return True
-                if not ev(g.left, j):
-                    return False
-                j = trace.successor(j)
-            return False
-        if isinstance(g, W):
-            j = i
-            seen = set()
-            while j not in seen:
-                seen.add(j)
-                if ev(g.right, j):
-                    return True
-                if not ev(g.left, j):
-                    return False
-                j = trace.successor(j)
-            return True  # left held forever around the loop
-        if isinstance(g, B):
-            # not ((not left) U right), unfolded natively.
-            j = i
-            seen = set()
-            while j not in seen:
-                seen.add(j)
-                if ev(g.right, j):
-                    return False
-                if ev(g.left, j):
-                    return True
-                j = trace.successor(j)
-            return True
-        raise TypeError(f"unknown formula node {g!r}")
-
-    return ev(f, pos)
+        ls = trace.loop_start
+        return all(_ev(g.sub, j, trace, props)
+                   for j in range(i if i < ls else ls, trace.length))
+    if isinstance(g, U):
+        # Walk successors until a repeat: if right never holds before the
+        # walk closes on itself, the until fails.
+        j = i
+        seen = set()
+        while j not in seen:
+            seen.add(j)
+            if _ev(g.right, j, trace, props):
+                return True
+            if not _ev(g.left, j, trace, props):
+                return False
+            j = trace.successor(j)
+        return False
+    if isinstance(g, W):
+        j = i
+        seen = set()
+        while j not in seen:
+            seen.add(j)
+            if _ev(g.right, j, trace, props):
+                return True
+            if not _ev(g.left, j, trace, props):
+                return False
+            j = trace.successor(j)
+        return True  # left held forever around the loop
+    if isinstance(g, B):
+        # not ((not left) U right), unfolded natively.
+        j = i
+        seen = set()
+        while j not in seen:
+            seen.add(j)
+            if _ev(g.right, j, trace, props):
+                return False
+            if _ev(g.left, j, trace, props):
+                return True
+            j = trace.successor(j)
+        return True
+    raise TypeError(f"unknown formula node {g!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ pattern (window reads from trusted-verifier addresses, key-region writes,
 the final authorization record) instead of running foreign instructions,
 with a record count affine in the window size.
 
+The live window bounds the records carry are read once per phase and again
+after a store into ``layout.er_metadata``, exact since ``er_window`` reads
+only those cells; records and cost model are those of a per-record read.
+
 Wire format of an authorization message, bit exact:
 
     "VRSA" | chal (8 bytes BE) | token (32 bytes) | length (4 bytes BE) | binary
@@ -26,6 +30,7 @@ from .monitor import Monitor
 from .oracle import BOTTOM, TOP
 
 MAGIC = b"VRSA"
+_tuple_new = tuple.__new__
 
 # Record-count model for one verification pass.
 VERIFY_HEADER_RECORDS = 6       # mailbox parse and counter compare
@@ -99,14 +104,22 @@ def install(msg: AuthorizationMessage, machine: Machine, er: ErWindow,
     installer_pc = (layout.pmem.start + 0x80) & 0xFFFE
     padded = msg.binary + bytes(span - len(msg.binary))
     records: list[StateRecord] = []
+    mem = machine.memory
+    meta_lo, meta_hi = layout.er_metadata.start, layout.er_metadata.end
 
     def staged_write(addr: int, chunk: bytes) -> None:
-        # Signals first, memory effect at end of cycle, like exec_step.
+        # Signals first, memory effect at end of cycle, like exec_step; the
+        # bounds change only by a store into the metadata cells.
+        er_min, er_max = machine.er_window()
+        if len(chunk) % 2:  # a short token: the last word's high byte is 0
+            chunk += b"\x00"
         for i in range(0, len(chunk), 2):
-            word = int.from_bytes(chunk[i:i + 2].ljust(2, b"\x00"), "little")
-            _emit(machine, monitor, records, installer_pc,
-                  w_en=True, d_addr=addr + i)
-            machine.store_word(addr + i, word)
+            _emit(machine, monitor, records, installer_pc, er_min, er_max,
+                  False, True, addr + i)
+            a = (addr + i) & 0xFFFE
+            mem[a:a + 2] = chunk[i:i + 2]
+            if meta_lo <= a <= meta_hi:
+                er_min, er_max = machine.er_window()
 
     mb = layout.atok_mailbox.start
     staged_write(mb, msg.chal.to_bytes(CHAL_BYTES, "big") + msg.token)
@@ -127,15 +140,14 @@ def _set_stored_counter(machine: Machine, value: int) -> None:
 
 
 def _emit(machine: Machine, monitor: Monitor | None, records: list[StateRecord],
-          pc: int, *, r_en: bool = False, w_en: bool = False,
-          d_addr: int = 0) -> bool:
+          pc: int, er_min: int, er_max: int, r_en: bool, w_en: bool,
+          d_addr: int) -> bool:
     # Verifier execution is uninterruptible: DMA and IRQ are never serviced
     # during these cycles; pending requests at these cycles lapse.
-    er_min, er_max = machine.er_window()
-    # Positional, in ``machine.COLUMNS`` order (no DMA, no irq, no reset),
-    # since keywords cost about 1 us more per record.
-    rec = StateRecord(machine.cycle, pc, r_en, w_en, d_addr, False, 0, False,
-                      False, False, pc, er_min, er_max)
+    # Built as the tuple of ``machine.COLUMNS`` (no DMA, no irq, no reset):
+    # the named tuple's own constructor costs about 0.3 us more per record.
+    rec = _tuple_new(StateRecord, (machine.cycle, pc, r_en, w_en, d_addr, False,
+                                   0, False, False, False, pc, er_min, er_max))
     machine.cycle += 1
     if monitor is not None and monitor.step(rec):
         rec = rec._replace(reset=True)
@@ -155,43 +167,40 @@ def verify_dev(key: bytes, machine: Machine,
     """
     layout = machine.layout
     records: list[StateRecord] = []
-    vr = layout.vr
+    vr_lo, vr_hi = layout.vr.start, layout.vr.end
     mb = layout.atok_mailbox.start
     chal = int.from_bytes(machine.memory[mb:mb + CHAL_BYTES], "big")
     staged_token = bytes(machine.memory[mb + CHAL_BYTES:mb + CHAL_BYTES + MAC_BYTES])
 
-    pc_cursor = vr.start
-
-    def vr_pc() -> int:
-        nonlocal pc_cursor
-        pc = pc_cursor
-        pc_cursor += 2
-        if pc_cursor > vr.end:
-            pc_cursor = vr.start
-        return pc
-
+    # Only the key writes store, so one sample of the live bounds serves
+    # the header, window and tail records.
+    er_min, er_max = machine.er_window()
+    pc = vr_lo
     for i in range(VERIFY_HEADER_RECORDS):
-        if _emit(machine, monitor, records, vr_pc(),
-                 r_en=True, d_addr=(mb + 2 * i) & 0xFFFE):
+        if _emit(machine, monitor, records, pc, er_min, er_max,
+                 True, False, (mb + 2 * i) & 0xFFFE):
             return BOTTOM, records
+        pc = pc + 2 if pc + 2 <= vr_hi else vr_lo
 
     if chal <= stored_counter(machine):
         return BOTTOM, records
 
-    er_min, er_max = machine.er_window()
     if er_min > er_max:
         return BOTTOM, records
     window_bytes = bytes(machine.memory[er_min:er_max + 2])
-    for offset in range(0, len(window_bytes), 2):
+    for d_addr in range(er_min, er_min + len(window_bytes), 2):
         for _ in range(VERIFY_RECORDS_PER_WORD):
-            if _emit(machine, monitor, records, vr_pc(),
-                     r_en=True, d_addr=er_min + offset):
+            if _emit(machine, monitor, records, pc, er_min, er_max,
+                     True, False, d_addr):
                 return BOTTOM, records
+            pc = pc + 2 if pc + 2 <= vr_hi else vr_lo
     sigma = token_mac(key, chal, window_bytes)
 
     for _ in range(VERIFY_TAIL_RECORDS):
-        if _emit(machine, monitor, records, vr_pc()):
+        if _emit(machine, monitor, records, pc, er_min, er_max,
+                 False, False, 0):
             return BOTTOM, records
+        pc = pc + 2 if pc + 2 <= vr_hi else vr_lo
 
     # Constant-time compare is irrelevant in simulation; equality is the contract.
     if sigma != staged_token:
@@ -200,12 +209,15 @@ def verify_dev(key: bytes, machine: Machine,
     _set_stored_counter(machine, chal)
     k_enc = derive_enc_key(key, chal)
     ekr = layout.ekr
+    er_min, er_max = machine.er_window()  # ekr never overlaps er_metadata
     for i in _key_offsets(layout):
         machine.store_word(ekr.start + i, int.from_bytes(k_enc[i:i + 2], "little"))
-        if _emit(machine, monitor, records, vr_pc(),
-                 w_en=True, d_addr=ekr.start + i):
+        if _emit(machine, monitor, records, pc, er_min, er_max,
+                 False, True, ekr.start + i):
             return BOTTOM, records
-    _emit(machine, monitor, records, layout.i_auth)
+        pc = pc + 2 if pc + 2 <= vr_hi else vr_lo
+    _emit(machine, monitor, records, layout.i_auth, er_min, er_max,
+          False, False, 0)
     return TOP, records
 
 

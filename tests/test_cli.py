@@ -215,6 +215,22 @@ def test_run_short_dma_line_is_a_usage_error(workdir, capsys, line):
     assert err.startswith("error: DMA file line 2:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [["--boot-cycles", "0"], ["--boot-cycles", "-3"],
+                                  ["--max-cycles", "0"], ["--max-cycles", "-1"]],
+                         ids=["zero-boot", "negative-boot", "zero-max",
+                              "negative-max"])
+def test_run_rejects_cycle_counts_below_one(workdir, capsys, args):
+    # The error names the flag that was given, before any staging work.
+    tmp, binary = workdir
+    _authorize(tmp)
+    capsys.readouterr()
+    code = main(_run_args(tmp, window_for(binary, 0x4000), args))
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(err) == 1 and err[0] == f"error: {args[0]} must be positive, got {args[1]}"
+
+
 _TOKENS = st.sampled_from(["0x10", "0xF000", "5", "-2", "read", "write", "x",
                            "#", "(", ")", "G", "->", ":", "=", "rom=0:0xFFF",
                            "\n"])

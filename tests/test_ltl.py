@@ -1,5 +1,8 @@
 """Temporal operator semantics, evaluator agreement, and the text format."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +33,20 @@ def lasso(bits: str, loop_start: int) -> LassoTrace:
 
 
 P, Q = Prop("p"), Prop("q")
+
+
+def test_eval_naive_leaves_no_reference_cycle():
+    # Without the cyclic collector, the evaluated lasso (with its cached
+    # states) must go as soon as the last reference to it does.
+    gc.disable()
+    try:
+        tr = lasso("p", 0)
+        ref = weakref.ref(tr)
+        assert eval_naive(G(Or(P, X(Q))), tr, 0)
+        del tr
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_globally_all_true():

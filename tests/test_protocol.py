@@ -9,12 +9,16 @@ from mcusentry.crypto import derive_enc_key, token_mac
 from mcusentry.errors import SizeError
 from mcusentry.isa import HALT, LOAD, NOP, assemble
 from mcusentry.layout import ErWindow, default_layout, format_layout, parse_layout
-from mcusentry.machine import ConstantSensor, RunContext, load_image, run
+from mcusentry.machine import (ConstantSensor, RunContext, StateRecord, load_image,
+                               run)
 from mcusentry.monitor import GpioState, Monitor
+from mcusentry.oracle import BOTTOM, TOP
 from mcusentry.programs import boot_rom, filler_binary, window_for
-from mcusentry.protocol import (AuthorizationMessage, authorize_ctrl, install,
-                                settle_after_verify, stored_counter, verify_dev,
-                                verify_record_count, xsensing)
+from mcusentry.protocol import (VERIFY_HEADER_RECORDS, VERIFY_RECORDS_PER_WORD,
+                                VERIFY_TAIL_RECORDS, AuthorizationMessage,
+                                authorize_ctrl, install, settle_after_verify,
+                                stored_counter, verify_dev, verify_record_count,
+                                xsensing)
 
 LAYOUT = default_layout()
 KEY = bytes(range(32))
@@ -274,3 +278,183 @@ def test_refused_verification_reset_reaches_the_reset_hook():
     assert not ok and len(records) == 1 and records[-1].reset
     settle_after_verify(machine, monitor, records)
     assert len(seen) == 1 and not any(seen[0])
+
+
+# -- Differential reference: the per-record protocol cycles -------------------
+# ``install`` and ``verify_dev`` sample the live bounds once per phase and
+# stage bytes straight into memory. The reference below re-reads
+# ``er_window()`` on every record and stages through ``store_word``; both
+# must give the same records, memory, cycle count and monitor state.
+
+def _reference_emit(machine, monitor, records, pc, *, r_en=False, w_en=False,
+                    d_addr=0):
+    er_min, er_max = machine.er_window()
+    rec = StateRecord(machine.cycle, pc, r_en, w_en, d_addr, False, 0, False,
+                      False, False, pc, er_min, er_max)
+    machine.cycle += 1
+    if monitor is not None and monitor.step(rec):
+        rec = rec._replace(reset=True)
+    records.append(rec)
+    return rec.reset
+
+
+def reference_install(msg, machine, er, monitor=None):
+    layout = machine.layout
+    layout.validate_window(er)
+    span = er.byte_span
+    if len(msg.binary) > span:
+        raise SizeError("binary exceeds window")
+    installer_pc = (layout.pmem.start + 0x80) & 0xFFFE
+    padded = msg.binary + bytes(span - len(msg.binary))
+    records = []
+
+    def staged_write(addr, chunk):
+        for i in range(0, len(chunk), 2):
+            word = int.from_bytes(chunk[i:i + 2].ljust(2, b"\x00"), "little")
+            _reference_emit(machine, monitor, records, installer_pc,
+                            w_en=True, d_addr=addr + i)
+            machine.store_word(addr + i, word)
+
+    staged_write(layout.atok_mailbox.start,
+                 msg.chal.to_bytes(8, "big") + msg.token)
+    staged_write(er.er_min, padded)
+    staged_write(layout.er_min_cell,
+                 er.er_min.to_bytes(2, "little") + er.er_max.to_bytes(2, "little"))
+    return records
+
+
+def reference_verify_dev(key, machine, monitor):
+    layout = machine.layout
+    records = []
+    vr = layout.vr
+    mb = layout.atok_mailbox.start
+    chal = int.from_bytes(machine.memory[mb:mb + 8], "big")
+    staged_token = bytes(machine.memory[mb + 8:mb + 40])
+    cursor = [vr.start]
+
+    def vr_pc():
+        pc = cursor[0]
+        cursor[0] = vr.start if pc + 2 > vr.end else pc + 2
+        return pc
+
+    for i in range(VERIFY_HEADER_RECORDS):
+        if _reference_emit(machine, monitor, records, vr_pc(),
+                           r_en=True, d_addr=(mb + 2 * i) & 0xFFFE):
+            return BOTTOM, records
+    if chal <= stored_counter(machine):
+        return BOTTOM, records
+    er_min, er_max = machine.er_window()
+    if er_min > er_max:
+        return BOTTOM, records
+    window_bytes = bytes(machine.memory[er_min:er_max + 2])
+    for offset in range(0, len(window_bytes), 2):
+        for _ in range(VERIFY_RECORDS_PER_WORD):
+            if _reference_emit(machine, monitor, records, vr_pc(),
+                               r_en=True, d_addr=er_min + offset):
+                return BOTTOM, records
+    sigma = token_mac(key, chal, window_bytes)
+    for _ in range(VERIFY_TAIL_RECORDS):
+        if _reference_emit(machine, monitor, records, vr_pc()):
+            return BOTTOM, records
+    if sigma != staged_token:
+        return BOTTOM, records
+    start = layout.counter_cell.start
+    machine.memory[start:start + 8] = chal.to_bytes(8, "big")
+    k_enc = derive_enc_key(key, chal)
+    ekr = layout.ekr
+    for i in range(0, min(32, len(ekr)), 2):
+        machine.store_word(ekr.start + i, int.from_bytes(k_enc[i:i + 2], "little"))
+        if _reference_emit(machine, monitor, records, vr_pc(),
+                           w_en=True, d_addr=ekr.start + i):
+            return BOTTOM, records
+    _reference_emit(machine, monitor, records, layout.i_auth)
+    return TOP, records
+
+
+EKR8_LAYOUT = parse_layout(format_layout(LAYOUT).replace("ekr=0xF100:0xF11F",
+                                                         "ekr=0xF100:0xF107"))
+
+
+def _session(layout, boot_er, monitor_mode, steps, install_fn, verify_fn):
+    """Boot on ``boot_er``, then run each (message, window) step through
+    install, verify and settle; return everything either side observed."""
+    machine, monitor = booted_machine(boot_er, layout)
+    if monitor_mode == "reset":
+        monitor.force_reset()
+    elif monitor_mode == "none":
+        monitor = None
+    seen = []
+    for msg, er in steps:
+        staged = install_fn(msg, machine, er, monitor)
+        ok, verified = verify_fn(KEY, machine, monitor)
+        seen.append((staged, ok, verified, bytes(machine.memory), machine.cycle,
+                     None if monitor is None else monitor.state))
+        settle_after_verify(machine, monitor, verified)
+    return seen
+
+
+def _steps(kind, binary, er):
+    """Messages for one session: ``fresh`` is accepted once; ``tampered``
+    flips a bit of the binary; ``short-token`` drops the token's last
+    byte, so the mailbox chunk has odd length; ``replayed`` stages an
+    accepted message again; ``stale`` stages an older challenge after a
+    newer one."""
+    first, counter = authorize_ctrl(KEY, 0, binary)
+    if kind == "fresh":
+        return [(first, er)]
+    if kind == "short-token":
+        return [(AuthorizationMessage(binary, first.chal, first.token[:-1]), er)]
+    if kind == "tampered":
+        body = bytearray(binary)
+        body[len(body) // 2] ^= 0x10
+        return [(AuthorizationMessage(bytes(body), first.chal, first.token), er)]
+    if kind == "replayed":
+        return [(first, er), (first, er)]
+    second, _ = authorize_ctrl(KEY, counter, binary)
+    return [(second, er), (first, er)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=st.sampled_from([LAYOUT, EKR8_LAYOUT]),
+       span=st.integers(1, 512).map(lambda words: 2 * words),
+       cut=st.integers(0, 1023),
+       er_min=st.integers(0x2000, 0x2400).map(lambda a: a & 0xFFFE),
+       boot_er_min=st.integers(0x2000, 0x2400).map(lambda a: a & 0xFFFE),
+       kind=st.sampled_from(["fresh", "tampered", "short-token", "replayed",
+                             "stale"]),
+       monitor_mode=st.sampled_from(["live", "none", "reset"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_protocol_cycles_equal_the_per_record_reference(
+        layout, span, cut, er_min, boot_er_min, kind, monitor_mode, seed):
+    # The binary may be shorter than the window, of odd length, and the
+    # session may boot on another window, so the metadata chunk moves the
+    # live bounds between its two records.
+    binary = random.Random(seed).randbytes(max(1, span - cut % span))
+    er = ErWindow(er_min, er_min + span - 2)
+    boot_er = ErWindow(boot_er_min, boot_er_min + 2 * (seed % 8))
+    steps = _steps(kind, binary, er)
+    got = _session(layout, boot_er, monitor_mode, steps, install, verify_dev)
+    want = _session(layout, boot_er, monitor_mode, steps,
+                    reference_install, reference_verify_dev)
+    assert got == want
+    for staged, _, verified, *_ in got:
+        assert all(type(r) is StateRecord for r in staged + verified)
+    if monitor_mode == "reset":
+        assert all(r.reset for r in got[0][0])
+
+
+def test_metadata_record_carries_the_new_lower_bound():
+    # Booted on one window, staged on another: the store to the er_min
+    # cell takes effect before the er_max cell's record is emitted.
+    boot_er, er = ErWindow(0x3000, 0x3002), ErWindow(0x4000, 0x400E)
+    machine, monitor = booted_machine(boot_er)
+    msg, _ = authorize_ctrl(KEY, 0, bytes(range(16)))
+    records = install(msg, machine, er, monitor)
+    first, second = records[-2:]
+    assert (first.d_addr, first.er_min, first.er_max) == (LAYOUT.er_min_cell,
+                                                          0x3000, 0x3002)
+    assert (second.d_addr, second.er_min, second.er_max) == (LAYOUT.er_max_cell,
+                                                             0x4000, 0x3002)
+    assert machine.er_window() == (0x4000, 0x400E)
+    ok, verified = verify_dev(KEY, machine, monitor)
+    assert ok and all((r.er_min, r.er_max) == (0x4000, 0x400E) for r in verified)

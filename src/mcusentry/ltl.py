@@ -4,16 +4,16 @@ A finite simulator trace is completed to an infinite word by looping its
 terminal record (halt or post-reset idle), which is sound because every
 proposition is constant on that sink. Two evaluators are provided: a naive
 recursive one that follows the operator definitions literally (the
-reference), and a vectorized one used on large trace corpora. Tests keep
-them in agreement.
+reference), and a bit-parallel one (one Python int per subformula) used on
+large trace corpora. Tests keep them in agreement.
 
 Propositions come from a table of named expressions (``props.build_props``)
 or, when no table is given, from same-named attributes of the states. The
 naive evaluator applies a table entry to one record at a time. The
-vectorized one applies it once to the trace's ``machine.RecordColumns``
+bit-parallel one applies it once to the trace's ``machine.RecordColumns``
 view, which yields the proposition at every position in one numpy
-expression; the lasso keeps that column, so every formula evaluated on the
-same trace with the same table reuses it.
+expression; the lasso keeps it packed into an int (``LassoTrace.prop_bits``),
+so every formula evaluated on the same trace with the same table reuses it.
 
 Operator semantics on an infinite word w at position i:
 
@@ -120,15 +120,15 @@ PropValuation = Callable[[object], object]
 class LassoTrace:
     """Finite prefix plus a nonempty loop; positions index prefix+loop.
 
-    The unrolled state list, its column view and the proposition columns
+    The unrolled state list, its column view and the proposition words
     are computed on first use and kept, so a lasso's ``prefix`` and
     ``loop`` must not change after it is evaluated.
     """
 
     prefix: list
     loop: list
-    _prop_columns: dict = field(default_factory=dict, init=False,
-                                repr=False, compare=False)
+    _prop_bits: dict = field(default_factory=dict, init=False,
+                             repr=False, compare=False)
 
     def __post_init__(self):
         if not self.loop:
@@ -153,15 +153,18 @@ class LassoTrace:
     def state(self, pos: int):
         return self.states[pos]
 
-    def prop_column(self, fn: "PropValuation") -> np.ndarray:
-        """Read-only bool array of table entry ``fn`` at every position,
-        evaluated once on the column view and kept per entry."""
-        out = self._prop_columns.get(fn)
+    def prop_bits(self, fn: "PropValuation") -> int:
+        """Table entry ``fn`` at every position as one int, position ``i``
+        at bit ``length - 1 - i``; evaluated once on the column view and
+        kept per entry."""
+        out = self._prop_bits.get(fn)
         if out is None:
-            out = np.empty(self.length, dtype=bool)
-            out[...] = fn(self.columns)  # a constant entry broadcasts
-            out.flags.writeable = False
-            self._prop_columns[fn] = out
+            value = fn(self.columns)
+            if np.ndim(value) == 0:  # a constant entry holds everywhere or nowhere
+                out = (1 << self.length) - 1 if value else 0
+            else:
+                out = int.from_bytes(np.packbits(value), "big") >> (-self.length % 8)
+            self._prop_bits[fn] = out
         return out
 
     def successor(self, pos: int) -> int:
@@ -260,14 +263,7 @@ def _ev(g: Formula, i: int, trace: LassoTrace,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluator
-
-
-def _first_true_at_or_after(flags: np.ndarray) -> np.ndarray:
-    """first[i] = least k >= i with flags[k], else len(flags)."""
-    n = len(flags)
-    idx = np.where(flags, np.arange(n), n)
-    return np.minimum.accumulate(idx[::-1])[::-1]
+# Bit-parallel evaluator
 
 
 def eval_vector(f: Formula, trace: LassoTrace,
@@ -279,79 +275,79 @@ def eval_vector(f: Formula, trace: LassoTrace,
     ``props.build_props`` are (``&``, ``|`` and comparisons, never ``and``,
     ``or`` or ``in``), and the states must carry every ``machine.COLUMNS``
     field, as ``StateRecord`` does. With no table, propositions are the
-    states' same-named attributes and any state type will do. The result
-    may be read-only: a bare ``Prop`` returns the column the lasso keeps.
+    states' same-named attributes and any state type will do.
 
-    Temporal operators are computed on the trace doubled around its loop:
-    one extra unrolling is enough for the least-fixpoint operators because
-    every position then sees a full loop iteration ahead of it.
+    Each subformula is one int, position i of n at bit n-1-i (propositions
+    from ``LassoTrace.prop_bits``): the loop is the low bits, and an
+    addition's carry runs from later positions to earlier ones. Until-like
+    operators run on the trace doubled around its loop: one extra unrolling
+    is enough for the least fixpoint because every position then sees a
+    full loop iteration ahead of it.
     """
     n = trace.length
-    ls = trace.loop_start
-    loop_len = n - ls
-    ext = n + loop_len  # doubled-loop horizon
+    bits = _bits(f, (trace, props, {}, (1 << n) - 1, n - trace.loop_start))
+    packed = (bits << (-n % 8)).to_bytes((n + 7) // 8, "big")
+    return np.unpackbits(np.frombuffer(packed, np.uint8), count=n).view(bool)
 
-    def extend(vals: np.ndarray) -> np.ndarray:
-        return np.concatenate([vals, vals[ls:n]])
 
-    # Keyed by node identity: hashing a frozen node hashes its whole subtree.
-    cache: dict[int, np.ndarray] = {}
-
-    def ev(g: Formula) -> np.ndarray:
-        hit = cache.get(id(g))
-        if hit is not None:
-            return hit
-        if isinstance(g, Prop):
-            if props is not None:
-                out = trace.prop_column(props[g.name])
-            else:
-                out = np.fromiter((bool(getattr(s, g.name)) for s in trace.states),
-                                  dtype=bool, count=n)
-        elif isinstance(g, Not):
-            out = ~ev(g.sub)
-        elif isinstance(g, And):
-            out = ev(g.left) & ev(g.right)
-        elif isinstance(g, Or):
-            out = ev(g.left) | ev(g.right)
-        elif isinstance(g, Implies):
-            out = ~ev(g.left) | ev(g.right)
-        elif isinstance(g, X):
-            sub = ev(g.sub)
-            out = np.empty(n, dtype=bool)
-            out[:n - 1] = sub[1:]
-            out[n - 1] = sub[ls]
-        elif isinstance(g, G):
-            sub = ev(g.sub)
-            suffix_all = np.logical_and.accumulate(sub[::-1])[::-1]
-            loop_all = bool(sub[ls:].all())
-            out = suffix_all & loop_all
-        elif isinstance(g, (U, W, B)):
-            if isinstance(g, B):
-                left = ~ev(g.left)
-                right = ev(g.right)
-            else:
-                left = ev(g.left)
-                right = ev(g.right)
-            lx = extend(left)
-            rx = extend(right)
-            first_right = _first_true_at_or_after(rx)
-            first_not_left = _first_true_at_or_after(~lx)
-            until_ext = first_right <= first_not_left
-            until = until_ext[:n] & (first_right[:n] < ext)
-            if isinstance(g, U):
-                out = until
-            elif isinstance(g, W):
-                loop_left_all = bool(left[ls:].all())
-                g_left = np.logical_and.accumulate(left[::-1])[::-1] & loop_left_all
-                out = until | g_left
-            else:  # B
-                out = ~until
+def _bits(g: Formula, env: tuple) -> int:
+    # env: trace, props, a memo keyed by node identity (hashing a frozen node
+    # hashes its subtree), ``full`` (a one at every position), k (the loop
+    # length). Not a closure over itself, for the reason given at ``_ev``.
+    trace, props, memo, full, k = env
+    hit = memo.get(id(g))
+    if hit is not None:
+        return hit
+    if isinstance(g, Prop):
+        if props is not None:
+            out = trace.prop_bits(props[g.name])
         else:
-            raise TypeError(f"unknown formula node {g!r}")
-        cache[id(g)] = out
-        return out
+            out = int("".join("1" if getattr(s, g.name) else "0"
+                              for s in trace.states), 2)
+    elif isinstance(g, Not):
+        out = full ^ _bits(g.sub, env)
+    elif isinstance(g, And):
+        out = _bits(g.left, env) & _bits(g.right, env)
+    elif isinstance(g, Or):
+        out = _bits(g.left, env) | _bits(g.right, env)
+    elif isinstance(g, Implies):
+        out = (full ^ _bits(g.left, env)) | _bits(g.right, env)
+    elif isinstance(g, X):
+        # The last position's successor is the loop start, bit k-1.
+        sub = _bits(g.sub, env)
+        out = ((sub << 1) & full) | ((sub >> (k - 1)) & 1)
+    elif isinstance(g, G):
+        out = _globally(_bits(g.sub, env), k)
+    elif isinstance(g, (U, W, B)):
+        left, right = _bits(g.left, env), _bits(g.right, env)
+        if isinstance(g, U):
+            out = _until(left, right, k)
+        elif isinstance(g, W):
+            out = _until(left, right, k) | _globally(left, k)
+        else:  # B: not ((not left) U right)
+            out = full ^ _until(full ^ left, right, k)
+    else:
+        raise TypeError(f"unknown formula node {g!r}")
+    memo[id(g)] = out
+    return out
 
-    return ev(f)
+
+def _globally(sub: int, k: int) -> int:
+    """G: the trailing run of ones (every later position holds), kept only
+    when it covers the whole loop."""
+    loop = (1 << k) - 1
+    return sub & ~(sub + 1) if sub & loop == loop else 0
+
+
+def _until(left: int, right: int, k: int) -> int:
+    """U on the doubled loop (each operand gains a copy of its loop below
+    bit 0): ``rx << 1`` puts a one at the lowest bit of each run of
+    left-only positions that right follows, which carries through and
+    clears the run (the until holds there) and stops just above it."""
+    loop = (1 << k) - 1
+    rx = (right << k) | (right & loop)
+    lx = ((left << k) | (left & loop)) & ~rx
+    return (rx | (lx & ~(lx + (rx << 1)))) >> k
 
 
 def check_props(f: Formula, props: Mapping[str, PropValuation]) -> set[str]:

@@ -300,7 +300,7 @@ def load_image(layout: MemoryLayout, image: bytes, er: ErWindow,
         raise ImageError(f"image of {len(image)} bytes exceeds the 64 KB space")
     layout.validate_window(er)
     overlap = image[layout.rom.start:layout.rom.end + 1]
-    if any(overlap):
+    if overlap.count(0) != len(overlap):
         raise ImageError("image writes into the ROM range")
     machine = Machine(layout)
     machine.memory[:len(image)] = image

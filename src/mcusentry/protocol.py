@@ -101,6 +101,9 @@ def install(msg: AuthorizationMessage, machine: Machine, er: ErWindow,
     span = er.byte_span
     if len(msg.binary) > span:
         raise SizeError(f"binary of {len(msg.binary)} bytes exceeds window of {span}")
+    mailbox = msg.chal.to_bytes(CHAL_BYTES, "big") + msg.token
+    if len(mailbox) + len(mailbox) % 2 > len(layout.atok_mailbox):  # whole words
+        raise SizeError(f"challenge and token of {len(mailbox)} bytes overflow the mailbox")
     installer_pc = (layout.pmem.start + 0x80) & 0xFFFE
     padded = msg.binary + bytes(span - len(msg.binary))
     records: list[StateRecord] = []
@@ -121,8 +124,7 @@ def install(msg: AuthorizationMessage, machine: Machine, er: ErWindow,
             if meta_lo <= a <= meta_hi:
                 er_min, er_max = machine.er_window()
 
-    mb = layout.atok_mailbox.start
-    staged_write(mb, msg.chal.to_bytes(CHAL_BYTES, "big") + msg.token)
+    staged_write(layout.atok_mailbox.start, mailbox)
     staged_write(er.er_min, padded)
     staged_write(layout.er_min_cell,
                  er.er_min.to_bytes(2, "little") + er.er_max.to_bytes(2, "little"))

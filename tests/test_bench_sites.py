@@ -7,8 +7,10 @@ benchmark's self-test then fails or its per-layer rows read zero.
 import importlib.util
 from pathlib import Path
 
+from mcusentry import ltl, referee
 from mcusentry.layout import default_layout
 from mcusentry.monitor import Monitor
+from mcusentry.scenarios import happy_path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -30,3 +32,19 @@ def test_every_span_site_resolves():
 def test_monitor_step_span_can_size_itself():
     # The Monitor.step span sizes each call by the monitor's reset log.
     assert isinstance(Monitor.for_layout(default_layout()).local_resets_log, list)
+
+
+def test_goal_check_goes_through_the_eval_vector_span(monkeypatch):
+    # The bench's ltl.eval_vector span and its required calls on campaign
+    # and tracecheck see only calls made through the module attribute.
+    calls = []
+    inner = ltl.eval_vector
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ltl, "eval_vector", counted)
+    outcome = referee.run_scenario(happy_path())
+    assert outcome.trace.records and not outcome.goal_violations
+    assert len(calls) == 1

@@ -130,6 +130,43 @@ def test_vectorized_agrees_with_naive(f, tr):
         assert bool(vec[pos]) == eval_naive(f, tr, pos)
 
 
+@st.composite
+def long_lassos(draw):
+    """Lassos of 1-150 positions, so the evaluator's words cross the 8- and
+    64-bit boundaries, with each proposition drawn as runs of equal values
+    so that the carry chains of the until operators run long."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65,
+                                        127, 128, 129, 150]),
+                       st.integers(1, 150)))
+    columns = []
+    for _ in "pqr":
+        column = []
+        while len(column) < n:
+            column += [draw(st.booleans())] * draw(st.integers(1, n))
+        columns.append(column[:n])
+    states = [S(*values) for values in zip(*columns)]
+    loop_start = draw(st.one_of(st.sampled_from([0, n - 1]),
+                                st.integers(0, n - 1)))
+    return LassoTrace(prefix=states[:loop_start], loop=states[loop_start:])
+
+
+@pytest.mark.parametrize("node", [Not, And, Or, Implies, X, G, U, W, B],
+                         ids=lambda node: node.__name__)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_vectorized_agrees_with_naive_on_long_lassos(node, data):
+    tr = data.draw(long_lassos())
+    subs = [data.draw(formulas(depth=1)) for _ in range(2)]
+    f = node(subs[0]) if node in (Not, X, G) else node(*subs)
+    n = tr.length
+    positions = {0, tr.loop_start, n - 1}
+    positions |= set(data.draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    vec = eval_vector(f, tr)
+    assert vec.dtype == bool and vec.shape == (n,)
+    for pos in sorted(positions):
+        assert bool(vec[pos]) == eval_naive(f, tr, pos), pos
+
+
 @settings(max_examples=1000, deadline=None)
 @given(formulas(depth=2), formulas(depth=2), lassos())
 def test_weak_until_defining_equivalence(f, g, tr):

@@ -153,6 +153,13 @@ def test_load_image_rejects_rom_content():
         load_image(LAYOUT, bytes(image), ER)
 
 
+def test_load_image_rejects_one_byte_at_the_last_rom_address():
+    image = bytearray(LAYOUT.rom.end + 1)
+    image[LAYOUT.rom.end] = 0x80
+    with pytest.raises(ImageError, match="ROM"):
+        load_image(LAYOUT, bytes(image), ER)
+
+
 def test_load_image_empty_sets_metadata():
     machine = load_image(LAYOUT, b"", ER)
     assert machine.er_window() == (ER.er_min, ER.er_max)

@@ -104,6 +104,32 @@ class TestInstallVerify:
         with pytest.raises(SizeError):
             install(msg, machine, ErWindow(0x4000, 0x4002), monitor)
 
+    def test_long_token_rejected_before_any_store(self):
+        # A 48-byte token would be staged over the counter cell behind the
+        # mailbox and let a stale challenge through.
+        machine, monitor, msg, er = staged(assemble([NOP(), HALT()]))
+        counter = stored_counter(machine)
+        memory, cycle = bytes(machine.memory), machine.cycle
+        long = AuthorizationMessage(msg.binary, msg.chal + 1, b"\xff" * 48)
+        with pytest.raises(SizeError, match="mailbox"):
+            install(long, machine, er, monitor)
+        assert stored_counter(machine) == counter
+        assert bytes(machine.memory) == memory
+        assert machine.cycle == cycle
+
+    def test_token_filling_the_mailbox_is_staged(self):
+        binary = b"\x00\x00"
+        er = window_for(binary, 0x4000)
+        machine, monitor = booted_machine(er)
+        room = len(LAYOUT.atok_mailbox) - 8  # after the 8-byte challenge
+        msg = AuthorizationMessage(binary, 1, b"\xaa" * room)
+        install(msg, machine, er, monitor)
+        box = LAYOUT.atok_mailbox
+        assert machine.memory[box.start + 8:box.end + 1] == msg.token
+        with pytest.raises(SizeError):
+            install(AuthorizationMessage(binary, 1, b"\xaa" * (room + 1)),
+                    machine, er, monitor)
+
     def test_bit_flip_in_window_rejects(self):
         machine, monitor, msg, er = staged(assemble([NOP(), NOP(), HALT()]))
         machine.memory[er.er_min] ^= 0x01  # post-staging corruption

@@ -69,6 +69,9 @@ class DmaRequest:
     def __post_init__(self):
         if self.op not in ("read", "write"):
             raise ValueError(f"bad DMA op {self.op!r}")
+        in_range = 0 <= self.addr <= WORD_MASK and 0 <= self.value <= WORD_MASK
+        if self.at_cycle < 0 or not in_range:
+            raise ValueError(f"DMA request out of range: {self}")
 
 
 class SensorProvider:
@@ -481,10 +484,13 @@ class RunContext:
             if req.at_cycle in schedule:
                 raise ValueError(f"two DMA requests at cycle {req.at_cycle}")
             schedule[req.at_cycle] = req
+        irq_cycles = frozenset(irq_cycles)
+        if irq_cycles and min(irq_cycles) < 0:
+            raise ValueError(f"negative IRQ cycle {min(irq_cycles)}")
         return RunContext(
             sensor=sensor or ConstantSensor(),
             dma_schedule=schedule,
-            irq_cycles=frozenset(irq_cycles),
+            irq_cycles=irq_cycles,
         )
 
 

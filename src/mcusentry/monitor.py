@@ -21,17 +21,24 @@ A letter is one int holding the 17 comparator outputs the FSMs read, bit
 ``i`` being the ``props`` entry ``LETTER[i]``. ``MonitorConfig.letter``
 computes it from a record (bus signals plus the live window bounds) and
 is the monitor's only reader of records, so ``Monitor.step`` memoizes
-each (state, letter) transition.
+each (state, letter) transition. The fixed regions never change for a
+config, so the letter looks them up in per-address class tables (pc, CPU
+read, CPU write, DMA) built once per config value: ``bytes`` for records
+(4 x 64 KB), int32 copies for column views (4 x 256 KB, at the first
+view). The live window's bits stay comparisons against the record's own
+``er_min``/``er_max``, so a metadata rewrite is seen on the next cycle.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
-from .layout import MemoryLayout, Region
+import numpy as np
+
+from .layout import ADDRESS_SPACE, MemoryLayout, Region
 from .machine import StateRecord
 
 
@@ -101,33 +108,45 @@ class MonitorConfig:
         """The function from a record to its letter. Written like the
         ``props`` entries, it also takes a ``machine.RecordColumns`` view
         and then gives an int array."""
-        gpio_lo, gpio_hi = self.gpio.start, self.gpio.end
-        ekr_lo, ekr_hi = self.ekr.start, self.ekr.end
-        vr_lo, vr_hi = self.vr.start, self.vr.end
-        meta_lo, meta_hi = self.metadata.start, self.metadata.end
-        i_auth = self.i_auth
+        return table_letter(self)
 
-        def letter(rec):
+
+def _bind(pc_t, read_t, write_t, dma_t, fallback=None):
+    """The letter on one set of tables; an argument they cannot index
+    (``bytes[ndarray]`` raises ``TypeError``) goes to ``fallback``."""
+    def letter(rec):
+        try:
             pc, lo, hi = rec.pc, rec.er_min, rec.er_max
-            d, a, r, w, dma = rec.d_addr, rec.dma_addr, rec.r_en, rec.w_en, rec.dma_en
-            return ((pc == 0)
-                    | (pc == i_auth) << 1
-                    | ((vr_lo <= pc) & (pc <= vr_hi)) << 2
-                    | ((lo <= pc) & (pc <= hi)) << 3
-                    | (pc == lo) << 4
-                    | (pc == hi) << 5
-                    | rec.irq << 6
-                    | dma << 7
-                    | (r & (gpio_lo <= d) & (d <= gpio_hi)) << 8
-                    | (r & (ekr_lo <= d) & (d <= ekr_hi)) << 9
-                    | (w & (lo <= d) & (d <= hi)) << 10
-                    | (w & (meta_lo <= d) & (d <= meta_hi)) << 11
-                    | (w & (ekr_lo <= d) & (d <= ekr_hi)) << 12
-                    | (dma & (gpio_lo <= a) & (a <= gpio_hi)) << 13
-                    | (dma & (ekr_lo <= a) & (a <= ekr_hi)) << 14
-                    | (dma & (lo <= a) & (a <= hi)) << 15
-                    | (dma & (meta_lo <= a) & (a <= meta_hi)) << 16)
-        return letter
+            d, a, w, dma = rec.d_addr, rec.dma_addr, rec.w_en, rec.dma_en
+            return (pc_t[pc] | ((lo <= pc) & (pc <= hi)) << 3
+                    | (pc == lo) << 4 | (pc == hi) << 5 | rec.irq << 6 | dma << 7
+                    | read_t[d] * rec.r_en << 8
+                    | (write_t[d] | (lo <= d) & (d <= hi)) * w << 10
+                    | (dma_t[a] | ((lo <= a) & (a <= hi)) << 2) * dma << 13)
+        except TypeError:
+            if fallback is None:
+                raise
+            return fallback(rec)
+    return letter
+
+
+@lru_cache(maxsize=8)
+def table_letter(cfg: MonitorConfig):
+    """The letter of a config value on its pc, CPU read, CPU write and DMA
+    tables, each entry in units of its table's lowest letter bit."""
+    tables = np.zeros((4, ADDRESS_SPACE), np.uint8)
+    units = (PC_ZERO, READ_GPIO, WRITE_ER, DMA_GPIO)
+    for i, bit, region in (
+            (0, PC_ZERO, Region(0, 0)), (0, PC_IAUTH, Region(cfg.i_auth, cfg.i_auth)),
+            (0, PC_VR, cfg.vr), (1, READ_GPIO, cfg.gpio), (1, READ_EKR, cfg.ekr),
+            (2, WRITE_META, cfg.metadata), (2, WRITE_EKR, cfg.ekr),
+            (3, DMA_GPIO, cfg.gpio), (3, DMA_EKR, cfg.ekr), (3, DMA_META, cfg.metadata)):
+        tables[i, region.start:region.end + 1] |= bit // units[i]
+    tables = tuple(map(bytes, tables))
+    # Column copies are int32 (numpy's uint8 << 8 is 0), made at the first view.
+    on_columns = cache(lambda: _bind(*(np.frombuffer(t, np.uint8).astype(np.int32)
+                                       for t in tables)))
+    return _bind(*tables, fallback=lambda view: on_columns()(view))
 
 
 @dataclass(frozen=True)

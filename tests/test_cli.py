@@ -215,6 +215,26 @@ def test_run_short_dma_line_is_a_usage_error(workdir, capsys, line):
     assert err.startswith("error: DMA file line 2:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, line, words", [
+    ("--dma-file", "5 read 0x10000", ["DMA request", "addr=65536"]),
+    ("--irq-file", "-5", ["IRQ cycle", "-5"]),
+], ids=["dma-address-past-the-space", "negative-irq-cycle"])
+def test_run_out_of_range_schedule_is_a_usage_error(workdir, capsys, flag, line, words):
+    # Without the range checks the address aliases to 0 and the interrupt
+    # never fires, and the run goes on to a verdict.
+    tmp, binary = workdir
+    _authorize(tmp)
+    capsys.readouterr()
+    (tmp / "schedule.txt").write_text(f"{line}\n")
+    er = window_for(binary, 0x4000)
+    code = main(_run_args(tmp, er, [flag, str(tmp / "schedule.txt")]))
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert all(word in err[0] for word in words), err[0]
+
+
 @pytest.mark.parametrize("args", [["--boot-cycles", "0"], ["--boot-cycles", "-3"],
                                   ["--max-cycles", "0"], ["--max-cycles", "-1"]],
                          ids=["zero-boot", "negative-boot", "zero-max",

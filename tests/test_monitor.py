@@ -2,19 +2,21 @@
 
 from dataclasses import fields
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcusentry import referee
-from mcusentry.checker import scaled_space
+from mcusentry.checker import _candidates, default_er_choices, scaled_space
 from mcusentry.layout import default_layout
 from mcusentry.machine import RecordColumns, StateRecord
 from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, LETTER, AtomState,
                                EkrState, GpioState, GuardFlags, Monitor,
                                MonitorConfig, MonitorState, monitor_step,
                                step_atomicity_fsm, step_ekr_write_fsm,
-                               step_gpio_fsm, transition_table)
+                               step_gpio_fsm, table_letter, transition_table)
 from mcusentry.mutants import MUTANTS
 from mcusentry.props import build_props, read_mem, write_mem
 from mcusentry.scenarios import CATALOGUE
@@ -423,3 +425,43 @@ def test_letter_bits_are_the_named_propositions(data, layout):
         for rec, got in zip(recs, letters.tolist()):
             assert letter(rec) == got
             assert bool(letter(rec) >> bit & 1) == bool(props[name](rec)), (name, rec)
+
+
+# The letter is one expression bound twice: to ``bytes`` tables for a record
+# and to int32 tables for a column view. Narrow column tables would drop the
+# shifted bits (a numpy uint8 shifted left by 8 is 0), so the two bindings
+# are compared on every candidate the checker draws its alphabet from.
+
+@pytest.mark.parametrize("width", [5, 6, 7])
+def test_letter_on_a_candidate_grid_equals_the_letter_of_each_row(width):
+    space = scaled_space(width)
+    letter = MonitorConfig.from_layout(space).letter
+    for er_min, er_max in default_er_choices(space):
+        columns = _candidates(space, er_min, er_max)
+        rows = zip(*(column.tolist() for column in columns.values()))
+        expected = [letter(StateRecord(cycle=0, **dict(zip(columns, row))))
+                    for row in rows]
+        assert letter(SimpleNamespace(**columns)).tolist() == expected, (er_min, er_max)
+
+
+def test_letter_on_a_catalogue_trace_view_equals_the_letter_of_each_record():
+    for name, make in CATALOGUE.items():
+        plan = make()
+        letter = MonitorConfig.from_layout(plan.layout).letter
+        records = referee.run_scenario(plan).trace.records
+        assert letter(RecordColumns(records)).tolist() == \
+            [letter(rec) for rec in records], name
+
+
+def test_letter_tables_are_built_once_per_config_value():
+    cfg, again = (MonitorConfig.from_layout(default_layout()) for _ in range(2))
+    assert cfg is not again and table_letter(cfg) is table_letter(again)
+    assert cfg.letter is again.letter
+    for other in (MonitorConfig.from_layout(default_layout(), ekr_enabled=False),
+                  MonitorConfig.from_layout(scaled_space(5))):
+        assert table_letter(other) is not table_letter(cfg)
+    # Each round's Monitor.for_layout builds a new config equal to ``cfg``.
+    built = table_letter.cache_info().misses
+    for _ in range(2):
+        referee.run_scenario(CATALOGUE["happy-path"]())
+    assert table_letter.cache_info().misses == built

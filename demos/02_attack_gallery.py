@@ -14,7 +14,8 @@ def main():
     results = run_campaign(names=None, random_count=200, seed=42)
     print(summary_table(results))
 
-    print("\ndetail: the DMA snoop attempt, cycle by cycle")
+    print("\ndetail: the DMA snoop attempt, cycle by cycle "
+          "(the CPU spins in the boot ROM, a DMA read of GPIO is punished)")
     outcome = run_scenario(CATALOGUE["dma-gpio-snoop"]())
     layout = CATALOGUE["dma-gpio-snoop"]().layout
     for rec in outcome.trace.records:

@@ -16,7 +16,7 @@ is refused. The alphabet depends only on the space and the key's names, so
 ``build_alphabet`` keeps the last few it built: a catalogue sweep and each
 mutant conviction share one. Coverage is exhaustive only over the classes
 the curated windows produce: the FSM state (rUNLOCK, wUNLOCK, lastER) is
-never reached (ROADMAP open item 3).
+never reached (ROADMAP open item 5).
 
 Checking walks the reachable product of monitor state with a small-int
 tracking value per conjunct (0 for a safety formula ``G p``, an armed bit

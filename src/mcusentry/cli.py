@@ -25,7 +25,7 @@ from .machine import (ConstantSensor, DmaRequest, RunContext, SequenceSensor,
 from .monitor import Monitor
 from .mutants import MUTANTS, mutant_guards
 from .protocol import (AuthorizationMessage, authorize_ctrl, install,
-                       settle_after_verify, verify_dev, xsensing)
+                       verify_dev, xsensing)
 from .referee import DEFAULT_KEY, run_campaign, summary_table
 
 EXIT_OK = 0
@@ -116,15 +116,25 @@ def cmd_run(args) -> int:
     records.extend(boot.records)
 
     msg = AuthorizationMessage.from_wire(Path(args.message).read_bytes())
+    boot_end = machine.cycle
     records.extend(install(msg, machine, er, monitor))
+    install_end = machine.cycle
     verdict_line = ""
     if not args.skip_verify:
         ok, vrecs = verify_dev(DEFAULT_KEY if args.key is None
                                else Path(args.key).read_bytes(),
                                machine, monitor)
         records.extend(vrecs)
-        settle_after_verify(machine, monitor, vrecs)
         verdict_line += f"verify={'top' if ok else 'bottom'} "
+    # Install and verify records service no DMA or IRQ: refuse, not drop.
+    phases = (("install", boot_end, install_end), ("verify", install_end, machine.cycle))
+    for cycle, what in sorted([(c, "DMA request") for c in ctx.dma_schedule]
+                              + [(c, "IRQ") for c in ctx.irq_cycles]):
+        for phase, start, end in phases:
+            if start <= cycle < end:
+                raise ValueError(f"{what} at cycle {cycle} falls in the {phase} "
+                                 f"phase (cycles {start}-{end - 1}), which "
+                                 "services no DMA or IRQ")
     trace, sensed = xsensing(machine, monitor, ctx, args.max_cycles)
     records.extend(trace.records)
     full = Trace(records=records, terminal=trace.terminal)

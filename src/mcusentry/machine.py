@@ -346,8 +346,8 @@ def exec_step(
 ) -> StateRecord:
     """Fetch, decode, and execute one instruction; emit the cycle's record.
 
-    The returned record's ``reset`` flag covers machine faults only; the
-    caller merges in the monitor's verdict and runs the reset routine. DMA
+    The returned record's ``reset`` flag covers machine faults only;
+    ``commit`` merges in the monitor's verdict and runs the reset routine. DMA
     effects apply after the CPU's own access within the same cycle. The
     module-level ``decode`` runs only for fetched bytes missing from
     ``machine.decode_memo``, which gains at most one entry per cycle.
@@ -494,39 +494,43 @@ class RunContext:
         )
 
 
+def commit(machine: Machine, monitor, rec: StateRecord) -> StateRecord:
+    """The one judge-and-reset step of every record (``run``, ``install``,
+    ``verify_dev``): step ``monitor`` (if any) on ``rec``; on a fault or a
+    monitor reset, return it marked ``reset=True`` after ``force_reset``
+    and ``reset_routine``, which erases the data RAM and runs ``on_reset``."""
+    if (monitor is not None and monitor.step(rec)) or rec.reset:
+        rec = rec._replace(reset=True)
+        if monitor is not None:
+            monitor.force_reset()
+        reset_routine(machine)
+    return rec
+
+
 def run(machine: Machine, monitor, ctx: RunContext, max_cycles: int) -> Trace:
     """Step machine and monitor in lock-step until halt, budget, or settle.
 
     ``monitor`` is any object with ``step(StateRecord) -> bool`` and
-    ``force_reset()``; pass ``monitor=None`` to run the bare machine. After
+    ``force_reset()``, or ``None``; ``commit`` judges each record. After
     the first reset the run continues ``POST_RESET_CYCLES`` more records
     to make post-reset state observable, then terminates as a reset sink.
     """
     if max_cycles <= 0:
         raise ValueError("max_cycles must be positive")
     trace = Trace()
-    remaining_after_reset: int | None = None
+    sink_at: int | None = None  # record count at which the run stops
     for _ in range(max_cycles):
         if machine.halted:
             trace.terminal = "halted"
             return trace
-        dma_req = ctx.dma_schedule.get(machine.cycle)
-        irq_line = machine.cycle in ctx.irq_cycles
-        rec = exec_step(machine, dma_req, irq_line, ctx.sensor)
-        fault = rec.reset
-        monitor_reset = monitor is not None and monitor.step(rec)
-        if fault or monitor_reset:
-            rec = rec._replace(reset=True)
-            if monitor is not None:
-                monitor.force_reset()
-            reset_routine(machine)
-            if remaining_after_reset is None:
-                remaining_after_reset = POST_RESET_CYCLES
+        cycle = machine.cycle
+        rec = commit(machine, monitor, exec_step(
+            machine, ctx.dma_schedule.get(cycle), cycle in ctx.irq_cycles, ctx.sensor))
         trace.records.append(rec)
-        if remaining_after_reset is not None:
-            if remaining_after_reset == 0:
-                trace.terminal = "reset-sink"
-                return trace
-            remaining_after_reset -= 1
+        if rec.reset and sink_at is None:
+            sink_at = len(trace.records) + POST_RESET_CYCLES
+        if len(trace.records) == sink_at:
+            trace.terminal = "reset-sink"
+            return trace
     trace.terminal = "halted" if machine.halted else "max-cycles"
     return trace

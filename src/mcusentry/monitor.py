@@ -334,31 +334,15 @@ def monitor_step(state: MonitorState, letter: int,
     return nxt, False
 
 
-class TransitionTable:
-    """Memo of ``monitor_step`` for one (config, guards) pair:
-    ``entries[state][letter]`` is its (next state, reset) from ``state``
-    on ``letter``."""
-
-    def __init__(self, cfg: MonitorConfig, guards: GuardFlags):
-        self.guards = guards
-        self.ekr_enabled = cfg.ekr_enabled
-        self.entries: defaultdict[MonitorState, dict[int, tuple[MonitorState, bool]]] \
-            = defaultdict(dict)
-
-    def step(self, state: MonitorState, letter: int) -> tuple[MonitorState, bool]:
-        """A miss: step the FSMs and enter the result."""
-        result = self.entries[state][letter] = monitor_step(
-            state, letter, self.guards, self.ekr_enabled)
-        return result
-
-
 @lru_cache(maxsize=1)
-def transition_table(cfg: MonitorConfig, guards: GuardFlags) -> TransitionTable:
-    """The table of a (config, guards) pair; a new ``Monitor`` per round
-    reuses it, and monitors with other guards get their own. Only the
-    latest pair's table is kept, since a campaign steps one pair
+def transition_table(cfg: MonitorConfig, guards: GuardFlags) -> defaultdict:
+    """The memo of ``monitor_step`` for a (config, guards) pair:
+    ``table[state][letter]`` is its (next state, reset) from ``state`` on
+    ``letter``, entered by ``Monitor.step`` on a miss. A new ``Monitor``
+    per round reuses it, and monitors with other guards get their own.
+    Only the latest pair's table is kept, since a campaign steps one pair
     throughout."""
-    return TransitionTable(cfg, guards)
+    return defaultdict(dict)
 
 
 class Monitor:
@@ -379,8 +363,7 @@ class Monitor:
         self.state = INITIAL_STATE
         self.observe_only = observe_only
         self.local_resets_log: list[tuple[bool, bool, bool]] = []
-        self._table = transition_table(cfg, guards)
-        self._letter, self._entries = cfg.letter, self._table.entries
+        self._letter, self._table = cfg.letter, transition_table(cfg, guards)
 
     def step(self, rec: StateRecord) -> bool:
         state = self.state
@@ -390,9 +373,10 @@ class Monitor:
             self.local_resets_log.append(local)
             return False
         letter = self._letter(rec)
-        hit = self._entries[state].get(letter)
+        hit = self._table[state].get(letter)
         if hit is None:
-            hit = self._table.step(state, letter)
+            hit = self._table[state][letter] = monitor_step(
+                state, letter, self.guards, self.cfg.ekr_enabled)
         self.state, out = hit
         return out
 

@@ -25,7 +25,7 @@ from .crypto import (CHAL_BYTES, KEY_BYTES, MAC_BYTES, derive_enc_key,
                      token_mac)
 from .errors import SizeError
 from .layout import ErWindow, MemoryLayout, default_layout
-from .machine import Machine, RunContext, StateRecord, Trace, reset_routine, run
+from .machine import Machine, RunContext, StateRecord, Trace, commit, run
 from .monitor import Monitor
 from .oracle import BOTTOM, TOP
 
@@ -94,7 +94,8 @@ def install(msg: AuthorizationMessage, machine: Machine, er: ErWindow,
     Staging runs as ordinary unprivileged stores, so the monitor observes
     every window and metadata write; re-staging after a successful
     verification is therefore a revocation event, exactly like any other
-    tampering. Returns the emitted records.
+    tampering. Like a CPU, staging stops after the store of the first
+    record that resets. Returns the emitted records.
     """
     layout = machine.layout
     layout.validate_window(er)
@@ -110,24 +111,26 @@ def install(msg: AuthorizationMessage, machine: Machine, er: ErWindow,
     mem = machine.memory
     meta_lo, meta_hi = layout.er_metadata.start, layout.er_metadata.end
 
-    def staged_write(addr: int, chunk: bytes) -> None:
-        # Signals first, memory effect at end of cycle, like exec_step; the
+    def staged_write(addr: int, chunk: bytes) -> bool:
+        # Signals, store, then verdict, like exec_step; True on a reset. The
         # bounds change only by a store into the metadata cells.
         er_min, er_max = machine.er_window()
         if len(chunk) % 2:  # a short token: the last word's high byte is 0
             chunk += b"\x00"
         for i in range(0, len(chunk), 2):
-            _emit(machine, monitor, records, installer_pc, er_min, er_max,
-                  False, True, addr + i)
             a = (addr + i) & 0xFFFE
             mem[a:a + 2] = chunk[i:i + 2]
+            if _emit(machine, monitor, records, installer_pc, er_min, er_max,
+                     False, True, addr + i):
+                return True
             if meta_lo <= a <= meta_hi:
                 er_min, er_max = machine.er_window()
+        return False
 
-    staged_write(layout.atok_mailbox.start, mailbox)
-    staged_write(er.er_min, padded)
-    staged_write(layout.er_min_cell,
-                 er.er_min.to_bytes(2, "little") + er.er_max.to_bytes(2, "little"))
+    if not (staged_write(layout.atok_mailbox.start, mailbox)
+            or staged_write(er.er_min, padded)):
+        staged_write(layout.er_min_cell,
+                     er.er_min.to_bytes(2, "little") + er.er_max.to_bytes(2, "little"))
     return records
 
 
@@ -151,8 +154,7 @@ def _emit(machine: Machine, monitor: Monitor | None, records: list[StateRecord],
     rec = _tuple_new(StateRecord, (machine.cycle, pc, r_en, w_en, d_addr, False,
                                    0, False, False, False, pc, er_min, er_max))
     machine.cycle += 1
-    if monitor is not None and monitor.step(rec):
-        rec = rec._replace(reset=True)
+    rec = commit(machine, monitor, rec)
     records.append(rec)
     return rec.reset
 
@@ -165,7 +167,7 @@ def verify_dev(key: bytes, machine: Machine,
     stored counter advances, the fresh one-time key lands in the key
     region, and the final emitted record sits at the authorization address;
     on mismatch that address is never reached and the staged message stays
-    for retry.
+    for retry. ``machine.commit`` completes a reset on the record that fires it.
     """
     layout = machine.layout
     records: list[StateRecord] = []
@@ -242,11 +244,8 @@ def verify_record_count(window_span_bytes: int,
 
 def settle_after_verify(machine: Machine, monitor: Monitor | None,
                         records: list[StateRecord]) -> None:
-    """If verification ended in a monitor reset, complete the machine reset."""
-    if records and records[-1].reset:
-        if monitor is not None:
-            monitor.force_reset()
-        reset_routine(machine)
+    """A no-op kept for ``bench/workloads.py``: ``verify_dev`` has already
+    completed any reset, and a second reset routine would run ``on_reset`` twice."""
 
 
 def xsensing(machine: Machine, monitor: Monitor | None, ctx: RunContext,

@@ -31,7 +31,7 @@ from .monitor import Monitor
 from .oracle import atomic_exec_oracle
 from .props import build_props
 from .protocol import (AuthorizationMessage, authorize_ctrl, install,
-                       settle_after_verify, verify_dev, xsensing)
+                       verify_dev, xsensing)
 from .scenarios import ScenarioPlan
 
 DEFAULT_KEY = hashlib.sha256(b"pre-shared master key (simulation)").digest()
@@ -117,7 +117,6 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
     def do_verify() -> bool:
         ok, vrecs = verify_dev(key, machine, monitor)
         records.extend(vrecs)
-        settle_after_verify(machine, monitor, vrecs)
         verify_results.append(ok)
         return ok
 

@@ -119,7 +119,9 @@ def dma_gpio_snoop() -> ScenarioPlan:
         "dma-gpio-snoop", binary, er, token_strategy="none",
         expected_xsensing=False, expected_reset=True,
         description="DMA reads GPIO while the CPU idles; no authorization anywhere")
-    plan.xs_dma = [(1, "read", layout.gpio.start, 0)]
+    plan.interlude_pc = 4  # boot spin
+    plan.interlude_cycles = 4
+    plan.interlude_dma = [(1, "read", layout.gpio.start, 0)]
     return plan
 
 

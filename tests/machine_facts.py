@@ -25,7 +25,9 @@ checking wrappers. Before each cycle it copies memory (the shadow); after
 it, the shadow is compared with memory, and the fetched bytes are decoded
 from the shadow with ``isa.decode`` itself, never through the machine's
 decode memo. Records that ``protocol`` synthesizes for staging and
-verification are no ``exec_step`` cycles and are outside these facts.
+verification are no ``exec_step`` cycles and are outside the per-cycle
+facts, but their resets run through ``machine.commit`` and so reach
+``on_reset``: ``check_reset`` covers every reset of a round.
 
 The three ``*_mutant`` functions are faulty machines, one per fact, built by
 editing what the real ``exec_step`` reports.

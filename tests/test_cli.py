@@ -235,6 +235,26 @@ def test_run_out_of_range_schedule_is_a_usage_error(workdir, capsys, flag, line,
     assert all(word in err[0] for word in words), err[0]
 
 
+def test_run_refuses_schedule_entries_in_install_or_verify(workdir, capsys):
+    # With 3 boot cycles, install starts at cycle 3 and spans cycle 5; its
+    # and verify's records service no DMA or IRQ, so these would be lost.
+    tmp, binary = workdir
+    _authorize(tmp)
+    capsys.readouterr()
+    (tmp / "dma.txt").write_text("3 read 0xF000\n40 write 0x4000 0x1111\n")
+    (tmp / "irq.txt").write_text("5\n")
+    er = window_for(binary, 0x4000)
+    code = main(_run_args(tmp, er, [
+        "--dma-file", str(tmp / "dma.txt"), "--irq-file", str(tmp / "irq.txt"),
+        "--trace-out", str(tmp / "trace.tsv")]))
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: DMA request at cycle 3 ")
+    assert "install phase" in err[0]
+    assert not (tmp / "trace.tsv").exists()
+
+
 @pytest.mark.parametrize("args", [["--boot-cycles", "0"], ["--boot-cycles", "-3"],
                                   ["--max-cycles", "0"], ["--max-cycles", "-1"]],
                          ids=["zero-boot", "negative-boot", "zero-max",

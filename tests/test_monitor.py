@@ -359,15 +359,21 @@ def test_guard_sets_never_share_a_table():
               inp(pc=0), inp(pc=LAYOUT.i_auth), inp(pc=ER[0] + 2), inp(pc=ER[0]),
               inp(pc=ER[0] + 2, irq=True), inp(pc=0),
               inp(w_en=True, d_addr=LAYOUT.ekr.start)]
-    monitors = [Monitor(cfg, guards) for guards in _GUARD_SETS]
-    assert len({id(m._table) for m in monitors}) == len(_GUARD_SETS)
-    for monitor in monitors:
-        assert monitor._table.guards == monitor.guards
+    tables = []
+    for guards in _GUARD_SETS:
+        table = transition_table(cfg, guards)
+        monitor = Monitor(cfg, guards)  # steps on the pair's cached table
         state = INITIAL_STATE
         for rec in stream:
-            state, out = monitor_step(state, cfg.letter(rec), monitor.guards)
+            state, out = monitor_step(state, cfg.letter(rec), guards)
             assert monitor.step(rec) == out
             assert monitor.state == state
+        # The monitor filled this pair's table, with its own guards' steps.
+        assert table and all(entry == monitor_step(s, letter, guards)
+                             for s, row in table.items()
+                             for letter, entry in row.items())
+        tables.append(table)
+    assert len({id(table) for table in tables}) == len(_GUARD_SETS)
     # The stream tells the healthy monitor from some mutants.
     assert len({tuple(_outputs(cfg, g, stream)) for g in _GUARD_SETS}) > 1
 

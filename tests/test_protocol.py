@@ -9,8 +9,8 @@ from mcusentry.crypto import derive_enc_key, token_mac
 from mcusentry.errors import SizeError
 from mcusentry.isa import HALT, LOAD, NOP, assemble
 from mcusentry.layout import ErWindow, default_layout, format_layout, parse_layout
-from mcusentry.machine import (ConstantSensor, RunContext, StateRecord, load_image,
-                               run)
+from mcusentry.machine import (ConstantSensor, RunContext, StateRecord, commit,
+                               load_image, run)
 from mcusentry.monitor import GpioState, Monitor
 from mcusentry.oracle import BOTTOM, TOP
 from mcusentry.programs import boot_rom, filler_binary, window_for
@@ -292,8 +292,8 @@ class TestUnforgeability:
 
 
 def test_refused_verification_reset_reaches_the_reset_hook():
-    # A monitor held in RESET fails the first verifier cycle; the reset
-    # routine that settle_after_verify completes runs the machine's hook.
+    # A monitor held in RESET fails the first verifier cycle, and the reset
+    # routine runs the machine's hook inside verify_dev itself.
     machine, monitor, _, _ = staged(assemble([NOP(), HALT()]))
     dmem = LAYOUT.dmem
     machine.memory[dmem.start:dmem.start + 4] = b"\xde\xad\xbe\xef"
@@ -302,26 +302,37 @@ def test_refused_verification_reset_reaches_the_reset_hook():
     monitor.force_reset()
     ok, records = verify_dev(KEY, machine, monitor)
     assert not ok and len(records) == 1 and records[-1].reset
-    settle_after_verify(machine, monitor, records)
     assert len(seen) == 1 and not any(seen[0])
+
+
+def test_settle_after_verify_is_a_no_op():
+    # Kept callable for older callers; the reset already ran in verify_dev.
+    machine, monitor, _, _ = staged(assemble([NOP(), HALT()]))
+    seen = []
+    machine.on_reset = seen.append
+    monitor.force_reset()
+    _, records = verify_dev(KEY, machine, monitor)
+    memory, state = bytes(machine.memory), monitor.state
+    settle_after_verify(machine, monitor, records)
+    assert len(seen) == 1
+    assert bytes(machine.memory) == memory and monitor.state == state
 
 
 # -- Differential reference: the per-record protocol cycles -------------------
 # ``install`` and ``verify_dev`` sample the live bounds once per phase and
 # stage bytes straight into memory. The reference below re-reads
 # ``er_window()`` on every record and stages through ``store_word``; both
-# must give the same records, memory, cycle count and monitor state.
+# must give the same records, memory, cycle count and monitor state. Both
+# judge each record with ``machine.commit`` and stop at the first reset.
 
 def _reference_emit(machine, monitor, records, pc, *, r_en=False, w_en=False,
-                    d_addr=0):
-    er_min, er_max = machine.er_window()
+                    d_addr=0, er=None):
+    er_min, er_max = er or machine.er_window()
     rec = StateRecord(machine.cycle, pc, r_en, w_en, d_addr, False, 0, False,
                       False, False, pc, er_min, er_max)
     machine.cycle += 1
-    if monitor is not None and monitor.step(rec):
-        rec = rec._replace(reset=True)
-    records.append(rec)
-    return rec.reset
+    records.append(commit(machine, monitor, rec))
+    return records[-1].reset
 
 
 def reference_install(msg, machine, er, monitor=None):
@@ -335,17 +346,21 @@ def reference_install(msg, machine, er, monitor=None):
     records = []
 
     def staged_write(addr, chunk):
+        # The record carries the bounds sampled before its own store.
         for i in range(0, len(chunk), 2):
             word = int.from_bytes(chunk[i:i + 2].ljust(2, b"\x00"), "little")
-            _reference_emit(machine, monitor, records, installer_pc,
-                            w_en=True, d_addr=addr + i)
+            bounds = machine.er_window()
             machine.store_word(addr + i, word)
+            if _reference_emit(machine, monitor, records, installer_pc,
+                               w_en=True, d_addr=addr + i, er=bounds):
+                return True
+        return False
 
-    staged_write(layout.atok_mailbox.start,
-                 msg.chal.to_bytes(8, "big") + msg.token)
-    staged_write(er.er_min, padded)
-    staged_write(layout.er_min_cell,
-                 er.er_min.to_bytes(2, "little") + er.er_max.to_bytes(2, "little"))
+    if not (staged_write(layout.atok_mailbox.start,
+                         msg.chal.to_bytes(8, "big") + msg.token)
+            or staged_write(er.er_min, padded)):
+        staged_write(layout.er_min_cell, er.er_min.to_bytes(2, "little")
+                     + er.er_max.to_bytes(2, "little"))
     return records
 
 
@@ -403,7 +418,7 @@ EKR8_LAYOUT = parse_layout(format_layout(LAYOUT).replace("ekr=0xF100:0xF11F",
 
 def _session(layout, boot_er, monitor_mode, steps, install_fn, verify_fn):
     """Boot on ``boot_er``, then run each (message, window) step through
-    install, verify and settle; return everything either side observed."""
+    install and verify; return everything either side observed."""
     machine, monitor = booted_machine(boot_er, layout)
     if monitor_mode == "reset":
         monitor.force_reset()
@@ -415,7 +430,6 @@ def _session(layout, boot_er, monitor_mode, steps, install_fn, verify_fn):
         ok, verified = verify_fn(KEY, machine, monitor)
         seen.append((staged, ok, verified, bytes(machine.memory), machine.cycle,
                      None if monitor is None else monitor.state))
-        settle_after_verify(machine, monitor, verified)
     return seen
 
 

@@ -147,6 +147,32 @@ def test_reset_scenarios_leave_no_marker_in_ram():
                    for i in range(len(SENSOR_MARKER) - 1))
 
 
+def test_every_reset_record_runs_the_reset_routine_once():
+    # Boot, staging, verification and sensing records all go through one
+    # sink: each reset record runs the reset hook exactly once, with the
+    # data RAM already zero.
+    dmem = LAYOUT.dmem
+    plans = [factory() for factory in CATALOGUE.values()]
+    plans += [random_plan(1, index) for index in range(2000)]
+    mismatched = []
+    for plan in plans:
+        calls = []
+        outcome = run_scenario(plan, check_goal=False, on_reset=lambda m: calls.append(
+            not any(m.memory[dmem.start:dmem.end + 1])))
+        resets = sum(r.reset for r in outcome.trace.records)
+        if len(calls) != resets or not all(calls):
+            mismatched.append((plan.name, resets, len(calls)))
+    assert mismatched == []
+
+
+def test_dma_gpio_snoop_resets_on_the_dma_read():
+    records = run_scenario(CATALOGUE["dma-gpio-snoop"]()).trace.records
+    first = next(r for r in records if r.reset)
+    assert first.dma_en and not first.dma_write
+    assert first.dma_addr in LAYOUT.gpio
+    assert first.executed is not None
+
+
 def test_summary_table_mentions_wins():
     results = run_campaign(names=["happy-path"])
     table = summary_table(results)

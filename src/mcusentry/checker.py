@@ -30,12 +30,14 @@ monitor is compiled into a transition table over the alphabet: reachable
 monitor states get small integer ids, and each state gets one row holding,
 for every letter, the next state's id and the reset output, with one
 ``monitor_step`` per distinct monitor letter. Each propositional
-subformula becomes one bool column per reset output, evaluated on the
-alphabet's column view with the ``props`` entries. A product node then
+subformula becomes one bool column per reset output: the alphabet is one
+lasso, and ``ltl.eval_vector`` evaluates the formula on it with ``reset``
+fixed to each output (``_fixed``). A product node then
 expands with array lookups over its whole row; new nodes are queued in the
 order of the first letter that reaches them, and the violation reported is
 the first violating letter. Counterexamples are rebuilt as concrete lassos
-and replay through the real transition function.
+and replay through the real transition function, which must bring the
+FSMs back to their loop-entry states.
 
 A formula without temporal operators constrains position 0 only, so it
 is judged on each letter read from the initial monitor state. A conjunct
@@ -62,8 +64,8 @@ from .catalogue import all_formulas
 from .errors import BudgetError, FormulaError
 from .layout import Region
 from .ltl import (And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X,
-                  check_props, eval_naive, to_text)
-from .machine import COLUMNS, RecordColumns, StateRecord, pack_records
+                  check_props, eval_naive, eval_vector, to_text)
+from .machine import StateRecord
 from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, GuardFlags, MonitorConfig,
                       MonitorState, monitor_step)
 from .mutants import mutant_guards
@@ -247,18 +249,20 @@ def _plan(f: Formula):
     return None
 
 
-def _columns(f: Formula, leaf):
-    """Evaluate a boolean combination elementwise; ``leaf`` gives the
-    array (or numpy bool) of each operand that is not a connective."""
+def _fixed(f: Formula, values: dict[str, bool]) -> Formula:
+    """``f`` with each proposition named in ``values`` outside X replaced
+    by ``true`` or ``false``, and each ``X(sub)`` by ``sub``."""
+    if isinstance(f, Prop):
+        if f.name not in values:
+            return f
+        return Prop("true" if values[f.name] else "false")
+    if isinstance(f, X):
+        return f.sub
     if isinstance(f, Not):
-        return ~_columns(f.sub, leaf)
-    if isinstance(f, And):
-        return _columns(f.left, leaf) & _columns(f.right, leaf)
-    if isinstance(f, Or):
-        return _columns(f.left, leaf) | _columns(f.right, leaf)
-    if isinstance(f, Implies):
-        return ~_columns(f.left, leaf) | _columns(f.right, leaf)
-    return leaf(f)
+        return Not(_fixed(f.sub, values))
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(_fixed(f.left, values), _fixed(f.right, values))
+    raise TypeError(f"{to_text(f)} is not propositional")
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +326,10 @@ class _Explorer:
     output, made once per state with one ``monitor_step`` per distinct
     monitor letter (``MonitorConfig.letter``). ``column(f)`` holds a
     propositional formula's value on every letter under either reset
-    output, as a (2, letters) bool array evaluated with the ``props``
-    entries on the alphabet's column view. ``names`` are the
-    propositions the alphabet's class key carries.
+    output, as a (2, letters) bool array: ``eval_vector`` with the
+    ``props`` entries on the alphabet as one lasso (``lasso``), once with
+    ``reset`` fixed false and once true. ``names`` are the propositions
+    the alphabet's class key carries.
     """
 
     def __init__(self, cfg: MonitorConfig, guards: GuardFlags,
@@ -351,7 +356,7 @@ class _Explorer:
     def _monitor_letters(self) -> tuple[list[int], np.ndarray]:
         """The alphabet's distinct monitor letters in order of the first
         letter that has each, and every letter's position in that list."""
-        letters = self.cfg.letter(self.views[0])
+        letters = self.cfg.letter(self.lasso.columns)
         _, first, inverse = np.unique(letters, return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
@@ -377,26 +382,17 @@ class _Explorer:
         return row
 
     @cached_property
-    def views(self) -> tuple[RecordColumns, RecordColumns]:
-        """The alphabet's column view with reset output 0 and with 1."""
-        packed = pack_records(self.alphabet)
-        views = []
-        for out in (False, True):
-            rows = packed.copy()
-            rows[COLUMNS.index("reset")] = out
-            views.append(RecordColumns(self.alphabet, rows))
-        return tuple(views)
+    def lasso(self) -> LassoTrace:
+        """The alphabet as one lasso: a propositional formula's value at
+        position ``i`` is its value on letter ``i``."""
+        return LassoTrace.from_records(self.alphabet)
 
     def column(self, f: Formula) -> np.ndarray:
         col = self._columns.get(f)
         if col is None:
-            if isinstance(f, Prop):
-                col = np.empty((2, len(self.alphabet)), dtype=bool)
-                for values, view in zip(col, self.views):
-                    values[...] = self.props[f.name](view)  # constants broadcast
-            else:
-                col = _columns(f, self.column)
-            self._columns[f] = col
+            col = self._columns[f] = np.stack([
+                eval_vector(_fixed(f, {"reset": out}), self.lasso, self.props)
+                for out in (False, True)])
         return col
 
     def record(self, idx: int, out: int) -> StateRecord:
@@ -430,11 +426,8 @@ def _compile(plan, explorer: _Explorer):
         codes |= explorer.column(Prop(name)).astype(np.intp) << bit
     bad = {0: np.zeros(zero.shape, dtype=bool)}
     for code in set(codes.ravel().tolist()):
-        values = {name: np.bool_(code >> bit & 1) for bit, name in enumerate(names)}
-
-        def leaf(f):
-            return explorer.column(f.sub) if isinstance(f, X) else values[f.name]
-        bad[1 + code] = np.broadcast_to(~_columns(body, leaf), zero.shape)
+        values = {name: bool(code >> bit & 1) for bit, name in enumerate(names)}
+        bad[1 + code] = ~explorer.column(_fixed(body, values))
     return bad, dict.fromkeys(bad, 1 + codes)
 
 
@@ -698,16 +691,22 @@ def replay_counterexample(formula: Formula, lasso: LassoTrace,
                           ekr_enabled: bool = True) -> bool:
     """Re-step the monitor over the lasso letters and re-evaluate.
 
-    Returns True when the replay reproduces both the recorded reset outputs
-    and the violation.
+    Returns True when the replay reproduces the recorded reset outputs,
+    the FSMs are back in their loop-entry states after the loop (so the
+    lasso is a run of the monitor), and the formula is violated.
     """
     cfg = MonitorConfig.from_layout(space, ekr_enabled)
     props = build_props(space)
-    state = INITIAL_STATE
-    for rec in list(lasso.prefix) + list(lasso.loop):
+    state = entry = INITIAL_STATE
+    for pos, rec in enumerate(lasso.states):
+        if pos == lasso.loop_start:
+            entry = state
         state, out = monitor_step(state, cfg.letter(rec), guards, ekr_enabled)
         if out != rec.reset:
             return False
+    # The last output is no input of the next step: compare the FSMs only.
+    if state[:3] != entry[:3]:
+        return False
     return not eval_naive(formula, lasso, 0, props)
 
 

@@ -41,8 +41,11 @@ def _load_layout(path: str | None):
 
 
 def _parse_window(text: str) -> ErWindow:
-    lo, _, hi = text.partition(":")
-    return ErWindow(int(lo, 0), int(hi, 0))
+    try:
+        lo, hi = (int(part, 0) for part in text.split(":"))
+    except ValueError:
+        raise ValueError(f"--er takes START:LAST_WORD, got {text!r}") from None
+    return ErWindow(lo, hi)
 
 
 def cmd_authorize(args) -> int:

@@ -301,21 +301,6 @@ class MonitorState(NamedTuple):
     global_reset: bool = False
 
 
-def _step_fsms(state: MonitorState, letter: int, guards: GuardFlags,
-               ekr_enabled: bool) -> tuple[MonitorState, tuple[bool, bool, bool]]:
-    """Advance the three FSMs on one letter, before the shared reset line.
-
-    Returns their next states (``global_reset`` is the OR of the local
-    resets) and the local resets in (gpio, ekr, atomicity) order.
-    """
-    gpio_next, gpio_reset = step_gpio_fsm(state.gpio, letter, guards, ekr_enabled)
-    ekr_next, ekr_reset = step_ekr_write_fsm(state.ekr, letter, guards, ekr_enabled)
-    atom_next, atom_reset = step_atomicity_fsm(state.atom, letter, guards)
-    nxt = MonitorState(gpio_next, ekr_next, atom_next,
-                       gpio_reset or ekr_reset or atom_reset)
-    return nxt, (gpio_reset, ekr_reset, atom_reset)
-
-
 INITIAL_STATE = MonitorState()
 RESET_STATE = MonitorState(GpioState.RESET, EkrState.RESET, AtomState.RESET, True)
 
@@ -328,10 +313,12 @@ def monitor_step(state: MonitorState, letter: int,
     On a global reset every FSM is forced back to RESET so that no unlock
     survives a violation detected by a sibling FSM.
     """
-    nxt, _ = _step_fsms(state, letter, guards, ekr_enabled)
-    if nxt.global_reset:
+    gpio_next, gpio_reset = step_gpio_fsm(state.gpio, letter, guards, ekr_enabled)
+    ekr_next, ekr_reset = step_ekr_write_fsm(state.ekr, letter, guards, ekr_enabled)
+    atom_next, atom_reset = step_atomicity_fsm(state.atom, letter, guards)
+    if gpio_reset or ekr_reset or atom_reset:
         return RESET_STATE, True
-    return nxt, False
+    return MonitorState(gpio_next, ekr_next, atom_next, False), False
 
 
 @lru_cache(maxsize=1)
@@ -349,29 +336,22 @@ class Monitor:
     """Stateful wrapper used by the stepping loops.
 
     A step looks up (state, letter) in the pair's ``transition_table``
-    and steps the FSMs only on a miss. In observe-only mode the monitor
-    never requests a reset: each FSM continues from its own next state
-    without the shared reset line, and ``local_resets_log`` collects the
-    per-FSM outputs of every step for agreement checks. Otherwise the log
-    stays empty.
+    and steps the FSMs only on a miss, and it reports the global reset
+    only. A check that needs one FSM's own output steps that FSM
+    (``step_atomicity_fsm`` and its siblings) on ``cfg.letter`` of each
+    record. ``local_resets_log`` is always empty: the benchmark sizes its
+    ``Monitor.step`` span by it.
     """
 
-    def __init__(self, cfg: MonitorConfig, guards: GuardFlags = DEFAULT_GUARDS,
-                 observe_only: bool = False):
+    def __init__(self, cfg: MonitorConfig, guards: GuardFlags = DEFAULT_GUARDS):
         self.cfg = cfg
         self.guards = guards
         self.state = INITIAL_STATE
-        self.observe_only = observe_only
         self.local_resets_log: list[tuple[bool, bool, bool]] = []
         self._letter, self._table = cfg.letter, transition_table(cfg, guards)
 
     def step(self, rec: StateRecord) -> bool:
         state = self.state
-        if self.observe_only:
-            self.state, local = _step_fsms(state, self._letter(rec), self.guards,
-                                           self.cfg.ekr_enabled)
-            self.local_resets_log.append(local)
-            return False
         letter = self._letter(rec)
         hit = self._table[state].get(letter)
         if hit is None:
@@ -382,15 +362,10 @@ class Monitor:
 
     def force_reset(self) -> None:
         """A machine reset actually happened: re-initialise all FSMs.
-
-        Called for machine-fault resets too; observe-only mode suppresses
-        the monitor's own output wiring, not genuine machine resets.
-        """
+        Called for machine-fault resets too."""
         self.state = RESET_STATE
 
     @staticmethod
     def for_layout(layout: MemoryLayout, ekr_enabled: bool = True,
-                   guards: GuardFlags = DEFAULT_GUARDS,
-                   observe_only: bool = False) -> "Monitor":
-        return Monitor(MonitorConfig.from_layout(layout, ekr_enabled), guards,
-                       observe_only)
+                   guards: GuardFlags = DEFAULT_GUARDS) -> "Monitor":
+        return Monitor(MonitorConfig.from_layout(layout, ekr_enabled), guards)

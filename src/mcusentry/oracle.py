@@ -113,8 +113,9 @@ def monitor_flagged_episode(records: Sequence[StateRecord], er: Bounds,
                             atom_resets: Sequence[bool]) -> bool:
     """True when the atomicity FSM's local reset fired inside any episode.
 
-    ``atom_resets[i]`` is that FSM's output at record ``i``; used by the
-    observer-mode agreement checks.
+    ``atom_resets[i]`` is that FSM's output at record ``i``, as
+    ``monitor.step_atomicity_fsm`` gives it on the record's letter; used
+    by the oracle agreement checks.
     """
     for ep in episodes(list(records), er):
         for offset in range(len(ep.records)):

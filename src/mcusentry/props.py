@@ -10,37 +10,21 @@ every position. To serve both, entries combine attributes with ``&``,
 region``. Window membership uses the record's own sampled bounds, so
 metadata rewrites are reflected position by position.
 
-Naming note: the ``read``/``write`` propositions (``read_mem`` /
-``write_mem``) count a DMA transfer as both, since its direction is not a
-guard input. The ``cpu_read``, ``cpu_write`` and ``dma_touch`` entries
+Naming note: the ``cpu_read``, ``cpu_write`` and ``dma_touch`` entries
 split CPU from DMA accesses, and the monitor's letter (``monitor.LETTER``)
-is made of them and the ``pc``, ``irq`` and ``dmaen`` entries. No entry
-reads ``executed``.
+is made of them and the ``pc``, ``irq`` and ``dmaen`` entries. ``read X``
+is the entry ``cpu_read X | dma_touch X`` and ``write X`` is ``cpu_write
+X | dma_touch X``: a DMA transfer counts as both, since its direction is
+not a guard input. No entry reads ``executed``.
 """
 from __future__ import annotations
 
 from typing import Callable
 
-from .layout import MemoryLayout, Region
+from .layout import MemoryLayout
 from .machine import named_region
 
 PropFn = Callable[[object], object]
-
-
-def read_mem(rec, region: Region | None = None):
-    """CPU-or-DMA read of any address in ``region`` this cycle; ``None``
-    means the record's own live window [er_min, er_max]."""
-    lo, hi = (rec.er_min, rec.er_max) if region is None else (region.start, region.end)
-    d, a = rec.d_addr, rec.dma_addr
-    return (rec.r_en & (lo <= d) & (d <= hi)) | (rec.dma_en & (lo <= a) & (a <= hi))
-
-
-def write_mem(rec, region: Region | None = None):
-    """CPU-or-DMA write of any address in ``region`` (``None``: the live
-    window). DMA counts as both, since its direction is not a guard input."""
-    lo, hi = (rec.er_min, rec.er_max) if region is None else (region.start, region.end)
-    d, a = rec.d_addr, rec.dma_addr
-    return (rec.w_en & (lo <= d) & (d <= hi)) | (rec.dma_en & (lo <= a) & (a <= hi))
 
 
 def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
@@ -60,23 +44,26 @@ def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
         "pc_in VR": lambda r: (vr.start <= r.pc) & (r.pc <= vr.end),
     }
 
-    for name in ("GPIO", "EKR", "METADATA", "VR", "ROM", "PMEM", "DMEM"):
+    regions = ("GPIO", "EKR", "METADATA", "VR", "ROM", "PMEM", "DMEM")
+    for name in regions:
         reg = named_region(layout, name)
         lo, hi = reg.start, reg.end
-        props[f"read {name}"] = lambda r, reg=reg: read_mem(r, reg)
-        props[f"write {name}"] = lambda r, reg=reg: write_mem(r, reg)
         props[f"cpu_read {name}"] = \
             lambda r, lo=lo, hi=hi: r.r_en & (lo <= r.d_addr) & (r.d_addr <= hi)
         props[f"cpu_write {name}"] = \
             lambda r, lo=lo, hi=hi: r.w_en & (lo <= r.d_addr) & (r.d_addr <= hi)
         props[f"dma_touch {name}"] = \
             lambda r, lo=lo, hi=hi: r.dma_en & (lo <= r.dma_addr) & (r.dma_addr <= hi)
-    props["read ER"] = read_mem
-    props["write ER"] = write_mem
     props["cpu_read ER"] = \
         lambda r: r.r_en & (r.er_min <= r.d_addr) & (r.d_addr <= r.er_max)
     props["cpu_write ER"] = \
         lambda r: r.w_en & (r.er_min <= r.d_addr) & (r.d_addr <= r.er_max)
     props["dma_touch ER"] = \
         lambda r: r.dma_en & (r.er_min <= r.dma_addr) & (r.dma_addr <= r.er_max)
+    for name in (*regions, "ER"):
+        dma = props[f"dma_touch {name}"]
+        props[f"read {name}"] = lambda r, cpu=props[f"cpu_read {name}"], dma=dma: \
+            cpu(r) | dma(r)
+        props[f"write {name}"] = lambda r, cpu=props[f"cpu_write {name}"], dma=dma: \
+            cpu(r) | dma(r)
     return props

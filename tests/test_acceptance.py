@@ -26,7 +26,8 @@ from mcusentry.layout import ErWindow, default_layout
 from mcusentry.ltl import LassoTrace, Prop, eval_vector
 from mcusentry.machine import (DmaRequest, Machine, RunContext, load_image,
                                run)
-from mcusentry.monitor import DEFAULT_GUARDS, Monitor
+from mcusentry.monitor import (DEFAULT_GUARDS, AtomState, Monitor,
+                               MonitorConfig, step_atomicity_fsm)
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.oracle import atomic_exec_oracle, monitor_flagged_episode
 from mcusentry.programs import SENSOR_MARKER
@@ -153,6 +154,7 @@ def test_criterion_4_oracle_agrees_with_monitor():
         ((), (DmaRequest(2, "read", 0xE000),)),
         ((4,), (DmaRequest(3, "write", 0xE002, 0x55),)),
     ]
+    letter = MonitorConfig.from_layout(LAYOUT).letter
     disagreements = 0
     runs = 0
     for code in range(len(subset) ** len(slots)):
@@ -168,12 +170,17 @@ def test_criterion_4_oracle_agrees_with_monitor():
             machine = load_image(LAYOUT, bytes(image), er, rom=rom)
             machine.gpr[1] = LAYOUT.gpio.start
             machine.gpr[2] = 0x4002
-            observer = Monitor.for_layout(LAYOUT, observe_only=True)
             ctx = RunContext.build(dma=dma, irq_cycles=irq_cycles)
-            trace = run(machine, observer, ctx, 30)
+            trace = run(machine, None, ctx, 30)
             runs += 1
             oracle = atomic_exec_oracle(trace.records, er)
-            atom_flags = [flags[2] for flags in observer.local_resets_log]
+            # The atomicity FSM alone, sent back to RESET by each machine reset.
+            state, atom_flags = AtomState.RESET, []
+            for rec in trace.records:
+                state, flag = step_atomicity_fsm(state, letter(rec))
+                atom_flags.append(flag)
+                if rec.reset:
+                    state = AtomState.RESET
             flagged = monitor_flagged_episode(trace.records, er, atom_flags)
             if oracle == flagged:  # agree means oracle <=> not flagged
                 disagreements += 1

@@ -9,8 +9,9 @@ import pytest
 from mcusentry import checker
 from mcusentry.catalogue import (all_formulas, authorized_sensing_goal,
                                  builtin_formulas, catalogue_by_name)
-from mcusentry.checker import (_catalogue_explorer, _Explorer, _explorer,
-                               _key_names, _quiet_tail, brute_force_check,
+from mcusentry.checker import (_catalogue_explorer, _collect_a_props,
+                               _Explorer, _explorer, _fixed, _flatten_and,
+                               _key_names, _plan, _quiet_tail, brute_force_check,
                                build_alphabet, check_catalogue,
                                curated_alphabet, default_er_choices,
                                exhaustive_check,
@@ -203,6 +204,24 @@ def test_propositional_counterexample_replays():
     result = exhaustive_check(formula, SPACE5)
     assert not result.holds
     assert replay_counterexample(formula, result.counterexample, SPACE5)
+
+
+def test_replay_refuses_a_lasso_whose_loop_is_no_run_of_the_monitor():
+    # After the loop's GPIO read the monitor sits in RESET, not in the state
+    # it entered the loop with: the real run goes on resetting (1, 1, ...)
+    # and satisfies the formula that this lasso violates.
+    er_min, er_max = SPACE5.pmem.start + 4, SPACE5.pmem.start + 8
+
+    def rec(pc, reset, **kw):
+        return StateRecord(cycle=0, pc=pc, reset=reset, er_min=er_min,
+                           er_max=er_max, **kw)
+    lasso = LassoTrace(prefix=[rec(0, False)],
+                       loop=[rec(SPACE5.i_auth, False),
+                             rec(SPACE5.pmem.end - 1, True, r_en=True,
+                                 d_addr=SPACE5.gpio.start)])
+    formula = parse("(G (-> reset (X reset)))")
+    assert not eval_naive(formula, lasso, 0, build_props(SPACE5))
+    assert not replay_counterexample(formula, lasso, SPACE5)
 
 
 @pytest.mark.parametrize("text", ["true", "(! reset)", "(| reset (! reset))",
@@ -410,6 +429,38 @@ def test_explorer_columns_equal_the_table_on_each_letter():
             for out in (False, True):
                 expected = bool(fn(alphabet[idx]._replace(reset=out)))
                 assert column[int(out), idx] == expected, (name, idx, out)
+
+
+def compiled_columns(ekr_enabled: bool = True) -> set:
+    """Every propositional formula the catalogue's plans take columns of:
+    initial formulas, local bodies, tracker parts, and each pair body with
+    its propositions outside X fixed to every combination of values."""
+    out = set()
+    for entry in all_formulas(ekr_enabled):
+        for conjunct in _flatten_and(entry.formula):
+            plan = _plan(conjunct)
+            if plan is None:
+                continue
+            if plan[0] != "pair":
+                out.update(plan[1:])
+                continue
+            names: set[str] = set()
+            _collect_a_props(plan[1], names)
+            for bits in iproduct((False, True), repeat=len(names)):
+                out.add(_fixed(plan[1], dict(zip(sorted(names), bits))))
+    return out
+
+
+def test_compiled_columns_equal_eval_naive_on_each_letter():
+    explorer = _catalogue_explorer(SPACE5, DEFAULT_GUARDS, True)
+    for f in compiled_columns():
+        column = explorer.column(f)
+        assert column.shape == (2, len(explorer.alphabet))
+        for idx, letter in enumerate(explorer.alphabet):
+            for out in (0, 1):
+                lasso = LassoTrace.from_records([letter._replace(reset=bool(out))])
+                expected = eval_naive(f, lasso, 0, explorer.props)
+                assert column[out, idx] == expected, (str(f), idx, out)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,20 @@ def test_run_rejects_cycle_counts_below_one(workdir, capsys, args):
     assert len(err) == 1 and err[0] == f"error: {args[0]} must be positive, got {args[1]}"
 
 
+@pytest.mark.parametrize("window", ["0x4000", ":0x4004", "0x4000:0x4004:2"])
+def test_run_malformed_window_is_a_usage_error(workdir, capsys, window):
+    tmp, binary = workdir
+    _authorize(tmp)
+    capsys.readouterr()
+    args = _run_args(tmp, window_for(binary, 0x4000))
+    args[args.index("--er") + 1] = window
+    code = main(args)
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(err) == 1 and "--er" in err[0] and "START:LAST_WORD" in err[0]
+
+
 _TOKENS = st.sampled_from(["0x10", "0xF000", "5", "-2", "read", "write", "x",
                            "#", "(", ")", "G", "->", ":", "=", "rom=0:0xFFF",
                            "\n"])

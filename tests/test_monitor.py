@@ -18,7 +18,7 @@ from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, LETTER, AtomState,
                                step_atomicity_fsm, step_ekr_write_fsm,
                                step_gpio_fsm, table_letter, transition_table)
 from mcusentry.mutants import MUTANTS
-from mcusentry.props import build_props, read_mem, write_mem
+from mcusentry.props import build_props
 from mcusentry.scenarios import CATALOGUE
 
 LAYOUT = default_layout()
@@ -33,23 +33,26 @@ def inp(pc=0x5000, r_en=False, w_en=False, d_addr=0, dma_en=False,
                        er_min=er[0], er_max=er[1])
 
 
+PROPS = build_props(LAYOUT)
+
+
 class TestAccessPredicates:
     def test_cpu_read_in_region(self):
-        assert read_mem(inp(r_en=True, d_addr=LAYOUT.gpio.start), LAYOUT.gpio)
+        assert PROPS["read GPIO"](inp(r_en=True, d_addr=LAYOUT.gpio.start))
 
     def test_all_quiet_is_no_access(self):
-        assert not read_mem(inp(), LAYOUT.gpio)
-        assert not write_mem(inp(), LAYOUT.gpio)
+        assert not PROPS["read GPIO"](inp())
+        assert not PROPS["write GPIO"](inp())
 
     def test_dma_counts_as_read_and_write(self):
         i = inp(dma_en=True, dma_addr=LAYOUT.gpio.start)
-        assert read_mem(i, LAYOUT.gpio)
-        assert write_mem(i, LAYOUT.gpio)
+        assert PROPS["read GPIO"](i)
+        assert PROPS["write GPIO"](i)
 
     def test_cpu_write_to_metadata(self):
         i = inp(w_en=True, d_addr=LAYOUT.er_metadata.start)
-        assert write_mem(i, LAYOUT.er_metadata)
-        assert not read_mem(i, LAYOUT.er_metadata)
+        assert PROPS["write METADATA"](i)
+        assert not PROPS["read METADATA"](i)
 
 
 class TestGpioFsm:
@@ -223,13 +226,6 @@ class TestComposition:
 
 
 class TestObserverMode:
-    def test_observer_never_requests_reset_but_logs(self):
-        monitor = Monitor.for_layout(LAYOUT, observe_only=True)
-        assert monitor.step(inp(pc=0)) is False
-        out = monitor.step(inp(r_en=True, d_addr=LAYOUT.gpio.start, pc=0x5000))
-        assert out is False
-        assert monitor.local_resets_log[-1][0] is True  # gpio fsm flagged
-
     def test_live_monitor_keeps_no_log(self, monkeypatch):
         made = []
         for_layout = Monitor.for_layout
@@ -241,7 +237,7 @@ class TestObserverMode:
         monkeypatch.setattr(referee.Monitor, "for_layout", staticmethod(capture))
         outcome = referee.run_scenario(CATALOGUE["irq-mid-er"]())
         assert outcome.reset_seen and len(outcome.trace) > 0
-        assert len(made) == 1 and not made[0].observe_only
+        assert len(made) == 1
         assert made[0].local_resets_log == []
 
 

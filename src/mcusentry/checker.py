@@ -28,8 +28,11 @@ reset output and letter (Havelund & Roşu, TACAS 2002): the letters that
 violate from each tracking value, and each letter's next value. The
 monitor is compiled into a transition table over the alphabet: reachable
 monitor states get small integer ids, and each state gets one row holding,
-for every letter, the next state's id and the reset output, with one
-``monitor_step`` per distinct monitor letter. Each propositional
+for every letter, the next state's id and the reset output. A row is one
+lookup per FSM in that FSM's table (``monitor.fsm_tables``, kept per guard
+set) at every letter's read bits, plus the shared reset: any local reset
+sends all three FSMs to RESET. ``monitor_step`` runs only in the quiet
+tails and the replays, a path independent of the tables. Each propositional
 subformula becomes one bool column per reset output: the alphabet is one
 lasso, and ``ltl.eval_vector`` evaluates the formula on it with ``reset``
 fixed to each output (``_fixed``). A product node then
@@ -66,8 +69,9 @@ from .layout import Region
 from .ltl import (And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X,
                   check_props, eval_naive, eval_vector, to_text)
 from .machine import StateRecord
-from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, GuardFlags, MonitorConfig,
-                      MonitorState, monitor_step)
+from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, RESET_STATE, FsmTable,
+                      GuardFlags, MonitorConfig, MonitorState, fsm_tables,
+                      monitor_step)
 from .mutants import mutant_guards
 from .props import build_props
 
@@ -323,8 +327,9 @@ class _Explorer:
 
     Monitor states are numbered as they are reached (``states[id]``).
     ``row(id)`` holds, for every letter, the next state's id and the reset
-    output, made once per state with one ``monitor_step`` per distinct
-    monitor letter (``MonitorConfig.letter``). ``column(f)`` holds a
+    output, made once per state by three gathers: each FSM's table at that
+    FSM's state and every letter's index into it, the indices taken once
+    per explorer from ``MonitorConfig.letter``. ``column(f)`` holds a
     propositional formula's value on every letter under either reset
     output, as a (2, letters) bool array: ``eval_vector`` with the
     ``props`` entries on the alphabet as one lasso (``lasso``), once with
@@ -353,32 +358,35 @@ class _Explorer:
         return sid
 
     @cached_property
-    def _monitor_letters(self) -> tuple[list[int], np.ndarray]:
-        """The alphabet's distinct monitor letters in order of the first
-        letter that has each, and every letter's position in that list."""
+    def _indexed(self) -> list[tuple[FsmTable, np.ndarray]]:
+        """Each FSM's table for the explorer's guards, with every letter's
+        index into it."""
         letters = self.cfg.letter(self.lasso.columns)
-        _, first, inverse = np.unique(letters, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        return letters[first[order]].tolist(), rank[inverse.ravel()]
+        return [(table, table.index(letters))
+                for table in fsm_tables(self.guards, self.cfg.ekr_enabled)]
 
     def row(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
         """Next-state ids and reset outputs (0/1) of state ``sid``, both
-        indexed by letter, from one step per distinct monitor letter."""
+        indexed by letter, from one lookup per FSM and letter."""
         row = self._rows.get(sid)
         if row is None:
-            mon = self.states[sid]
-            letters, letter_class = self._monitor_letters
-            steps = [monitor_step(mon, letter, self.guards, self.cfg.ekr_enabled)
-                     for letter in letters]
-            n = len(steps)
-            # State ids are handed out in letter order, as stepping every
-            # letter would: the first letter with a monitor letter precedes
-            # all the others with it.
-            ids = np.fromiter((self.state_id(s) for s, _ in steps), np.intp, n)
-            outs = np.fromiter((out for _, out in steps), np.intp, n)
-            row = self._rows[sid] = (ids[letter_class], outs[letter_class])
+            tables, indices = zip(*self._indexed)
+            entries = [table.entries[table.states.index(state), index]
+                       for table, index, state in zip(tables, indices, self.states[sid])]
+            # Any local reset is the global one: every FSM goes to RESET,
+            # coded past the codes of the FSM state triples.
+            outs = (entries[0] | entries[1] | entries[2]).astype(np.intp) & 1
+            shape = [len(table.states) for table in tables]
+            reset = int(np.prod(shape))
+            codes = np.where(outs, reset, np.ravel_multi_index(
+                [entry >> 1 for entry in entries], shape))
+            ids = np.empty(reset + 1, np.intp)
+            # State ids are handed out in order of the first letter that
+            # reaches each state, as stepping every letter in order would.
+            for idx in np.sort(np.unique(codes, return_index=True)[1]).tolist():
+                ids[codes[idx]] = self.state_id(RESET_STATE if outs[idx] else MonitorState(
+                    *(t.states[e[idx] >> 1] for t, e in zip(tables, entries))))
+            row = self._rows[sid] = (ids[codes], outs)
         return row
 
     @cached_property

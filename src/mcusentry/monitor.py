@@ -27,6 +27,21 @@ read, CPU write, DMA) built once per config value: ``bytes`` for records
 (4 x 64 KB), int32 copies for column views (4 x 256 KB, at the first
 view). The live window's bits stay comparisons against the record's own
 ``er_min``/``er_max``, so a metadata rewrite is seen on the next cycle.
+
+Each FSM reads only part of the letter. The GPIO FSM (``GPIO_READS``, 12
+bits) reads pc at zero, at i_auth, in the window and at er_max, CPU reads
+and DMA touches of GPIO and the key region, and CPU writes and DMA touches
+of the window and its metadata. The key-write FSM (``EKR_READS``, 4)
+reads pc at zero and in VR, CPU writes and DMA touches of the key region.
+The atomicity FSM (``ATOM_READS``, 6) reads pc at zero, in the window, at
+er_min and at er_max, irq and dmaen. So for one (guards, ekr_enabled)
+value each FSM compiles into a flat table over (FSM state, its bits):
+``fsm_tables`` fills each entry by one call to the FSM's own step
+function and keeps the tables of the last 26 values (the healthy guards
+and the 12 mutants, ekr on and off). The checker builds its rows from
+these tables; ``monitor_step`` stays the scalar composition that
+``Monitor.step`` misses and the checker's counterexample replay step
+through.
 """
 from __future__ import annotations
 
@@ -290,6 +305,65 @@ def step_atomicity_fsm(state: AtomState, letter: int,
     if guards.atom_entry_guard:
         return AtomState.RESET, True
     return AtomState.MID_ER, False
+
+
+# The letter bits each FSM reads; ``test_monitor`` shows that flipping any
+# other bit leaves its step unchanged.
+GPIO_READS = (PC_ZERO | PC_IAUTH | PC_ER | PC_ERMAX | READ_GPIO | READ_EKR
+              | DMA_GPIO | DMA_EKR | _PROTECTED_WRITES)
+EKR_READS = PC_ZERO | PC_VR | WRITE_EKR | DMA_EKR
+ATOM_READS = PC_ZERO | PC_ER | PC_ERMIN | PC_ERMAX | IRQ | DMA_EN
+
+
+class FsmTable(NamedTuple):
+    """One FSM compiled for one guard set: ``entries[i, index(letter)]`` is
+    ``j << 1 | reset`` when the FSM steps from ``states[i]`` on ``letter``
+    to ``states[j]`` with local reset output ``reset``."""
+
+    states: tuple
+    reads: int
+    entries: np.ndarray  # uint8, (len(states), 2 ** bits read)
+
+    def index(self, letter):
+        """The bits of ``letter`` (an int or an int array) that the FSM
+        reads, packed low to high."""
+        index = 0
+        for j, bit in enumerate(_bits(self.reads)):
+            index |= (letter >> bit & 1) << j
+        return index
+
+
+def _bits(mask: int) -> list[int]:
+    return [bit for bit in range(mask.bit_length()) if mask >> bit & 1]
+
+
+def _fsm_table(states: type[Enum], reads: int, step) -> FsmTable:
+    """The table of ``step`` (state, letter) -> (state, reset), one call per
+    entry; entry ``index`` steps on the letter whose read bits it packs."""
+    bits = _bits(reads)
+    letters = [sum((index >> j & 1) << bit for j, bit in enumerate(bits))
+               for index in range(1 << len(bits))]
+    states = tuple(states)
+    number = {state: i for i, state in enumerate(states)}
+    entries = np.array([[number[nxt] << 1 | out
+                         for nxt, out in (step(state, letter) for letter in letters)]
+                        for state in states], dtype=np.uint8)
+    return FsmTable(states, reads, entries)
+
+
+@lru_cache(maxsize=26)  # the healthy guards and the 12 mutants, ekr on and off
+def fsm_tables(guards: GuardFlags,
+               ekr_enabled: bool) -> tuple[FsmTable, FsmTable, FsmTable]:
+    """The GPIO, key-write and atomicity FSMs' tables for one guard set:
+    3 x 4096 + 2 x 16 + 5 x 64 entries, each from one step call."""
+    return (
+        _fsm_table(GpioState, GPIO_READS,
+                   lambda s, letter: step_gpio_fsm(s, letter, guards, ekr_enabled)),
+        _fsm_table(EkrState, EKR_READS,
+                   lambda s, letter: step_ekr_write_fsm(s, letter, guards, ekr_enabled)),
+        _fsm_table(AtomState, ATOM_READS,
+                   lambda s, letter: step_atomicity_fsm(s, letter, guards)),
+    )
 
 
 class MonitorState(NamedTuple):

@@ -7,9 +7,11 @@ benchmark's self-test then fails or its per-layer rows read zero.
 import importlib.util
 from pathlib import Path
 
-from mcusentry import ltl, referee
+from mcusentry import checker, ltl, referee
+from mcusentry.catalogue import catalogue_by_name
 from mcusentry.layout import default_layout
 from mcusentry.monitor import Monitor
+from mcusentry.mutants import MUTANTS
 from mcusentry.scenarios import happy_path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -48,3 +50,33 @@ def test_goal_check_goes_through_the_eval_vector_span(monkeypatch):
     outcome = referee.run_scenario(happy_path())
     assert outcome.trace.records and not outcome.goal_violations
     assert len(calls) == 1
+
+
+def test_a_modelcheck_sweep_calls_every_required_checker_span(monkeypatch):
+    # The bench's self-test fails when a span it requires on modelcheck
+    # records no call; this is one width-5 sweep of that workload's calls.
+    required = [name for name, workloads in _tracing().REQUIRED_CALLS.items()
+                if "modelcheck" in workloads]
+    assert required and all(name.startswith("checker.") for name in required)
+    calls = dict.fromkeys(required, 0)
+
+    def counting(span):
+        attr = span.split(".", 1)[1]
+        inner = getattr(checker, attr)
+
+        def counted(*args, **kwargs):
+            calls[span] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(checker, attr, counted)
+
+    for span in required:
+        counting(span)
+
+    space = checker.scaled_space(5)
+    assert all(r.holds for r in checker.check_catalogue(space))
+    formulas = catalogue_by_name()
+    for mutant_id, (_, guards) in MUTANTS.items():
+        name, result = checker.find_mutant_violation(mutant_id, space)
+        assert checker.replay_counterexample(
+            formulas[name].formula, result.counterexample, space, guards)
+    assert all(calls.values()), calls

@@ -20,7 +20,9 @@ from mcusentry.checker import (_catalogue_explorer, _collect_a_props,
 from mcusentry.errors import BudgetError, FormulaError
 from mcusentry.ltl import G, LassoTrace, Not, Prop, eval_naive, parse
 from mcusentry.machine import StateRecord
-from mcusentry.monitor import DEFAULT_GUARDS, INITIAL_STATE, MonitorConfig
+from mcusentry import monitor
+from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, MonitorConfig,
+                               fsm_tables, monitor_step)
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.props import build_props
 
@@ -461,6 +463,78 @@ def test_compiled_columns_equal_eval_naive_on_each_letter():
                 lasso = LassoTrace.from_records([letter._replace(reset=bool(out))])
                 expected = eval_naive(f, lasso, 0, explorer.props)
                 assert column[out, idx] == expected, (str(f), idx, out)
+
+
+# ---------------------------------------------------------------------------
+# Rows looked up in the FSM tables against monitor_step on every letter
+
+_GUARD_SETS = [DEFAULT_GUARDS] + [guards for _, guards in MUTANTS.values()]
+
+
+def assert_rows_equal_monitor_step(explorer: _Explorer) -> None:
+    """Every reachable state's row against ``monitor_step`` on each letter,
+    and the states numbered in the order stepping every letter meets them."""
+    cfg, guards = explorer.cfg, explorer.guards
+    letters = [cfg.letter(rec) for rec in explorer.alphabet]
+    order = [INITIAL_STATE]
+    assert explorer.state_id(INITIAL_STATE) == 0
+    for state in order:  # grows as the rows reach new states
+        ids, outs = explorer.row(explorer.state_id(state))
+        for idx, letter in enumerate(letters):
+            expected = monitor_step(state, letter, guards, cfg.ekr_enabled)
+            assert (explorer.states[ids[idx]], bool(outs[idx])) == expected, \
+                (state, idx)
+            if expected[0] not in order:
+                order.append(expected[0])
+    assert explorer.states == order
+
+
+@pytest.mark.parametrize("width", [5, 6])
+@pytest.mark.parametrize("ekr_enabled", [True, False])
+def test_catalogue_rows_equal_monitor_step(width, ekr_enabled):
+    for guards in _GUARD_SETS:
+        assert_rows_equal_monitor_step(
+            _catalogue_explorer(scaled_space(width), guards, ekr_enabled))
+
+
+@pytest.mark.parametrize("width", [5, 6])
+@pytest.mark.parametrize("ekr_enabled", [True, False])
+def test_curated_rows_equal_monitor_step(width, ekr_enabled):
+    space = scaled_space(width)
+    for guards in _GUARD_SETS:
+        assert_rows_equal_monitor_step(_Explorer(
+            MonitorConfig.from_layout(space, ekr_enabled), guards,
+            curated_alphabet(space), build_props(space)))
+
+
+def test_a_second_sweep_builds_no_tables(monkeypatch):
+    # After one sweep every guard set's tables are kept, so the next sweep
+    # steps the FSMs only inside monitor_step (quiet tails and replays).
+    def sweep():
+        check_catalogue(SPACE5)
+        for mutant_id in MUTANTS:
+            find_mutant_violation(mutant_id, SPACE5)
+
+    sweep()
+    calls = dict.fromkeys(["monitor_step", "step_gpio_fsm", "step_ekr_write_fsm",
+                           "step_atomicity_fsm"], 0)
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(checker, "monitor_step")
+    for name in list(calls)[1:]:
+        counting(monitor, name)
+    sweep()
+    assert calls["monitor_step"] > 0
+    assert set(calls.values()) == {calls["monitor_step"]}, calls
+    info = fsm_tables.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------

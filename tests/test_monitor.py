@@ -12,11 +12,13 @@ from mcusentry import referee
 from mcusentry.checker import _candidates, default_er_choices, scaled_space
 from mcusentry.layout import default_layout
 from mcusentry.machine import RecordColumns, StateRecord
-from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, LETTER, AtomState,
+from mcusentry.monitor import (ATOM_READS, DEFAULT_GUARDS, EKR_READS, GPIO_READS,
+                               INITIAL_STATE, LETTER, RESET_STATE, AtomState,
                                EkrState, GpioState, GuardFlags, Monitor,
-                               MonitorConfig, MonitorState, monitor_step,
-                               step_atomicity_fsm, step_ekr_write_fsm,
-                               step_gpio_fsm, table_letter, transition_table)
+                               MonitorConfig, MonitorState, fsm_tables,
+                               monitor_step, step_atomicity_fsm,
+                               step_ekr_write_fsm, step_gpio_fsm, table_letter,
+                               transition_table)
 from mcusentry.mutants import MUTANTS
 from mcusentry.props import build_props
 from mcusentry.scenarios import CATALOGUE
@@ -387,6 +389,66 @@ def test_one_table_per_config_and_guards():
     other = MonitorConfig.from_layout(LAYOUT, ekr_enabled=False)
     assert transition_table(other, DEFAULT_GUARDS) is not \
         transition_table(cfg, DEFAULT_GUARDS)
+
+
+# The FSM tables against the step functions they are filled from, on
+# arbitrary letters: all 17 bits drawn, not only the combinations records make.
+_LETTERS = st.integers(0, (1 << len(LETTER)) - 1)
+
+
+def _table_step(tables, state, letter):
+    """``monitor_step`` composed from one lookup per FSM table."""
+    entries = [table.entries[table.states.index(s), table.index(letter)]
+               for table, s in zip(tables, state)]
+    if any(entry & 1 for entry in entries):
+        return RESET_STATE, True
+    return MonitorState(*(table.states[entry >> 1]
+                          for table, entry in zip(tables, entries))), False
+
+
+@settings(max_examples=100, deadline=None)
+@given(letter=_LETTERS, guards=st.sampled_from(_GUARD_SETS),
+       ekr_enabled=st.booleans())
+def test_table_step_equals_monitor_step_from_every_state(letter, guards,
+                                                         ekr_enabled):
+    tables = fsm_tables(guards, ekr_enabled)
+    for state in _EVERY_STATE:
+        assert _table_step(tables, state, letter) == \
+            monitor_step(state, letter, guards, ekr_enabled), state
+
+
+# Each FSM with the bits its table is indexed by, stepped under a guard set
+# and an ekr value (the atomicity FSM takes none).
+_FSMS = [
+    (GpioState, GPIO_READS, lambda s, letter, g, ekr: step_gpio_fsm(s, letter, g, ekr)),
+    (EkrState, EKR_READS, lambda s, letter, g, ekr: step_ekr_write_fsm(s, letter, g, ekr)),
+    (AtomState, ATOM_READS, lambda s, letter, g, ekr: step_atomicity_fsm(s, letter, g)),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(letter=_LETTERS)
+def test_each_fsm_reads_only_the_bits_of_its_table(letter):
+    # A table entry stands for every letter that agrees on the FSM's read
+    # bits; a guard that reads one more bit must add it to the mask.
+    assert [reads.bit_count() for _, reads, _ in _FSMS] == [12, 4, 6]
+    for states, reads, step in _FSMS:
+        for bit in range(len(LETTER)):
+            if reads >> bit & 1:
+                continue
+            flipped = letter ^ 1 << bit
+            for guards, ekr_enabled, state in product(
+                    _GUARD_SETS, (False, True), states):
+                assert step(state, flipped, guards, ekr_enabled) == \
+                    step(state, letter, guards, ekr_enabled), (state, LETTER[bit])
+
+
+def test_fsm_tables_are_kept_per_guard_set():
+    assert fsm_tables.cache_info().maxsize >= 2 * len(_GUARD_SETS)
+    tables = fsm_tables(DEFAULT_GUARDS, True)
+    assert [t.entries.shape for t in tables] == [(3, 4096), (2, 16), (5, 64)]
+    assert fsm_tables(GuardFlags(), True) is tables
+    assert fsm_tables(DEFAULT_GUARDS, False) is not tables
 
 
 # The letter against the ``props`` entries its bits are named after, on

@@ -26,13 +26,13 @@ of the product implicitly: a safety or weak-until violation shows up on
 some reachable edge. Each conjunct compiles into two tables indexed by
 reset output and letter (Havelund & Roşu, TACAS 2002): the letters that
 violate from each tracking value, and each letter's next value. The
-monitor is compiled into a transition table over the alphabet: reachable
-monitor states get small integer ids, and each state gets one row holding,
-for every letter, the next state's id and the reset output. A row is one
-lookup per FSM in that FSM's table (``monitor.fsm_tables``, kept per guard
-set) at every letter's read bits, plus the shared reset: any local reset
-sends all three FSMs to RESET. ``monitor_step`` runs only in the quiet
-tails and the replays, a path independent of the tables. Each propositional
+monitor is a transition table over the alphabet: a monitor state is its
+number in the guard set's ``monitor.compiled_monitor``, and each reachable
+state gets one row holding, for every letter, the next state's number and
+the reset output: that object's successor function (one lookup per FSM
+table at every letter's read bits, plus the shared reset) at the
+alphabet's table indices. ``monitor_step`` runs only in the quiet tails
+and the replays, a path independent of the tables. Each propositional
 subformula becomes one bool column per reset output: the alphabet is one
 lasso, and ``ltl.eval_vector`` evaluates the formula on it with ``reset``
 fixed to each output (``_fixed``). A product node then
@@ -69,9 +69,8 @@ from .layout import Region
 from .ltl import (And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X,
                   check_props, eval_naive, eval_vector, to_text)
 from .machine import StateRecord
-from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, RESET_STATE, FsmTable,
-                      GuardFlags, MonitorConfig, MonitorState, fsm_tables,
-                      monitor_step)
+from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, GuardFlags, MonitorConfig,
+                      MonitorState, compiled_monitor, monitor_step)
 from .mutants import mutant_guards
 from .props import build_props
 
@@ -325,11 +324,11 @@ class _Explorer:
     """The monitor as a transition table over one alphabet, shared by the
     formulas checked against it.
 
-    Monitor states are numbered as they are reached (``states[id]``).
-    ``row(id)`` holds, for every letter, the next state's id and the reset
-    output, made once per state by three gathers: each FSM's table at that
-    FSM's state and every letter's index into it, the indices taken once
-    per explorer from ``MonitorConfig.letter``. ``column(f)`` holds a
+    A monitor state is its number in ``monitor`` (``monitor.states[sid]``),
+    the guard set's compiled monitor. ``row(sid)`` holds, for every letter,
+    the next state's number and the reset output: ``monitor.successors``
+    at every letter's table indices, taken once per explorer from
+    ``MonitorConfig.letter``, and kept per state. ``column(f)`` holds a
     propositional formula's value on every letter under either reset
     output, as a (2, letters) bool array: ``eval_vector`` with the
     ``props`` entries on the alphabet as one lasso (``lasso``), once with
@@ -345,48 +344,17 @@ class _Explorer:
         self.alphabet = alphabet
         self.props = props
         self.names = names
-        self.states: list[MonitorState] = []
-        self._ids: dict[MonitorState, int] = {}
+        self.monitor = compiled_monitor(guards, cfg.ekr_enabled)
+        self._indices = self.monitor.indices(cfg.letter(self.lasso.columns))
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._columns: dict[Formula, np.ndarray] = {}
 
-    def state_id(self, mon: MonitorState) -> int:
-        sid = self._ids.get(mon)
-        if sid is None:
-            sid = self._ids[mon] = len(self.states)
-            self.states.append(mon)
-        return sid
-
-    @cached_property
-    def _indexed(self) -> list[tuple[FsmTable, np.ndarray]]:
-        """Each FSM's table for the explorer's guards, with every letter's
-        index into it."""
-        letters = self.cfg.letter(self.lasso.columns)
-        return [(table, table.index(letters))
-                for table in fsm_tables(self.guards, self.cfg.ekr_enabled)]
-
     def row(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next-state ids and reset outputs (0/1) of state ``sid``, both
-        indexed by letter, from one lookup per FSM and letter."""
+        """Next-state numbers and reset outputs (0/1) of state ``sid``,
+        both indexed by letter."""
         row = self._rows.get(sid)
         if row is None:
-            tables, indices = zip(*self._indexed)
-            entries = [table.entries[table.states.index(state), index]
-                       for table, index, state in zip(tables, indices, self.states[sid])]
-            # Any local reset is the global one: every FSM goes to RESET,
-            # coded past the codes of the FSM state triples.
-            outs = (entries[0] | entries[1] | entries[2]).astype(np.intp) & 1
-            shape = [len(table.states) for table in tables]
-            reset = int(np.prod(shape))
-            codes = np.where(outs, reset, np.ravel_multi_index(
-                [entry >> 1 for entry in entries], shape))
-            ids = np.empty(reset + 1, np.intp)
-            # State ids are handed out in order of the first letter that
-            # reaches each state, as stepping every letter in order would.
-            for idx in np.sort(np.unique(codes, return_index=True)[1]).tolist():
-                ids[codes[idx]] = self.state_id(RESET_STATE if outs[idx] else MonitorState(
-                    *(t.states[e[idx] >> 1] for t, e in zip(tables, entries))))
-            row = self._rows[sid] = (ids[codes], outs)
+            row = self._rows[sid] = self.monitor.successors(sid, self._indices)
         return row
 
     @cached_property
@@ -448,7 +416,7 @@ def _bfs(plan, explorer: _Explorer, state_budget: int):
     bad, nxt = _compile(plan, explorer)
     n_values = max(bad) + 1
     letters = np.arange(len(explorer.alphabet))
-    start = (explorer.state_id(INITIAL_STATE), 0)
+    start = (explorer.monitor.number[INITIAL_STATE], 0)
     parents: dict = {start: None}
     queue = deque([start])
     explored = 0
@@ -463,7 +431,7 @@ def _bfs(plan, explorer: _Explorer, state_budget: int):
         if violating.any():
             idx = int(np.argmax(violating))
             path = _path(parents, node, explorer) + [explorer.record(idx, outs[idx])]
-            return path, explorer.states[nxt_ids[idx]], explored
+            return path, explorer.monitor.states[nxt_ids[idx]], explored
         if plan[0] == "initial":
             break  # only position 0 is constrained
         values = nxt[value][outs, letters]
@@ -614,7 +582,7 @@ class _LassoSearch:
         codes with the loop start marked."""
         tail = self.tails.get((sid, length))
         if tail is None:
-            lead, loop = _quiet_tail(self.table.states[sid], length, self.space,
+            lead, loop = _quiet_tail(self.table.monitor.states[sid], length, self.space,
                                      self.table.cfg, self.table.guards)
             bits = 0
             for rec in lead + loop:
@@ -685,7 +653,7 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
     if max_len < 1:
         raise ValueError(f"max_len {max_len} is below 1: no lasso to search")
     search = _LassoSearch(formula, space, guards, ekr_enabled)
-    start = search.table.state_id(INITIAL_STATE)
+    start = search.table.monitor.number[INITIAL_STATE]
     for length in range(1, max_len + 1):
         found = search.extend(start, 1, length)
         if found is not None:

@@ -76,28 +76,35 @@ def _sensor_from_args(args):
     return ConstantSensor(args.sensor_const)
 
 
-def _schedules_from_args(args):
-    dma = []
-    if args.dma_file:
-        lines = Path(args.dma_file).read_text().splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (3, 4):
-                raise ValueError(f"DMA file line {lineno}: expected "
-                                 f"'cycle op addr [value]', got {line!r}")
-            cycle, op, addr = int(parts[0], 0), parts[1], int(parts[2], 0)
-            value = int(parts[3], 0) if len(parts) > 3 else 0
-            dma.append(DmaRequest(cycle, op, addr, value))
-    irq = []
-    if args.irq_file:
-        for line in Path(args.irq_file).read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                irq.append(int(line, 0))
-    return dma, irq
+def _dma_request(parts: list[str]) -> DmaRequest:
+    if len(parts) not in (3, 4):
+        raise ValueError(f"expected 'cycle op addr [value]', got {' '.join(parts)!r}")
+    value = int(parts[3], 0) if len(parts) > 3 else 0
+    return DmaRequest(int(parts[0], 0), parts[1], int(parts[2], 0), value)
+
+
+def _irq_cycle(parts: list[str]) -> int:
+    if len(parts) != 1:
+        raise ValueError(f"expected 'cycle', got {' '.join(parts)!r}")
+    cycle = int(parts[0], 0)
+    if cycle < 0:
+        raise ValueError(f"negative IRQ cycle {cycle}")
+    return cycle
+
+
+def _schedule(path: str | None, kind: str, parse) -> list:
+    """``parse`` of each line's fields, blank lines and comments skipped; a
+    line it rejects names the file kind and the line number."""
+    out = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines() if path else [], 1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            out.append(parse(parts))
+        except ValueError as exc:
+            raise ValueError(f"{kind} file line {lineno}: {exc}") from None
+    return out
 
 
 def cmd_run(args) -> int:
@@ -111,7 +118,8 @@ def cmd_run(args) -> int:
     rom = Path(args.rom).read_bytes() if args.rom else None
     machine = load_image(layout, image, er, rom=rom)
     monitor = Monitor.for_layout(layout, ekr_enabled=not args.no_ekr)
-    dma, irq = _schedules_from_args(args)
+    dma = _schedule(args.dma_file, "DMA", _dma_request)
+    irq = _schedule(args.irq_file, "IRQ", _irq_cycle)
     ctx = RunContext.build(sensor=_sensor_from_args(args), dma=dma,
                            irq_cycles=irq)
     records = []

@@ -35,13 +35,13 @@ of the window and its metadata. The key-write FSM (``EKR_READS``, 4)
 reads pc at zero and in VR, CPU writes and DMA touches of the key region.
 The atomicity FSM (``ATOM_READS``, 6) reads pc at zero, in the window, at
 er_min and at er_max, irq and dmaen. So for one (guards, ekr_enabled)
-value each FSM compiles into a flat table over (FSM state, its bits):
-``fsm_tables`` fills each entry by one call to the FSM's own step
-function and keeps the tables of the last 26 values (the healthy guards
-and the 12 mutants, ekr on and off). The checker builds its rows from
-these tables; ``monitor_step`` stays the scalar composition that
-``Monitor.step`` misses and the checker's counterexample replay step
-through.
+value each FSM compiles into a flat table over (FSM state, its bits),
+each entry from one call to the FSM's own step function. One
+``compiled_monitor`` per value holds the live memo, those tables (built
+at the checker's first use), the composed states numbered once, and the
+successor function over table indices that the checker's rows are.
+``monitor_step`` stays the scalar composition that memo misses and the
+checker's quiet tails and replays step through.
 """
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property, lru_cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -315,55 +316,28 @@ EKR_READS = PC_ZERO | PC_VR | WRITE_EKR | DMA_EKR
 ATOM_READS = PC_ZERO | PC_ER | PC_ERMIN | PC_ERMAX | IRQ | DMA_EN
 
 
-class FsmTable(NamedTuple):
-    """One FSM compiled for one guard set: ``entries[i, index(letter)]`` is
-    ``j << 1 | reset`` when the FSM steps from ``states[i]`` on ``letter``
-    to ``states[j]`` with local reset output ``reset``."""
-
-    states: tuple
-    reads: int
-    entries: np.ndarray  # uint8, (len(states), 2 ** bits read)
-
-    def index(self, letter):
-        """The bits of ``letter`` (an int or an int array) that the FSM
-        reads, packed low to high."""
-        index = 0
-        for j, bit in enumerate(_bits(self.reads)):
-            index |= (letter >> bit & 1) << j
-        return index
-
-
 def _bits(mask: int) -> list[int]:
     return [bit for bit in range(mask.bit_length()) if mask >> bit & 1]
 
 
-def _fsm_table(states: type[Enum], reads: int, step) -> FsmTable:
-    """The table of ``step`` (state, letter) -> (state, reset), one call per
-    entry; entry ``index`` steps on the letter whose read bits it packs."""
+def _index(letter, reads: int):
+    """The bits of ``letter`` (an int or an int array) that an FSM reading
+    ``reads`` reads, packed low to high: its index into the FSM's table."""
+    return sum((letter >> bit & 1) << j for j, bit in enumerate(_bits(reads)))
+
+
+def _fsm_table(states: type[Enum], reads: int, step) -> np.ndarray:
+    """``step`` (state, letter) -> (state, reset) as a uint8 table, one call
+    per entry: ``table[i, _index(letter, reads)]`` is ``j << 1 | reset``
+    when the FSM steps from its ``i``-th state on ``letter`` to its
+    ``j``-th with local reset output ``reset``."""
     bits = _bits(reads)
     letters = [sum((index >> j & 1) << bit for j, bit in enumerate(bits))
                for index in range(1 << len(bits))]
-    states = tuple(states)
-    number = {state: i for i, state in enumerate(states)}
-    entries = np.array([[number[nxt] << 1 | out
-                         for nxt, out in (step(state, letter) for letter in letters)]
-                        for state in states], dtype=np.uint8)
-    return FsmTable(states, reads, entries)
-
-
-@lru_cache(maxsize=26)  # the healthy guards and the 12 mutants, ekr on and off
-def fsm_tables(guards: GuardFlags,
-               ekr_enabled: bool) -> tuple[FsmTable, FsmTable, FsmTable]:
-    """The GPIO, key-write and atomicity FSMs' tables for one guard set:
-    3 x 4096 + 2 x 16 + 5 x 64 entries, each from one step call."""
-    return (
-        _fsm_table(GpioState, GPIO_READS,
-                   lambda s, letter: step_gpio_fsm(s, letter, guards, ekr_enabled)),
-        _fsm_table(EkrState, EKR_READS,
-                   lambda s, letter: step_ekr_write_fsm(s, letter, guards, ekr_enabled)),
-        _fsm_table(AtomState, ATOM_READS,
-                   lambda s, letter: step_atomicity_fsm(s, letter, guards)),
-    )
+    states = list(states)
+    return np.array([[states.index(nxt) << 1 | out
+                      for nxt, out in (step(state, letter) for letter in letters)]
+                     for state in states], dtype=np.uint8)
 
 
 class MonitorState(NamedTuple):
@@ -395,23 +369,71 @@ def monitor_step(state: MonitorState, letter: int,
     return MonitorState(gpio_next, ekr_next, atom_next, False), False
 
 
-@lru_cache(maxsize=1)
-def transition_table(cfg: MonitorConfig, guards: GuardFlags) -> defaultdict:
-    """The memo of ``monitor_step`` for a (config, guards) pair:
-    ``table[state][letter]`` is its (next state, reset) from ``state`` on
-    ``letter``, entered by ``Monitor.step`` on a miss. A new ``Monitor``
-    per round reuses it, and monitors with other guards get their own.
-    Only the latest pair's table is kept, since a campaign steps one pair
-    throughout."""
-    return defaultdict(dict)
+class CompiledMonitor:
+    """The monitor compiled for one (guards, ekr_enabled) value.
+
+    ``memo[state][letter]`` is ``monitor_step``'s (next state, reset),
+    entered by ``Monitor.step`` on a miss; a letter names comparator
+    outputs, not addresses, so monitors over any layout share it.
+    ``states`` numbers the composed states once: the 30 FSM triples in
+    enum product order without a global reset (``INITIAL_STATE`` is 0),
+    then ``RESET_STATE``. ``tables`` are the three FSM tables, built at
+    their first use, which only the checker makes (about 30 ms).
+    """
+
+    states = tuple(MonitorState(*triple)
+                   for triple in product(GpioState, EkrState, AtomState)) + (RESET_STATE,)
+    number = {state: sid for sid, state in enumerate(states)}
+    _shape = (len(GpioState), len(EkrState), len(AtomState))
+
+    def __init__(self, guards: GuardFlags, ekr_enabled: bool):
+        self.memo: defaultdict = defaultdict(dict)
+        self.guards, self.ekr_enabled = guards, ekr_enabled
+
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The GPIO, key-write and atomicity FSMs' ``_fsm_table``s."""
+        guards, ekr_enabled = self.guards, self.ekr_enabled
+        return (
+            _fsm_table(GpioState, GPIO_READS,
+                       lambda s, letter: step_gpio_fsm(s, letter, guards, ekr_enabled)),
+            _fsm_table(EkrState, EKR_READS,
+                       lambda s, letter: step_ekr_write_fsm(s, letter, guards, ekr_enabled)),
+            _fsm_table(AtomState, ATOM_READS,
+                       lambda s, letter: step_atomicity_fsm(s, letter, guards)),
+        )
+
+    @staticmethod
+    def indices(letters) -> tuple:
+        """Each letter's index into each FSM's table."""
+        return tuple(_index(letters, reads)
+                     for reads in (GPIO_READS, EKR_READS, ATOM_READS))
+
+    def successors(self, sid: int, indices: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The next state's number and the reset output (0/1) from state
+        number ``sid`` on every letter whose table indices are ``indices``."""
+        # The last global output is no input: the FSMs' states name the row.
+        fsm_states = np.unravel_index(
+            self.number[self.states[sid]._replace(global_reset=False)], self._shape)
+        entries = [table[i, index]
+                   for table, i, index in zip(self.tables, fsm_states, indices)]
+        outs = (entries[0] | entries[1] | entries[2]).astype(np.intp) & 1
+        # Any local reset is the global one: every FSM goes to RESET.
+        return np.where(outs, self.number[RESET_STATE], np.ravel_multi_index(
+            [entry >> 1 for entry in entries], self._shape)), outs
+
+
+# One per (guards, ekr_enabled): the healthy guards and the 12 mutants, ekr on and off.
+compiled_monitor = lru_cache(maxsize=26)(CompiledMonitor)
 
 
 class Monitor:
     """Stateful wrapper used by the stepping loops.
 
-    A step looks up (state, letter) in the pair's ``transition_table``
-    and steps the FSMs only on a miss, and it reports the global reset
-    only. A check that needs one FSM's own output steps that FSM
+    A step looks up (state, letter) in the memo of its (guards, ekr)
+    value's ``compiled_monitor``, shared by every monitor of that value,
+    and steps the FSMs only on a miss; it reports the global reset only.
+    A check that needs one FSM's own output steps that FSM
     (``step_atomicity_fsm`` and its siblings) on ``cfg.letter`` of each
     record. ``local_resets_log`` is always empty: the benchmark sizes its
     ``Monitor.step`` span by it.
@@ -422,14 +444,14 @@ class Monitor:
         self.guards = guards
         self.state = INITIAL_STATE
         self.local_resets_log: list[tuple[bool, bool, bool]] = []
-        self._letter, self._table = cfg.letter, transition_table(cfg, guards)
+        self._letter, self._memo = cfg.letter, compiled_monitor(guards, cfg.ekr_enabled).memo
 
     def step(self, rec: StateRecord) -> bool:
         state = self.state
         letter = self._letter(rec)
-        hit = self._table[state].get(letter)
+        hit = self._memo[state].get(letter)
         if hit is None:
-            hit = self._table[state][letter] = monitor_step(
+            hit = self._memo[state][letter] = monitor_step(
                 state, letter, self.guards, self.cfg.ekr_enabled)
         self.state, out = hit
         return out

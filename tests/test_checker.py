@@ -21,8 +21,8 @@ from mcusentry.errors import BudgetError, FormulaError
 from mcusentry.ltl import G, LassoTrace, Not, Prop, eval_naive, parse
 from mcusentry.machine import StateRecord
 from mcusentry import monitor
-from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, MonitorConfig,
-                               fsm_tables, monitor_step)
+from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, RESET_STATE,
+                               MonitorConfig, compiled_monitor, monitor_step)
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.props import build_props
 
@@ -473,20 +473,21 @@ _GUARD_SETS = [DEFAULT_GUARDS] + [guards for _, guards in MUTANTS.values()]
 
 def assert_rows_equal_monitor_step(explorer: _Explorer) -> None:
     """Every reachable state's row against ``monitor_step`` on each letter,
-    and the states numbered in the order stepping every letter meets them."""
-    cfg, guards = explorer.cfg, explorer.guards
+    with the initial state numbered 0 and the shared reset numbered apart."""
+    cfg, guards, compiled = explorer.cfg, explorer.guards, explorer.monitor
     letters = [cfg.letter(rec) for rec in explorer.alphabet]
-    order = [INITIAL_STATE]
-    assert explorer.state_id(INITIAL_STATE) == 0
-    for state in order:  # grows as the rows reach new states
-        ids, outs = explorer.row(explorer.state_id(state))
+    assert compiled.number[INITIAL_STATE] == 0
+    assert compiled.number[RESET_STATE] not in (
+        compiled.number[state] for state in compiled.states if state != RESET_STATE)
+    reached = [INITIAL_STATE]
+    for state in reached:  # grows as the rows reach new states
+        ids, outs = explorer.row(compiled.number[state])
         for idx, letter in enumerate(letters):
             expected = monitor_step(state, letter, guards, cfg.ekr_enabled)
-            assert (explorer.states[ids[idx]], bool(outs[idx])) == expected, \
+            assert (compiled.states[ids[idx]], bool(outs[idx])) == expected, \
                 (state, idx)
-            if expected[0] not in order:
-                order.append(expected[0])
-    assert explorer.states == order
+            if expected[0] not in reached:
+                reached.append(expected[0])
 
 
 @pytest.mark.parametrize("width", [5, 6])
@@ -533,7 +534,7 @@ def test_a_second_sweep_builds_no_tables(monkeypatch):
     sweep()
     assert calls["monitor_step"] > 0
     assert set(calls.values()) == {calls["monitor_step"]}, calls
-    info = fsm_tables.cache_info()
+    info = compiled_monitor.cache_info()
     assert info.currsize <= info.maxsize
 
 
@@ -550,7 +551,7 @@ def reference_brute_force(formula, space, guards=DEFAULT_GUARDS,
     alphabet = curated_alphabet(space)
     table = _Explorer(cfg, guards, alphabet, props)
     rows = {}
-    start = table.state_id(INITIAL_STATE)
+    start = table.monitor.number[INITIAL_STATE]
     explored = 0
     for length in range(1, max_len + 1):
         for combo in iproduct(range(len(alphabet)), repeat=length):
@@ -562,7 +563,8 @@ def reference_brute_force(formula, space, guards=DEFAULT_GUARDS,
                     rows[sid] = tuple(a.tolist() for a in table.row(sid))
                 sid, out = rows[sid][0][idx], rows[sid][1][idx]
                 prefix.append(alphabet[idx]._replace(reset=bool(out), cycle=i))
-            lead, loop = _quiet_tail(table.states[sid], length, space, cfg, guards)
+            lead, loop = _quiet_tail(table.monitor.states[sid], length, space, cfg,
+                                     guards)
             lasso = LassoTrace(prefix=prefix + lead, loop=list(loop))
             if not eval_naive(formula, lasso, 0, props):
                 return "violated", explored, repr(lasso)

@@ -235,6 +235,31 @@ def test_run_out_of_range_schedule_is_a_usage_error(workdir, capsys, flag, line,
     assert all(word in err[0] for word in words), err[0]
 
 
+@pytest.mark.parametrize("flag, kind, line", [
+    ("--irq-file", "IRQ", "5 6"),
+    ("--irq-file", "IRQ", "zz"),
+    ("--irq-file", "IRQ", "-5"),
+    ("--dma-file", "DMA", "0x10 read zz"),
+    ("--dma-file", "DMA", "0x10 peek 0x20"),
+    ("--dma-file", "DMA", "5 read 0x10000"),
+    ("--dma-file", "DMA", "-1 write 0x20 0x1"),
+], ids=["irq-two-fields", "irq-not-a-number", "irq-negative", "dma-bad-address",
+        "dma-bad-op", "dma-address-past-the-space", "dma-negative-cycle"])
+def test_run_rejected_schedule_line_names_its_file_and_line(workdir, capsys, flag,
+                                                            kind, line):
+    tmp, binary = workdir
+    _authorize(tmp)
+    capsys.readouterr()
+    valid = "200" if kind == "IRQ" else "200 read 0xF000"
+    (tmp / "schedule.txt").write_text(f"# schedule\n{valid}\n{line}  # bad\n")
+    er = window_for(binary, 0x4000)
+    code = main(_run_args(tmp, er, [flag, str(tmp / "schedule.txt")]))
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(err) == 1 and err[0].startswith(f"error: {kind} file line 3: "), err
+
+
 def test_run_refuses_schedule_entries_in_install_or_verify(workdir, capsys):
     # With 3 boot cycles, install starts at cycle 3 and spans cycle 5; its
     # and verify's records service no DMA or IRQ, so these would be lost.

@@ -15,10 +15,9 @@ from mcusentry.machine import RecordColumns, StateRecord
 from mcusentry.monitor import (ATOM_READS, DEFAULT_GUARDS, EKR_READS, GPIO_READS,
                                INITIAL_STATE, LETTER, RESET_STATE, AtomState,
                                EkrState, GpioState, GuardFlags, Monitor,
-                               MonitorConfig, MonitorState, fsm_tables,
+                               MonitorConfig, MonitorState, compiled_monitor,
                                monitor_step, step_atomicity_fsm,
-                               step_ekr_write_fsm, step_gpio_fsm, table_letter,
-                               transition_table)
+                               step_ekr_write_fsm, step_gpio_fsm, table_letter)
 from mcusentry.mutants import MUTANTS
 from mcusentry.props import build_props
 from mcusentry.scenarios import CATALOGUE
@@ -351,27 +350,31 @@ def test_memoized_step_equals_monitor_step_from_every_state(drawn, guards,
                 assert monitor.state == expected_state, (state, rec)
 
 
+def _memo_entries_equal_monitor_step(memo, guards, ekr_enabled):
+    return all(entry == monitor_step(state, letter, guards, ekr_enabled)
+               for state, row in memo.items() for letter, entry in row.items())
+
+
 def test_guard_sets_never_share_a_table():
     cfg = MonitorConfig.from_layout(LAYOUT)
     stream = [inp(pc=0), inp(r_en=True, d_addr=LAYOUT.gpio.start),
               inp(pc=0), inp(pc=LAYOUT.i_auth), inp(pc=ER[0] + 2), inp(pc=ER[0]),
               inp(pc=ER[0] + 2, irq=True), inp(pc=0),
               inp(w_en=True, d_addr=LAYOUT.ekr.start)]
-    tables = []
+    memos = []
     for guards in _GUARD_SETS:
-        table = transition_table(cfg, guards)
-        monitor = Monitor(cfg, guards)  # steps on the pair's cached table
+        monitor = Monitor(cfg, guards)  # steps on its guard set's memo
+        memo = compiled_monitor(guards, True).memo
+        assert monitor._memo is memo
         state = INITIAL_STATE
         for rec in stream:
             state, out = monitor_step(state, cfg.letter(rec), guards)
             assert monitor.step(rec) == out
             assert monitor.state == state
-        # The monitor filled this pair's table, with its own guards' steps.
-        assert table and all(entry == monitor_step(s, letter, guards)
-                             for s, row in table.items()
-                             for letter, entry in row.items())
-        tables.append(table)
-    assert len({id(table) for table in tables}) == len(_GUARD_SETS)
+        # The monitor filled this guard set's memo, with its own guards' steps.
+        assert memo and _memo_entries_equal_monitor_step(memo, guards, True)
+        memos.append(memo)
+    assert len({id(memo) for memo in memos}) == len(_GUARD_SETS)
     # The stream tells the healthy monitor from some mutants.
     assert len({tuple(_outputs(cfg, g, stream)) for g in _GUARD_SETS}) > 1
 
@@ -381,14 +384,24 @@ def _outputs(cfg, guards, stream):
     return [monitor.step(rec) for rec in stream]
 
 
-def test_one_table_per_config_and_guards():
-    cfg = MonitorConfig.from_layout(LAYOUT)
-    assert transition_table(cfg, DEFAULT_GUARDS) is \
-        transition_table(MonitorConfig.from_layout(LAYOUT), GuardFlags())
-    assert Monitor(cfg)._table is Monitor(cfg)._table
-    other = MonitorConfig.from_layout(LAYOUT, ekr_enabled=False)
-    assert transition_table(other, DEFAULT_GUARDS) is not \
-        transition_table(cfg, DEFAULT_GUARDS)
+def test_one_memo_per_guards_across_layouts():
+    # A letter names comparator outputs, not addresses: monitors over two
+    # layouts with equal guards and ekr share one memo, and any other guard
+    # set or ekr value has its own.
+    layouts = [default_layout(), scaled_space(5)]
+    for guards, ekr_enabled in product(_GUARD_SETS, (True, False)):
+        memo = compiled_monitor(guards, ekr_enabled).memo
+        for layout in layouts:
+            monitor = Monitor.for_layout(layout, ekr_enabled, guards)
+            assert monitor._memo is memo
+            for rec in [inp(pc=0), inp(pc=layout.i_auth), inp(pc=layout.vr.start),
+                        inp(pc=0, w_en=True, d_addr=layout.ekr.start)]:
+                monitor.step(rec)
+        assert memo and _memo_entries_equal_monitor_step(memo, guards, ekr_enabled)
+        others = [compiled_monitor(g, e).memo
+                  for g, e in product(_GUARD_SETS, (True, False))
+                  if (g, e) != (guards, ekr_enabled)]
+        assert all(other is not memo for other in others)
 
 
 # The FSM tables against the step functions they are filled from, on
@@ -396,24 +409,20 @@ def test_one_table_per_config_and_guards():
 _LETTERS = st.integers(0, (1 << len(LETTER)) - 1)
 
 
-def _table_step(tables, state, letter):
-    """``monitor_step`` composed from one lookup per FSM table."""
-    entries = [table.entries[table.states.index(s), table.index(letter)]
-               for table, s in zip(tables, state)]
-    if any(entry & 1 for entry in entries):
-        return RESET_STATE, True
-    return MonitorState(*(table.states[entry >> 1]
-                          for table, entry in zip(tables, entries))), False
-
-
 @settings(max_examples=100, deadline=None)
 @given(letter=_LETTERS, guards=st.sampled_from(_GUARD_SETS),
        ekr_enabled=st.booleans())
 def test_table_step_equals_monitor_step_from_every_state(letter, guards,
                                                          ekr_enabled):
-    tables = fsm_tables(guards, ekr_enabled)
+    compiled = compiled_monitor(guards, ekr_enabled)
+    indices = compiled.indices(np.array([letter]))
+    number = compiled.number
     for state in _EVERY_STATE:
-        assert _table_step(tables, state, letter) == \
+        # The global output is no input of a step, so a state with no
+        # number of its own steps as its FSM triple does.
+        sid = number.get(state, number[state._replace(global_reset=False)])
+        nxt, out = compiled.successors(sid, indices)
+        assert (compiled.states[nxt[0]], bool(out[0])) == \
             monitor_step(state, letter, guards, ekr_enabled), state
 
 
@@ -444,11 +453,16 @@ def test_each_fsm_reads_only_the_bits_of_its_table(letter):
 
 
 def test_fsm_tables_are_kept_per_guard_set():
-    assert fsm_tables.cache_info().maxsize >= 2 * len(_GUARD_SETS)
-    tables = fsm_tables(DEFAULT_GUARDS, True)
-    assert [t.entries.shape for t in tables] == [(3, 4096), (2, 16), (5, 64)]
-    assert fsm_tables(GuardFlags(), True) is tables
-    assert fsm_tables(DEFAULT_GUARDS, False) is not tables
+    assert compiled_monitor.cache_info().maxsize >= 2 * len(_GUARD_SETS)
+    compiled = compiled_monitor(DEFAULT_GUARDS, True)
+    assert [t.shape for t in compiled.tables] == [(3, 4096), (2, 16), (5, 64)]
+    assert compiled_monitor(GuardFlags(), True) is compiled
+    assert compiled_monitor(DEFAULT_GUARDS, False) is not compiled
+    # The 30 FSM triples in product order, then the shared reset.
+    assert compiled.number[INITIAL_STATE] == 0
+    assert compiled.number[RESET_STATE] == 30 == len(compiled.states) - 1
+    assert compiled.states[:30] == tuple(MonitorState(*triple) for triple in product(
+        GpioState, EkrState, AtomState))
 
 
 # The letter against the ``props`` entries its bits are named after, on
@@ -529,3 +543,19 @@ def test_letter_tables_are_built_once_per_config_value():
     for _ in range(2):
         referee.run_scenario(CATALOGUE["happy-path"]())
     assert table_letter.cache_info().misses == built
+
+
+def test_live_rounds_build_no_fsm_table(monkeypatch):
+    # Live misses step through monitor_step, so rounds never pay the FSM
+    # tables' build (about 30 ms per guard set), and every round after the
+    # first steps on the memo the first one compiled.
+    built = []
+    monkeypatch.setattr("mcusentry.monitor._fsm_table",
+                        lambda *args: built.append(args))
+    compiled_monitor.cache_clear()
+    misses = []
+    for make in CATALOGUE.values():
+        referee.run_scenario(make())
+        misses.append(compiled_monitor.cache_info().misses)
+    assert len(misses) == 15 and built == []
+    assert misses[0] > 0 and set(misses) == {misses[0]}

@@ -18,40 +18,34 @@ mutant conviction share one. Coverage is exhaustive only over the classes
 the curated windows produce: the FSM state (rUNLOCK, wUNLOCK, lastER) is
 never reached (ROADMAP open item 5).
 
-Checking walks the reachable product of monitor state with a small-int
-tracking value per conjunct (0 for a safety formula ``G p``, an armed bit
-for a triggered weak-until ``G (a -> (b W c))``, 1 + the previous letter's
-propositions for a formula with next operators), which covers every lasso
-of the product implicitly: a safety or weak-until violation shows up on
-some reachable edge. Each conjunct compiles into two tables indexed by
-reset output and letter (Havelund & Roşu, TACAS 2002): the letters that
-violate from each tracking value, and each letter's next value. The
-monitor is a transition table over the alphabet: a monitor state is its
-number in the guard set's ``monitor.compiled_monitor``, and each reachable
-state gets one row holding, for every letter, the next state's number and
-the reset output: that object's successor function (one lookup per FSM
-table at every letter's read bits, plus the shared reset) at the
-alphabet's table indices. ``monitor_step`` runs only in the quiet tails
-and the replays, a path independent of the tables. Each propositional
-subformula becomes one bool column per reset output: the alphabet is one
-lasso, and ``ltl.eval_vector`` evaluates the formula on it with ``reset``
-fixed to each output (``_fixed``). A product node then
-expands with array lookups over its whole row; new nodes are queued in the
-order of the first letter that reaches them, and the violation reported is
-the first violating letter. Counterexamples are rebuilt as concrete lassos
+Checking walks the reachable product of monitor state with a pending
+obligation by formula progression (Bacchus & Kabanza, AIJ 2000): each
+letter progresses a node's obligation over the letter's propositions;
+``false`` is a violation and ``true`` is not queued. Every violation of
+a syntactically safe conjunct (``_is_safe``; Kupferman & Vardi, FMSD
+2001) has a finite bad prefix, so it shows up on some reachable edge; any
+other conjunct (the before-operator end-to-end goal) is refused with
+``FormulaError`` and checked on traces. The monitor is a transition
+table over the alphabet: a monitor state is its number in the guard
+set's ``monitor.compiled_monitor``, whose successor function gives each
+reachable state one row, the next state's number and the reset output on
+every letter. ``monitor_step`` runs only in the quiet tails and the
+replays, a path independent of the tables. A node expands by gathers:
+its obligation's progressions, computed once per process for each code
+of the propositions it reads (``_Obligations``), at the codes of its
+row's letters and reset outputs. New nodes are queued in the order of
+the first letter that reaches them, and the violation reported is the
+first violating letter. Counterexamples are rebuilt as concrete lassos
 and replay through the real transition function, which must bring the
 FSMs back to their loop-entry states.
 
-A formula without temporal operators constrains position 0 only, so it
-is judged on each letter read from the initial monitor state. A conjunct
-outside these fragments (the before-operator end-to-end goal) is refused
-with ``FormulaError``: it is checked on traces. Bounded lasso enumeration
-(``brute_force_check``) can show a violation but not its absence, so it is
-no verdict path; it cross-checks the walk and searches the end-to-end goal
-for mutant convictions. It decides each distinct proposition word (the
-formula's propositions at each position plus the loop start) once, as
-bounded search over a finite alphabet may (Biere, Cimatti, Clarke & Zhu,
-TACAS 1999); past its bound it stays incomplete.
+Bounded lasso enumeration (``brute_force_check``) can show a violation
+but not its absence, so it is no verdict path; it cross-checks the walk
+and searches the end-to-end goal for mutant convictions. It decides each
+distinct proposition word (the formula's propositions at each position
+plus the loop start) once, as bounded search over a finite alphabet may
+(Biere, Cimatti, Clarke & Zhu, TACAS 1999); past its bound it stays
+incomplete.
 """
 from __future__ import annotations
 
@@ -212,60 +206,112 @@ def build_alphabet(space: ScaledSpace,
 
 
 # ---------------------------------------------------------------------------
-# Formula classification
+# Formula progression over the syntactically safe fragment
+
+TRUE, FALSE = Prop("true"), Prop("false")
 
 
-def _is_propositional(f: Formula, next_ok: bool = False) -> bool:
-    """A boolean combination of propositions, and with ``next_ok`` also of
-    X(propositional)."""
+def _is_safe(f: Formula, positive: bool = True) -> bool:
+    """Syntactically safe: no U or B, and no G or W under a negation or
+    in an implication's antecedent (Kupferman & Vardi, FMSD 2001)."""
     if isinstance(f, Prop):
         return True
-    if isinstance(f, X):
-        return next_ok and _is_propositional(f.sub)
     if isinstance(f, Not):
-        return _is_propositional(f.sub, next_ok)
-    if isinstance(f, (And, Or, Implies)):
-        return _is_propositional(f.left, next_ok) \
-            and _is_propositional(f.right, next_ok)
-    return False
+        return _is_safe(f.sub, not positive)
+    if isinstance(f, Implies):
+        return _is_safe(f.left, not positive) and _is_safe(f.right, positive)
+    allowed = isinstance(f, (And, Or, X)) or positive and isinstance(f, (G, W))
+    return allowed and all(_is_safe(child, positive) for child in vars(f).values())
 
 
-def _flatten_and(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _flatten_and(f.left) + _flatten_and(f.right)
+def _flatten(f: Formula, op: type) -> list[Formula]:
+    """The operands of a nest of ``op`` (And or Or) nodes, left to right."""
+    if isinstance(f, op):
+        return _flatten(f.left, op) + _flatten(f.right, op)
     return [f]
 
 
-def _plan(f: Formula):
-    if not isinstance(f, G):
-        return ("initial", f) if _is_propositional(f) else None
-    body = f.sub
-    if _is_propositional(body):
-        return ("local", body)
-    if isinstance(body, Implies) and _is_propositional(body.left) \
-            and isinstance(body.right, W) \
-            and _is_propositional(body.right.left) \
-            and _is_propositional(body.right.right):
-        return ("tracker", body.left, body.right.left, body.right.right)
-    if _is_propositional(body, next_ok=True):
-        return ("pair", body)
-    return None
+def _not(f: Formula) -> Formula:
+    if isinstance(f, Not):
+        return f.sub
+    return FALSE if f == TRUE else TRUE if f == FALSE else Not(f)
 
 
-def _fixed(f: Formula, values: dict[str, bool]) -> Formula:
-    """``f`` with each proposition named in ``values`` outside X replaced
-    by ``true`` or ``false``, and each ``X(sub)`` by ``sub``."""
+def _join(op: type, parts: list[Formula]) -> Formula:
+    """``op`` (And or Or) over ``parts``, constants folded and nested
+    ``op`` operands flattened, deduplicated and sorted by text."""
+    unit, zero = (TRUE, FALSE) if op is And else (FALSE, TRUE)
+    flat = {leaf for part in parts for leaf in _flatten(part, op)} - {unit}
+    if zero in flat or not flat:
+        return zero if flat else unit
+    out, *rest = sorted(flat, key=to_text)
+    for part in rest:
+        out = op(out, part)
+    return out
+
+
+def progress(f: Formula, values: dict[str, bool]) -> Formula:
+    """What must hold from the next position on for ``f`` to hold at this
+    one, given the values here of the propositions it reads outside X
+    and of ``true`` and ``false`` (Bacchus & Kabanza, AIJ 2000),
+    so a prefix violates a safe formula once it progresses to ``false``."""
     if isinstance(f, Prop):
-        if f.name not in values:
-            return f
-        return Prop("true" if values[f.name] else "false")
+        return TRUE if values[f.name] else FALSE
+    if isinstance(f, Not):
+        return _not(progress(f.sub, values))
+    if isinstance(f, (And, Or)):
+        return _join(type(f), [progress(f.left, values), progress(f.right, values)])
+    if isinstance(f, Implies):
+        return _join(Or, [_not(progress(f.left, values)), progress(f.right, values)])
     if isinstance(f, X):
         return f.sub
-    if isinstance(f, Not):
-        return Not(_fixed(f.sub, values))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(_fixed(f.left, values), _fixed(f.right, values))
-    raise TypeError(f"{to_text(f)} is not propositional")
+    if isinstance(f, G):
+        return _join(And, [progress(f.sub, values), f])
+    if isinstance(f, W):
+        return _join(Or, [progress(f.right, values),
+                          _join(And, [progress(f.left, values), f])])
+    raise TypeError(f"{to_text(f)} is outside the safe fragment")
+
+
+def _reads(f: Formula) -> set[str]:
+    """The propositions ``progress`` reads: those outside X, constants aside."""
+    if isinstance(f, X):
+        return set()
+    if isinstance(f, Prop):
+        return {f.name} - {"true", "false"}
+    return set().union(*map(_reads, vars(f).values()))
+
+
+class _Obligations:
+    """Obligations numbered once per process (``false`` is 0, ``true``
+    1), each kept with the propositions it reads, sorted, and progressed
+    once per code of their values (``reads[i]`` at bit ``i``): progression
+    depends only on the formula, so every guard set and explorer shares
+    these."""
+
+    def __init__(self):
+        self.number: dict[Formula, int] = {}
+        self.entries: list[tuple[Formula, tuple[str, ...]]] = []  # formula, reads
+        self._next: dict[tuple[int, int], int] = {}
+        self.false, self.true = self.intern(FALSE), self.intern(TRUE)
+
+    def intern(self, f: Formula) -> int:
+        if f not in self.number:
+            self.number[f] = len(self.entries)
+            self.entries.append((f, tuple(sorted(_reads(f)))))
+        return self.number[f]
+
+    def next(self, oid: int, code: int) -> int:
+        nxt = self._next.get((oid, code))
+        if nxt is None:
+            f, reads = self.entries[oid]
+            values = {name: bool(code >> bit & 1) for bit, name in enumerate(reads)}
+            values.update(true=True, false=False)
+            nxt = self._next[oid, code] = self.intern(progress(f, values))
+        return nxt
+
+
+_OBLIGATIONS = _Obligations()
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +347,6 @@ def _quiet_tail(state: MonitorState, start: int, space: ScaledSpace,
     return tail[:cut], tail[cut:]
 
 
-def _collect_a_props(f: Formula, out: set[str]) -> None:
-    """Prop names evaluated at the current position (not under X)."""
-    if isinstance(f, Prop):
-        out.add(f.name)
-    elif isinstance(f, X):
-        pass
-    elif isinstance(f, Not):
-        _collect_a_props(f.sub, out)
-    elif isinstance(f, (And, Or, Implies)):
-        _collect_a_props(f.left, out)
-        _collect_a_props(f.right, out)
-
-
 def _key_names(formulas: Iterable[Formula], props: dict) -> frozenset[str]:
     """The propositions ``formulas`` name, which a class key must carry;
     ``FormulaError`` for one that is no ``props`` entry."""
@@ -324,16 +357,14 @@ class _Explorer:
     """The monitor as a transition table over one alphabet, shared by the
     formulas checked against it.
 
-    A monitor state is its number in ``monitor`` (``monitor.states[sid]``),
-    the guard set's compiled monitor. ``row(sid)`` holds, for every letter,
-    the next state's number and the reset output: ``monitor.successors``
-    at every letter's table indices, taken once per explorer from
-    ``MonitorConfig.letter``, and kept per state. ``column(f)`` holds a
-    propositional formula's value on every letter under either reset
-    output, as a (2, letters) bool array: ``eval_vector`` with the
-    ``props`` entries on the alphabet as one lasso (``lasso``), once with
-    ``reset`` fixed false and once true. ``names`` are the propositions
-    the alphabet's class key carries.
+    A monitor state is its number in ``monitor``, the guard set's
+    compiled monitor. ``row(sid)`` holds, for every letter, the next
+    state's number and the reset output (``monitor.successors`` at the
+    letters' table indices), kept per state. ``column(Prop(name))`` is a
+    proposition on every letter under either reset output, a (2, letters)
+    bool array from ``eval_vector`` on the alphabet as one lasso; and
+    ``codes(names)`` packs such columns, kept per ``names``. ``names`` are
+    the propositions the alphabet's class key carries.
     """
 
     def __init__(self, cfg: MonitorConfig, guards: GuardFlags,
@@ -347,7 +378,7 @@ class _Explorer:
         self.monitor = compiled_monitor(guards, cfg.ekr_enabled)
         self._indices = self.monitor.indices(cfg.letter(self.lasso.columns))
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._columns: dict[Formula, np.ndarray] = {}
+        self._codes: dict[tuple[str, ...], tuple[list, np.ndarray]] = {}
 
     def row(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
         """Next-state numbers and reset outputs (0/1) of state ``sid``,
@@ -363,94 +394,65 @@ class _Explorer:
         position ``i`` is its value on letter ``i``."""
         return LassoTrace.from_records(self.alphabet)
 
-    def column(self, f: Formula) -> np.ndarray:
-        col = self._columns.get(f)
-        if col is None:
-            col = self._columns[f] = np.stack([
-                eval_vector(_fixed(f, {"reset": out}), self.lasso, self.props)
-                for out in (False, True)])
-        return col
+    def column(self, p: Prop) -> np.ndarray:
+        return np.stack([eval_vector(p, self.lasso, self.props | {"reset": self.props[v]})
+                         for v in ("false", "true")])
+
+    def codes(self, names: tuple[str, ...]) -> tuple[list, np.ndarray]:
+        """The distinct codes of ``names`` on the alphabet (``names[i]`` at
+        bit ``i``; the table's 49 names fit an int64), sorted, and each
+        letter's index among them, indexed ``[reset output, letter]``."""
+        hit = self._codes.get(names)
+        if hit is None:
+            packed = np.zeros((2, len(self.alphabet)), dtype=np.intp)
+            for bit, name in enumerate(names):
+                packed |= self.column(Prop(name)).astype(np.intp) << bit
+            codes, index = np.unique(packed, return_inverse=True)
+            hit = self._codes[names] = (codes.tolist(), index.reshape(packed.shape))
+        return hit
 
     def record(self, idx: int, out: int) -> StateRecord:
         return self.alphabet[idx]._replace(reset=bool(out))
 
 
-def _compile(plan, explorer: _Explorer):
-    """One plan as two tables over small-int tracking values, both indexed
-    ``[reset output, letter]``: ``bad[v]`` marks the letters that violate
-    from tracking value ``v`` and ``nxt[v]`` gives each letter's next value.
-    The walk starts at value 0."""
-    kind = plan[0]
-    zero = np.zeros((2, len(explorer.alphabet)), dtype=np.intp)
-    if kind in ("initial", "local"):
-        return {0: ~explorer.column(plan[1])}, {0: zero}
-    if kind == "tracker":
-        # Value 1: armed by the trigger and not yet released.
-        trig, safe, unlock = (explorer.column(f) for f in plan[1:])
-        bad = {0: trig & ~safe & ~unlock, 1: ~safe & ~unlock}
-        nxt = {0: (trig & ~unlock).astype(np.intp), 1: (~unlock).astype(np.intp)}
-        return bad, nxt
-
-    # pair: 0 before the first letter, else 1 + the previous letter's code,
-    # its propositions outside X packed into bits in sorted name order.
-    body = plan[1]
-    names: set[str] = set()
-    _collect_a_props(body, names)
-    names = sorted(names)
-    codes = zero.copy()
-    for bit, name in enumerate(names):
-        codes |= explorer.column(Prop(name)).astype(np.intp) << bit
-    bad = {0: np.zeros(zero.shape, dtype=bool)}
-    for code in set(codes.ravel().tolist()):
-        values = {name: bool(code >> bit & 1) for bit, name in enumerate(names)}
-        bad[1 + code] = ~explorer.column(_fixed(body, values))
-    return bad, dict.fromkeys(bad, 1 + codes)
-
-
-def _bfs(plan, explorer: _Explorer, state_budget: int):
-    """BFS over (monitor state, tracking value) nodes.
-
-    Returns the violation path (letters with baked outputs) and the
-    monitor state after it, or (None, None), plus the explored count.
-    """
-    bad, nxt = _compile(plan, explorer)
-    n_values = max(bad) + 1
+def _bfs(formula: Formula, explorer: _Explorer, state_budget: int):
+    """BFS over (monitor state, obligation) nodes from (initial state,
+    ``formula``). Returns the violation path (letters with baked outputs)
+    and the monitor state after it, or (None, None), plus the explored
+    count."""
     letters = np.arange(len(explorer.alphabet))
-    start = (explorer.monitor.number[INITIAL_STATE], 0)
+    start = (explorer.monitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
     parents: dict = {start: None}
     queue = deque([start])
+    luts: dict[int, np.ndarray] = {}  # each obligation's next one by code index
     explored = 0
     while queue:
         node = queue.popleft()
         explored += 1
         if explored > state_budget:
             raise BudgetError(f"state budget {state_budget} exceeded")
-        sid, value = node
+        sid, oid = node
         nxt_ids, outs = explorer.row(sid)
-        violating = bad[value][outs, letters]
+        codes, index = explorer.codes(_OBLIGATIONS.entries[oid][1])  # its reads
+        lut = luts.get(oid)
+        if lut is None:
+            lut = luts[oid] = np.array([_OBLIGATIONS.next(oid, code) for code in codes])
+        nxt_oids = lut[index[outs, letters]]
+        violating = nxt_oids == _OBLIGATIONS.false
         if violating.any():
             idx = int(np.argmax(violating))
-            path = _path(parents, node, explorer) + [explorer.record(idx, outs[idx])]
-            return path, explorer.monitor.states[nxt_ids[idx]], explored
-        if plan[0] == "initial":
-            break  # only position 0 is constrained
-        values = nxt[value][outs, letters]
-        keys = nxt_ids * n_values + values
+            path = [explorer.record(idx, outs[idx])]
+            while parents[node] is not None:
+                node, prev, reset = parents[node]
+                path.append(explorer.record(prev, reset))
+            return path[::-1], explorer.monitor.states[nxt_ids[idx]], explored
+        keys = nxt_oids * len(explorer.monitor.states) + nxt_ids
         for idx in np.sort(np.unique(keys, return_index=True)[1]).tolist():
-            succ = (int(nxt_ids[idx]), int(values[idx]))
-            if succ not in parents:
+            succ = (int(nxt_ids[idx]), int(nxt_oids[idx]))
+            if succ[1] != _OBLIGATIONS.true and succ not in parents:
                 parents[succ] = (node, idx, int(outs[idx]))
                 queue.append(succ)
     return None, None, explored
-
-
-def _path(parents, node, explorer: _Explorer) -> list[StateRecord]:
-    out = []
-    while parents[node] is not None:
-        node, idx, reset = parents[node]
-        out.append(explorer.record(idx, reset))
-    out.reverse()
-    return out
 
 
 def _explorer(space: ScaledSpace, guards: GuardFlags, ekr_enabled: bool,
@@ -480,19 +482,17 @@ def exhaustive_check(formula: Formula, space: ScaledSpace,
     """Check a formula over the full reduced-width input space.
 
     Conjunctions are split and each conjunct is walked on the product. A
-    conjunct outside the fragments (see the module docstring) raises
+    conjunct outside the safe fragment (see the module docstring) raises
     ``FormulaError`` before any alphabet is built, and so does a
     proposition that is not a ``build_props`` entry; a handed-in
     ``explorer`` whose class key lacks a named proposition raises
     ``ValueError``.
     """
-    plans = []
-    for conjunct in _flatten_and(formula):
-        plan = _plan(conjunct)
-        if plan is None:
+    conjuncts = _flatten(formula, And)
+    for conjunct in conjuncts:
+        if not _is_safe(conjunct):
             raise FormulaError(f"{to_text(conjunct)} is outside the exhaustive "
-                               "checker's fragments; it is checked on traces")
-        plans.append(plan)
+                               "checker's safe fragment; it is checked on traces")
     if explorer is None:
         explorer = _explorer(space, guards, ekr_enabled, [formula])
     outside = _key_names([formula], explorer.props) - explorer.names
@@ -500,8 +500,8 @@ def exhaustive_check(formula: Formula, space: ScaledSpace,
         raise ValueError(f"proposition {min(outside)!r} is outside the "
                          "explorer's class key")
     explored_total = 0
-    for plan in plans:
-        violation, state, explored = _bfs(plan, explorer, state_budget)
+    for conjunct in conjuncts:
+        violation, state, explored = _bfs(conjunct, explorer, state_budget)
         explored_total += explored
         if violation is not None:
             # Close the lasso with quiet letters until the state recurs.
@@ -644,7 +644,7 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
 
     Complete only to the bound, so a "holds" proves nothing past it: this is
     the independent cross-check for the product exploration, and the search
-    ``find_mutant_violation`` runs on formulas outside its fragments.
+    ``find_mutant_violation`` runs on formulas outside its safe fragment.
     Sequences go shortest first, each length in product order, and the
     first violating lasso is returned; ``eval_naive`` runs once per
     distinct word (see ``_LassoSearch``). ``max_len`` below 1 raises
@@ -680,8 +680,7 @@ def replay_counterexample(formula: Formula, lasso: LassoTrace,
         state, out = monitor_step(state, cfg.letter(rec), guards, ekr_enabled)
         if out != rec.reset:
             return False
-    # The last output is no input of the next step: compare the FSMs only.
-    if state[:3] != entry[:3]:
+    if state != entry:
         return False
     return not eval_naive(formula, lasso, 0, props)
 
@@ -712,7 +711,7 @@ def find_mutant_violation(mutant_id: str, space: ScaledSpace,
     guards = mutant_guards(mutant_id)
     explorer = _catalogue_explorer(space, guards, ekr_enabled)
     for entry in all_formulas(ekr_enabled):
-        if _plan_supported(entry.formula):
+        if _is_safe(entry.formula):
             result = exhaustive_check(entry.formula, space, guards,
                                       ekr_enabled, state_budget=state_budget,
                                       name=entry.name, explorer=explorer)
@@ -723,6 +722,3 @@ def find_mutant_violation(mutant_id: str, space: ScaledSpace,
             return entry.name, result
     return None, None
 
-
-def _plan_supported(formula: Formula) -> bool:
-    return all(_plan(c) is not None for c in _flatten_and(formula))

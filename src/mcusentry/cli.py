@@ -92,18 +92,23 @@ def _irq_cycle(parts: list[str]) -> int:
     return cycle
 
 
-def _schedule(path: str | None, kind: str, parse) -> list:
+def _schedule(path: str | None, kind: str, parse, cycle=None) -> list:
     """``parse`` of each line's fields, blank lines and comments skipped; a
-    line it rejects names the file kind and the line number."""
-    out = []
+    line it rejects names the file kind and the line number. With
+    ``cycle``, a second entry at one entry's cycle is rejected too."""
+    out, lines = [], {}  # the items, and the line of each cycle's first
     for lineno, line in enumerate(Path(path).read_text().splitlines() if path else [], 1):
         parts = line.split("#", 1)[0].split()
         if not parts:
             continue
         try:
-            out.append(parse(parts))
+            item = parse(parts)
+            if cycle is not None and lines.setdefault(cycle(item), lineno) != lineno:
+                raise ValueError(f"two {kind} requests at cycle {cycle(item)} "
+                                 f"(the other on line {lines[cycle(item)]})")
         except ValueError as exc:
             raise ValueError(f"{kind} file line {lineno}: {exc}") from None
+        out.append(item)
     return out
 
 
@@ -118,7 +123,7 @@ def cmd_run(args) -> int:
     rom = Path(args.rom).read_bytes() if args.rom else None
     machine = load_image(layout, image, er, rom=rom)
     monitor = Monitor.for_layout(layout, ekr_enabled=not args.no_ekr)
-    dma = _schedule(args.dma_file, "DMA", _dma_request)
+    dma = _schedule(args.dma_file, "DMA", _dma_request, lambda req: req.at_cycle)
     irq = _schedule(args.irq_file, "IRQ", _irq_cycle)
     ctx = RunContext.build(sensor=_sensor_from_args(args), dma=dma,
                            irq_cycles=irq)

@@ -38,8 +38,9 @@ er_min and at er_max, irq and dmaen. So for one (guards, ekr_enabled)
 value each FSM compiles into a flat table over (FSM state, its bits),
 each entry from one call to the FSM's own step function. One
 ``compiled_monitor`` per value holds the live memo, those tables (built
-at the checker's first use), the composed states numbered once, and the
-successor function over table indices that the checker's rows are.
+at the checker's first use), the 30 composed states numbered once (a
+global reset lands in ``INITIAL_STATE``, number 0), and the successor
+function over table indices that the checker's rows are.
 ``monitor_step`` stays the scalar composition that memo misses and the
 checker's quiet tails and replays step through.
 """
@@ -341,16 +342,14 @@ def _fsm_table(states: type[Enum], reads: int, step) -> np.ndarray:
 
 
 class MonitorState(NamedTuple):
-    """Composed state of the three FSMs plus the last global output."""
+    """Composed state of the three FSMs."""
 
     gpio: GpioState = GpioState.RESET
     ekr: EkrState = EkrState.RESET
     atom: AtomState = AtomState.RESET
-    global_reset: bool = False
 
 
 INITIAL_STATE = MonitorState()
-RESET_STATE = MonitorState(GpioState.RESET, EkrState.RESET, AtomState.RESET, True)
 
 
 def monitor_step(state: MonitorState, letter: int,
@@ -365,8 +364,8 @@ def monitor_step(state: MonitorState, letter: int,
     ekr_next, ekr_reset = step_ekr_write_fsm(state.ekr, letter, guards, ekr_enabled)
     atom_next, atom_reset = step_atomicity_fsm(state.atom, letter, guards)
     if gpio_reset or ekr_reset or atom_reset:
-        return RESET_STATE, True
-    return MonitorState(gpio_next, ekr_next, atom_next, False), False
+        return INITIAL_STATE, True
+    return MonitorState(gpio_next, ekr_next, atom_next), False
 
 
 class CompiledMonitor:
@@ -375,14 +374,15 @@ class CompiledMonitor:
     ``memo[state][letter]`` is ``monitor_step``'s (next state, reset),
     entered by ``Monitor.step`` on a miss; a letter names comparator
     outputs, not addresses, so monitors over any layout share it.
-    ``states`` numbers the composed states once: the 30 FSM triples in
-    enum product order without a global reset (``INITIAL_STATE`` is 0),
-    then ``RESET_STATE``. ``tables`` are the three FSM tables, built at
-    their first use, which only the checker makes (about 30 ms).
+    ``states`` numbers the 30 composed states once, in enum product order,
+    so a state's number is its index into the tables' (3, 2, 5) product
+    and ``INITIAL_STATE``, where every reset lands, is 0. ``tables`` are
+    the three FSM tables, built at their first use, which only the checker
+    makes (about 30 ms).
     """
 
     states = tuple(MonitorState(*triple)
-                   for triple in product(GpioState, EkrState, AtomState)) + (RESET_STATE,)
+                   for triple in product(GpioState, EkrState, AtomState))
     number = {state: sid for sid, state in enumerate(states)}
     _shape = (len(GpioState), len(EkrState), len(AtomState))
 
@@ -412,14 +412,11 @@ class CompiledMonitor:
     def successors(self, sid: int, indices: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The next state's number and the reset output (0/1) from state
         number ``sid`` on every letter whose table indices are ``indices``."""
-        # The last global output is no input: the FSMs' states name the row.
-        fsm_states = np.unravel_index(
-            self.number[self.states[sid]._replace(global_reset=False)], self._shape)
-        entries = [table[i, index]
-                   for table, i, index in zip(self.tables, fsm_states, indices)]
+        entries = [table[i, index] for table, i, index in
+                   zip(self.tables, np.unravel_index(sid, self._shape), indices)]
         outs = (entries[0] | entries[1] | entries[2]).astype(np.intp) & 1
         # Any local reset is the global one: every FSM goes to RESET.
-        return np.where(outs, self.number[RESET_STATE], np.ravel_multi_index(
+        return np.where(outs, self.number[INITIAL_STATE], np.ravel_multi_index(
             [entry >> 1 for entry in entries], self._shape)), outs
 
 
@@ -459,7 +456,7 @@ class Monitor:
     def force_reset(self) -> None:
         """A machine reset actually happened: re-initialise all FSMs.
         Called for machine-fault resets too."""
-        self.state = RESET_STATE
+        self.state = INITIAL_STATE
 
     @staticmethod
     def for_layout(layout: MemoryLayout, ekr_enabled: bool = True,

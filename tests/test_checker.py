@@ -5,28 +5,30 @@ import time
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcusentry import checker
 from mcusentry.catalogue import (all_formulas, authorized_sensing_goal,
                                  builtin_formulas, catalogue_by_name)
-from mcusentry.checker import (_catalogue_explorer, _collect_a_props,
-                               _Explorer, _explorer, _fixed, _flatten_and,
-                               _key_names, _plan, _quiet_tail, brute_force_check,
-                               build_alphabet, check_catalogue,
-                               curated_alphabet, default_er_choices,
-                               exhaustive_check,
-                               find_mutant_violation, replay_counterexample,
-                               scaled_space)
+from mcusentry.checker import (_catalogue_explorer, _Explorer, _explorer,
+                               _is_safe, _key_names, _quiet_tail,
+                               brute_force_check, build_alphabet,
+                               check_catalogue, curated_alphabet,
+                               default_er_choices, exhaustive_check,
+                               find_mutant_violation, progress,
+                               replay_counterexample, scaled_space)
 from mcusentry.errors import BudgetError, FormulaError
-from mcusentry.ltl import G, LassoTrace, Not, Prop, eval_naive, parse
+from mcusentry.ltl import (And, G, Implies, LassoTrace, Not, Or, Prop, W, X,
+                           check_props, eval_naive, parse)
 from mcusentry.machine import StateRecord
 from mcusentry import monitor
-from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, RESET_STATE,
-                               MonitorConfig, compiled_monitor, monitor_step)
+from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, MonitorConfig,
+                               compiled_monitor, monitor_step)
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.props import build_props
 
 SPACE5 = scaled_space(5)
+_GUARD_SETS = [DEFAULT_GUARDS] + [guards for _, guards in MUTANTS.values()]
 
 
 def test_catalogue_names_and_count():
@@ -181,9 +183,15 @@ def test_formula_text_accepted_by_checker():
     assert result.holds
 
 
-@pytest.mark.parametrize("formula", [parse("(U (! reset) (pc_at iauth))"),
-                                     authorized_sensing_goal()],
-                         ids=["until", "e2e-authorized-sensing"])
+@pytest.mark.parametrize("formula", [
+    parse("(U (! reset) (pc_at iauth))"),
+    parse("(G (-> (read GPIO) (B (pc_at iauth) (read GPIO))))"),
+    parse("(! (G (! reset)))"),
+    parse("(G (-> (G (! reset)) (! (read GPIO))))"),
+    parse("(& (G (! (read EKR))) (| reset (! (W (! irq) reset))))"),
+    authorized_sensing_goal()],
+    ids=["until", "before", "negated-globally", "globally-in-an-antecedent",
+         "negated-weak-until-in-a-conjunct", "e2e-authorized-sensing"])
 def test_conjunct_outside_the_fragments_is_refused(formula, monkeypatch):
     # Refused before any alphabet is built, never settled by bounded search.
     def no_alphabet(*args):
@@ -240,46 +248,46 @@ def test_propositional_verdict_matches_brute_force(text):
 # Pinned results of the product exploration at width 5
 
 CATALOGUE_AT_5 = [
-    ("mon-gpio-read-in-er", "holds", 9),
-    ("mon-gpio-one-shot", "holds", 13),
-    ("mon-no-write-at-auth", "holds", 9),
-    ("mon-er-exit-at-end", "holds", 13),
-    ("mon-er-entry-at-start", "holds", 10),
-    ("mon-er-no-irq-dma", "holds", 9),
-    ("mon-ekr-read-in-er", "holds", 9),
-    ("mon-ekr-one-shot", "holds", 13),
-    ("mon-ekr-write-vr-only", "holds", 9),
-    ("e2e-atomic-execution", "holds", 19),
-    ("mon-revoke-gpio-on-write", "holds", 14),
-    ("mon-revoke-ekr-on-write", "holds", 14),
+    ("mon-gpio-read-in-er", "holds", 8),
+    ("mon-gpio-one-shot", "holds", 12),
+    ("mon-no-write-at-auth", "holds", 8),
+    ("mon-er-exit-at-end", "holds", 8),
+    ("mon-er-entry-at-start", "holds", 8),
+    ("mon-er-no-irq-dma", "holds", 8),
+    ("mon-ekr-read-in-er", "holds", 8),
+    ("mon-ekr-one-shot", "holds", 12),
+    ("mon-ekr-write-vr-only", "holds", 8),
+    ("e2e-atomic-execution", "holds", 16),
+    ("mon-revoke-gpio-on-write", "holds", 13),
+    ("mon-revoke-ekr-on-write", "holds", 13),
 ]
 
 CATALOGUE_AT_6 = [
-    ("mon-gpio-read-in-er", "holds", 9),
-    ("mon-gpio-one-shot", "holds", 13),
-    ("mon-no-write-at-auth", "holds", 9),
-    ("mon-er-exit-at-end", "holds", 13),
-    ("mon-er-entry-at-start", "holds", 10),
-    ("mon-er-no-irq-dma", "holds", 9),
-    ("mon-ekr-read-in-er", "holds", 9),
-    ("mon-ekr-one-shot", "holds", 13),
-    ("mon-ekr-write-vr-only", "holds", 9),
-    ("e2e-atomic-execution", "holds", 19),
-    ("mon-revoke-gpio-on-write", "holds", 14),
-    ("mon-revoke-ekr-on-write", "holds", 14),
+    ("mon-gpio-read-in-er", "holds", 8),
+    ("mon-gpio-one-shot", "holds", 12),
+    ("mon-no-write-at-auth", "holds", 8),
+    ("mon-er-exit-at-end", "holds", 8),
+    ("mon-er-entry-at-start", "holds", 8),
+    ("mon-er-no-irq-dma", "holds", 8),
+    ("mon-ekr-read-in-er", "holds", 8),
+    ("mon-ekr-one-shot", "holds", 12),
+    ("mon-ekr-write-vr-only", "holds", 8),
+    ("e2e-atomic-execution", "holds", 16),
+    ("mon-revoke-gpio-on-write", "holds", 13),
+    ("mon-revoke-ekr-on-write", "holds", 13),
 ]
 
 # mutant: (violated formula, explored states, prefix length, loop length)
 MUTANTS_AT_5 = {
     "rlock-reads-allowed": ("mon-gpio-read-in-er", 1, 1, 1),
-    "unlock-without-auth": ("mon-gpio-one-shot", 10, 4, 1),
-    "outside-reads-allowed": ("mon-gpio-read-in-er", 5, 3, 1),
-    "exit-reads-allowed": ("mon-gpio-one-shot", 6, 4, 1),
-    "no-relock-on-exit": ("mon-gpio-one-shot", 13, 5, 1),
-    "no-relock-on-write": ("mon-revoke-gpio-on-write", 15, 5, 1),
+    "unlock-without-auth": ("mon-gpio-one-shot", 9, 4, 1),
+    "outside-reads-allowed": ("mon-gpio-read-in-er", 4, 3, 1),
+    "exit-reads-allowed": ("mon-gpio-one-shot", 5, 4, 1),
+    "no-relock-on-exit": ("mon-gpio-one-shot", 12, 5, 1),
+    "no-relock-on-write": ("mon-revoke-gpio-on-write", 14, 5, 1),
     "auth-write-relocks-only": ("mon-no-write-at-auth", 2, 2, 1),
     "entry-anywhere": ("mon-er-entry-at-start", 2, 3, 1),
-    "exit-anywhere": ("mon-er-exit-at-end", 6, 2, 1),
+    "exit-anywhere": ("mon-er-exit-at-end", 3, 2, 1),
     "irq-dma-ignored": ("mon-er-no-irq-dma", 1, 2, 1),
     "ekr-write-anywhere": ("mon-ekr-write-vr-only", 1, 1, 1),
     "ekr-reads-ignored": ("mon-ekr-read-in-er", 1, 1, 1),
@@ -291,21 +299,21 @@ MUTANTS_AT_5 = {
 MUTANTS_AT_6 = {
     "rlock-reads-allowed": ("mon-gpio-read-in-er", 1, 1, 1,
         "e1fa0651d020d7c0fa53e0998b7ee8ceefd07551d540bb4332858b679b1093dd"),
-    "unlock-without-auth": ("mon-gpio-one-shot", 10, 4, 1,
+    "unlock-without-auth": ("mon-gpio-one-shot", 9, 4, 1,
         "0ac822afc2eb29ae45da727fe3b7909c0b6af865737b2fb364180ee2029206e2"),
-    "outside-reads-allowed": ("mon-gpio-read-in-er", 5, 3, 1,
+    "outside-reads-allowed": ("mon-gpio-read-in-er", 4, 3, 1,
         "6cb40f539a54f0f32af39d524ce4e7186755742732c19f29569eb603f4d257ad"),
-    "exit-reads-allowed": ("mon-gpio-one-shot", 6, 4, 1,
+    "exit-reads-allowed": ("mon-gpio-one-shot", 5, 4, 1,
         "797a82ad96e90afbf97acefddccc42d305ae768478a6f6670ae89d0df729bdbb"),
-    "no-relock-on-exit": ("mon-gpio-one-shot", 12, 5, 1,
+    "no-relock-on-exit": ("mon-gpio-one-shot", 11, 5, 1,
         "85519eff5341d0cf6d1ff765585d4e5dec055ff507e18725d48c1052b70a43fc"),
-    "no-relock-on-write": ("mon-revoke-gpio-on-write", 14, 5, 1,
+    "no-relock-on-write": ("mon-revoke-gpio-on-write", 13, 5, 1,
         "5bf26fe31877fdddbfd15c2584ece38622123324c91b8df1e6e2e54986b60f23"),
     "auth-write-relocks-only": ("mon-no-write-at-auth", 2, 2, 1,
         "5f25f9946cf297625d10d0a4f77f8f8beeac0c7aba1f26a7f53f69d547d2be67"),
     "entry-anywhere": ("mon-er-entry-at-start", 2, 3, 1,
         "2ec1696c3dfaf27144a61aa33be0f0d8987f184d609be514146708a36f64d56f"),
-    "exit-anywhere": ("mon-er-exit-at-end", 6, 2, 1,
+    "exit-anywhere": ("mon-er-exit-at-end", 3, 2, 1,
         "189f65dd019ee3bb35eec265c13c3071309d619132b98ed649abdbc0bdcdc785"),
     "irq-dma-ignored": ("mon-er-no-irq-dma", 1, 2, 1,
         "017dfc29d49b6aff944f0c501171f59704f98db3e8e2e9e09c973f3ccde0410e"),
@@ -433,52 +441,92 @@ def test_explorer_columns_equal_the_table_on_each_letter():
                 assert column[int(out), idx] == expected, (name, idx, out)
 
 
-def compiled_columns(ekr_enabled: bool = True) -> set:
-    """Every propositional formula the catalogue's plans take columns of:
-    initial formulas, local bodies, tracker parts, and each pair body with
-    its propositions outside X fixed to every combination of values."""
-    out = set()
-    for entry in all_formulas(ekr_enabled):
-        for conjunct in _flatten_and(entry.formula):
-            plan = _plan(conjunct)
-            if plan is None:
-                continue
-            if plan[0] != "pair":
-                out.update(plan[1:])
-                continue
-            names: set[str] = set()
-            _collect_a_props(plan[1], names)
-            for bits in iproduct((False, True), repeat=len(names)):
-                out.add(_fixed(plan[1], dict(zip(sorted(names), bits))))
-    return out
+# ---------------------------------------------------------------------------
+# Progression against the semantics, and nested temporal shapes
+
+_CATALOGUE_PROPS = sorted(set().union(*(check_props(e.formula, build_props(SPACE5))
+                                        for e in all_formulas())))
+_LEAVES = st.sampled_from([Prop(name) for name in _CATALOGUE_PROPS + ["true", "false"]])
 
 
-def test_compiled_columns_equal_eval_naive_on_each_letter():
-    explorer = _catalogue_explorer(SPACE5, DEFAULT_GUARDS, True)
-    for f in compiled_columns():
-        column = explorer.column(f)
-        assert column.shape == (2, len(explorer.alphabet))
-        for idx, letter in enumerate(explorer.alphabet):
-            for out in (0, 1):
-                lasso = LassoTrace.from_records([letter._replace(reset=bool(out))])
-                expected = eval_naive(f, lasso, 0, explorer.props)
-                assert column[out, idx] == expected, (str(f), idx, out)
+@st.composite
+def safe_formulas(draw, depth=3, positive=True):
+    """Syntactically safe formulas: G and W only under an even number of
+    negations, where an implication's antecedent counts as one."""
+    kind = draw(st.integers(0, 7)) if depth else 7
+    sub = lambda flip=False: draw(  # noqa: E731
+        safe_formulas(depth - 1, positive != flip))
+    if kind == 0:
+        return Not(sub(flip=True))
+    if kind in (1, 2):
+        return (And, Or)[kind - 1](sub(), sub())
+    if kind == 3:
+        return Implies(sub(flip=True), sub())
+    if kind == 4:
+        return X(sub())
+    if kind == 5 and positive:
+        return G(sub())
+    if kind == 6 and positive:
+        return W(sub(), sub())
+    return draw(_LEAVES)
+
+
+@st.composite
+def letter_lassos(draw):
+    """Lassos of 2-6 catalogue-alphabet letters with drawn reset outputs."""
+    alphabet = build_alphabet(SPACE5, catalogue_names(SPACE5))
+    n = draw(st.integers(2, 6))
+    records = [draw(st.sampled_from(alphabet))._replace(
+        cycle=i, reset=draw(st.booleans())) for i in range(n)]
+    loop_start = draw(st.integers(0, n - 1))
+    return LassoTrace(prefix=records[:loop_start], loop=records[loop_start:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=safe_formulas(), w=letter_lassos())
+def test_progression_is_one_step_of_the_semantics(f, w):
+    # f holds at 0 iff what it progresses to over w[0] holds at 1.
+    props = build_props(SPACE5)
+    assert _is_safe(f)
+    values = {name: bool(props[name](w.states[0])) for name in check_props(f, props)}
+    assert eval_naive(f, w, 0, props) == eval_naive(progress(f, values), w, 1, props)
+
+
+# Safe shapes beyond G of a propositional, next-step or triggered weak-until
+# body: nested next steps, a weak until under a next step, and top-level
+# next and weak-until formulas.
+_NESTED_SHAPES = [
+    "(G (-> (read GPIO) (X (X reset))))",
+    "(G (-> (pc_at ermax) (X (X (| (! (read GPIO)) reset)))))",
+    "(G (-> reset (X (W (| (! (read GPIO)) reset) (pc_at iauth)))))",
+    "(G (-> (pc_at iauth) (X (W (! (write ER)) (pc_at ermin)))))",
+    "(W (! (read GPIO)) (pc_at iauth))",
+    "(X (X (! reset)))",
+]
+
+
+@pytest.mark.parametrize("text", _NESTED_SHAPES)
+def test_nested_shapes_agree_with_bounded_search(text):
+    formula = parse(text)
+    for guards in _GUARD_SETS:
+        result = exhaustive_check(formula, SPACE5, guards)
+        if not result.holds:
+            assert replay_counterexample(formula, result.counterexample,
+                                         SPACE5, guards), guards
+        if not brute_force_check(formula, SPACE5, guards, max_len=3).holds:
+            assert not result.holds, guards
 
 
 # ---------------------------------------------------------------------------
 # Rows looked up in the FSM tables against monitor_step on every letter
 
-_GUARD_SETS = [DEFAULT_GUARDS] + [guards for _, guards in MUTANTS.values()]
-
 
 def assert_rows_equal_monitor_step(explorer: _Explorer) -> None:
     """Every reachable state's row against ``monitor_step`` on each letter,
-    with the initial state numbered 0 and the shared reset numbered apart."""
+    with the initial state numbered 0."""
     cfg, guards, compiled = explorer.cfg, explorer.guards, explorer.monitor
     letters = [cfg.letter(rec) for rec in explorer.alphabet]
     assert compiled.number[INITIAL_STATE] == 0
-    assert compiled.number[RESET_STATE] not in (
-        compiled.number[state] for state in compiled.states if state != RESET_STATE)
     reached = [INITIAL_STATE]
     for state in reached:  # grows as the rows reach new states
         ids, outs = explorer.row(compiled.number[state])

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcusentry.checker import brute_force_check, scaled_space
 from mcusentry.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from mcusentry.isa import HALT, LOAD, assemble
 from mcusentry.layout import default_layout, format_layout
+from mcusentry.ltl import parse as parse_formula
 from mcusentry.programs import boot_rom, window_for
 from mcusentry.protocol import AuthorizationMessage, authorize_ctrl
 from mcusentry.referee import DEFAULT_KEY
@@ -123,6 +125,15 @@ def test_check_single_formula(capsys):
 
 def test_check_formula_text(capsys):
     assert main(["check", "--formula", "(G true)", "--width", "5"]) == EXIT_OK
+
+
+def test_check_nested_next_steps_agrees_with_bounded_search(capsys):
+    # Two next steps deep under G: the walk's verdict is bounded search's.
+    text = "(G (-> (read GPIO) (X (X reset))))"
+    brute = brute_force_check(parse_formula(text), scaled_space(5), max_len=3)
+    code = main(["check", "--formula", text, "--width", "5"])
+    assert code == (EXIT_OK if brute.holds else EXIT_VIOLATION) == EXIT_VIOLATION
+    assert "violated" in capsys.readouterr().out
 
 
 def test_check_mutant_is_convicted(tmp_path, capsys):
@@ -243,8 +254,10 @@ def test_run_out_of_range_schedule_is_a_usage_error(workdir, capsys, flag, line,
     ("--dma-file", "DMA", "0x10 peek 0x20"),
     ("--dma-file", "DMA", "5 read 0x10000"),
     ("--dma-file", "DMA", "-1 write 0x20 0x1"),
+    ("--dma-file", "DMA", "0xC8 write 0x20 0x1"),
 ], ids=["irq-two-fields", "irq-not-a-number", "irq-negative", "dma-bad-address",
-        "dma-bad-op", "dma-address-past-the-space", "dma-negative-cycle"])
+        "dma-bad-op", "dma-address-past-the-space", "dma-negative-cycle",
+        "dma-second-request-at-a-cycle"])
 def test_run_rejected_schedule_line_names_its_file_and_line(workdir, capsys, flag,
                                                             kind, line):
     tmp, binary = workdir

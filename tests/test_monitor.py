@@ -13,7 +13,7 @@ from mcusentry.checker import _candidates, default_er_choices, scaled_space
 from mcusentry.layout import default_layout
 from mcusentry.machine import RecordColumns, StateRecord
 from mcusentry.monitor import (ATOM_READS, DEFAULT_GUARDS, EKR_READS, GPIO_READS,
-                               INITIAL_STATE, LETTER, RESET_STATE, AtomState,
+                               INITIAL_STATE, LETTER, AtomState,
                                EkrState, GpioState, GuardFlags, Monitor,
                                MonitorConfig, MonitorState, compiled_monitor,
                                monitor_step, step_atomicity_fsm,
@@ -196,15 +196,15 @@ class TestComposition:
         nxt, reset = monitor_step(
             live, CFG.letter(inp(pc=0x5000, w_en=True, d_addr=LAYOUT.ekr.start)))
         assert reset
-        assert nxt == MonitorState(GpioState.RESET, EkrState.RESET,
-                                   AtomState.RESET, True)
+        assert nxt == INITIAL_STATE == MonitorState(GpioState.RESET, EkrState.RESET,
+                                                    AtomState.RESET)
 
     def test_boot_record_releases_all_fsms(self):
         state = MonitorState()
         nxt, reset = monitor_step(state, CFG.letter(inp(pc=0)))
         assert not reset
         assert nxt == MonitorState(GpioState.RLOCK, EkrState.WUNLOCK,
-                                   AtomState.NOT_ER, False)
+                                   AtomState.NOT_ER)
 
     def test_dirty_boot_record_stays_reset(self):
         state = MonitorState()
@@ -281,7 +281,7 @@ def test_monitor_object_matches_folded_monitor_step(stream, flags, ekr_enabled):
 # The memoized step against the folded transition function, on records that
 # hug every boundary the transition key compares against.
 _EVERY_STATE = [MonitorState(*combo) for combo in product(
-    GpioState, EkrState, AtomState, (False, True))]
+    GpioState, EkrState, AtomState)]
 _GUARD_SETS = [DEFAULT_GUARDS] + [guards for _, guards in MUTANTS.values()]
 _WINDOWS = [ER, (ER[0], ER[0]), (ER[1], ER[0]), (LAYOUT.i_auth, LAYOUT.i_auth + 4),
             (LAYOUT.gpio.start, LAYOUT.gpio.start + 4)]
@@ -336,7 +336,7 @@ def _twins(rec, key, addrs):
 def test_memoized_step_equals_monitor_step_from_every_state(drawn, guards,
                                                             ekr_enabled):
     """Each record, then each of its same-key twins, is stepped from all
-    60 monitor states, so the twins' lookups hit the record's entries."""
+    30 monitor states, so the twins' lookups hit the record's entries."""
     stream, addrs = drawn
     cfg = MonitorConfig.from_layout(LAYOUT, ekr_enabled)
     monitor = Monitor(cfg, guards)
@@ -416,12 +416,8 @@ def test_table_step_equals_monitor_step_from_every_state(letter, guards,
                                                          ekr_enabled):
     compiled = compiled_monitor(guards, ekr_enabled)
     indices = compiled.indices(np.array([letter]))
-    number = compiled.number
     for state in _EVERY_STATE:
-        # The global output is no input of a step, so a state with no
-        # number of its own steps as its FSM triple does.
-        sid = number.get(state, number[state._replace(global_reset=False)])
-        nxt, out = compiled.successors(sid, indices)
+        nxt, out = compiled.successors(compiled.number[state], indices)
         assert (compiled.states[nxt[0]], bool(out[0])) == \
             monitor_step(state, letter, guards, ekr_enabled), state
 
@@ -458,11 +454,10 @@ def test_fsm_tables_are_kept_per_guard_set():
     assert [t.shape for t in compiled.tables] == [(3, 4096), (2, 16), (5, 64)]
     assert compiled_monitor(GuardFlags(), True) is compiled
     assert compiled_monitor(DEFAULT_GUARDS, False) is not compiled
-    # The 30 FSM triples in product order, then the shared reset.
+    # The 30 FSM triples in product order, each numbered by its index.
     assert compiled.number[INITIAL_STATE] == 0
-    assert compiled.number[RESET_STATE] == 30 == len(compiled.states) - 1
-    assert compiled.states[:30] == tuple(MonitorState(*triple) for triple in product(
-        GpioState, EkrState, AtomState))
+    assert compiled.states == tuple(_EVERY_STATE)
+    assert list(compiled.number.values()) == list(range(30))
 
 
 # The letter against the ``props`` entries its bits are named after, on

@@ -6,8 +6,8 @@ free inputs the attacker can steer via metadata writes) are generated
 concretely from boundary-biased candidate sets over the six curated
 windows of ``default_er_choices``; the machine never asserts CPU read and
 write together, so neither do they. One class key deduplicates them: the
-monitor letter (``MonitorConfig.letter``, the 17 predicates the FSMs
-read) plus the value of each ``build_props`` proposition the checked
+value of each ``build_props`` entry the monitor letter is made of
+(``monitor.LETTER``, the 17 predicates the FSMs read) or the checked
 formulas name. The monitor and those formulas see a letter only through
 that key, so the first candidate of a class stands for all of it
 (predicate abstraction keeps every predicate the property names; Graf &
@@ -41,18 +41,21 @@ FSMs back to their loop-entry states.
 
 Bounded lasso enumeration (``brute_force_check``) can show a violation
 but not its absence, so it is no verdict path; it cross-checks the walk
-and searches the end-to-end goal for mutant convictions. It decides each
-distinct proposition word (the formula's propositions at each position
-plus the loop start) once, as bounded search over a finite alphabet may
-(Biere, Cimatti, Clarke & Zhu, TACAS 1999); past its bound it stays
-incomplete.
+and searches the end-to-end goal for mutant convictions. It walks the
+same product depth first over a small curated alphabet, progressing the
+formula letter by letter as the walk does (U and B included), and judges
+what each bounded prefix leaves pending on its quiet tail with
+``eval_naive``, once per (obligation, monitor state): the tail's
+propositions depend on the state alone. That is bounded search over a
+finite alphabet (Biere, Cimatti, Clarke & Zhu, TACAS 1999); past its
+bound it stays incomplete.
 """
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,11 +63,11 @@ import numpy as np
 from .catalogue import all_formulas
 from .errors import BudgetError, FormulaError
 from .layout import Region
-from .ltl import (And, Formula, G, Implies, LassoTrace, Not, Or, Prop, W, X,
-                  check_props, eval_naive, eval_vector, to_text)
-from .machine import StateRecord
-from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, GuardFlags, MonitorConfig,
-                      MonitorState, compiled_monitor, monitor_step)
+from .ltl import (And, B, Formula, G, Implies, LassoTrace, Not, Or, Prop, U,
+                  W, X, check_props, eval_naive, to_text)
+from .machine import RecordColumns, StateRecord
+from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, LETTER, GuardFlags,
+                      MonitorConfig, MonitorState, compiled_monitor, monitor_step)
 from .mutants import mutant_guards
 from .props import build_props
 
@@ -164,18 +167,15 @@ def _candidates(space: ScaledSpace, er_min: int, er_max: int) -> dict[str, np.nd
 
 
 def _class_key(space: ScaledSpace, names: Set[str]):
-    """A candidate view's class keys: the 17-bit monitor letter, then one
-    bit per named proposition; past 46 names, Python ints, not int64."""
-    letter = MonitorConfig.from_layout(space).letter
+    """A candidate view's class keys: one bit per ``props`` entry of the
+    monitor letter or ``names``, at most the table's 51, so an int64."""
     props = build_props(space)
-    names = sorted(names)
-    dtype = np.int64 if len(names) <= 46 else object
+    names = sorted(set(LETTER) | names)
 
     def class_key(view) -> np.ndarray:
-        keys = np.asarray(letter(view)).astype(dtype)
+        keys = np.zeros(view.pc.shape, np.int64)
         for name in names:
-            value = np.broadcast_to(props[name](view), keys.shape)  # constants too
-            keys = keys << 1 | value.astype(dtype)
+            keys = keys << 1 | np.broadcast_to(props[name](view), keys.shape)  # constants too
         return keys
     return class_key
 
@@ -254,7 +254,8 @@ def progress(f: Formula, values: dict[str, bool]) -> Formula:
     """What must hold from the next position on for ``f`` to hold at this
     one, given the values here of the propositions it reads outside X
     and of ``true`` and ``false`` (Bacchus & Kabanza, AIJ 2000),
-    so a prefix violates a safe formula once it progresses to ``false``."""
+    so a prefix violates a safe formula once it progresses to ``false``.
+    Past the safe fragment a U or B may stay pending for ever."""
     if isinstance(f, Prop):
         return TRUE if values[f.name] else FALSE
     if isinstance(f, Not):
@@ -267,10 +268,13 @@ def progress(f: Formula, values: dict[str, bool]) -> Formula:
         return f.sub
     if isinstance(f, G):
         return _join(And, [progress(f.sub, values), f])
-    if isinstance(f, W):
+    if isinstance(f, (U, W)):
         return _join(Or, [progress(f.right, values),
                           _join(And, [progress(f.left, values), f])])
-    raise TypeError(f"{to_text(f)} is outside the safe fragment")
+    if isinstance(f, B):
+        return _join(And, [_not(progress(f.right, values)),
+                           _join(Or, [progress(f.left, values), f])])
+    raise TypeError(f"unknown formula node {f!r}")
 
 
 def _reads(f: Formula) -> set[str]:
@@ -362,8 +366,10 @@ class _Explorer:
     state's number and the reset output (``monitor.successors`` at the
     letters' table indices), kept per state. ``column(Prop(name))`` is a
     proposition on every letter under either reset output, a (2, letters)
-    bool array from ``eval_vector`` on the alphabet as one lasso; and
-    ``codes(names)`` packs such columns, kept per ``names``. ``names`` are
+    bool array: the ``props`` entry on the alphabet's column view, or for
+    ``reset``, which no other entry reads, the reset output itself.
+    ``codes(names)`` packs such columns, kept per ``names``, and
+    ``step(sid, oid)`` gives a product node's successors. ``names`` are
     the propositions the alphabet's class key carries.
     """
 
@@ -376,9 +382,14 @@ class _Explorer:
         self.props = props
         self.names = names
         self.monitor = compiled_monitor(guards, cfg.ekr_enabled)
-        self._indices = self.monitor.indices(cfg.letter(self.lasso.columns))
+        self._view = RecordColumns(alphabet)
+        self._indices = self.monitor.indices(sum(
+            np.asarray(props[name](self._view), np.intp) << bit
+            for bit, name in enumerate(LETTER)))
+        self._letters = np.arange(len(alphabet))
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._codes: dict[tuple[str, ...], tuple[list, np.ndarray]] = {}
+        self._luts: dict[int, np.ndarray] = {}  # each obligation's next one by code index
 
     def row(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
         """Next-state numbers and reset outputs (0/1) of state ``sid``,
@@ -388,19 +399,15 @@ class _Explorer:
             row = self._rows[sid] = self.monitor.successors(sid, self._indices)
         return row
 
-    @cached_property
-    def lasso(self) -> LassoTrace:
-        """The alphabet as one lasso: a propositional formula's value at
-        position ``i`` is its value on letter ``i``."""
-        return LassoTrace.from_records(self.alphabet)
-
     def column(self, p: Prop) -> np.ndarray:
-        return np.stack([eval_vector(p, self.lasso, self.props | {"reset": self.props[v]})
-                         for v in ("false", "true")])
+        shape = (2, len(self.alphabet))
+        if p.name == "reset":
+            return np.broadcast_to([[False], [True]], shape)
+        return np.broadcast_to(np.asarray(self.props[p.name](self._view), bool), shape)
 
     def codes(self, names: tuple[str, ...]) -> tuple[list, np.ndarray]:
         """The distinct codes of ``names`` on the alphabet (``names[i]`` at
-        bit ``i``; the table's 49 names fit an int64), sorted, and each
+        bit ``i``; the table's 51 names fit an int64), sorted, and each
         letter's index among them, indexed ``[reset output, letter]``."""
         hit = self._codes.get(names)
         if hit is None:
@@ -411,6 +418,16 @@ class _Explorer:
             hit = self._codes[names] = (codes.tolist(), index.reshape(packed.shape))
         return hit
 
+    def step(self, sid: int, oid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Product node (``sid``, obligation ``oid``) on every letter: the
+        next state's number, the reset output and the next obligation."""
+        nxt_ids, outs = self.row(sid)
+        codes, index = self.codes(_OBLIGATIONS.entries[oid][1])  # its reads
+        lut = self._luts.get(oid)
+        if lut is None:
+            lut = self._luts[oid] = np.array([_OBLIGATIONS.next(oid, code) for code in codes])
+        return nxt_ids, outs, lut[index[outs, self._letters]]
+
     def record(self, idx: int, out: int) -> StateRecord:
         return self.alphabet[idx]._replace(reset=bool(out))
 
@@ -420,24 +437,16 @@ def _bfs(formula: Formula, explorer: _Explorer, state_budget: int):
     ``formula``). Returns the violation path (letters with baked outputs)
     and the monitor state after it, or (None, None), plus the explored
     count."""
-    letters = np.arange(len(explorer.alphabet))
     start = (explorer.monitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
     parents: dict = {start: None}
     queue = deque([start])
-    luts: dict[int, np.ndarray] = {}  # each obligation's next one by code index
     explored = 0
     while queue:
         node = queue.popleft()
         explored += 1
         if explored > state_budget:
             raise BudgetError(f"state budget {state_budget} exceeded")
-        sid, oid = node
-        nxt_ids, outs = explorer.row(sid)
-        codes, index = explorer.codes(_OBLIGATIONS.entries[oid][1])  # its reads
-        lut = luts.get(oid)
-        if lut is None:
-            lut = luts[oid] = np.array([_OBLIGATIONS.next(oid, code) for code in codes])
-        nxt_oids = lut[index[outs, letters]]
+        nxt_ids, outs, nxt_oids = explorer.step(*node)
         violating = nxt_oids == _OBLIGATIONS.false
         if violating.any():
             idx = int(np.argmax(violating))
@@ -536,103 +545,32 @@ def curated_alphabet(space: ScaledSpace) -> list[StateRecord]:
     ]
 
 
-class _LassoSearch:
-    """Bounded lasso enumeration of one formula on one monitor, deciding
-    each distinct word once.
-
-    A lasso's word is, at each position, the bits of the formula's
-    propositions (``code``) and a mark at the loop start; ``eval_naive``
-    reads nothing else. The words seen to hold are a set split above their
-    last two positions: ``held`` maps the bits above to a bitmask over the
-    low parts, numbered in ``lows``. The width-6 goal search spreads its
-    7,080 words over about a thousand high parts and a dozen low parts, so
-    this is far smaller than a set of the words. It is a class because a
-    recursive closure would be a reference cycle, keeping the memos alive
-    until the next full garbage collection.
-
-    Memos: ``rows`` gives (state, letter) -> (state, reset); ``baked``
-    keeps each (letter, reset, cycle) record with its code, and ``tails``
-    each quiet tail by (end state, prefix length) with its codes packed.
-    """
-
-    def __init__(self, formula: Formula, space: ScaledSpace,
-                 guards: GuardFlags, ekr_enabled: bool):
-        self.formula = formula
-        self.space = space
-        self.props = build_props(space)
-        self.fns = [self.props[p] for p in sorted(check_props(formula, self.props))]
-        self.width = len(self.fns) + 1  # per position: the propositions, the mark
-        self.alphabet = curated_alphabet(space)
-        self.table = _Explorer(MonitorConfig.from_layout(space, ekr_enabled),
-                               guards, self.alphabet, self.props)
-        self.rows: dict[int, tuple[list[int], list[int]]] = {}
-        self.baked: dict[tuple[int, int, int], tuple[StateRecord, int]] = {}
-        self.tails: dict[tuple[int, int], tuple[list, list, int, int]] = {}
-        self.held: dict[int, int] = {}
-        self.lows: dict[int, int] = {}
-        self.path: list[StateRecord] = []  # the prefix being extended
-        self.explored = 0
-
-    def code(self, rec: StateRecord) -> int:
-        return sum(bool(fn(rec)) << bit for bit, fn in enumerate(self.fns))
-
-    def tail(self, sid: int, length: int) -> tuple[list, list, int, int]:
-        """The quiet tail after ``length`` letters ending in state ``sid``:
-        the records before its loop, the loop, and their bit count and
-        codes with the loop start marked."""
-        tail = self.tails.get((sid, length))
-        if tail is None:
-            lead, loop = _quiet_tail(self.table.monitor.states[sid], length, self.space,
-                                     self.table.cfg, self.table.guards)
-            bits = 0
-            for rec in lead + loop:
-                bits = bits << self.width | self.code(rec)
-            bits |= 1 << (self.width * len(loop) - 1)  # the loop start's mark
-            tail = self.tails[sid, length] = (
-                lead, loop, self.width * (len(lead) + len(loop)), bits)
-        return tail
-
-    def judge(self, word: int, lead: list, loop: list) -> LassoTrace | None:
-        """The lasso of ``path``, ``lead`` and ``loop`` if it violates the
-        formula; it is evaluated only if its word ``word`` is new."""
-        split = 2 * self.width
-        high = word >> split
-        bit = 1 << self.lows.setdefault(word & ((1 << split) - 1), len(self.lows))
-        seen = self.held.get(high, 0)
-        if seen & bit:
-            return None
-        trace = LassoTrace(prefix=self.path + lead, loop=list(loop))
-        if not eval_naive(self.formula, trace, 0, self.props):
-            return trace
-        self.held[high] = seen | bit
-        return None
-
-    def extend(self, sid: int, packed: int, length: int) -> LassoTrace | None:
-        """Extend ``path`` (ending in monitor state ``sid``, its codes
-        ``packed`` after a leading 1) to ``length`` letters in product
-        order, judging each lasso; the first violating one, or None."""
-        row = self.rows.get(sid)
-        if row is None:
-            row = self.rows[sid] = tuple(a.tolist() for a in self.table.row(sid))
-        path = self.path
-        i = len(path)
-        for idx, (nxt, out) in enumerate(zip(*row)):
-            entry = self.baked.get((idx, out, i))
-            if entry is None:
-                rec = self.alphabet[idx]._replace(reset=bool(out), cycle=i)
-                entry = self.baked[idx, out, i] = (rec, self.code(rec))
-            path.append(entry[0])
-            word = packed << self.width | entry[1]
-            if i + 1 < length:
-                found = self.extend(nxt, word, length)
-            else:
-                self.explored += 1
-                lead, loop, shift, bits = self.tail(nxt, length)
-                found = self.judge(word << shift | bits, lead, loop)
-            path.pop()
-            if found is not None:
-                return found
-        return None
+def _extend(search: SimpleNamespace, sid: int, oid: int, length: int) -> int | None:
+    """Extend ``search.path``, (letter, reset output) pairs that lead to
+    product node (``sid``, obligation ``oid``), to ``length`` letters in
+    product order, judging each lasso. Returns the monitor state number
+    after the first violating one, its letters left in ``search.path``, or
+    None. A module function, for the reason given at ``ltl._ev``."""
+    explorer, path = search.explorer, search.path
+    nxt_ids, outs, nxt_oids = (a.tolist() for a in explorer.step(sid, oid))
+    for idx, (nxt, out, nxt_oid) in enumerate(zip(nxt_ids, outs, nxt_oids)):
+        path.append((idx, out))
+        if len(path) < length:
+            found = _extend(search, nxt, nxt_oid, length)
+        else:
+            search.explored += 1
+            holds = search.verdicts.get((nxt_oid, nxt))
+            if holds is None:  # one quiet tail per state; no proposition reads cycle
+                lead, loop = _quiet_tail(explorer.monitor.states[nxt], 0, search.space,
+                                         explorer.cfg, explorer.guards)
+                holds = search.verdicts[nxt_oid, nxt] = eval_naive(
+                    _OBLIGATIONS.entries[nxt_oid][0], LassoTrace(lead, loop), 0,
+                    explorer.props)
+            found = None if holds else nxt
+        if found is not None:
+            return found
+        path.pop()
+    return None
 
 
 def brute_force_check(formula: Formula, space: ScaledSpace,
@@ -640,24 +578,35 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
                       ekr_enabled: bool = True,
                       max_len: int = 5, name: str = "") -> CheckResult:
     """Enumerate every letter sequence up to ``max_len``, close each to a
-    lasso with quiet letters, and evaluate the formula directly.
+    lasso with quiet letters, and decide the formula on it.
 
     Complete only to the bound, so a "holds" proves nothing past it: this is
     the independent cross-check for the product exploration, and the search
     ``find_mutant_violation`` runs on formulas outside its safe fragment.
     Sequences go shortest first, each length in product order, and the
-    first violating lasso is returned; ``eval_naive`` runs once per
-    distinct word (see ``_LassoSearch``). ``max_len`` below 1 raises
-    ``ValueError``.
+    first violating lasso is returned. Each sequence progresses the formula
+    (see the module docstring); ``eval_naive`` judges what is left on the
+    quiet tail. ``max_len`` below 1 raises ``ValueError``, and a
+    proposition that is no ``build_props`` entry ``FormulaError``.
     """
     if max_len < 1:
         raise ValueError(f"max_len {max_len} is below 1: no lasso to search")
-    search = _LassoSearch(formula, space, guards, ekr_enabled)
-    start = search.table.monitor.number[INITIAL_STATE]
+    props = build_props(space)
+    check_props(formula, props)
+    cfg = MonitorConfig.from_layout(space, ekr_enabled)
+    explorer = _Explorer(cfg, guards, curated_alphabet(space), props)
+    search = SimpleNamespace(explorer=explorer, space=space, path=[],
+                             verdicts={}, explored=0)
+    start = (explorer.monitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
     for length in range(1, max_len + 1):
-        found = search.extend(start, 1, length)
-        if found is not None:
-            return CheckResult("violated", found, search.explored, name)
+        sid = _extend(search, *start, length)
+        if sid is not None:
+            path = [explorer.alphabet[idx]._replace(reset=bool(out), cycle=i)
+                    for i, (idx, out) in enumerate(search.path)]
+            lead, loop = _quiet_tail(explorer.monitor.states[sid], len(path),
+                                     space, cfg, guards)
+            return CheckResult("violated", LassoTrace(path + lead, loop),
+                               search.explored, name)
     return CheckResult("holds", None, search.explored, name)
 
 

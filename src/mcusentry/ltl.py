@@ -5,9 +5,7 @@ terminal record (halt or post-reset idle), which is sound because every
 proposition is constant on that sink. Two evaluators are provided: a naive
 recursive one that follows the operator definitions literally (the
 reference), and a bit-parallel one (one Python int per subformula) used on
-large trace corpora and for the exhaustive checker's per-letter columns
-(``checker._Explorer.column`` evaluates on its alphabet as one lasso).
-Tests keep them in agreement.
+large trace corpora. Tests keep them in agreement.
 
 Propositions come from a table of named expressions (``props.build_props``)
 or, when no table is given, from same-named attributes of the states. The

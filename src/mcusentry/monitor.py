@@ -22,10 +22,9 @@ A letter is one int holding the 17 comparator outputs the FSMs read, bit
 computes it from a record (bus signals plus the live window bounds) and
 is the monitor's only reader of records, so ``Monitor.step`` memoizes
 each (state, letter) transition. The fixed regions never change for a
-config, so the letter looks them up in per-address class tables (pc, CPU
-read, CPU write, DMA) built once per config value: ``bytes`` for records
-(4 x 64 KB), int32 copies for column views (4 x 256 KB, at the first
-view). The live window's bits stay comparisons against the record's own
+config, so the letter looks them up in per-address ``bytes`` class
+tables (pc, CPU read, CPU write, DMA; 4 x 64 KB) built once per config
+value. The live window's bits stay comparisons against the record's own
 ``er_min``/``er_max``, so a metadata rewrite is seen on the next cycle.
 
 Each FSM reads only part of the letter. The GPIO FSM (``GPIO_READS``, 12
@@ -49,7 +48,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -122,29 +121,8 @@ class MonitorConfig:
 
     @cached_property
     def letter(self):
-        """The function from a record to its letter. Written like the
-        ``props`` entries, it also takes a ``machine.RecordColumns`` view
-        and then gives an int array."""
+        """The function from a record to its letter."""
         return table_letter(self)
-
-
-def _bind(pc_t, read_t, write_t, dma_t, fallback=None):
-    """The letter on one set of tables; an argument they cannot index
-    (``bytes[ndarray]`` raises ``TypeError``) goes to ``fallback``."""
-    def letter(rec):
-        try:
-            pc, lo, hi = rec.pc, rec.er_min, rec.er_max
-            d, a, w, dma = rec.d_addr, rec.dma_addr, rec.w_en, rec.dma_en
-            return (pc_t[pc] | ((lo <= pc) & (pc <= hi)) << 3
-                    | (pc == lo) << 4 | (pc == hi) << 5 | rec.irq << 6 | dma << 7
-                    | read_t[d] * rec.r_en << 8
-                    | (write_t[d] | (lo <= d) & (d <= hi)) * w << 10
-                    | (dma_t[a] | ((lo <= a) & (a <= hi)) << 2) * dma << 13)
-        except TypeError:
-            if fallback is None:
-                raise
-            return fallback(rec)
-    return letter
 
 
 @lru_cache(maxsize=8)
@@ -159,11 +137,17 @@ def table_letter(cfg: MonitorConfig):
             (2, WRITE_META, cfg.metadata), (2, WRITE_EKR, cfg.ekr),
             (3, DMA_GPIO, cfg.gpio), (3, DMA_EKR, cfg.ekr), (3, DMA_META, cfg.metadata)):
         tables[i, region.start:region.end + 1] |= bit // units[i]
-    tables = tuple(map(bytes, tables))
-    # Column copies are int32 (numpy's uint8 << 8 is 0), made at the first view.
-    on_columns = cache(lambda: _bind(*(np.frombuffer(t, np.uint8).astype(np.int32)
-                                       for t in tables)))
-    return _bind(*tables, fallback=lambda view: on_columns()(view))
+    pc_t, read_t, write_t, dma_t = map(bytes, tables)
+
+    def letter(rec):
+        pc, lo, hi = rec.pc, rec.er_min, rec.er_max
+        d, a, w, dma = rec.d_addr, rec.dma_addr, rec.w_en, rec.dma_en
+        return (pc_t[pc] | ((lo <= pc) & (pc <= hi)) << 3
+                | (pc == lo) << 4 | (pc == hi) << 5 | rec.irq << 6 | dma << 7
+                | read_t[d] * rec.r_en << 8
+                | (write_t[d] | (lo <= d) & (d <= hi)) * w << 10
+                | (dma_t[a] | ((lo <= a) & (a <= hi)) << 2) * dma << 13)
+    return letter
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,15 @@
 
 from dataclasses import fields
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcusentry import referee
-from mcusentry.checker import _candidates, default_er_choices, scaled_space
+from mcusentry.checker import scaled_space
 from mcusentry.layout import default_layout
-from mcusentry.machine import RecordColumns, StateRecord
+from mcusentry.machine import StateRecord
 from mcusentry.monitor import (ATOM_READS, DEFAULT_GUARDS, EKR_READS, GPIO_READS,
                                INITIAL_STATE, LETTER, AtomState,
                                EkrState, GpioState, GuardFlags, Monitor,
@@ -490,40 +489,10 @@ def test_letter_bits_are_the_named_propositions(data, layout):
     assert len(LETTER) == 17
     recs = data.draw(st.lists(letter_records(layout), min_size=1, max_size=40))
     letter, props = MonitorConfig.from_layout(layout).letter, build_props(layout)
-    view = RecordColumns(recs)
-    letters = letter(view)
-    for bit, name in enumerate(LETTER):
-        expected = np.broadcast_to(props[name](view), (len(recs),))
-        assert ((letters >> bit & 1) == expected).all(), name
-        for rec, got in zip(recs, letters.tolist()):
-            assert letter(rec) == got
+    for rec in recs:
+        assert letter(rec) >> len(LETTER) == 0, rec
+        for bit, name in enumerate(LETTER):
             assert bool(letter(rec) >> bit & 1) == bool(props[name](rec)), (name, rec)
-
-
-# The letter is one expression bound twice: to ``bytes`` tables for a record
-# and to int32 tables for a column view. Narrow column tables would drop the
-# shifted bits (a numpy uint8 shifted left by 8 is 0), so the two bindings
-# are compared on every candidate the checker draws its alphabet from.
-
-@pytest.mark.parametrize("width", [5, 6, 7])
-def test_letter_on_a_candidate_grid_equals_the_letter_of_each_row(width):
-    space = scaled_space(width)
-    letter = MonitorConfig.from_layout(space).letter
-    for er_min, er_max in default_er_choices(space):
-        columns = _candidates(space, er_min, er_max)
-        rows = zip(*(column.tolist() for column in columns.values()))
-        expected = [letter(StateRecord(cycle=0, **dict(zip(columns, row))))
-                    for row in rows]
-        assert letter(SimpleNamespace(**columns)).tolist() == expected, (er_min, er_max)
-
-
-def test_letter_on_a_catalogue_trace_view_equals_the_letter_of_each_record():
-    for name, make in CATALOGUE.items():
-        plan = make()
-        letter = MonitorConfig.from_layout(plan.layout).letter
-        records = referee.run_scenario(plan).trace.records
-        assert letter(RecordColumns(records)).tolist() == \
-            [letter(rec) for rec in records], name
 
 
 def test_letter_tables_are_built_once_per_config_value():

@@ -19,8 +19,7 @@ from .layout import ErWindow, MemoryLayout, Region, default_layout, parse_layout
 from .machine import (ConstantSensor, DmaRequest, Machine, RunContext,
                       SequenceSensor, StateRecord, Trace, exec_step,
                       load_image, reset_routine, run)
-from .monitor import (GuardFlags, Monitor, MonitorConfig, MonitorState,
-                      monitor_step)
+from .monitor import GuardFlags, Monitor, MonitorState, monitor_step
 from .protocol import (AuthorizationMessage, authorize_ctrl, install,
                        verify_dev, xsensing)
 from .crypto import (decrypt_ctrl, decrypt_output, derive_enc_key,

@@ -27,7 +27,8 @@ a syntactically safe conjunct (``_is_safe``; Kupferman & Vardi, FMSD
 other conjunct (the before-operator end-to-end goal) is refused with
 ``FormulaError`` and checked on traces. The monitor is a transition
 table over the alphabet: a monitor state is its number in the guard
-set's ``monitor.compiled_monitor``, whose successor function gives each
+set's ``monitor.compiled_monitor`` (a device without a key region is the
+set's ``keyless()``), whose successor function gives each
 reachable state one row, the next state's number and the reset output on
 every letter. ``monitor_step`` runs only in the quiet tails and the
 replays, a path independent of the tables. A node expands by gathers:
@@ -67,7 +68,7 @@ from .ltl import (And, B, Formula, G, Implies, LassoTrace, Not, Or, Prop, U,
                   W, X, check_props, eval_naive, to_text)
 from .machine import RecordColumns, StateRecord
 from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, LETTER, GuardFlags,
-                      MonitorConfig, MonitorState, compiled_monitor, monitor_step)
+                      MonitorState, compiled_monitor, monitor_step, table_letter)
 from .mutants import mutant_guards
 from .props import build_props
 
@@ -335,17 +336,17 @@ class CheckResult:
 
 
 def _quiet_tail(state: MonitorState, start: int, space: ScaledSpace,
-                cfg: MonitorConfig, guards: GuardFlags):
+                guards: GuardFlags):
     """Quiet letters from ``state`` until the monitor state recurs, as the
     records before the loop and the loop, cycles numbered from ``start``."""
     er_min, er_max = default_er_choices(space)[0]
     quiet = StateRecord(cycle=0, pc=space.pmem.end - 1, er_min=er_min, er_max=er_max)
-    letter = cfg.letter(quiet)
+    letter = table_letter(space)(quiet)
     seen: dict[MonitorState, int] = {}
     tail: list[StateRecord] = []
     while state not in seen:
         seen[state] = len(tail)
-        state, out = monitor_step(state, letter, guards, cfg.ekr_enabled)
+        state, out = monitor_step(state, letter, guards)
         tail.append(quiet._replace(reset=out, cycle=start + len(tail)))
     cut = seen[state]
     return tail[:cut], tail[cut:]
@@ -373,15 +374,15 @@ class _Explorer:
     the propositions the alphabet's class key carries.
     """
 
-    def __init__(self, cfg: MonitorConfig, guards: GuardFlags,
+    def __init__(self, space: ScaledSpace, guards: GuardFlags,
                  alphabet: Sequence[StateRecord], props: dict,
                  names: frozenset[str] = frozenset()):
-        self.cfg = cfg
+        self.space = space
         self.guards = guards
         self.alphabet = alphabet
         self.props = props
         self.names = names
-        self.monitor = compiled_monitor(guards, cfg.ekr_enabled)
+        self.monitor = compiled_monitor(guards)
         self._view = RecordColumns(alphabet)
         self._indices = self.monitor.indices(sum(
             np.asarray(props[name](self._view), np.intp) << bit
@@ -464,27 +465,17 @@ def _bfs(formula: Formula, explorer: _Explorer, state_budget: int):
     return None, None, explored
 
 
-def _explorer(space: ScaledSpace, guards: GuardFlags, ekr_enabled: bool,
+def _explorer(space: ScaledSpace, guards: GuardFlags,
               formulas: Iterable[Formula]) -> _Explorer:
     """An explorer whose alphabet's class key carries every proposition
     ``formulas`` name."""
     props = build_props(space)
     names = _key_names(formulas, props)
-    return _Explorer(MonitorConfig.from_layout(space, ekr_enabled), guards,
-                     build_alphabet(space, names), props, names)
-
-
-def _catalogue_explorer(space: ScaledSpace, guards: GuardFlags,
-                        ekr_enabled: bool) -> _Explorer:
-    """The explorer ``check_catalogue`` and ``find_mutant_violation`` use,
-    keyed on every catalogue formula."""
-    return _explorer(space, guards, ekr_enabled,
-                     [e.formula for e in all_formulas(ekr_enabled)])
+    return _Explorer(space, guards, build_alphabet(space, names), props, names)
 
 
 def exhaustive_check(formula: Formula, space: ScaledSpace,
-                     guards: GuardFlags = DEFAULT_GUARDS,
-                     ekr_enabled: bool = True,
+                     guards: GuardFlags = DEFAULT_GUARDS, *,
                      state_budget: int = 2_000_000,
                      name: str = "",
                      explorer: "_Explorer | None" = None) -> CheckResult:
@@ -503,7 +494,7 @@ def exhaustive_check(formula: Formula, space: ScaledSpace,
             raise FormulaError(f"{to_text(conjunct)} is outside the exhaustive "
                                "checker's safe fragment; it is checked on traces")
     if explorer is None:
-        explorer = _explorer(space, guards, ekr_enabled, [formula])
+        explorer = _explorer(space, guards, [formula])
     outside = _key_names([formula], explorer.props) - explorer.names
     if outside:
         raise ValueError(f"proposition {min(outside)!r} is outside the "
@@ -514,8 +505,7 @@ def exhaustive_check(formula: Formula, space: ScaledSpace,
         explored_total += explored
         if violation is not None:
             # Close the lasso with quiet letters until the state recurs.
-            lead, loop = _quiet_tail(state, len(violation), space,
-                                     explorer.cfg, explorer.guards)
+            lead, loop = _quiet_tail(state, len(violation), space, explorer.guards)
             return CheckResult("violated", LassoTrace(violation + lead, loop),
                                explored_total, name)
     return CheckResult("holds", None, explored_total, name)
@@ -561,8 +551,8 @@ def _extend(search: SimpleNamespace, sid: int, oid: int, length: int) -> int | N
             search.explored += 1
             holds = search.verdicts.get((nxt_oid, nxt))
             if holds is None:  # one quiet tail per state; no proposition reads cycle
-                lead, loop = _quiet_tail(explorer.monitor.states[nxt], 0, search.space,
-                                         explorer.cfg, explorer.guards)
+                lead, loop = _quiet_tail(explorer.monitor.states[nxt], 0,
+                                         explorer.space, explorer.guards)
                 holds = search.verdicts[nxt_oid, nxt] = eval_naive(
                     _OBLIGATIONS.entries[nxt_oid][0], LassoTrace(lead, loop), 0,
                     explorer.props)
@@ -574,8 +564,7 @@ def _extend(search: SimpleNamespace, sid: int, oid: int, length: int) -> int | N
 
 
 def brute_force_check(formula: Formula, space: ScaledSpace,
-                      guards: GuardFlags = DEFAULT_GUARDS,
-                      ekr_enabled: bool = True,
+                      guards: GuardFlags = DEFAULT_GUARDS, *,
                       max_len: int = 5, name: str = "") -> CheckResult:
     """Enumerate every letter sequence up to ``max_len``, close each to a
     lasso with quiet letters, and decide the formula on it.
@@ -593,10 +582,8 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
         raise ValueError(f"max_len {max_len} is below 1: no lasso to search")
     props = build_props(space)
     check_props(formula, props)
-    cfg = MonitorConfig.from_layout(space, ekr_enabled)
-    explorer = _Explorer(cfg, guards, curated_alphabet(space), props)
-    search = SimpleNamespace(explorer=explorer, space=space, path=[],
-                             verdicts={}, explored=0)
+    explorer = _Explorer(space, guards, curated_alphabet(space), props)
+    search = SimpleNamespace(explorer=explorer, path=[], verdicts={}, explored=0)
     start = (explorer.monitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
     for length in range(1, max_len + 1):
         sid = _extend(search, *start, length)
@@ -604,7 +591,7 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
             path = [explorer.alphabet[idx]._replace(reset=bool(out), cycle=i)
                     for i, (idx, out) in enumerate(search.path)]
             lead, loop = _quiet_tail(explorer.monitor.states[sid], len(path),
-                                     space, cfg, guards)
+                                     space, guards)
             return CheckResult("violated", LassoTrace(path + lead, loop),
                                search.explored, name)
     return CheckResult("holds", None, search.explored, name)
@@ -612,21 +599,19 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
 
 def replay_counterexample(formula: Formula, lasso: LassoTrace,
                           space: ScaledSpace,
-                          guards: GuardFlags = DEFAULT_GUARDS,
-                          ekr_enabled: bool = True) -> bool:
+                          guards: GuardFlags = DEFAULT_GUARDS) -> bool:
     """Re-step the monitor over the lasso letters and re-evaluate.
 
     Returns True when the replay reproduces the recorded reset outputs,
     the FSMs are back in their loop-entry states after the loop (so the
     lasso is a run of the monitor), and the formula is violated.
     """
-    cfg = MonitorConfig.from_layout(space, ekr_enabled)
-    props = build_props(space)
+    letter, props = table_letter(space), build_props(space)
     state = entry = INITIAL_STATE
     for pos, rec in enumerate(lasso.states):
         if pos == lasso.loop_start:
             entry = state
-        state, out = monitor_step(state, cfg.letter(rec), guards, ekr_enabled)
+        state, out = monitor_step(state, letter(rec), guards)
         if out != rec.reset:
             return False
     if state != entry:
@@ -638,35 +623,39 @@ def check_catalogue(space: ScaledSpace,
                     guards: GuardFlags = DEFAULT_GUARDS,
                     ekr_enabled: bool = True,
                     state_budget: int = 2_000_000) -> list[CheckResult]:
-    """Exhaustively check every monitor formula in the catalogue."""
-    explorer = _catalogue_explorer(space, guards, ekr_enabled)
-    results = []
-    for entry in all_formulas(ekr_enabled):
-        if entry.name == "e2e-authorized-sensing":
-            continue  # before-operator goal; checked on traces
-        results.append(exhaustive_check(entry.formula, space, guards,
-                                        ekr_enabled, state_budget=state_budget,
-                                        name=entry.name, explorer=explorer))
-    return results
+    """Exhaustively check every monitor formula in the catalogue; without
+    ``ekr_enabled``, on a device without a key region."""
+    entries = all_formulas(ekr_enabled)
+    guards = guards if ekr_enabled else guards.keyless()
+    explorer = _explorer(space, guards, [e.formula for e in entries])
+    return [exhaustive_check(entry.formula, space, guards,
+                             state_budget=state_budget, name=entry.name,
+                             explorer=explorer)
+            for entry in entries
+            if entry.name != "e2e-authorized-sensing"]  # the goal: checked on traces
 
 
 def find_mutant_violation(mutant_id: str, space: ScaledSpace,
                           ekr_enabled: bool = True,
                           state_budget: int = 2_000_000):
-    """Search the catalogue for a formula the mutant violates.
+    """Search the catalogue for a formula the mutant violates; without
+    ``ekr_enabled``, on a device without a key region.
 
-    Returns (formula_name, CheckResult with a replayable counterexample).
+    Returns (formula_name, CheckResult with a replayable counterexample),
+    or (None, None) when it violates none.
     """
+    entries = all_formulas(ekr_enabled)
     guards = mutant_guards(mutant_id)
-    explorer = _catalogue_explorer(space, guards, ekr_enabled)
-    for entry in all_formulas(ekr_enabled):
+    guards = guards if ekr_enabled else guards.keyless()
+    explorer = _explorer(space, guards, [e.formula for e in entries])
+    for entry in entries:
         if _is_safe(entry.formula):
             result = exhaustive_check(entry.formula, space, guards,
-                                      ekr_enabled, state_budget=state_budget,
+                                      state_budget=state_budget,
                                       name=entry.name, explorer=explorer)
         else:
             result = brute_force_check(entry.formula, space, guards,
-                                       ekr_enabled, max_len=4, name=entry.name)
+                                       max_len=4, name=entry.name)
         if not result.holds:
             return entry.name, result
     return None, None

@@ -22,7 +22,7 @@ from .layout import ErWindow, default_layout, parse_layout
 from .ltl import parse as parse_formula
 from .machine import (ConstantSensor, DmaRequest, RunContext, SequenceSensor,
                       Trace, load_image, run)
-from .monitor import Monitor
+from .monitor import DEFAULT_GUARDS, Monitor
 from .mutants import MUTANTS, mutant_guards
 from .protocol import (AuthorizationMessage, authorize_ctrl, install,
                        verify_dev, xsensing)
@@ -122,7 +122,7 @@ def cmd_run(args) -> int:
     image = Path(args.image).read_bytes() if args.image else b""
     rom = Path(args.rom).read_bytes() if args.rom else None
     machine = load_image(layout, image, er, rom=rom)
-    monitor = Monitor.for_layout(layout, ekr_enabled=not args.no_ekr)
+    monitor = Monitor(layout, DEFAULT_GUARDS.keyless() if args.no_ekr else DEFAULT_GUARDS)
     dma = _schedule(args.dma_file, "DMA", _dma_request, lambda req: req.at_cycle)
     irq = _schedule(args.irq_file, "IRQ", _irq_cycle)
     ctx = RunContext.build(sensor=_sensor_from_args(args), dma=dma,
@@ -165,6 +165,8 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     space = scaled_space(args.width)
     ekr = not args.no_ekr
+    guards = mutant_guards(args.mutate) if args.mutate else DEFAULT_GUARDS
+    guards = guards if ekr else guards.keyless()
     if args.mutate:
         name, result = find_mutant_violation(args.mutate, space, ekr_enabled=ekr)
         if name is None:
@@ -172,7 +174,7 @@ def cmd_check(args) -> int:
             return EXIT_VIOLATION
         replayed = replay_counterexample(
             catalogue_by_name(ekr)[name].formula, result.counterexample,
-            space, mutant_guards(args.mutate), ekr)
+            space, guards)
         print(f"mutant {args.mutate}: violates {name} "
               f"(counterexample of {result.counterexample.length} steps, "
               f"replayed={'ok' if replayed else 'FAILED'})")
@@ -191,7 +193,7 @@ def cmd_check(args) -> int:
             else:
                 formula = parse_formula(args.formula)
             name = args.formula
-        result = exhaustive_check(formula, space, ekr_enabled=ekr, name=name)
+        result = exhaustive_check(formula, space, guards, name=name)
         print(f"{name}: {result.verdict} "
               f"(explored {result.explored_states} states)")
         if result.counterexample and args.counterexample_out:

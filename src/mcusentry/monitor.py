@@ -18,12 +18,12 @@ diagrams, where the two disagree:
   authorization address resets rather than merely re-locking.
 
 A letter is one int holding the 17 comparator outputs the FSMs read, bit
-``i`` being the ``props`` entry ``LETTER[i]``. ``MonitorConfig.letter``
+``i`` being the ``props`` entry ``LETTER[i]``. ``table_letter(layout)``
 computes it from a record (bus signals plus the live window bounds) and
 is the monitor's only reader of records, so ``Monitor.step`` memoizes
 each (state, letter) transition. The fixed regions never change for a
-config, so the letter looks them up in per-address ``bytes`` class
-tables (pc, CPU read, CPU write, DMA; 4 x 64 KB) built once per config
+layout, so the letter looks them up in per-address ``bytes`` class
+tables (pc, CPU read, CPU write, DMA; 4 x 64 KB) built once per layout
 value. The live window's bits stay comparisons against the record's own
 ``er_min``/``er_max``, so a metadata rewrite is seen on the next cycle.
 
@@ -33,20 +33,21 @@ and DMA touches of GPIO and the key region, and CPU writes and DMA touches
 of the window and its metadata. The key-write FSM (``EKR_READS``, 4)
 reads pc at zero and in VR, CPU writes and DMA touches of the key region.
 The atomicity FSM (``ATOM_READS``, 6) reads pc at zero, in the window, at
-er_min and at er_max, irq and dmaen. So for one (guards, ekr_enabled)
-value each FSM compiles into a flat table over (FSM state, its bits),
-each entry from one call to the FSM's own step function. One
-``compiled_monitor`` per value holds the live memo, those tables (built
-at the checker's first use), the 30 composed states numbered once (a
-global reset lands in ``INITIAL_STATE``, number 0), and the successor
-function over table indices that the checker's rows are.
-``monitor_step`` stays the scalar composition that memo misses and the
-checker's quiet tails and replays step through.
+er_min and at er_max, irq and dmaen. So for one guard set each FSM
+compiles into a flat table over (FSM state, its bits), each entry from
+one call to the FSM's own step function. One ``compiled_monitor`` per
+guard set holds the live memo, those tables (built at the checker's
+first use), the 30 composed states numbered once (a global reset lands
+in ``INITIAL_STATE``, number 0), and the successor function over table
+indices that the checker's rows are. ``monitor_step`` stays the scalar
+composition that memo misses and the checker's quiet tails and replays
+step through. A monitor is a layout and a guard set, nothing else: a
+device without a key region runs ``GuardFlags.keyless()``.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import product
@@ -100,42 +101,19 @@ LETTER = ("pc_at zero", "pc_at iauth", "pc_in VR", "pc_in ER",
 _PROTECTED_WRITES = WRITE_ER | DMA_ER | WRITE_META | DMA_META
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Static inputs of the monitor: guarded regions and key addresses."""
-
-    gpio: Region
-    ekr: Region
-    vr: Region
-    i_auth: int
-    metadata: Region
-    ekr_enabled: bool = True
-
-    @staticmethod
-    def from_layout(layout: MemoryLayout, ekr_enabled: bool = True) -> "MonitorConfig":
-        return MonitorConfig(
-            gpio=layout.gpio, ekr=layout.ekr, vr=layout.vr,
-            i_auth=layout.i_auth, metadata=layout.er_metadata,
-            ekr_enabled=ekr_enabled,
-        )
-
-    @cached_property
-    def letter(self):
-        """The function from a record to its letter."""
-        return table_letter(self)
-
-
 @lru_cache(maxsize=8)
-def table_letter(cfg: MonitorConfig):
-    """The letter of a config value on its pc, CPU read, CPU write and DMA
+def table_letter(layout: MemoryLayout):
+    """The function from a record to its letter over ``layout``'s fixed
+    regions, which it reads from its pc, CPU read, CPU write and DMA
     tables, each entry in units of its table's lowest letter bit."""
     tables = np.zeros((4, ADDRESS_SPACE), np.uint8)
     units = (PC_ZERO, READ_GPIO, WRITE_ER, DMA_GPIO)
+    gpio, ekr, meta = layout.gpio, layout.ekr, layout.er_metadata
     for i, bit, region in (
-            (0, PC_ZERO, Region(0, 0)), (0, PC_IAUTH, Region(cfg.i_auth, cfg.i_auth)),
-            (0, PC_VR, cfg.vr), (1, READ_GPIO, cfg.gpio), (1, READ_EKR, cfg.ekr),
-            (2, WRITE_META, cfg.metadata), (2, WRITE_EKR, cfg.ekr),
-            (3, DMA_GPIO, cfg.gpio), (3, DMA_EKR, cfg.ekr), (3, DMA_META, cfg.metadata)):
+            (0, PC_ZERO, Region(0, 0)), (0, PC_IAUTH, Region(layout.i_auth, layout.i_auth)),
+            (0, PC_VR, layout.vr), (1, READ_GPIO, gpio), (1, READ_EKR, ekr),
+            (2, WRITE_META, meta), (2, WRITE_EKR, ekr),
+            (3, DMA_GPIO, gpio), (3, DMA_EKR, ekr), (3, DMA_META, meta)):
         tables[i, region.start:region.end + 1] |= bit // units[i]
     pc_t, read_t, write_t, dma_t = map(bytes, tables)
 
@@ -152,7 +130,11 @@ def table_letter(cfg: MonitorConfig):
 
 @dataclass(frozen=True)
 class GuardFlags:
-    """Single-guard switches; flipping exactly one yields a mutant monitor."""
+    """Single-guard switches; flipping exactly one yields a mutant monitor.
+
+    A device without a key region is the monitor with both key guards
+    off (``keyless``): no key access then resets.
+    """
 
     gpio_rlock_read_resets: bool = True
     gpio_unlock_requires_iauth: bool = True
@@ -167,13 +149,16 @@ class GuardFlags:
     ekr_write_guard: bool = True
     ekr_read_guard: bool = True
 
+    def keyless(self) -> "GuardFlags":
+        """These guards on a device without a key region."""
+        return replace(self, ekr_write_guard=False, ekr_read_guard=False)
+
 
 DEFAULT_GUARDS = GuardFlags()
 
 
 def step_gpio_fsm(state: GpioState, letter: int,
-                  guards: GuardFlags = DEFAULT_GUARDS,
-                  ekr_enabled: bool = True) -> tuple[GpioState, bool]:
+                  guards: GuardFlags = DEFAULT_GUARDS) -> tuple[GpioState, bool]:
     """Read-access control for GPIO and the key region (three states)."""
     if state is GpioState.RESET:
         if not letter & PC_ZERO:
@@ -181,7 +166,7 @@ def step_gpio_fsm(state: GpioState, letter: int,
         state = GpioState.RLOCK  # leaving RESET: judge this cycle from rLOCK
 
     guarded = READ_GPIO | DMA_GPIO
-    if ekr_enabled and guards.ekr_read_guard:
+    if guards.ekr_read_guard:
         guarded |= READ_EKR | DMA_EKR
     reads = letter & guarded
     writes = letter & _PROTECTED_WRITES
@@ -212,15 +197,12 @@ def step_gpio_fsm(state: GpioState, letter: int,
 
 
 def step_ekr_write_fsm(state: EkrState, letter: int,
-                       guards: GuardFlags = DEFAULT_GUARDS,
-                       ekr_enabled: bool = True) -> tuple[EkrState, bool]:
+                       guards: GuardFlags = DEFAULT_GUARDS) -> tuple[EkrState, bool]:
     """Write-access control for the key region (two states).
 
     Any DMA transaction touching the key region resets: DMA carries no
     pc authority, so it can never count as trusted-verifier execution.
     """
-    if not ekr_enabled:
-        return EkrState.WUNLOCK, False
     if state is EkrState.RESET:
         if not letter & PC_ZERO:
             return EkrState.RESET, True
@@ -337,15 +319,14 @@ INITIAL_STATE = MonitorState()
 
 
 def monitor_step(state: MonitorState, letter: int,
-                 guards: GuardFlags = DEFAULT_GUARDS,
-                 ekr_enabled: bool = True) -> tuple[MonitorState, bool]:
+                 guards: GuardFlags = DEFAULT_GUARDS) -> tuple[MonitorState, bool]:
     """Advance all three FSMs on one letter; OR their local resets.
 
     On a global reset every FSM is forced back to RESET so that no unlock
     survives a violation detected by a sibling FSM.
     """
-    gpio_next, gpio_reset = step_gpio_fsm(state.gpio, letter, guards, ekr_enabled)
-    ekr_next, ekr_reset = step_ekr_write_fsm(state.ekr, letter, guards, ekr_enabled)
+    gpio_next, gpio_reset = step_gpio_fsm(state.gpio, letter, guards)
+    ekr_next, ekr_reset = step_ekr_write_fsm(state.ekr, letter, guards)
     atom_next, atom_reset = step_atomicity_fsm(state.atom, letter, guards)
     if gpio_reset or ekr_reset or atom_reset:
         return INITIAL_STATE, True
@@ -353,7 +334,7 @@ def monitor_step(state: MonitorState, letter: int,
 
 
 class CompiledMonitor:
-    """The monitor compiled for one (guards, ekr_enabled) value.
+    """The monitor compiled for one guard set.
 
     ``memo[state][letter]`` is ``monitor_step``'s (next state, reset),
     entered by ``Monitor.step`` on a miss; a letter names comparator
@@ -370,19 +351,19 @@ class CompiledMonitor:
     number = {state: sid for sid, state in enumerate(states)}
     _shape = (len(GpioState), len(EkrState), len(AtomState))
 
-    def __init__(self, guards: GuardFlags, ekr_enabled: bool):
+    def __init__(self, guards: GuardFlags):
         self.memo: defaultdict = defaultdict(dict)
-        self.guards, self.ekr_enabled = guards, ekr_enabled
+        self.guards = guards
 
     @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The GPIO, key-write and atomicity FSMs' ``_fsm_table``s."""
-        guards, ekr_enabled = self.guards, self.ekr_enabled
+        guards = self.guards
         return (
             _fsm_table(GpioState, GPIO_READS,
-                       lambda s, letter: step_gpio_fsm(s, letter, guards, ekr_enabled)),
+                       lambda s, letter: step_gpio_fsm(s, letter, guards)),
             _fsm_table(EkrState, EKR_READS,
-                       lambda s, letter: step_ekr_write_fsm(s, letter, guards, ekr_enabled)),
+                       lambda s, letter: step_ekr_write_fsm(s, letter, guards)),
             _fsm_table(AtomState, ATOM_READS,
                        lambda s, letter: step_atomicity_fsm(s, letter, guards)),
         )
@@ -404,36 +385,36 @@ class CompiledMonitor:
             [entry >> 1 for entry in entries], self._shape)), outs
 
 
-# One per (guards, ekr_enabled): the healthy guards and the 12 mutants, ekr on and off.
+# One per guard set: the healthy guards and the 12 mutants, each also keyless
+# (24 sets: the two key mutants' keyless sets are the healthy one's).
 compiled_monitor = lru_cache(maxsize=26)(CompiledMonitor)
 
 
 class Monitor:
-    """Stateful wrapper used by the stepping loops.
+    """Stateful wrapper used by the stepping loops: the monitor over one
+    layout with one guard set.
 
-    A step looks up (state, letter) in the memo of its (guards, ekr)
-    value's ``compiled_monitor``, shared by every monitor of that value,
-    and steps the FSMs only on a miss; it reports the global reset only.
-    A check that needs one FSM's own output steps that FSM
-    (``step_atomicity_fsm`` and its siblings) on ``cfg.letter`` of each
-    record. ``local_resets_log`` is always empty: the benchmark sizes its
-    ``Monitor.step`` span by it.
+    A step looks up (state, letter) in the memo of its guard set's
+    ``compiled_monitor``, shared by every monitor of that set, and steps
+    the FSMs only on a miss; it reports the global reset only. A check
+    that needs one FSM's own output steps that FSM
+    (``step_atomicity_fsm`` and its siblings) on ``table_letter(layout)``
+    of each record. ``local_resets_log`` is always empty: the benchmark
+    sizes its ``Monitor.step`` span by it.
     """
 
-    def __init__(self, cfg: MonitorConfig, guards: GuardFlags = DEFAULT_GUARDS):
-        self.cfg = cfg
+    def __init__(self, layout: MemoryLayout, guards: GuardFlags = DEFAULT_GUARDS):
         self.guards = guards
         self.state = INITIAL_STATE
         self.local_resets_log: list[tuple[bool, bool, bool]] = []
-        self._letter, self._memo = cfg.letter, compiled_monitor(guards, cfg.ekr_enabled).memo
+        self._letter, self._memo = table_letter(layout), compiled_monitor(guards).memo
 
     def step(self, rec: StateRecord) -> bool:
         state = self.state
         letter = self._letter(rec)
         hit = self._memo[state].get(letter)
         if hit is None:
-            hit = self._memo[state][letter] = monitor_step(
-                state, letter, self.guards, self.cfg.ekr_enabled)
+            hit = self._memo[state][letter] = monitor_step(state, letter, self.guards)
         self.state, out = hit
         return out
 
@@ -443,6 +424,5 @@ class Monitor:
         self.state = INITIAL_STATE
 
     @staticmethod
-    def for_layout(layout: MemoryLayout, ekr_enabled: bool = True,
-                   guards: GuardFlags = DEFAULT_GUARDS) -> "Monitor":
-        return Monitor(MonitorConfig.from_layout(layout, ekr_enabled), guards)
+    def for_layout(layout: MemoryLayout, guards: GuardFlags = DEFAULT_GUARDS) -> "Monitor":
+        return Monitor(layout, guards)

@@ -15,7 +15,7 @@ split CPU from DMA accesses, and the monitor's letter (``monitor.LETTER``)
 is made of them and the ``pc``, ``irq`` and ``dmaen`` entries. ``read X``
 is the entry ``cpu_read X | dma_touch X`` and ``write X`` is ``cpu_write
 X | dma_touch X``: a DMA transfer counts as both, since its direction is
-not a guard input. ``MonitorConfig.letter`` takes one record; the
+not a guard input. ``monitor.table_letter`` takes one record; the
 checker reads its whole alphabet's letters, and every proposition it
 checks, from these entries on the alphabet's column view. No entry reads
 ``executed``, and only ``reset`` reads ``reset``: the checker takes that

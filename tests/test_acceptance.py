@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from machine_facts import (FACTS, MUTANTS as MACHINE_MUTANTS, FactHarness,
                            bare_runs, catalogue_rounds, random_rounds, run_bare)
 from mcusentry.catalogue import all_formulas, builtin_formulas, catalogue_by_name
-from mcusentry.checker import (_catalogue_explorer, check_catalogue,
+from mcusentry.checker import (_explorer, check_catalogue,
                                find_mutant_violation, replay_counterexample,
                                scaled_space)
 from mcusentry.crypto import (decrypt_output, derive_enc_key, encrypt_output,
@@ -27,7 +27,7 @@ from mcusentry.ltl import LassoTrace, Prop, eval_vector
 from mcusentry.machine import (DmaRequest, Machine, RunContext, load_image,
                                run)
 from mcusentry.monitor import (DEFAULT_GUARDS, AtomState, Monitor,
-                               MonitorConfig, step_atomicity_fsm)
+                               step_atomicity_fsm, table_letter)
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.oracle import atomic_exec_oracle, monitor_flagged_episode
 from mcusentry.programs import SENSOR_MARKER
@@ -74,7 +74,7 @@ def test_criterion_1_exhaustive_monitor_verification():
     elapsed = time.time() - t0
     # Every proposition the catalogue's class key carries must take both
     # values on its alphabet, or the check could not witness it.
-    explorer = _catalogue_explorer(space, DEFAULT_GUARDS, True)
+    explorer = _explorer(space, DEFAULT_GUARDS, [e.formula for e in all_formulas()])
     keyed = sorted(explorer.names - {"true", "false"})
     constant = [name for name in keyed
                 if len(np.unique(explorer.column(Prop(name)))) < 2]
@@ -154,7 +154,7 @@ def test_criterion_4_oracle_agrees_with_monitor():
         ((), (DmaRequest(2, "read", 0xE000),)),
         ((4,), (DmaRequest(3, "write", 0xE002, 0x55),)),
     ]
-    letter = MonitorConfig.from_layout(LAYOUT).letter
+    letter = table_letter(LAYOUT)
     disagreements = 0
     runs = 0
     for code in range(len(subset) ** len(slots)):

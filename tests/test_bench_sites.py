@@ -1,10 +1,14 @@
-"""The benchmark's span sites must name code that still exists.
+"""The benchmark's span sites must name code that still exists, and its
+workloads must run against the package.
 
 ``bench/tracing.py`` wraps named attributes of the package from outside;
 a site whose name was deleted or renamed is skipped silently, and the
 benchmark's self-test then fails or its per-layer rows read zero.
+``bench/workloads.py`` calls the package's public API; a call it makes
+that the package no longer takes fails every op of that workload.
 """
 import importlib.util
+import sys
 from pathlib import Path
 
 from mcusentry import checker, ltl, referee
@@ -14,18 +18,19 @@ from mcusentry.monitor import Monitor
 from mcusentry.mutants import MUTANTS
 from mcusentry.scenarios import happy_path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_span_site_resolves():
-    sites = _tracing().SPAN_SITES
+    sites = _load("tracing").SPAN_SITES
     assert sites
     for owner, attr, _ in sites:
         assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
@@ -55,7 +60,7 @@ def test_goal_check_goes_through_the_eval_vector_span(monkeypatch):
 def test_a_modelcheck_sweep_calls_every_required_checker_span(monkeypatch):
     # The bench's self-test fails when a span it requires on modelcheck
     # records no call; this is one width-5 sweep of that workload's calls.
-    required = [name for name, workloads in _tracing().REQUIRED_CALLS.items()
+    required = [name for name, workloads in _load("tracing").REQUIRED_CALLS.items()
                 if "modelcheck" in workloads]
     assert required and all(name.startswith("checker.") for name in required)
     calls = dict.fromkeys(required, 0)
@@ -80,3 +85,21 @@ def test_a_modelcheck_sweep_calls_every_required_checker_span(monkeypatch):
         assert checker.replay_counterexample(
             formulas[name].formula, result.counterexample, space, guards)
     assert all(calls.values()), calls
+
+
+def test_every_workload_runs_its_calls_on_small_inputs():
+    # Each workload's own generate, start, call and describe, on fewer
+    # plans and messages than the benchmark (and modelcheck at width 5):
+    # every catalogue scenario, every mutant, every message kind and span,
+    # and attest's re-boot when its message list is used up.
+    workloads = _load("workloads")
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls()
+        workload.random_plans, workload.messages, workload.width = 3, 16, 5
+        inputs = workload.generate(1)
+        state = workload.start(inputs)
+        calls = workload.round_calls if name == "modelcheck" else len(inputs) + 1
+        for i in range(calls):
+            op = workload.call(state, inputs, i)
+            assert op.ok, (name, i, op.verdict)
+            workload.describe(op)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mcusentry import checker
 from mcusentry.catalogue import (all_formulas, authorized_sensing_goal,
                                  builtin_formulas, catalogue_by_name)
-from mcusentry.checker import (_catalogue_explorer, _Explorer, _explorer,
+from mcusentry.checker import (_Explorer, _explorer,
                                _is_safe, _key_names, _quiet_tail,
                                brute_force_check, build_alphabet,
                                check_catalogue, curated_alphabet,
@@ -22,8 +22,8 @@ from mcusentry.ltl import (And, B, G, Implies, LassoTrace, Not, Or, Prop, U,
                            W, X, check_props, eval_naive, parse)
 from mcusentry.machine import StateRecord
 from mcusentry import monitor
-from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, MonitorConfig,
-                               compiled_monitor, monitor_step)
+from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, compiled_monitor,
+                               monitor_step, table_letter)
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.props import build_props
 
@@ -102,8 +102,15 @@ def accepted_names(space) -> list[str]:
     return names
 
 
+def catalogue_explorer(space, guards=DEFAULT_GUARDS, ekr_enabled=True):
+    """The explorer ``check_catalogue`` builds: keyed on every catalogue
+    formula, on a device without a key region unless ``ekr_enabled``."""
+    return _explorer(space, guards if ekr_enabled else guards.keyless(),
+                     [e.formula for e in all_formulas(ekr_enabled)])
+
+
 def catalogue_names(space) -> frozenset[str]:
-    return _catalogue_explorer(space, DEFAULT_GUARDS, True).names
+    return catalogue_explorer(space).names
 
 
 def test_checker_accepts_every_proposition():
@@ -116,7 +123,7 @@ def test_checker_accepts_every_proposition():
 
 
 def test_handed_explorer_refuses_a_proposition_outside_its_key():
-    explorer = _catalogue_explorer(SPACE5, DEFAULT_GUARDS, True)
+    explorer = catalogue_explorer(SPACE5)
     assert "read DMEM" not in explorer.names
     with pytest.raises(ValueError, match="'read DMEM'"):
         exhaustive_check(parse("(G (! (read DMEM)))"), SPACE5,
@@ -142,10 +149,9 @@ def test_alphabet_is_deduplicated_and_bounded():
     alphabet = build_alphabet(SPACE5, names)
     assert 100 < len(alphabet) < 20000
     keys = set()
-    cfg = MonitorConfig.from_layout(SPACE5)
-    props = build_props(SPACE5)
+    letter_of, props = table_letter(SPACE5), build_props(SPACE5)
     for letter in alphabet:
-        key = reference_class_key(letter, cfg, props, names)
+        key = reference_class_key(letter, letter_of, props, names)
         assert key not in keys
         keys.add(key)
 
@@ -356,21 +362,80 @@ def test_mutant_convictions_are_pinned_at_width_6(mutant_id):
         == MUTANTS_AT_6[mutant_id]
 
 
+# Without a key region: the catalogue drops its key formulas, and the two
+# key mutants violate none of those left.
+
+CATALOGUE_AT_5_KEYLESS = [
+    ("mon-gpio-read-in-er", "holds", 8),
+    ("mon-gpio-one-shot", "holds", 12),
+    ("mon-no-write-at-auth", "holds", 8),
+    ("mon-er-exit-at-end", "holds", 8),
+    ("mon-er-entry-at-start", "holds", 8),
+    ("mon-er-no-irq-dma", "holds", 8),
+    ("e2e-atomic-execution", "holds", 16),
+    ("mon-revoke-gpio-on-write", "holds", 13),
+]
+
+# mutant: (violated formula, explored states, prefix length, loop length,
+# SHA-256 of the counterexample's repr), or None
+MUTANTS_AT_5_KEYLESS = {
+    "rlock-reads-allowed": ("mon-gpio-read-in-er", 1, 1, 1,
+        "25f822942710c0ed565b5fa2153143d27f4873b5385b85a454a0776d54b35027"),
+    "unlock-without-auth": ("mon-gpio-one-shot", 9, 4, 1,
+        "2ca61328808ea168e530569970fd3c085fdfcdf1440e9bbb89e10cebc2f8bbf7"),
+    "outside-reads-allowed": ("mon-gpio-read-in-er", 4, 3, 1,
+        "12060a5d7c2331561852970cf790fbc792f71b507deaf7dfb8f0536904970767"),
+    "exit-reads-allowed": ("mon-gpio-one-shot", 5, 4, 1,
+        "7c5b6a8e8b8fa67d9ee475b14547f5ca6816201679c5ce37e94a8451b2fc26f2"),
+    "no-relock-on-exit": ("mon-gpio-one-shot", 12, 5, 1,
+        "a484048ae8acdacfbc88703c207ecda0cf786bc4ad7d68809b532a2c3e90c73d"),
+    "no-relock-on-write": ("mon-revoke-gpio-on-write", 14, 5, 1,
+        "79c4b0e1b3a54605ce2019701844ce2f2ebb6d57b8312bd1583505b7101dad34"),
+    "auth-write-relocks-only": ("mon-no-write-at-auth", 2, 2, 1,
+        "6a4020c0d7ba10abc08be069fbe0c6620a276a61feb8968f69af12a7d0442f43"),
+    "entry-anywhere": ("mon-er-entry-at-start", 2, 3, 1,
+        "dafa6d2b6dc17e6c36519fed928c3a7be6a1b94707f9435a9ac99940e66946c7"),
+    "exit-anywhere": ("mon-er-exit-at-end", 3, 2, 1,
+        "5ca48380e4ba7c7d9784c09d2bde4197082820dc549688f943306b611c05f044"),
+    "irq-dma-ignored": ("mon-er-no-irq-dma", 1, 2, 1,
+        "545804b21db914220266358f796a48e282f490fe9b6459cf205f8f5990f5280d"),
+    "ekr-write-anywhere": None,
+    "ekr-reads-ignored": None,
+}
+
+
+def test_keyless_catalogue_results_are_pinned_at_width_5():
+    results = check_catalogue(SPACE5, ekr_enabled=False)
+    assert [(r.formula_name, r.verdict, r.explored_states)
+            for r in results] == CATALOGUE_AT_5_KEYLESS
+
+
+@pytest.mark.parametrize("mutant_id", sorted(MUTANTS_AT_5_KEYLESS))
+def test_keyless_mutant_convictions_are_pinned_at_width_5(mutant_id):
+    name, result = find_mutant_violation(mutant_id, SPACE5, ekr_enabled=False)
+    if result is None:
+        assert name is None and MUTANTS_AT_5_KEYLESS[mutant_id] is None
+        return
+    lasso = result.counterexample
+    assert (name, result.explored_states, len(lasso.prefix), len(lasso.loop),
+            hashlib.sha256(repr(lasso).encode()).hexdigest()) \
+        == MUTANTS_AT_5_KEYLESS[mutant_id]
+
+
 # ---------------------------------------------------------------------------
 # The alphabet against a scalar enumeration of its class key
 
 
-def reference_class_key(rec: StateRecord, cfg, props, names) -> tuple:
+def reference_class_key(rec: StateRecord, letter_of, props, names) -> tuple:
     """The monitor letter of one record, then each named entry evaluated
     on it."""
-    return (cfg.letter(rec),) + tuple(bool(props[n](rec)) for n in sorted(names))
+    return (letter_of(rec),) + tuple(bool(props[n](rec)) for n in sorted(names))
 
 
 def reference_alphabet(space, names) -> list[StateRecord]:
     """One record per class, first candidate first, enumerated one
     candidate at a time."""
-    cfg = MonitorConfig.from_layout(space)
-    props = build_props(space)
+    letter_of, props = table_letter(space), build_props(space)
     letters: dict[tuple, StateRecord] = {}
     for er_min, er_max in default_er_choices(space):
         top = (1 << space.width) - 1
@@ -396,7 +461,7 @@ def reference_alphabet(space, names) -> list[StateRecord]:
                 cycle=0, pc=pc, r_en=r_en, w_en=w_en, d_addr=d_addr,
                 dma_en=dma_addr is not None, dma_addr=dma_addr or 0,
                 irq=irq, er_min=er_min, er_max=er_max)
-            letters.setdefault(reference_class_key(rec, cfg, props, names), rec)
+            letters.setdefault(reference_class_key(rec, letter_of, props, names), rec)
     return list(letters.values())
 
 
@@ -414,9 +479,9 @@ def test_alphabet_equals_scalar_enumeration(width):
     assert_alphabet_equals_scalar_enumeration(space, catalogue_names(space))
 
 
-def test_alphabet_keyed_past_63_bits_equals_scalar_enumeration():
+def test_alphabet_keyed_on_48_names_equals_scalar_enumeration():
     # 48 names and the 17-bit monitor letter: the reference key runs past
-    # 63 bits, while the checker's keeps one bit per entry, 49 here. The
+    # 63 bits, while the checker's keeps one int64 bit per entry, 49 here. The
     # three entries left out are those that tell a DMA transfer at the
     # metadata apart, so only the letter's own entry among them,
     # ``dma_touch METADATA``, keeps that class.
@@ -431,7 +496,7 @@ def test_explorer_columns_equal_the_table_on_each_letter():
     # keyed on all of them, under both reset outputs.
     props = build_props(SPACE5)
     names = accepted_names(SPACE5)
-    explorer = _explorer(SPACE5, DEFAULT_GUARDS, True, map(Prop, names))
+    explorer = _explorer(SPACE5, DEFAULT_GUARDS, map(Prop, names))
     alphabet = explorer.alphabet
     for name in names:
         fn = props[name]
@@ -552,14 +617,14 @@ def test_nested_shapes_agree_with_bounded_search(text):
 def assert_rows_equal_monitor_step(explorer: _Explorer) -> None:
     """Every reachable state's row against ``monitor_step`` on each letter,
     with the initial state numbered 0."""
-    cfg, guards, compiled = explorer.cfg, explorer.guards, explorer.monitor
-    letters = [cfg.letter(rec) for rec in explorer.alphabet]
+    guards, compiled = explorer.guards, explorer.monitor
+    letters = [table_letter(explorer.space)(rec) for rec in explorer.alphabet]
     assert compiled.number[INITIAL_STATE] == 0
     reached = [INITIAL_STATE]
     for state in reached:  # grows as the rows reach new states
         ids, outs = explorer.row(compiled.number[state])
         for idx, letter in enumerate(letters):
-            expected = monitor_step(state, letter, guards, cfg.ekr_enabled)
+            expected = monitor_step(state, letter, guards)
             assert (compiled.states[ids[idx]], bool(outs[idx])) == expected, \
                 (state, idx)
             if expected[0] not in reached:
@@ -571,7 +636,7 @@ def assert_rows_equal_monitor_step(explorer: _Explorer) -> None:
 def test_catalogue_rows_equal_monitor_step(width, ekr_enabled):
     for guards in _GUARD_SETS:
         assert_rows_equal_monitor_step(
-            _catalogue_explorer(scaled_space(width), guards, ekr_enabled))
+            catalogue_explorer(scaled_space(width), guards, ekr_enabled))
 
 
 @pytest.mark.parametrize("width", [5, 6])
@@ -580,7 +645,7 @@ def test_curated_rows_equal_monitor_step(width, ekr_enabled):
     space = scaled_space(width)
     for guards in _GUARD_SETS:
         assert_rows_equal_monitor_step(_Explorer(
-            MonitorConfig.from_layout(space, ekr_enabled), guards,
+            space, guards if ekr_enabled else guards.keyless(),
             curated_alphabet(space), build_props(space)))
 
 
@@ -622,10 +687,9 @@ def reference_brute_force(formula, space, guards=DEFAULT_GUARDS,
                           max_len: int = 3) -> tuple[str, int, str]:
     """The bounded search with no word memo, every lasso evaluated: its
     verdict, explored count and counterexample ``repr``."""
-    cfg = MonitorConfig.from_layout(space)
     props = build_props(space)
     alphabet = curated_alphabet(space)
-    table = _Explorer(cfg, guards, alphabet, props)
+    table = _Explorer(space, guards, alphabet, props)
     rows = {}
     start = table.monitor.number[INITIAL_STATE]
     explored = 0
@@ -639,8 +703,7 @@ def reference_brute_force(formula, space, guards=DEFAULT_GUARDS,
                     rows[sid] = tuple(a.tolist() for a in table.row(sid))
                 sid, out = rows[sid][0][idx], rows[sid][1][idx]
                 prefix.append(alphabet[idx]._replace(reset=bool(out), cycle=i))
-            lead, loop = _quiet_tail(table.monitor.states[sid], length, space, cfg,
-                                     guards)
+            lead, loop = _quiet_tail(table.monitor.states[sid], length, space, guards)
             lasso = LassoTrace(prefix=prefix + lead, loop=list(loop))
             if not eval_naive(formula, lasso, 0, props):
                 return "violated", explored, repr(lasso)

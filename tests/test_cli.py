@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcusentry.checker import brute_force_check, scaled_space
 from mcusentry.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from mcusentry.isa import HALT, LOAD, assemble
+from mcusentry.isa import HALT, LOAD, LOADI, STORE, assemble
 from mcusentry.layout import default_layout, format_layout
 from mcusentry.ltl import parse as parse_formula
 from mcusentry.programs import boot_rom, window_for
@@ -22,15 +22,20 @@ from mcusentry.referee import DEFAULT_KEY
 LAYOUT = default_layout()
 
 
+def _write_binary(tmp, binary: bytes) -> None:
+    """The binary to authorize, and an image holding it at 0x4000."""
+    (tmp / "s.bin").write_bytes(binary)
+    image = bytearray(0x4000 + len(binary))
+    image[0x4000:0x4000 + len(binary)] = binary
+    (tmp / "image.bin").write_bytes(bytes(image))
+
+
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "key.bin").write_bytes(DEFAULT_KEY)
     binary = assemble([LOAD(0, LAYOUT.gpio.start), HALT()])
-    (tmp_path / "s.bin").write_bytes(binary)
+    _write_binary(tmp_path, binary)
     (tmp_path / "layout.cfg").write_text(format_layout(LAYOUT))
-    image = bytearray(0x4000 + len(binary))
-    image[0x4000:0x4000 + len(binary)] = binary
-    (tmp_path / "image.bin").write_bytes(bytes(image))
     (tmp_path / "rom.bin").write_bytes(boot_rom(0xEFFE))
     return tmp_path, binary
 
@@ -115,6 +120,34 @@ def test_run_tampered_message_rejected(workdir, capsys):
     out = capsys.readouterr().out
     assert "verify=bottom" in out and "xsensing=bottom" in out
     assert code == EXIT_OK
+
+
+def test_run_no_ekr_drops_the_key_write_guard(workdir, capsys):
+    # The window writes the key region before it senses: the key-write
+    # guard resets the run, and a device without a key region has none.
+    tmp, _ = workdir
+    binary = assemble([LOADI(0, 0), STORE(0, LAYOUT.ekr.start),
+                       LOAD(0, LAYOUT.gpio.start), HALT()])
+    _write_binary(tmp, binary)
+    _authorize(tmp)
+    er = window_for(binary, 0x4000)
+    assert main(_run_args(tmp, er)) == EXIT_VIOLATION
+    assert "verify=top xsensing=bottom" in capsys.readouterr().out
+    assert main(_run_args(tmp, er, ["--no-ekr"])) == EXIT_OK
+    assert "verify=top xsensing=top" in capsys.readouterr().out
+
+
+def test_check_no_ekr_drops_the_key_formulas(capsys):
+    assert main(["check", "--no-ekr", "--width", "5"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 8 and all("holds" in row for row in rows)
+    assert not any("ekr" in row for row in rows)
+
+
+def test_check_no_ekr_key_mutant_violates_nothing(capsys):
+    assert main(["check", "--no-ekr", "--width", "5",
+                 "--mutate", "ekr-write-anywhere"]) == EXIT_VIOLATION
+    assert "no catalogue formula violated" in capsys.readouterr().out
 
 
 def test_check_single_formula(capsys):

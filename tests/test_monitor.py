@@ -11,18 +11,19 @@ from mcusentry import referee
 from mcusentry.checker import scaled_space
 from mcusentry.layout import default_layout
 from mcusentry.machine import StateRecord
-from mcusentry.monitor import (ATOM_READS, DEFAULT_GUARDS, EKR_READS, GPIO_READS,
-                               INITIAL_STATE, LETTER, AtomState,
-                               EkrState, GpioState, GuardFlags, Monitor,
-                               MonitorConfig, MonitorState, compiled_monitor,
-                               monitor_step, step_atomicity_fsm,
-                               step_ekr_write_fsm, step_gpio_fsm, table_letter)
+from mcusentry.monitor import (ATOM_READS, DEFAULT_GUARDS, DMA_EKR, EKR_READS,
+                               GPIO_READS, INITIAL_STATE, LETTER, READ_EKR,
+                               WRITE_EKR, AtomState, EkrState, GpioState,
+                               GuardFlags, Monitor, MonitorState,
+                               compiled_monitor, monitor_step,
+                               step_atomicity_fsm, step_ekr_write_fsm,
+                               step_gpio_fsm, table_letter)
 from mcusentry.mutants import MUTANTS
 from mcusentry.props import build_props
 from mcusentry.scenarios import CATALOGUE
 
 LAYOUT = default_layout()
-CFG = MonitorConfig.from_layout(LAYOUT)
+LETTER_OF = table_letter(LAYOUT)
 ER = (0x4000, 0x4004)
 
 
@@ -57,150 +58,150 @@ class TestAccessPredicates:
 
 class TestGpioFsm:
     def test_reset_leaves_only_at_zero(self):
-        assert step_gpio_fsm(GpioState.RESET, CFG.letter(inp(pc=0x1234))) == \
+        assert step_gpio_fsm(GpioState.RESET, LETTER_OF(inp(pc=0x1234))) == \
             (GpioState.RESET, True)
-        assert step_gpio_fsm(GpioState.RESET, CFG.letter(inp(pc=0))) == \
+        assert step_gpio_fsm(GpioState.RESET, LETTER_OF(inp(pc=0))) == \
             (GpioState.RLOCK, False)
 
     def test_locked_unlocks_on_auth_address(self):
-        state, reset = step_gpio_fsm(GpioState.RLOCK, CFG.letter(inp(pc=LAYOUT.i_auth)))
+        state, reset = step_gpio_fsm(GpioState.RLOCK, LETTER_OF(inp(pc=LAYOUT.i_auth)))
         assert state is GpioState.RUNLOCK and not reset
 
     def test_locked_read_resets(self):
         state, reset = step_gpio_fsm(
-            GpioState.RLOCK, CFG.letter(inp(dma_en=True, dma_addr=LAYOUT.gpio.start)))
+            GpioState.RLOCK, LETTER_OF(inp(dma_en=True, dma_addr=LAYOUT.gpio.start)))
         assert state is GpioState.RESET and reset
 
     def test_unlocked_outside_read_resets(self):
         state, reset = step_gpio_fsm(
             GpioState.RUNLOCK,
-            CFG.letter(inp(pc=0x5000, r_en=True, d_addr=LAYOUT.gpio.start)))
+            LETTER_OF(inp(pc=0x5000, r_en=True, d_addr=LAYOUT.gpio.start)))
         assert state is GpioState.RESET and reset
 
     def test_unlocked_inside_read_allowed(self):
         state, reset = step_gpio_fsm(
             GpioState.RUNLOCK,
-            CFG.letter(inp(pc=0x4002, r_en=True, d_addr=LAYOUT.gpio.start)))
+            LETTER_OF(inp(pc=0x4002, r_en=True, d_addr=LAYOUT.gpio.start)))
         assert state is GpioState.RUNLOCK and not reset
 
     def test_read_at_exit_word_resets(self):
         state, reset = step_gpio_fsm(
             GpioState.RUNLOCK,
-            CFG.letter(inp(pc=ER[1], r_en=True, d_addr=LAYOUT.gpio.start)))
+            LETTER_OF(inp(pc=ER[1], r_en=True, d_addr=LAYOUT.gpio.start)))
         assert state is GpioState.RESET and reset
 
     def test_exit_relocks(self):
-        state, reset = step_gpio_fsm(GpioState.RUNLOCK, CFG.letter(inp(pc=ER[1])))
+        state, reset = step_gpio_fsm(GpioState.RUNLOCK, LETTER_OF(inp(pc=ER[1])))
         assert state is GpioState.RLOCK and not reset
 
     def test_metadata_write_revokes(self):
         state, reset = step_gpio_fsm(
             GpioState.RUNLOCK,
-            CFG.letter(inp(pc=0x5000, w_en=True, d_addr=LAYOUT.er_metadata.start)))
+            LETTER_OF(inp(pc=0x5000, w_en=True, d_addr=LAYOUT.er_metadata.start)))
         assert state is GpioState.RLOCK and not reset
 
     def test_write_during_auth_cycle_resets(self):
         for start in (GpioState.RLOCK, GpioState.RUNLOCK):
             state, reset = step_gpio_fsm(
-                start, CFG.letter(inp(pc=LAYOUT.i_auth, dma_en=True,
+                start, LETTER_OF(inp(pc=LAYOUT.i_auth, dma_en=True,
                                       dma_addr=ER[0])))
             assert state is GpioState.RESET and reset
 
 
 class TestEkrWriteFsm:
     def test_boot_unlocks(self):
-        assert step_ekr_write_fsm(EkrState.RESET, CFG.letter(inp(pc=0))) == \
+        assert step_ekr_write_fsm(EkrState.RESET, LETTER_OF(inp(pc=0))) == \
             (EkrState.WUNLOCK, False)
 
     def test_trusted_write_allowed(self):
         state, reset = step_ekr_write_fsm(
             EkrState.WUNLOCK,
-            CFG.letter(inp(pc=LAYOUT.vr.start, w_en=True,
+            LETTER_OF(inp(pc=LAYOUT.vr.start, w_en=True,
                            d_addr=LAYOUT.ekr.start)))
         assert state is EkrState.WUNLOCK and not reset
 
     def test_untrusted_write_resets(self):
         state, reset = step_ekr_write_fsm(
             EkrState.WUNLOCK,
-            CFG.letter(inp(pc=0x5000, w_en=True, d_addr=LAYOUT.ekr.start)))
+            LETTER_OF(inp(pc=0x5000, w_en=True, d_addr=LAYOUT.ekr.start)))
         assert state is EkrState.RESET and reset
 
     def test_dma_touch_always_resets(self):
         state, reset = step_ekr_write_fsm(
             EkrState.WUNLOCK,
-            CFG.letter(inp(pc=LAYOUT.vr.start, dma_en=True,
+            LETTER_OF(inp(pc=LAYOUT.vr.start, dma_en=True,
                            dma_addr=LAYOUT.ekr.start)))
         assert state is EkrState.RESET and reset
 
 
 class TestAtomicityFsm:
     def test_entry_at_first_word(self):
-        state, reset = step_atomicity_fsm(AtomState.NOT_ER, CFG.letter(inp(pc=ER[0])))
+        state, reset = step_atomicity_fsm(AtomState.NOT_ER, LETTER_OF(inp(pc=ER[0])))
         assert state is AtomState.FIRST_ER and not reset
 
     def test_entry_elsewhere_resets(self):
         state, reset = step_atomicity_fsm(AtomState.NOT_ER,
-                                          CFG.letter(inp(pc=ER[0] + 2)))
+                                          LETTER_OF(inp(pc=ER[0] + 2)))
         assert state is AtomState.RESET and reset
 
     def test_irq_inside_resets(self):
         state, reset = step_atomicity_fsm(AtomState.MID_ER,
-                                          CFG.letter(inp(pc=ER[0] + 2, irq=True)))
+                                          LETTER_OF(inp(pc=ER[0] + 2, irq=True)))
         assert state is AtomState.RESET and reset
 
     def test_dma_inside_resets(self):
         state, reset = step_atomicity_fsm(
             AtomState.MID_ER,
-            CFG.letter(inp(pc=ER[0] + 2, dma_en=True, dma_addr=0xE000)))
+            LETTER_OF(inp(pc=ER[0] + 2, dma_en=True, dma_addr=0xE000)))
         assert state is AtomState.RESET and reset
 
     def test_illegal_exit_resets(self):
-        state, reset = step_atomicity_fsm(AtomState.MID_ER, CFG.letter(inp(pc=0x5000)))
+        state, reset = step_atomicity_fsm(AtomState.MID_ER, LETTER_OF(inp(pc=0x5000)))
         assert state is AtomState.RESET and reset
 
     def test_legal_walk(self):
         state = AtomState.NOT_ER
         for pc in (ER[0], ER[0] + 2, ER[1], 0x5000):
-            state, reset = step_atomicity_fsm(state, CFG.letter(inp(pc=pc)))
+            state, reset = step_atomicity_fsm(state, LETTER_OF(inp(pc=pc)))
             assert not reset
         assert state is AtomState.NOT_ER
 
     def test_reentry_from_exit_word(self):
-        state, reset = step_atomicity_fsm(AtomState.LAST_ER, CFG.letter(inp(pc=ER[0])))
+        state, reset = step_atomicity_fsm(AtomState.LAST_ER, LETTER_OF(inp(pc=ER[0])))
         assert state is AtomState.FIRST_ER and not reset
         state, reset = step_atomicity_fsm(AtomState.LAST_ER,
-                                          CFG.letter(inp(pc=ER[0] + 2)))
+                                          LETTER_OF(inp(pc=ER[0] + 2)))
         assert state is AtomState.RESET and reset
 
     def test_degenerate_window_enters_exit_state(self):
         er = (0x4000, 0x4000)
         state, reset = step_atomicity_fsm(AtomState.NOT_ER,
-                                          CFG.letter(inp(pc=0x4000, er=er)))
+                                          LETTER_OF(inp(pc=0x4000, er=er)))
         assert state is AtomState.LAST_ER and not reset
-        state, reset = step_atomicity_fsm(state, CFG.letter(inp(pc=0x5000, er=er)))
+        state, reset = step_atomicity_fsm(state, LETTER_OF(inp(pc=0x5000, er=er)))
         assert state is AtomState.NOT_ER and not reset
 
 
 class TestComposition:
     def test_global_reset_is_disjunction(self):
         live = MonitorState(GpioState.RLOCK, EkrState.WUNLOCK, AtomState.NOT_ER)
-        nxt, reset = monitor_step(live, CFG.letter(inp()))
+        nxt, reset = monitor_step(live, LETTER_OF(inp()))
         assert not reset
         nxt, reset = monitor_step(
-            live, CFG.letter(inp(r_en=True, d_addr=LAYOUT.gpio.start)))
+            live, LETTER_OF(inp(r_en=True, d_addr=LAYOUT.gpio.start)))
         assert reset
 
     def test_any_reset_reinitializes_all_fsms(self):
         live = MonitorState(GpioState.RUNLOCK, EkrState.WUNLOCK, AtomState.NOT_ER)
         nxt, reset = monitor_step(
-            live, CFG.letter(inp(pc=0x5000, w_en=True, d_addr=LAYOUT.ekr.start)))
+            live, LETTER_OF(inp(pc=0x5000, w_en=True, d_addr=LAYOUT.ekr.start)))
         assert reset
         assert nxt == INITIAL_STATE == MonitorState(GpioState.RESET, EkrState.RESET,
                                                     AtomState.RESET)
 
     def test_boot_record_releases_all_fsms(self):
         state = MonitorState()
-        nxt, reset = monitor_step(state, CFG.letter(inp(pc=0)))
+        nxt, reset = monitor_step(state, LETTER_OF(inp(pc=0)))
         assert not reset
         assert nxt == MonitorState(GpioState.RLOCK, EkrState.WUNLOCK,
                                    AtomState.NOT_ER)
@@ -208,21 +209,9 @@ class TestComposition:
     def test_dirty_boot_record_stays_reset(self):
         state = MonitorState()
         nxt, reset = monitor_step(
-            state, CFG.letter(inp(pc=0, dma_en=True, dma_addr=LAYOUT.gpio.start)))
+            state, LETTER_OF(inp(pc=0, dma_en=True, dma_addr=LAYOUT.gpio.start)))
         assert reset
         assert nxt.gpio is GpioState.RESET
-
-    def test_ekr_disabled_ignores_key_region(self):
-        cfg = MonitorConfig.from_layout(LAYOUT, ekr_enabled=False)
-        live = MonitorState(GpioState.RLOCK, EkrState.WUNLOCK, AtomState.NOT_ER)
-        _, reset = monitor_step(
-            live, cfg.letter(inp(r_en=True, d_addr=LAYOUT.ekr.start)),
-            DEFAULT_GUARDS, cfg.ekr_enabled)
-        assert not reset
-        _, reset = monitor_step(
-            live, cfg.letter(inp(w_en=True, d_addr=LAYOUT.ekr.start, pc=0x5000)),
-            DEFAULT_GUARDS, cfg.ekr_enabled)
-        assert not reset
 
 
 class TestObserverMode:
@@ -264,15 +253,13 @@ def records(draw):
 @settings(max_examples=150, deadline=None)
 @given(stream=st.lists(records(), max_size=40),
        flags=st.lists(st.booleans(), min_size=len(fields(GuardFlags)),
-                      max_size=len(fields(GuardFlags))),
-       ekr_enabled=st.booleans())
-def test_monitor_object_matches_folded_monitor_step(stream, flags, ekr_enabled):
+                      max_size=len(fields(GuardFlags))))
+def test_monitor_object_matches_folded_monitor_step(stream, flags):
     guards = GuardFlags(*flags)
-    cfg = MonitorConfig.from_layout(LAYOUT, ekr_enabled)
-    monitor = Monitor(cfg, guards)
+    monitor = Monitor(LAYOUT, guards)
     state = INITIAL_STATE
     for rec in stream:
-        state, out = monitor_step(state, cfg.letter(rec), guards, cfg.ekr_enabled)
+        state, out = monitor_step(state, LETTER_OF(rec), guards)
         assert monitor.step(rec) == out
         assert monitor.state == state
 
@@ -281,7 +268,10 @@ def test_monitor_object_matches_folded_monitor_step(stream, flags, ekr_enabled):
 # hug every boundary the transition key compares against.
 _EVERY_STATE = [MonitorState(*combo) for combo in product(
     GpioState, EkrState, AtomState)]
+# The healthy guards, the 12 mutants, and each of those without a key region
+# (the two key mutants' keyless sets are the healthy one's).
 _GUARD_SETS = [DEFAULT_GUARDS] + [guards for _, guards in MUTANTS.values()]
+_GUARD_SETS = list(dict.fromkeys(_GUARD_SETS + [g.keyless() for g in _GUARD_SETS]))
 _WINDOWS = [ER, (ER[0], ER[0]), (ER[1], ER[0]), (LAYOUT.i_auth, LAYOUT.i_auth + 4),
             (LAYOUT.gpio.start, LAYOUT.gpio.start + 4)]
 
@@ -330,76 +320,70 @@ def _twins(rec, key, addrs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(drawn=hugging_streams(), guards=st.sampled_from(_GUARD_SETS),
-       ekr_enabled=st.booleans())
-def test_memoized_step_equals_monitor_step_from_every_state(drawn, guards,
-                                                            ekr_enabled):
+@given(drawn=hugging_streams(), guards=st.sampled_from(_GUARD_SETS))
+def test_memoized_step_equals_monitor_step_from_every_state(drawn, guards):
     """Each record, then each of its same-key twins, is stepped from all
     30 monitor states, so the twins' lookups hit the record's entries."""
     stream, addrs = drawn
-    cfg = MonitorConfig.from_layout(LAYOUT, ekr_enabled)
-    monitor = Monitor(cfg, guards)
+    monitor = Monitor(LAYOUT, guards)
     for original in stream:
-        for rec in [original] + _twins(original, cfg.letter, addrs):
+        for rec in [original] + _twins(original, LETTER_OF, addrs):
             for state in _EVERY_STATE:
                 expected_state, expected_out = monitor_step(
-                    state, cfg.letter(rec), guards, cfg.ekr_enabled)
+                    state, LETTER_OF(rec), guards)
                 monitor.state = state
                 assert monitor.step(rec) == expected_out, (state, rec)
                 assert monitor.state == expected_state, (state, rec)
 
 
-def _memo_entries_equal_monitor_step(memo, guards, ekr_enabled):
-    return all(entry == monitor_step(state, letter, guards, ekr_enabled)
+def _memo_entries_equal_monitor_step(memo, guards):
+    return all(entry == monitor_step(state, letter, guards)
                for state, row in memo.items() for letter, entry in row.items())
 
 
 def test_guard_sets_never_share_a_table():
-    cfg = MonitorConfig.from_layout(LAYOUT)
     stream = [inp(pc=0), inp(r_en=True, d_addr=LAYOUT.gpio.start),
               inp(pc=0), inp(pc=LAYOUT.i_auth), inp(pc=ER[0] + 2), inp(pc=ER[0]),
               inp(pc=ER[0] + 2, irq=True), inp(pc=0),
               inp(w_en=True, d_addr=LAYOUT.ekr.start)]
     memos = []
     for guards in _GUARD_SETS:
-        monitor = Monitor(cfg, guards)  # steps on its guard set's memo
-        memo = compiled_monitor(guards, True).memo
+        monitor = Monitor(LAYOUT, guards)  # steps on its guard set's memo
+        memo = compiled_monitor(guards).memo
         assert monitor._memo is memo
         state = INITIAL_STATE
         for rec in stream:
-            state, out = monitor_step(state, cfg.letter(rec), guards)
+            state, out = monitor_step(state, LETTER_OF(rec), guards)
             assert monitor.step(rec) == out
             assert monitor.state == state
         # The monitor filled this guard set's memo, with its own guards' steps.
-        assert memo and _memo_entries_equal_monitor_step(memo, guards, True)
+        assert memo and _memo_entries_equal_monitor_step(memo, guards)
         memos.append(memo)
     assert len({id(memo) for memo in memos}) == len(_GUARD_SETS)
     # The stream tells the healthy monitor from some mutants.
-    assert len({tuple(_outputs(cfg, g, stream)) for g in _GUARD_SETS}) > 1
+    assert len({tuple(_outputs(g, stream)) for g in _GUARD_SETS}) > 1
 
 
-def _outputs(cfg, guards, stream):
-    monitor = Monitor(cfg, guards)
+def _outputs(guards, stream):
+    monitor = Monitor(LAYOUT, guards)
     return [monitor.step(rec) for rec in stream]
 
 
 def test_one_memo_per_guards_across_layouts():
     # A letter names comparator outputs, not addresses: monitors over two
-    # layouts with equal guards and ekr share one memo, and any other guard
-    # set or ekr value has its own.
+    # layouts with equal guards share one memo, and any other guard set has
+    # its own.
     layouts = [default_layout(), scaled_space(5)]
-    for guards, ekr_enabled in product(_GUARD_SETS, (True, False)):
-        memo = compiled_monitor(guards, ekr_enabled).memo
+    for guards in _GUARD_SETS:
+        memo = compiled_monitor(guards).memo
         for layout in layouts:
-            monitor = Monitor.for_layout(layout, ekr_enabled, guards)
+            monitor = Monitor.for_layout(layout, guards)
             assert monitor._memo is memo
             for rec in [inp(pc=0), inp(pc=layout.i_auth), inp(pc=layout.vr.start),
                         inp(pc=0, w_en=True, d_addr=layout.ekr.start)]:
                 monitor.step(rec)
-        assert memo and _memo_entries_equal_monitor_step(memo, guards, ekr_enabled)
-        others = [compiled_monitor(g, e).memo
-                  for g, e in product(_GUARD_SETS, (True, False))
-                  if (g, e) != (guards, ekr_enabled)]
+        assert memo and _memo_entries_equal_monitor_step(memo, guards)
+        others = [compiled_monitor(g).memo for g in _GUARD_SETS if g != guards]
         assert all(other is not memo for other in others)
 
 
@@ -409,24 +393,37 @@ _LETTERS = st.integers(0, (1 << len(LETTER)) - 1)
 
 
 @settings(max_examples=100, deadline=None)
-@given(letter=_LETTERS, guards=st.sampled_from(_GUARD_SETS),
-       ekr_enabled=st.booleans())
-def test_table_step_equals_monitor_step_from_every_state(letter, guards,
-                                                         ekr_enabled):
-    compiled = compiled_monitor(guards, ekr_enabled)
+@given(letter=_LETTERS, guards=st.sampled_from(_GUARD_SETS))
+def test_table_step_equals_monitor_step_from_every_state(letter, guards):
+    compiled = compiled_monitor(guards)
     indices = compiled.indices(np.array([letter]))
     for state in _EVERY_STATE:
         nxt, out = compiled.successors(compiled.number[state], indices)
         assert (compiled.states[nxt[0]], bool(out[0])) == \
-            monitor_step(state, letter, guards, ekr_enabled), state
+            monitor_step(state, letter, guards), state
 
 
-# Each FSM with the bits its table is indexed by, stepped under a guard set
-# and an ekr value (the atomicity FSM takes none).
+def test_keyless_guards_ignore_every_key_bit():
+    # Without a key region no key access may change a step: from every
+    # composed state, on all 2^17 letters, the key bits cleared or not.
+    letters = np.arange(1 << len(LETTER))
+    keyless = dict.fromkeys(g.keyless() for g in _GUARD_SETS)
+    assert len(keyless) == 11
+    for guards in keyless:
+        compiled = compiled_monitor(guards)
+        indices = compiled.indices(letters)
+        cleared = compiled.indices(letters & ~(READ_EKR | WRITE_EKR | DMA_EKR))
+        for sid in range(len(compiled.states)):
+            for got, want in zip(compiled.successors(sid, indices),
+                                 compiled.successors(sid, cleared)):
+                assert np.array_equal(got, want), (guards, compiled.states[sid])
+
+
+# Each FSM with the bits its table is indexed by, stepped under a guard set.
 _FSMS = [
-    (GpioState, GPIO_READS, lambda s, letter, g, ekr: step_gpio_fsm(s, letter, g, ekr)),
-    (EkrState, EKR_READS, lambda s, letter, g, ekr: step_ekr_write_fsm(s, letter, g, ekr)),
-    (AtomState, ATOM_READS, lambda s, letter, g, ekr: step_atomicity_fsm(s, letter, g)),
+    (GpioState, GPIO_READS, step_gpio_fsm),
+    (EkrState, EKR_READS, step_ekr_write_fsm),
+    (AtomState, ATOM_READS, step_atomicity_fsm),
 ]
 
 
@@ -441,18 +438,18 @@ def test_each_fsm_reads_only_the_bits_of_its_table(letter):
             if reads >> bit & 1:
                 continue
             flipped = letter ^ 1 << bit
-            for guards, ekr_enabled, state in product(
-                    _GUARD_SETS, (False, True), states):
-                assert step(state, flipped, guards, ekr_enabled) == \
-                    step(state, letter, guards, ekr_enabled), (state, LETTER[bit])
+            for guards, state in product(_GUARD_SETS, states):
+                assert step(state, flipped, guards) == \
+                    step(state, letter, guards), (state, LETTER[bit])
 
 
 def test_fsm_tables_are_kept_per_guard_set():
-    assert compiled_monitor.cache_info().maxsize >= 2 * len(_GUARD_SETS)
-    compiled = compiled_monitor(DEFAULT_GUARDS, True)
+    assert len(_GUARD_SETS) == 24
+    assert compiled_monitor.cache_info().maxsize >= len(_GUARD_SETS)
+    compiled = compiled_monitor(DEFAULT_GUARDS)
     assert [t.shape for t in compiled.tables] == [(3, 4096), (2, 16), (5, 64)]
-    assert compiled_monitor(GuardFlags(), True) is compiled
-    assert compiled_monitor(DEFAULT_GUARDS, False) is not compiled
+    assert compiled_monitor(GuardFlags()) is compiled
+    assert compiled_monitor(DEFAULT_GUARDS.keyless()) is not compiled
     # The 30 FSM triples in product order, each numbered by its index.
     assert compiled.number[INITIAL_STATE] == 0
     assert compiled.states == tuple(_EVERY_STATE)
@@ -488,21 +485,20 @@ def letter_records(draw, layout):
 def test_letter_bits_are_the_named_propositions(data, layout):
     assert len(LETTER) == 17
     recs = data.draw(st.lists(letter_records(layout), min_size=1, max_size=40))
-    letter, props = MonitorConfig.from_layout(layout).letter, build_props(layout)
+    letter, props = table_letter(layout), build_props(layout)
     for rec in recs:
         assert letter(rec) >> len(LETTER) == 0, rec
         for bit, name in enumerate(LETTER):
             assert bool(letter(rec) >> bit & 1) == bool(props[name](rec)), (name, rec)
 
 
-def test_letter_tables_are_built_once_per_config_value():
-    cfg, again = (MonitorConfig.from_layout(default_layout()) for _ in range(2))
-    assert cfg is not again and table_letter(cfg) is table_letter(again)
-    assert cfg.letter is again.letter
-    for other in (MonitorConfig.from_layout(default_layout(), ekr_enabled=False),
-                  MonitorConfig.from_layout(scaled_space(5))):
-        assert table_letter(other) is not table_letter(cfg)
-    # Each round's Monitor.for_layout builds a new config equal to ``cfg``.
+def test_letter_tables_are_built_once_per_layout_value():
+    layout, again = default_layout(), default_layout()
+    assert layout is not again and table_letter(layout) is table_letter(again)
+    # A key-less monitor reads the same letters: its guards drop the key bits.
+    assert Monitor(layout, DEFAULT_GUARDS.keyless())._letter is table_letter(again)
+    assert table_letter(scaled_space(5)) is not table_letter(layout)
+    # Each round's Monitor.for_layout is handed a new layout equal to ``layout``.
     built = table_letter.cache_info().misses
     for _ in range(2):
         referee.run_scenario(CATALOGUE["happy-path"]())

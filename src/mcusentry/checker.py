@@ -14,9 +14,12 @@ that key, so the first candidate of a class stands for all of it
 Saïdi, CAV 1997). A formula naming a proposition outside an explorer's key
 is refused. The alphabet depends only on the space and the key's names, so
 ``build_alphabet`` keeps the last few it built: a catalogue sweep and each
-mutant conviction share one. Coverage is exhaustive only over the classes
-the curated windows produce: the FSM state (rUNLOCK, wUNLOCK, lastER) is
-never reached (ROADMAP open item 5).
+mutant conviction share one, and with it every table that does not read
+the guards (an ``Alphabet``: the letters' FSM-table indices and each
+obligation's progressions); only the rows are built per guard set.
+Coverage is exhaustive only over the classes the curated windows
+produce: the FSM state (rUNLOCK, wUNLOCK, lastER) is never reached
+(ROADMAP open item 5).
 
 Checking walks the reachable product of monitor state with a pending
 obligation by formula progression (Bacchus & Kabanza, AIJ 2000): each
@@ -33,8 +36,9 @@ reachable state one row, the next state's number and the reset output on
 every letter. ``monitor_step`` runs only in the quiet tails and the
 replays, a path independent of the tables. A node expands by gathers:
 its obligation's progressions, computed once per process for each code
-of the propositions it reads (``_Obligations``), at the codes of its
-row's letters and reset outputs. New nodes are queued in the order of
+of the propositions it reads (``_Obligations``) and once per alphabet
+for every letter under either reset output, at its row's reset
+outputs. New nodes are queued in the order of
 the first letter that reaches them, and the violation reported is the
 first violating letter. Counterexamples are rebuilt as concrete lassos
 and replay through the real transition function, which must bring the
@@ -54,7 +58,7 @@ bound it stays incomplete.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence, Set
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -67,8 +71,9 @@ from .layout import Region
 from .ltl import (And, B, Formula, G, Implies, LassoTrace, Not, Or, Prop, U,
                   W, X, check_props, eval_naive, to_text)
 from .machine import RecordColumns, StateRecord
-from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, LETTER, GuardFlags,
-                      MonitorState, compiled_monitor, monitor_step, table_letter)
+from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, LETTER, CompiledMonitor,
+                      GuardFlags, MonitorState, compiled_monitor, monitor_step,
+                      table_letter)
 from .mutants import mutant_guards
 from .props import build_props
 
@@ -167,10 +172,9 @@ def _candidates(space: ScaledSpace, er_min: int, er_max: int) -> dict[str, np.nd
     }
 
 
-def _class_key(space: ScaledSpace, names: Set[str]):
+def _class_key(props: dict, names: Set[str]):
     """A candidate view's class keys: one bit per ``props`` entry of the
     monitor letter or ``names``, at most the table's 51, so an int64."""
-    props = build_props(space)
     names = sorted(set(LETTER) | names)
 
     def class_key(view) -> np.ndarray:
@@ -189,21 +193,67 @@ def _first_of_each_class(columns: dict[str, np.ndarray], class_key):
     return {name: col[first] for name, col in columns.items()}, keys[first]
 
 
+class Alphabet(tuple):
+    """Letters (``StateRecord``s) with the explorer tables that depend on
+    them alone, never on a guard set: their column view, each letter's
+    index into each FSM table (``indices``) and, filled at first use, each
+    obligation's progressions (``next_obligations``). ``props`` is the
+    space's proposition table and ``names`` the propositions the letters'
+    class key carries.
+    """
+
+    def __new__(cls, letters: Iterable[StateRecord], space: ScaledSpace,
+                props: dict, names: frozenset[str] = frozenset()):
+        self = super().__new__(cls, letters)
+        self.space, self.props, self.names = space, props, names
+        self.view = RecordColumns(self)
+        self.indices = CompiledMonitor.indices(sum(
+            np.asarray(props[name](self.view), np.intp) << bit
+            for bit, name in enumerate(LETTER)))
+        self._next: dict[int, np.ndarray] = {}
+        return self
+
+    def column(self, p: Prop) -> np.ndarray:
+        """A proposition on every letter under either reset output, a (2,
+        letters) bool array: the ``props`` entry on the column view, or for
+        ``reset``, which no other entry reads, the reset output itself."""
+        shape = (2, len(self))
+        if p.name == "reset":
+            return np.broadcast_to([[False], [True]], shape)
+        return np.broadcast_to(np.asarray(self.props[p.name](self.view), bool), shape)
+
+    def next_obligations(self, oid: int) -> np.ndarray:
+        """Obligation ``oid`` progressed over every letter, indexed
+        ``[reset output, letter]``: once per distinct code of the
+        propositions it reads (``reads[i]`` at bit ``i``; the table's 51
+        names fit an int64), then gathered at each letter's code."""
+        nxt = self._next.get(oid)
+        if nxt is None:
+            packed = np.zeros((2, len(self)), dtype=np.intp)
+            for bit, name in enumerate(_OBLIGATIONS.entries[oid][1]):  # its reads
+                packed |= self.column(Prop(name)).astype(np.intp) << bit
+            codes, index = np.unique(packed, return_inverse=True)
+            lut = np.array([_OBLIGATIONS.next(oid, code) for code in codes.tolist()])
+            nxt = self._next[oid] = lut[index.reshape(packed.shape)]
+        return nxt
+
+
 @lru_cache(maxsize=8)
-def build_alphabet(space: ScaledSpace,
-                   names: frozenset[str]) -> tuple[StateRecord, ...]:
+def build_alphabet(space: ScaledSpace, names: frozenset[str]) -> Alphabet:
     """Concrete letters: the first candidate of each class of the key
     that extends the monitor letter with ``names``, in candidate order.
-    Memoised on its (hashable) arguments, hence immutable."""
-    class_key = _class_key(space, names)
+    Memoised on its (hashable) arguments, hence immutable but for the
+    tables it fills at first use, which every explorer over it shares."""
+    props = build_props(space)
+    class_key = _class_key(props, names)
     kept = [_first_of_each_class(_candidates(space, lo, hi), class_key)
             for lo, hi in default_er_choices(space)]
     first = np.sort(np.unique(np.concatenate([keys for _, keys in kept]),
                               return_index=True)[1])
     columns = {name: np.concatenate([c[name] for c, _ in kept])[first].tolist()
                for name in kept[0][0]}
-    return tuple(StateRecord(cycle=0, **dict(zip(columns, row)))
-                 for row in zip(*columns.values()))
+    return Alphabet((StateRecord(cycle=0, **dict(zip(columns, row)))
+                     for row in zip(*columns.values())), space, props, names)
 
 
 # ---------------------------------------------------------------------------
@@ -359,75 +409,37 @@ def _key_names(formulas: Iterable[Formula], props: dict) -> frozenset[str]:
 
 
 class _Explorer:
-    """The monitor as a transition table over one alphabet, shared by the
-    formulas checked against it.
+    """The monitor of one guard set as a transition table over one
+    ``Alphabet``, shared by the formulas checked against it.
 
     A monitor state is its number in ``monitor``, the guard set's
     compiled monitor. ``row(sid)`` holds, for every letter, the next
     state's number and the reset output (``monitor.successors`` at the
-    letters' table indices), kept per state. ``column(Prop(name))`` is a
-    proposition on every letter under either reset output, a (2, letters)
-    bool array: the ``props`` entry on the alphabet's column view, or for
-    ``reset``, which no other entry reads, the reset output itself.
-    ``codes(names)`` packs such columns, kept per ``names``, and
-    ``step(sid, oid)`` gives a product node's successors. ``names`` are
-    the propositions the alphabet's class key carries.
+    alphabet's table indices), kept per state: the rows are the only
+    tables that read the guards. ``step(sid, oid)`` gives a product
+    node's successors.
     """
 
-    def __init__(self, space: ScaledSpace, guards: GuardFlags,
-                 alphabet: Sequence[StateRecord], props: dict,
-                 names: frozenset[str] = frozenset()):
-        self.space = space
+    def __init__(self, guards: GuardFlags, alphabet: Alphabet):
         self.guards = guards
         self.alphabet = alphabet
-        self.props = props
-        self.names = names
         self.monitor = compiled_monitor(guards)
-        self._view = RecordColumns(alphabet)
-        self._indices = self.monitor.indices(sum(
-            np.asarray(props[name](self._view), np.intp) << bit
-            for bit, name in enumerate(LETTER)))
-        self._letters = np.arange(len(alphabet))
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._codes: dict[tuple[str, ...], tuple[list, np.ndarray]] = {}
-        self._luts: dict[int, np.ndarray] = {}  # each obligation's next one by code index
 
     def row(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
         """Next-state numbers and reset outputs (0/1) of state ``sid``,
         both indexed by letter."""
         row = self._rows.get(sid)
         if row is None:
-            row = self._rows[sid] = self.monitor.successors(sid, self._indices)
+            row = self._rows[sid] = self.monitor.successors(sid, self.alphabet.indices)
         return row
-
-    def column(self, p: Prop) -> np.ndarray:
-        shape = (2, len(self.alphabet))
-        if p.name == "reset":
-            return np.broadcast_to([[False], [True]], shape)
-        return np.broadcast_to(np.asarray(self.props[p.name](self._view), bool), shape)
-
-    def codes(self, names: tuple[str, ...]) -> tuple[list, np.ndarray]:
-        """The distinct codes of ``names`` on the alphabet (``names[i]`` at
-        bit ``i``; the table's 51 names fit an int64), sorted, and each
-        letter's index among them, indexed ``[reset output, letter]``."""
-        hit = self._codes.get(names)
-        if hit is None:
-            packed = np.zeros((2, len(self.alphabet)), dtype=np.intp)
-            for bit, name in enumerate(names):
-                packed |= self.column(Prop(name)).astype(np.intp) << bit
-            codes, index = np.unique(packed, return_inverse=True)
-            hit = self._codes[names] = (codes.tolist(), index.reshape(packed.shape))
-        return hit
 
     def step(self, sid: int, oid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Product node (``sid``, obligation ``oid``) on every letter: the
         next state's number, the reset output and the next obligation."""
         nxt_ids, outs = self.row(sid)
-        codes, index = self.codes(_OBLIGATIONS.entries[oid][1])  # its reads
-        lut = self._luts.get(oid)
-        if lut is None:
-            lut = self._luts[oid] = np.array([_OBLIGATIONS.next(oid, code) for code in codes])
-        return nxt_ids, outs, lut[index[outs, self._letters]]
+        no_reset, reset = self.alphabet.next_obligations(oid)
+        return nxt_ids, outs, np.where(outs, reset, no_reset)
 
     def record(self, idx: int, out: int) -> StateRecord:
         return self.alphabet[idx]._replace(reset=bool(out))
@@ -469,9 +481,8 @@ def _explorer(space: ScaledSpace, guards: GuardFlags,
               formulas: Iterable[Formula]) -> _Explorer:
     """An explorer whose alphabet's class key carries every proposition
     ``formulas`` name."""
-    props = build_props(space)
-    names = _key_names(formulas, props)
-    return _Explorer(space, guards, build_alphabet(space, names), props, names)
+    names = _key_names(formulas, build_props(space))
+    return _Explorer(guards, build_alphabet(space, names))
 
 
 def exhaustive_check(formula: Formula, space: ScaledSpace,
@@ -495,7 +506,7 @@ def exhaustive_check(formula: Formula, space: ScaledSpace,
                                "checker's safe fragment; it is checked on traces")
     if explorer is None:
         explorer = _explorer(space, guards, [formula])
-    outside = _key_names([formula], explorer.props) - explorer.names
+    outside = _key_names([formula], explorer.alphabet.props) - explorer.alphabet.names
     if outside:
         raise ValueError(f"proposition {min(outside)!r} is outside the "
                          "explorer's class key")
@@ -552,10 +563,10 @@ def _extend(search: SimpleNamespace, sid: int, oid: int, length: int) -> int | N
             holds = search.verdicts.get((nxt_oid, nxt))
             if holds is None:  # one quiet tail per state; no proposition reads cycle
                 lead, loop = _quiet_tail(explorer.monitor.states[nxt], 0,
-                                         explorer.space, explorer.guards)
+                                         explorer.alphabet.space, explorer.guards)
                 holds = search.verdicts[nxt_oid, nxt] = eval_naive(
                     _OBLIGATIONS.entries[nxt_oid][0], LassoTrace(lead, loop), 0,
-                    explorer.props)
+                    explorer.alphabet.props)
             found = None if holds else nxt
         if found is not None:
             return found
@@ -582,7 +593,7 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
         raise ValueError(f"max_len {max_len} is below 1: no lasso to search")
     props = build_props(space)
     check_props(formula, props)
-    explorer = _Explorer(space, guards, curated_alphabet(space), props)
+    explorer = _Explorer(guards, Alphabet(curated_alphabet(space), space, props))
     search = SimpleNamespace(explorer=explorer, path=[], verdicts={}, explored=0)
     start = (explorer.monitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
     for length in range(1, max_len + 1):

@@ -190,6 +190,10 @@ def cmd_check(args) -> int:
             entries = catalogue_by_name(ekr)
             if args.formula in entries:
                 formula = entries[args.formula].formula
+            elif args.formula in catalogue_by_name():
+                print(f"error: catalogue formula {args.formula!r} needs the key "
+                      "region and is left out with --no-ekr", file=sys.stderr)
+                return EXIT_USAGE
             else:
                 formula = parse_formula(args.formula)
             name = args.formula

@@ -87,6 +87,10 @@ def _mutate(msg: AuthorizationMessage, which: str, seed: int) -> AuthorizationMe
     return AuthorizationMessage(msg.binary, chal, msg.token)
 
 
+# The goal check's formula, built once and shared by every round.
+_SENSING_GOAL = authorized_sensing_goal()
+
+
 @lru_cache(maxsize=8)
 def _layout_props(layout: MemoryLayout) -> Mapping:
     """The goal check's proposition table, built once per layout and
@@ -188,8 +192,7 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
     goal_violations = []
     if check_goal and records:
         lasso = LassoTrace.from_records(records, packed)
-        if not eval_formula(authorized_sensing_goal(), lasso, 0,
-                            _layout_props(layout)):
+        if not eval_formula(_SENSING_GOAL, lasso, 0, _layout_props(layout)):
             goal_violations.append("authorized-sensing-goal")
 
     return GameOutcome(

@@ -74,10 +74,11 @@ def test_criterion_1_exhaustive_monitor_verification():
     elapsed = time.time() - t0
     # Every proposition the catalogue's class key carries must take both
     # values on its alphabet, or the check could not witness it.
-    explorer = _explorer(space, DEFAULT_GUARDS, [e.formula for e in all_formulas()])
-    keyed = sorted(explorer.names - {"true", "false"})
+    alphabet = _explorer(space, DEFAULT_GUARDS,
+                         [e.formula for e in all_formulas()]).alphabet
+    keyed = sorted(alphabet.names - {"true", "false"})
     constant = [name for name in keyed
-                if len(np.unique(explorer.column(Prop(name)))) < 2]
+                if len(np.unique(alphabet.column(Prop(name)))) < 2]
     ok = (len(holds) == len(results) and len(construction) == 9
           and convicted == len(MUTANTS) == replayed and len(MUTANTS) >= 9
           and elapsed < 60 and not constant)
@@ -86,7 +87,7 @@ def test_criterion_1_exhaustive_monitor_verification():
                    f"counterexamples at width {CHECK_WIDTH}; "
                    f"{convicted}/{len(MUTANTS)} mutants convicted "
                    f"({replayed} replayed) in {elapsed:.1f}s; "
-                   f"{len(explorer.alphabet)} letters, "
+                   f"{len(alphabet)} letters, "
                    f"{len(keyed) - len(constant)}/{len(keyed)} keyed "
                    f"propositions two-valued")
     assert not constant, constant

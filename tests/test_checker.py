@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mcusentry import checker
 from mcusentry.catalogue import (all_formulas, authorized_sensing_goal,
                                  builtin_formulas, catalogue_by_name)
-from mcusentry.checker import (_Explorer, _explorer,
+from mcusentry.checker import (Alphabet, _Explorer, _bfs, _explorer,
                                _is_safe, _key_names, _quiet_tail,
                                brute_force_check, build_alphabet,
                                check_catalogue, curated_alphabet,
@@ -110,7 +110,7 @@ def catalogue_explorer(space, guards=DEFAULT_GUARDS, ekr_enabled=True):
 
 
 def catalogue_names(space) -> frozenset[str]:
-    return catalogue_explorer(space).names
+    return catalogue_explorer(space).alphabet.names
 
 
 def test_checker_accepts_every_proposition():
@@ -124,7 +124,7 @@ def test_checker_accepts_every_proposition():
 
 def test_handed_explorer_refuses_a_proposition_outside_its_key():
     explorer = catalogue_explorer(SPACE5)
-    assert "read DMEM" not in explorer.names
+    assert "read DMEM" not in explorer.alphabet.names
     with pytest.raises(ValueError, match="'read DMEM'"):
         exhaustive_check(parse("(G (! (read DMEM)))"), SPACE5,
                          explorer=explorer)
@@ -496,16 +496,59 @@ def test_explorer_columns_equal_the_table_on_each_letter():
     # keyed on all of them, under both reset outputs.
     props = build_props(SPACE5)
     names = accepted_names(SPACE5)
-    explorer = _explorer(SPACE5, DEFAULT_GUARDS, map(Prop, names))
-    alphabet = explorer.alphabet
+    alphabet = _explorer(SPACE5, DEFAULT_GUARDS, map(Prop, names)).alphabet
     for name in names:
         fn = props[name]
-        column = explorer.column(Prop(name))
+        column = alphabet.column(Prop(name))
         assert column.shape == (2, len(alphabet))
         for idx in range(0, len(alphabet), 3):
             for out in (False, True):
                 expected = bool(fn(alphabet[idx]._replace(reset=out)))
                 assert column[int(out), idx] == expected, (name, idx, out)
+
+
+# ---------------------------------------------------------------------------
+# One alphabet's tables shared by every guard set's explorer
+
+_CATALOGUE = [e.formula for e in all_formulas()]
+_ALL_GUARD_SETS = list(dict.fromkeys(
+    flags for guards in _GUARD_SETS for flags in (guards, guards.keyless())))
+
+
+def test_explorers_over_one_alphabet_share_it_and_keep_their_own_rows():
+    healthy, mutant = (_explorer(SPACE5, guards, _CATALOGUE) for guards in
+                       (DEFAULT_GUARDS, mutant_guards("rlock-reads-allowed")))
+    assert healthy.alphabet is mutant.alphabet
+    assert any((a != b).any() for sid in range(len(healthy.monitor.states))
+               for a, b in zip(healthy.row(sid), mutant.row(sid)))
+
+
+def test_walks_over_the_shared_alphabet_equal_walks_over_a_fresh_one():
+    # Every guard set walks every safe catalogue conjunct over the one
+    # shared alphabet, its tables filled by the guard sets before it.
+    assert len(_ALL_GUARD_SETS) == 24
+    shared = build_alphabet(SPACE5, catalogue_names(SPACE5))
+    conjuncts = [c for f in _CATALOGUE for c in checker._flatten(f, And) if _is_safe(c)]
+    for guards in _ALL_GUARD_SETS:
+        for conjunct in conjuncts:
+            fresh = Alphabet(tuple(shared), SPACE5, build_props(SPACE5), shared.names)
+            assert _bfs(conjunct, _Explorer(guards, shared), 10_000) == \
+                _bfs(conjunct, _Explorer(guards, fresh), 10_000), (guards, conjunct)
+
+
+def test_explorer_builds_its_alphabet_once(monkeypatch):
+    # The bench spans build_alphabet: every explorer must call it, even
+    # when the alphabet it returns is already kept.
+    calls = []
+    inner = checker.build_alphabet
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(checker, "build_alphabet", counted)
+    explorers = [_explorer(SPACE5, guards, _CATALOGUE) for guards in _GUARD_SETS]
+    assert len(calls) == len(explorers)
+    assert len({id(explorer.alphabet) for explorer in explorers}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +661,7 @@ def assert_rows_equal_monitor_step(explorer: _Explorer) -> None:
     """Every reachable state's row against ``monitor_step`` on each letter,
     with the initial state numbered 0."""
     guards, compiled = explorer.guards, explorer.monitor
-    letters = [table_letter(explorer.space)(rec) for rec in explorer.alphabet]
+    letters = [table_letter(explorer.alphabet.space)(rec) for rec in explorer.alphabet]
     assert compiled.number[INITIAL_STATE] == 0
     reached = [INITIAL_STATE]
     for state in reached:  # grows as the rows reach new states
@@ -645,8 +688,8 @@ def test_curated_rows_equal_monitor_step(width, ekr_enabled):
     space = scaled_space(width)
     for guards in _GUARD_SETS:
         assert_rows_equal_monitor_step(_Explorer(
-            space, guards if ekr_enabled else guards.keyless(),
-            curated_alphabet(space), build_props(space)))
+            guards if ekr_enabled else guards.keyless(),
+            Alphabet(curated_alphabet(space), space, build_props(space))))
 
 
 def test_a_second_sweep_builds_no_tables(monkeypatch):
@@ -688,8 +731,8 @@ def reference_brute_force(formula, space, guards=DEFAULT_GUARDS,
     """The bounded search with no word memo, every lasso evaluated: its
     verdict, explored count and counterexample ``repr``."""
     props = build_props(space)
-    alphabet = curated_alphabet(space)
-    table = _Explorer(space, guards, alphabet, props)
+    alphabet = Alphabet(curated_alphabet(space), space, props)
+    table = _Explorer(guards, alphabet)
     rows = {}
     start = table.monitor.number[INITIAL_STATE]
     explored = 0

@@ -150,6 +150,15 @@ def test_check_no_ekr_key_mutant_violates_nothing(capsys):
     assert "no catalogue formula violated" in capsys.readouterr().out
 
 
+def test_check_no_ekr_names_a_left_out_key_formula(capsys):
+    # A key formula's catalogue name is not read as formula text.
+    assert main(["check", "--no-ekr", "--width", "5",
+                 "--formula", "mon-ekr-read-in-er"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: catalogue formula 'mon-ekr-read-in-er' needs the key region "
+        "and is left out with --no-ekr\n")
+
+
 def test_check_single_formula(capsys):
     assert main(["check", "--formula", "mon-gpio-read-in-er",
                  "--width", "5"]) == EXIT_OK

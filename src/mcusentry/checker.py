@@ -1,22 +1,22 @@
 """Exhaustive verification of the monitor against the property catalogue.
 
 The input space is reduced to a configurable address width. Letters
-(per-cycle signal assignments, including the live window bounds, which are
-free inputs the attacker can steer via metadata writes) are generated
-concretely from boundary-biased candidate sets over the six curated
-windows of ``default_er_choices``; the machine never asserts CPU read and
-write together, so neither do they. One class key deduplicates them: the
-value of each ``build_props`` entry the monitor letter is made of
-(``monitor.LETTER``, the 17 predicates the FSMs read) or the checked
-formulas name. The monitor and those formulas see a letter only through
-that key, so the first candidate of a class stands for all of it
-(predicate abstraction keeps every predicate the property names; Graf &
-Saïdi, CAV 1997). A formula naming a proposition outside an explorer's key
-is refused. The alphabet depends only on the space and the key's names, so
-``build_alphabet`` keeps the last few it built: a catalogue sweep and each
-mutant conviction share one, and with it every table that does not read
-the guards (an ``Alphabet``: the letters' FSM-table indices and each
-obligation's progressions); only the rows are built per guard set.
+(per-cycle signal assignments, including the live window bounds, which
+are free inputs the attacker can steer via metadata writes) are
+generated concretely from boundary-biased candidate sets over the six
+curated windows of ``default_er_choices``; the machine never asserts CPU
+read and write together, so neither do they. One class key deduplicates
+them: the value of each ``build_props`` entry the monitor letter is made
+of (``monitor.LETTER``, the 17 predicates the FSMs read), the catalogue
+names or the checked formula names. The monitor and the formula see a
+letter only through that key, so the first candidate of a class stands
+for all of it (predicate abstraction keeps every predicate the property
+names; Graf & Saïdi, CAV 1997). Every catalogue proposition is a
+function of the monitor letter, so the catalogue adds no class, and
+every catalogue formula over one space gets the same ``Alphabet`` from
+``build_alphabet``, which keeps the last few it built. It holds every
+table the walk reads: the letters' FSM-table indices, each obligation's
+progressions and, per guard set, each reached monitor state's row.
 Coverage is exhaustive only over the classes the curated windows
 produce: the FSM state (rUNLOCK, wUNLOCK, lastER) is never reached
 (ROADMAP open item 5).
@@ -26,23 +26,20 @@ obligation by formula progression (Bacchus & Kabanza, AIJ 2000): each
 letter progresses a node's obligation over the letter's propositions;
 ``false`` is a violation and ``true`` is not queued. Every violation of
 a syntactically safe conjunct (``_is_safe``; Kupferman & Vardi, FMSD
-2001) has a finite bad prefix, so it shows up on some reachable edge; any
-other conjunct (the before-operator end-to-end goal) is refused with
-``FormulaError`` and checked on traces. The monitor is a transition
-table over the alphabet: a monitor state is its number in the guard
-set's ``monitor.compiled_monitor`` (a device without a key region is the
-set's ``keyless()``), whose successor function gives each
-reachable state one row, the next state's number and the reset output on
-every letter. ``monitor_step`` runs only in the quiet tails and the
-replays, a path independent of the tables. A node expands by gathers:
-its obligation's progressions, computed once per process for each code
-of the propositions it reads (``_Obligations``) and once per alphabet
-for every letter under either reset output, at its row's reset
-outputs. New nodes are queued in the order of
-the first letter that reaches them, and the violation reported is the
-first violating letter. Counterexamples are rebuilt as concrete lassos
-and replay through the real transition function, which must bring the
-FSMs back to their loop-entry states.
+2001) has a finite bad prefix, so it shows up on some reachable edge;
+any other conjunct (the before-operator end-to-end goal) is refused with
+``FormulaError`` and checked on traces. A monitor state is its number in
+the guard set's ``monitor.compiled_monitor`` (a device without a key
+region is the set's ``keyless()``), whose successor function gives each
+reachable state one row: the next state's number and the reset output on
+every letter. A node expands by gathering its obligation's progressions
+(computed once per process for each code of the propositions it reads,
+``_Obligations``) at its row's reset outputs. New nodes are queued in
+the order of the first letter that reaches them, and the violation
+reported is the first violating letter. Counterexamples are rebuilt as
+concrete lassos and replay through ``monitor_step``, a path independent
+of the tables, which must bring the FSMs back to their loop-entry
+states.
 
 Bounded lasso enumeration (``brute_force_check``) can show a violation
 but not its absence, so it is no verdict path; it cross-checks the walk
@@ -58,10 +55,10 @@ bound it stays incomplete.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Set
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -166,40 +163,32 @@ def _candidates(space: ScaledSpace, er_min: int, er_max: int) -> dict[str, np.nd
         "dma_en": i_dma > 0,
         "dma_addr": addrs[i_dma],
         "irq": irq == 1,
-        "reset": np.zeros(irq.size, dtype=bool),  # the explorer bakes it in
+        "reset": np.zeros(irq.size, dtype=bool),  # the walk bakes it in
         "er_min": np.full(irq.size, er_min, dtype=np.int32),
         "er_max": np.full(irq.size, er_max, dtype=np.int32),
     }
 
 
-def _class_key(props: dict, names: Set[str]):
-    """A candidate view's class keys: one bit per ``props`` entry of the
-    monitor letter or ``names``, at most the table's 51, so an int64."""
-    names = sorted(set(LETTER) | names)
-
-    def class_key(view) -> np.ndarray:
-        keys = np.zeros(view.pc.shape, np.int64)
-        for name in names:
-            keys = keys << 1 | np.broadcast_to(props[name](view), keys.shape)  # constants too
-        return keys
-    return class_key
-
-
-def _first_of_each_class(columns: dict[str, np.ndarray], class_key):
+def _first_of_each_class(columns: dict[str, np.ndarray], props: dict,
+                         names: list[str]):
     """The columns cut to the first candidate of each class, in order, and
-    those candidates' class keys."""
-    keys = class_key(SimpleNamespace(**columns))
+    those candidates' class keys: one bit per ``props`` entry in ``names``,
+    at most the table's 51, so an int64."""
+    view = SimpleNamespace(**columns)
+    keys = np.zeros(view.pc.shape, np.int64)
+    for name in names:
+        keys = keys << 1 | np.broadcast_to(props[name](view), keys.shape)  # constants too
     first = np.sort(np.unique(keys, return_index=True)[1])
     return {name: col[first] for name, col in columns.items()}, keys[first]
 
 
 class Alphabet(tuple):
-    """Letters (``StateRecord``s) with the explorer tables that depend on
-    them alone, never on a guard set: their column view, each letter's
-    index into each FSM table (``indices``) and, filled at first use, each
-    obligation's progressions (``next_obligations``). ``props`` is the
-    space's proposition table and ``names`` the propositions the letters'
-    class key carries.
+    """Letters (``StateRecord``s) with the tables the walks read over
+    them: their column view, each letter's index into each FSM table
+    (``indices``) and, filled at first use, each obligation's
+    progressions (``next_obligations``) and each guard set's rows
+    (``row``). ``props`` is the space's proposition table and ``names``
+    the propositions the letters' class key carries.
     """
 
     def __new__(cls, letters: Iterable[StateRecord], space: ScaledSpace,
@@ -211,7 +200,28 @@ class Alphabet(tuple):
             np.asarray(props[name](self.view), np.intp) << bit
             for bit, name in enumerate(LETTER)))
         self._next: dict[int, np.ndarray] = {}
+        self._rows: dict[tuple[GuardFlags, int], tuple[np.ndarray, np.ndarray]] = {}
         return self
+
+    def row(self, guards: GuardFlags, sid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Next-state numbers and reset outputs (0/1) of state ``sid`` in
+        ``guards``' compiled monitor, both indexed by letter; kept per
+        guard set as uint8 (the monitor has 30 states)."""
+        row = self._rows.get((guards, sid))
+        if row is None:
+            row = self._rows[guards, sid] = tuple(
+                a.astype(np.uint8)
+                for a in compiled_monitor(guards).successors(sid, self.indices))
+        return row
+
+    def step(self, guards: GuardFlags, sid: int,
+             oid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Product node (``sid``, obligation ``oid``) of ``guards``'
+        monitor on every letter: the next state's number, the reset output
+        and the next obligation."""
+        nxt_ids, outs = self.row(guards, sid)
+        no_reset, reset = self.next_obligations(oid)
+        return nxt_ids, outs, np.where(outs, reset, no_reset)
 
     def column(self, p: Prop) -> np.ndarray:
         """A proposition on every letter under either reset output, a (2,
@@ -243,10 +253,9 @@ def build_alphabet(space: ScaledSpace, names: frozenset[str]) -> Alphabet:
     """Concrete letters: the first candidate of each class of the key
     that extends the monitor letter with ``names``, in candidate order.
     Memoised on its (hashable) arguments, hence immutable but for the
-    tables it fills at first use, which every explorer over it shares."""
-    props = build_props(space)
-    class_key = _class_key(props, names)
-    kept = [_first_of_each_class(_candidates(space, lo, hi), class_key)
+    tables it fills at first use, which every check over it shares."""
+    props, key = build_props(space), sorted(set(LETTER) | names)
+    kept = [_first_of_each_class(_candidates(space, lo, hi), props, key)
             for lo, hi in default_er_choices(space)]
     first = np.sort(np.unique(np.concatenate([keys for _, keys in kept]),
                               return_index=True)[1])
@@ -341,7 +350,7 @@ class _Obligations:
     """Obligations numbered once per process (``false`` is 0, ``true``
     1), each kept with the propositions it reads, sorted, and progressed
     once per code of their values (``reads[i]`` at bit ``i``): progression
-    depends only on the formula, so every guard set and explorer shares
+    depends only on the formula, so every guard set and alphabet shares
     these."""
 
     def __init__(self):
@@ -402,55 +411,23 @@ def _quiet_tail(state: MonitorState, start: int, space: ScaledSpace,
     return tail[:cut], tail[cut:]
 
 
-def _key_names(formulas: Iterable[Formula], props: dict) -> frozenset[str]:
-    """The propositions ``formulas`` name, which a class key must carry;
-    ``FormulaError`` for one that is no ``props`` entry."""
-    return frozenset().union(*(check_props(f, props) for f in formulas))
+@lru_cache(maxsize=8)
+def _catalogue_key(space: ScaledSpace) -> tuple[Mapping, frozenset[str]]:
+    """The space's proposition table, read-only, and the propositions the
+    catalogue's formulas name, which every check's class key carries."""
+    props = MappingProxyType(build_props(space))
+    return props, frozenset().union(*(check_props(e.formula, props)
+                                      for e in all_formulas()))
 
 
-class _Explorer:
-    """The monitor of one guard set as a transition table over one
-    ``Alphabet``, shared by the formulas checked against it.
-
-    A monitor state is its number in ``monitor``, the guard set's
-    compiled monitor. ``row(sid)`` holds, for every letter, the next
-    state's number and the reset output (``monitor.successors`` at the
-    alphabet's table indices), kept per state: the rows are the only
-    tables that read the guards. ``step(sid, oid)`` gives a product
-    node's successors.
-    """
-
-    def __init__(self, guards: GuardFlags, alphabet: Alphabet):
-        self.guards = guards
-        self.alphabet = alphabet
-        self.monitor = compiled_monitor(guards)
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def row(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next-state numbers and reset outputs (0/1) of state ``sid``,
-        both indexed by letter."""
-        row = self._rows.get(sid)
-        if row is None:
-            row = self._rows[sid] = self.monitor.successors(sid, self.alphabet.indices)
-        return row
-
-    def step(self, sid: int, oid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Product node (``sid``, obligation ``oid``) on every letter: the
-        next state's number, the reset output and the next obligation."""
-        nxt_ids, outs = self.row(sid)
-        no_reset, reset = self.alphabet.next_obligations(oid)
-        return nxt_ids, outs, np.where(outs, reset, no_reset)
-
-    def record(self, idx: int, out: int) -> StateRecord:
-        return self.alphabet[idx]._replace(reset=bool(out))
-
-
-def _bfs(formula: Formula, explorer: _Explorer, state_budget: int):
-    """BFS over (monitor state, obligation) nodes from (initial state,
-    ``formula``). Returns the violation path (letters with baked outputs)
-    and the monitor state after it, or (None, None), plus the explored
-    count."""
-    start = (explorer.monitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
+def _bfs(formula: Formula, guards: GuardFlags, alphabet: Alphabet,
+         state_budget: int):
+    """BFS over (monitor state, obligation) nodes of ``guards``' monitor
+    over ``alphabet`` from (initial state, ``formula``). Returns the
+    violation path (letters with baked outputs) and the monitor state
+    after it, or (None, None), plus the explored count."""
+    states = CompiledMonitor.states
+    start = (CompiledMonitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
     parents: dict = {start: None}
     queue = deque([start])
     explored = 0
@@ -459,16 +436,16 @@ def _bfs(formula: Formula, explorer: _Explorer, state_budget: int):
         explored += 1
         if explored > state_budget:
             raise BudgetError(f"state budget {state_budget} exceeded")
-        nxt_ids, outs, nxt_oids = explorer.step(*node)
+        nxt_ids, outs, nxt_oids = alphabet.step(guards, *node)
         violating = nxt_oids == _OBLIGATIONS.false
         if violating.any():
             idx = int(np.argmax(violating))
-            path = [explorer.record(idx, outs[idx])]
+            path = [alphabet[idx]._replace(reset=bool(outs[idx]))]
             while parents[node] is not None:
                 node, prev, reset = parents[node]
-                path.append(explorer.record(prev, reset))
-            return path[::-1], explorer.monitor.states[nxt_ids[idx]], explored
-        keys = nxt_oids * len(explorer.monitor.states) + nxt_ids
+                path.append(alphabet[prev]._replace(reset=bool(reset)))
+            return path[::-1], states[nxt_ids[idx]], explored
+        keys = nxt_oids * len(states) + nxt_ids
         for idx in np.sort(np.unique(keys, return_index=True)[1]).tolist():
             succ = (int(nxt_ids[idx]), int(nxt_oids[idx]))
             if succ[1] != _OBLIGATIONS.true and succ not in parents:
@@ -477,46 +454,32 @@ def _bfs(formula: Formula, explorer: _Explorer, state_budget: int):
     return None, None, explored
 
 
-def _explorer(space: ScaledSpace, guards: GuardFlags,
-              formulas: Iterable[Formula]) -> _Explorer:
-    """An explorer whose alphabet's class key carries every proposition
-    ``formulas`` name."""
-    names = _key_names(formulas, build_props(space))
-    return _Explorer(guards, build_alphabet(space, names))
-
-
 def exhaustive_check(formula: Formula, space: ScaledSpace,
                      guards: GuardFlags = DEFAULT_GUARDS, *,
                      state_budget: int = 2_000_000,
-                     name: str = "",
-                     explorer: "_Explorer | None" = None) -> CheckResult:
+                     name: str = "") -> CheckResult:
     """Check a formula over the full reduced-width input space.
 
-    Conjunctions are split and each conjunct is walked on the product. A
-    conjunct outside the safe fragment (see the module docstring) raises
-    ``FormulaError`` before any alphabet is built, and so does a
-    proposition that is not a ``build_props`` entry; a handed-in
-    ``explorer`` whose class key lacks a named proposition raises
-    ``ValueError``.
+    Conjunctions are split and each conjunct is walked on the product over
+    the alphabet whose class key carries the catalogue's propositions and
+    the formula's own. A conjunct outside the safe fragment (see the
+    module docstring) raises ``FormulaError`` before any alphabet is
+    built, and so does a proposition that is not a ``build_props`` entry.
     """
     conjuncts = _flatten(formula, And)
     for conjunct in conjuncts:
         if not _is_safe(conjunct):
             raise FormulaError(f"{to_text(conjunct)} is outside the exhaustive "
                                "checker's safe fragment; it is checked on traces")
-    if explorer is None:
-        explorer = _explorer(space, guards, [formula])
-    outside = _key_names([formula], explorer.alphabet.props) - explorer.alphabet.names
-    if outside:
-        raise ValueError(f"proposition {min(outside)!r} is outside the "
-                         "explorer's class key")
+    props, catalogue = _catalogue_key(space)
+    alphabet = build_alphabet(space, catalogue | check_props(formula, props))
     explored_total = 0
     for conjunct in conjuncts:
-        violation, state, explored = _bfs(conjunct, explorer, state_budget)
+        violation, state, explored = _bfs(conjunct, guards, alphabet, state_budget)
         explored_total += explored
         if violation is not None:
             # Close the lasso with quiet letters until the state recurs.
-            lead, loop = _quiet_tail(state, len(violation), space, explorer.guards)
+            lead, loop = _quiet_tail(state, len(violation), space, guards)
             return CheckResult("violated", LassoTrace(violation + lead, loop),
                                explored_total, name)
     return CheckResult("holds", None, explored_total, name)
@@ -552,8 +515,8 @@ def _extend(search: SimpleNamespace, sid: int, oid: int, length: int) -> int | N
     product order, judging each lasso. Returns the monitor state number
     after the first violating one, its letters left in ``search.path``, or
     None. A module function, for the reason given at ``ltl._ev``."""
-    explorer, path = search.explorer, search.path
-    nxt_ids, outs, nxt_oids = (a.tolist() for a in explorer.step(sid, oid))
+    guards, alphabet, path = search.guards, search.alphabet, search.path
+    nxt_ids, outs, nxt_oids = (a.tolist() for a in alphabet.step(guards, sid, oid))
     for idx, (nxt, out, nxt_oid) in enumerate(zip(nxt_ids, outs, nxt_oids)):
         path.append((idx, out))
         if len(path) < length:
@@ -562,11 +525,11 @@ def _extend(search: SimpleNamespace, sid: int, oid: int, length: int) -> int | N
             search.explored += 1
             holds = search.verdicts.get((nxt_oid, nxt))
             if holds is None:  # one quiet tail per state; no proposition reads cycle
-                lead, loop = _quiet_tail(explorer.monitor.states[nxt], 0,
-                                         explorer.alphabet.space, explorer.guards)
+                lead, loop = _quiet_tail(CompiledMonitor.states[nxt], 0,
+                                         alphabet.space, guards)
                 holds = search.verdicts[nxt_oid, nxt] = eval_naive(
                     _OBLIGATIONS.entries[nxt_oid][0], LassoTrace(lead, loop), 0,
-                    explorer.alphabet.props)
+                    alphabet.props)
             found = None if holds else nxt
         if found is not None:
             return found
@@ -593,15 +556,16 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
         raise ValueError(f"max_len {max_len} is below 1: no lasso to search")
     props = build_props(space)
     check_props(formula, props)
-    explorer = _Explorer(guards, Alphabet(curated_alphabet(space), space, props))
-    search = SimpleNamespace(explorer=explorer, path=[], verdicts={}, explored=0)
-    start = (explorer.monitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
+    alphabet = Alphabet(curated_alphabet(space), space, props)
+    search = SimpleNamespace(guards=guards, alphabet=alphabet, path=[],
+                             verdicts={}, explored=0)
+    start = (CompiledMonitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
     for length in range(1, max_len + 1):
         sid = _extend(search, *start, length)
         if sid is not None:
-            path = [explorer.alphabet[idx]._replace(reset=bool(out), cycle=i)
+            path = [alphabet[idx]._replace(reset=bool(out), cycle=i)
                     for i, (idx, out) in enumerate(search.path)]
-            lead, loop = _quiet_tail(explorer.monitor.states[sid], len(path),
+            lead, loop = _quiet_tail(CompiledMonitor.states[sid], len(path),
                                      space, guards)
             return CheckResult("violated", LassoTrace(path + lead, loop),
                                search.explored, name)
@@ -636,13 +600,10 @@ def check_catalogue(space: ScaledSpace,
                     state_budget: int = 2_000_000) -> list[CheckResult]:
     """Exhaustively check every monitor formula in the catalogue; without
     ``ekr_enabled``, on a device without a key region."""
-    entries = all_formulas(ekr_enabled)
     guards = guards if ekr_enabled else guards.keyless()
-    explorer = _explorer(space, guards, [e.formula for e in entries])
     return [exhaustive_check(entry.formula, space, guards,
-                             state_budget=state_budget, name=entry.name,
-                             explorer=explorer)
-            for entry in entries
+                             state_budget=state_budget, name=entry.name)
+            for entry in all_formulas(ekr_enabled)
             if entry.name != "e2e-authorized-sensing"]  # the goal: checked on traces
 
 
@@ -655,15 +616,12 @@ def find_mutant_violation(mutant_id: str, space: ScaledSpace,
     Returns (formula_name, CheckResult with a replayable counterexample),
     or (None, None) when it violates none.
     """
-    entries = all_formulas(ekr_enabled)
     guards = mutant_guards(mutant_id)
     guards = guards if ekr_enabled else guards.keyless()
-    explorer = _explorer(space, guards, [e.formula for e in entries])
-    for entry in entries:
+    for entry in all_formulas(ekr_enabled):
         if _is_safe(entry.formula):
             result = exhaustive_check(entry.formula, space, guards,
-                                      state_budget=state_budget,
-                                      name=entry.name, explorer=explorer)
+                                      state_budget=state_budget, name=entry.name)
         else:
             result = brute_force_check(entry.formula, space, guards,
                                        max_len=4, name=entry.name)

@@ -226,7 +226,7 @@ def _dump_lasso(path: str, lasso, space) -> None:
 
 
 def cmd_attack(args) -> int:
-    names = None if args.all or args.name is None else [args.name]
+    names = None if args.name is None else [args.name]
     results = run_campaign(names=names, random_count=args.random,
                            seed=args.seed, jobs=args.jobs)
     if args.report:
@@ -273,18 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("check", help="exhaustively verify monitor properties")
-    p.add_argument("--formula", help="catalogue name or formula text")
-    p.add_argument("--formula-file", help="file holding formula text")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--formula", help="catalogue name or formula text")
+    what.add_argument("--formula-file", help="file holding formula text")
+    what.add_argument("--mutate", choices=sorted(MUTANTS),
+                      help="check a single-guard mutant instead")
     p.add_argument("--width", type=int, default=6, help="address width in bits")
-    p.add_argument("--mutate", choices=sorted(MUTANTS),
-                   help="check a single-guard mutant instead")
     p.add_argument("--no-ekr", action="store_true")
     p.add_argument("--counterexample-out")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("attack", help="run the adversarial scenario game")
-    p.add_argument("--all", action="store_true", help="whole catalogue (default)")
-    p.add_argument("--name", help="one catalogue scenario")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="whole catalogue (default)")
+    which.add_argument("--name", help="one catalogue scenario")
     p.add_argument("--random", type=int, default=0, metavar="N",
                    help="additional randomized scenarios")
     p.add_argument("--seed", type=int, default=0)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
+import numpy as np
+
 from .catalogue import authorized_sensing_goal
 from .crypto import KEY_BYTES
 from .layout import MemoryLayout
@@ -49,6 +51,7 @@ class GameOutcome:
     trace: Trace
     trace_digest: str
     goal_violations: list[str]
+    packed: np.ndarray  # the trace's read-only ``pack_records`` rows
 
 
 def _sensor_for(plan: ScenarioPlan) -> SensorProvider:
@@ -205,6 +208,7 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
         trace=full,
         trace_digest=full.digest(layout, packed),
         goal_violations=goal_violations,
+        packed=packed,
     )
 
 

@@ -16,18 +16,18 @@ from hypothesis import given, settings
 from machine_facts import (FACTS, MUTANTS as MACHINE_MUTANTS, FactHarness,
                            bare_runs, catalogue_rounds, random_rounds, run_bare)
 from mcusentry.catalogue import all_formulas, builtin_formulas, catalogue_by_name
-from mcusentry.checker import (_explorer, check_catalogue,
+from mcusentry.checker import (build_alphabet, check_catalogue,
                                find_mutant_violation, replay_counterexample,
                                scaled_space)
 from mcusentry.crypto import (decrypt_output, derive_enc_key, encrypt_output,
                               hmac_sha256, token_mac)
 from mcusentry.isa import HALT, JMP, JMP_R, LOAD_R, NOP, assemble
 from mcusentry.layout import ErWindow, default_layout
-from mcusentry.ltl import LassoTrace, Prop, eval_vector
+from mcusentry.ltl import LassoTrace, Prop, check_props, eval_vector
 from mcusentry.machine import (DmaRequest, Machine, RunContext, load_image,
                                run)
-from mcusentry.monitor import (DEFAULT_GUARDS, AtomState, Monitor,
-                               step_atomicity_fsm, table_letter)
+from mcusentry.monitor import (AtomState, Monitor, step_atomicity_fsm,
+                               table_letter)
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.oracle import atomic_exec_oracle, monitor_flagged_episode
 from mcusentry.programs import SENSOR_MARKER
@@ -74,8 +74,9 @@ def test_criterion_1_exhaustive_monitor_verification():
     elapsed = time.time() - t0
     # Every proposition the catalogue's class key carries must take both
     # values on its alphabet, or the check could not witness it.
-    alphabet = _explorer(space, DEFAULT_GUARDS,
-                         [e.formula for e in all_formulas()]).alphabet
+    props = build_props(space)
+    alphabet = build_alphabet(space, frozenset().union(
+        *(check_props(e.formula, props) for e in all_formulas())))
     keyed = sorted(alphabet.names - {"true", "false"})
     constant = [name for name in keyed
                 if len(np.unique(alphabet.column(Prop(name)))) < 2]
@@ -113,7 +114,7 @@ def test_criterion_2_construction_implies_goals():
         outcome = run_scenario(random_plan(2_001, i), check_goal=False)
         if not outcome.trace.records:
             continue
-        lasso = LassoTrace.from_records(outcome.trace.records)
+        lasso = LassoTrace.from_records(outcome.trace.records, outcome.packed)
         if all(bool(eval_vector(e.formula, lasso, props)[0]) for e in entries):
             satisfying += 1
             if not all(bool(eval_vector(g.formula, lasso, props)[0])

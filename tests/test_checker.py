@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mcusentry import checker
 from mcusentry.catalogue import (all_formulas, authorized_sensing_goal,
                                  builtin_formulas, catalogue_by_name)
-from mcusentry.checker import (Alphabet, _Explorer, _bfs, _explorer,
-                               _is_safe, _key_names, _quiet_tail,
+from mcusentry.checker import (Alphabet, _bfs, _is_safe, _quiet_tail,
                                brute_force_check, build_alphabet,
                                check_catalogue, curated_alphabet,
                                default_er_choices, exhaustive_check,
@@ -22,8 +21,8 @@ from mcusentry.ltl import (And, B, G, Implies, LassoTrace, Not, Or, Prop, U,
                            W, X, check_props, eval_naive, parse)
 from mcusentry.machine import StateRecord
 from mcusentry import monitor
-from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, compiled_monitor,
-                               monitor_step, table_letter)
+from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, CompiledMonitor,
+                               compiled_monitor, monitor_step, table_letter)
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.props import build_props
 
@@ -95,22 +94,23 @@ def accepted_names(space) -> list[str]:
     names = []
     for name in props:
         try:
-            _key_names([Prop(name)], props)
+            check_props(Prop(name), props)
         except FormulaError:
             continue
         names.append(name)
     return names
 
 
-def catalogue_explorer(space, guards=DEFAULT_GUARDS, ekr_enabled=True):
-    """The explorer ``check_catalogue`` builds: keyed on every catalogue
-    formula, on a device without a key region unless ``ekr_enabled``."""
-    return _explorer(space, guards if ekr_enabled else guards.keyless(),
-                     [e.formula for e in all_formulas(ekr_enabled)])
-
-
 def catalogue_names(space) -> frozenset[str]:
-    return catalogue_explorer(space).alphabet.names
+    """The propositions the catalogue names, which every check's class key
+    carries."""
+    props = build_props(space)
+    return frozenset().union(*(check_props(e.formula, props) for e in all_formulas()))
+
+
+def catalogue_alphabet(space) -> Alphabet:
+    """The alphabet every catalogue formula over ``space`` is checked on."""
+    return build_alphabet(space, catalogue_names(space))
 
 
 def test_checker_accepts_every_proposition():
@@ -120,14 +120,6 @@ def test_checker_accepts_every_proposition():
     assert accepted_names(SPACE5) == list(props)
     with pytest.raises(FormulaError, match="unknown proposition 'tag READ GPIO'"):
         exhaustive_check(G(Not(Prop("tag READ GPIO"))), SPACE5)
-
-
-def test_handed_explorer_refuses_a_proposition_outside_its_key():
-    explorer = catalogue_explorer(SPACE5)
-    assert "read DMEM" not in explorer.alphabet.names
-    with pytest.raises(ValueError, match="'read DMEM'"):
-        exhaustive_check(parse("(G (! (read DMEM)))"), SPACE5,
-                         explorer=explorer)
 
 
 @pytest.mark.parametrize("width", [5, 6])
@@ -146,7 +138,7 @@ def test_every_accepted_proposition_takes_both_values(width):
 
 def test_alphabet_is_deduplicated_and_bounded():
     names = catalogue_names(SPACE5)
-    alphabet = build_alphabet(SPACE5, names)
+    alphabet = catalogue_alphabet(SPACE5)
     assert 100 < len(alphabet) < 20000
     keys = set()
     letter_of, props = table_letter(SPACE5), build_props(SPACE5)
@@ -491,12 +483,12 @@ def test_alphabet_keyed_on_48_names_equals_scalar_enumeration():
     assert_alphabet_equals_scalar_enumeration(SPACE5, frozenset(names))
 
 
-def test_explorer_columns_equal_the_table_on_each_letter():
+def test_alphabet_columns_equal_the_table_on_each_letter():
     # Every entry the checker accepts, on every third letter of an alphabet
     # keyed on all of them, under both reset outputs.
     props = build_props(SPACE5)
     names = accepted_names(SPACE5)
-    alphabet = _explorer(SPACE5, DEFAULT_GUARDS, map(Prop, names)).alphabet
+    alphabet = build_alphabet(SPACE5, frozenset(names))
     for name in names:
         fn = props[name]
         column = alphabet.column(Prop(name))
@@ -508,47 +500,90 @@ def test_explorer_columns_equal_the_table_on_each_letter():
 
 
 # ---------------------------------------------------------------------------
-# One alphabet's tables shared by every guard set's explorer
+# One alphabet per space, its tables shared by every guard set
 
 _CATALOGUE = [e.formula for e in all_formulas()]
 _ALL_GUARD_SETS = list(dict.fromkeys(
     flags for guards in _GUARD_SETS for flags in (guards, guards.keyless())))
 
 
-def test_explorers_over_one_alphabet_share_it_and_keep_their_own_rows():
-    healthy, mutant = (_explorer(SPACE5, guards, _CATALOGUE) for guards in
-                       (DEFAULT_GUARDS, mutant_guards("rlock-reads-allowed")))
-    assert healthy.alphabet is mutant.alphabet
-    assert any((a != b).any() for sid in range(len(healthy.monitor.states))
-               for a, b in zip(healthy.row(sid), mutant.row(sid)))
+def built_alphabets(monkeypatch) -> list[Alphabet]:
+    """Every alphabet ``checker.build_alphabet`` returns from now on."""
+    built = []
+    inner = checker.build_alphabet
+
+    def counted(*args):
+        built.append(inner(*args))
+        return built[-1]
+    monkeypatch.setattr(checker, "build_alphabet", counted)
+    return built
+
+
+def test_each_check_builds_its_alphabet_once_and_the_catalogue_shares_one(
+        monkeypatch):
+    # The bench spans build_alphabet: every check must call it, even when
+    # the alphabet it returns is already kept.
+    built = built_alphabets(monkeypatch)
+    checks = 0
+    for guards in _GUARD_SETS:
+        for formula in filter(_is_safe, _CATALOGUE):
+            exhaustive_check(formula, SPACE5, guards)
+            checks += 1
+    assert len(built) == checks == 12 * len(_GUARD_SETS)
+    assert len({id(alphabet) for alphabet in built}) == 1
+
+
+def test_guard_sets_share_one_alphabet_and_keep_their_own_rows(monkeypatch):
+    built = built_alphabets(monkeypatch)
+    healthy, mutant = DEFAULT_GUARDS, mutant_guards("rlock-reads-allowed")
+    for guards in (healthy, mutant):
+        check_catalogue(SPACE5, guards)
+    alphabet = built[0]
+    assert all(other is alphabet for other in built)
+    assert any((a != b).any() for sid in range(len(CompiledMonitor.states))
+               for a, b in zip(alphabet.row(healthy, sid), alphabet.row(mutant, sid)))
 
 
 def test_walks_over_the_shared_alphabet_equal_walks_over_a_fresh_one():
     # Every guard set walks every safe catalogue conjunct over the one
     # shared alphabet, its tables filled by the guard sets before it.
     assert len(_ALL_GUARD_SETS) == 24
-    shared = build_alphabet(SPACE5, catalogue_names(SPACE5))
+    shared = catalogue_alphabet(SPACE5)
     conjuncts = [c for f in _CATALOGUE for c in checker._flatten(f, And) if _is_safe(c)]
     for guards in _ALL_GUARD_SETS:
         for conjunct in conjuncts:
             fresh = Alphabet(tuple(shared), SPACE5, build_props(SPACE5), shared.names)
-            assert _bfs(conjunct, _Explorer(guards, shared), 10_000) == \
-                _bfs(conjunct, _Explorer(guards, fresh), 10_000), (guards, conjunct)
+            assert _bfs(conjunct, guards, shared, 10_000) == \
+                _bfs(conjunct, guards, fresh, 10_000), (guards, conjunct)
 
 
-def test_explorer_builds_its_alphabet_once(monkeypatch):
-    # The bench spans build_alphabet: every explorer must call it, even
-    # when the alphabet it returns is already kept.
-    calls = []
-    inner = checker.build_alphabet
+# Safe formulas naming propositions the catalogue does not.
+_OUTSIDE_THE_CATALOGUE = [
+    "(G (! (cpu_read DMEM)))",
+    "(G (-> (dma_touch ROM) (X reset)))",
+    "(G (-> (cpu_write PMEM) (X (X (! (read VR))))))",
+    "(& (G (! (write ROM))) (X (X (! (dma_touch DMEM)))))",
+    "(W (! (cpu_read ER)) (pc_at iauth))",
+    "(G (-> (read GPIO) (| (cpu_read DMEM) (X (X reset)))))",
+]
 
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
-    monkeypatch.setattr(checker, "build_alphabet", counted)
-    explorers = [_explorer(SPACE5, guards, _CATALOGUE) for guards in _GUARD_SETS]
-    assert len(calls) == len(explorers)
-    assert len({id(explorer.alphabet) for explorer in explorers}) == 1
+
+@pytest.mark.parametrize("text", _OUTSIDE_THE_CATALOGUE)
+def test_a_formula_outside_the_catalogue_checks_alike_on_either_key(
+        text, monkeypatch):
+    # Every catalogue proposition is a function of the monitor letter, so
+    # keying on the catalogue's names as well as the formula's own adds no
+    # class: verdict, explored count and counterexample stay as they are.
+    formula = parse(text)
+    assert check_props(formula, build_props(SPACE5)) - catalogue_names(SPACE5)
+
+    def results() -> list[tuple]:
+        checked = [exhaustive_check(formula, SPACE5, guards) for guards in _ALL_GUARD_SETS]
+        return [(r.verdict, r.explored_states, repr(r.counterexample)) for r in checked]
+    with_catalogue = results()
+    monkeypatch.setattr(checker, "_catalogue_key",
+                        lambda space: (build_props(space), frozenset()))
+    assert results() == with_catalogue
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +619,7 @@ def safe_formulas(draw, depth=3, positive=True):
 @st.composite
 def letter_lassos(draw):
     """Lassos of 2-6 catalogue-alphabet letters with drawn reset outputs."""
-    alphabet = build_alphabet(SPACE5, catalogue_names(SPACE5))
+    alphabet = catalogue_alphabet(SPACE5)
     n = draw(st.integers(2, 6))
     records = [draw(st.sampled_from(alphabet))._replace(
         cycle=i, reset=draw(st.booleans())) for i in range(n)]
@@ -657,15 +692,15 @@ def test_nested_shapes_agree_with_bounded_search(text):
 # Rows looked up in the FSM tables against monitor_step on every letter
 
 
-def assert_rows_equal_monitor_step(explorer: _Explorer) -> None:
+def assert_rows_equal_monitor_step(guards, alphabet: Alphabet) -> None:
     """Every reachable state's row against ``monitor_step`` on each letter,
     with the initial state numbered 0."""
-    guards, compiled = explorer.guards, explorer.monitor
-    letters = [table_letter(explorer.alphabet.space)(rec) for rec in explorer.alphabet]
+    compiled = compiled_monitor(guards)
+    letters = [table_letter(alphabet.space)(rec) for rec in alphabet]
     assert compiled.number[INITIAL_STATE] == 0
     reached = [INITIAL_STATE]
     for state in reached:  # grows as the rows reach new states
-        ids, outs = explorer.row(compiled.number[state])
+        ids, outs = alphabet.row(guards, compiled.number[state])
         for idx, letter in enumerate(letters):
             expected = monitor_step(state, letter, guards)
             assert (compiled.states[ids[idx]], bool(outs[idx])) == expected, \
@@ -677,9 +712,10 @@ def assert_rows_equal_monitor_step(explorer: _Explorer) -> None:
 @pytest.mark.parametrize("width", [5, 6])
 @pytest.mark.parametrize("ekr_enabled", [True, False])
 def test_catalogue_rows_equal_monitor_step(width, ekr_enabled):
+    alphabet = catalogue_alphabet(scaled_space(width))
     for guards in _GUARD_SETS:
         assert_rows_equal_monitor_step(
-            catalogue_explorer(scaled_space(width), guards, ekr_enabled))
+            guards if ekr_enabled else guards.keyless(), alphabet)
 
 
 @pytest.mark.parametrize("width", [5, 6])
@@ -687,9 +723,9 @@ def test_catalogue_rows_equal_monitor_step(width, ekr_enabled):
 def test_curated_rows_equal_monitor_step(width, ekr_enabled):
     space = scaled_space(width)
     for guards in _GUARD_SETS:
-        assert_rows_equal_monitor_step(_Explorer(
+        assert_rows_equal_monitor_step(
             guards if ekr_enabled else guards.keyless(),
-            Alphabet(curated_alphabet(space), space, build_props(space))))
+            Alphabet(curated_alphabet(space), space, build_props(space)))
 
 
 def test_a_second_sweep_builds_no_tables(monkeypatch):
@@ -732,9 +768,8 @@ def reference_brute_force(formula, space, guards=DEFAULT_GUARDS,
     verdict, explored count and counterexample ``repr``."""
     props = build_props(space)
     alphabet = Alphabet(curated_alphabet(space), space, props)
-    table = _Explorer(guards, alphabet)
     rows = {}
-    start = table.monitor.number[INITIAL_STATE]
+    start = CompiledMonitor.number[INITIAL_STATE]
     explored = 0
     for length in range(1, max_len + 1):
         for combo in iproduct(range(len(alphabet)), repeat=length):
@@ -743,10 +778,10 @@ def reference_brute_force(formula, space, guards=DEFAULT_GUARDS,
             prefix = []
             for i, idx in enumerate(combo):
                 if sid not in rows:
-                    rows[sid] = tuple(a.tolist() for a in table.row(sid))
+                    rows[sid] = tuple(a.tolist() for a in alphabet.row(guards, sid))
                 sid, out = rows[sid][0][idx], rows[sid][1][idx]
                 prefix.append(alphabet[idx]._replace(reset=bool(out), cycle=i))
-            lead, loop = _quiet_tail(table.monitor.states[sid], length, space, guards)
+            lead, loop = _quiet_tail(CompiledMonitor.states[sid], length, space, guards)
             lasso = LassoTrace(prefix=prefix + lead, loop=list(loop))
             if not eval_naive(formula, lasso, 0, props):
                 return "violated", explored, repr(lasso)

@@ -187,6 +187,21 @@ def test_check_mutant_is_convicted(tmp_path, capsys):
     assert "#loop_start=" in dump and "\t" in dump
 
 
+@pytest.mark.parametrize("args", [
+    ["--mutate", "irq-dma-ignored", "--formula", "(G (! (read DMEM)))"],
+    ["--formula", "(G true)", "--formula-file", "formula.txt"],
+    ["--mutate", "irq-dma-ignored", "--formula-file", "formula.txt"]],
+    ids=["mutate-and-formula", "formula-and-file", "mutate-and-file"])
+def test_check_refuses_conflicting_targets(tmp_path, capsys, args):
+    # One target per check: no option may silently win over another.
+    (tmp_path / "formula.txt").write_text("(G true)")
+    args = [str(tmp_path / a) if a == "formula.txt" else a for a in args]
+    assert main(["check", "--width", "5"] + args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err.splitlines()[-1]
+
+
 def test_check_usage_error_on_bad_formula(capsys):
     assert main(["check", "--formula", "(G (-> p", "--width", "5"]) == EXIT_USAGE
 
@@ -433,6 +448,13 @@ def test_attack_deterministic_digests(tmp_path):
               "--random", "3", "--report", str(path)])
         reports.append(path.read_text())
     assert reports[0] == reports[1]
+
+
+def test_attack_refuses_all_together_with_one_name(capsys):
+    assert main(["attack", "--all", "--name", "happy-path"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err.splitlines()[-1]
 
 
 def test_attack_unknown_scenario_is_a_usage_error(capsys):

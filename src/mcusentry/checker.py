@@ -48,9 +48,14 @@ same product depth first over a small curated alphabet, progressing the
 formula letter by letter as the walk does (U and B included), and judges
 what each bounded prefix leaves pending on its quiet tail with
 ``eval_naive``, once per (obligation, monitor state): the tail's
-propositions depend on the state alone. That is bounded search over a
-finite alphabet (Biere, Cimatti, Clarke & Zhu, TACAS 1999); past its
-bound it stays incomplete.
+propositions depend on the state alone. So every lasso's verdict is a
+function of the product node its letters end in, and a node searched
+clean with some number of letters left is clean whatever prefix reaches
+it: each call keeps such (state, obligation, letters left) nodes and
+counts a revisited one's lassos without expanding it, as explicit-state
+checkers cache visited states (Holzmann, IEEE TSE 1997). That is bounded
+search over a finite alphabet (Biere, Cimatti, Clarke & Zhu, TACAS
+1999); past its bound it stays incomplete.
 """
 from __future__ import annotations
 
@@ -514,8 +519,18 @@ def _extend(search: SimpleNamespace, sid: int, oid: int, length: int) -> int | N
     product node (``sid``, obligation ``oid``), to ``length`` letters in
     product order, judging each lasso. Returns the monitor state number
     after the first violating one, its letters left in ``search.path``, or
-    None. A module function, for the reason given at ``ltl._ev``."""
+    None. Each lasso's verdict depends only on the node it ends in, so a
+    node with ``left`` letters to go that was searched clean once is clean
+    whatever prefix reaches it: ``search.clean`` records such (``sid``,
+    ``oid``, ``left``) triples, and a second visit counts the subtree's
+    ``len(alphabet) ** left`` lassos as explored without expanding it. A
+    module function, for the reason given at ``ltl._ev``."""
     guards, alphabet, path = search.guards, search.alphabet, search.path
+    left = length - len(path)
+    node = (sid, oid, left)
+    if node in search.clean:
+        search.explored += len(alphabet) ** left
+        return None
     nxt_ids, outs, nxt_oids = (a.tolist() for a in alphabet.step(guards, sid, oid))
     for idx, (nxt, out, nxt_oid) in enumerate(zip(nxt_ids, outs, nxt_oids)):
         path.append((idx, out))
@@ -534,6 +549,7 @@ def _extend(search: SimpleNamespace, sid: int, oid: int, length: int) -> int | N
         if found is not None:
             return found
         path.pop()
+    search.clean.add(node)
     return None
 
 
@@ -549,8 +565,11 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
     Sequences go shortest first, each length in product order, and the
     first violating lasso is returned. Each sequence progresses the formula
     (see the module docstring); ``eval_naive`` judges what is left on the
-    quiet tail. ``max_len`` below 1 raises ``ValueError``, and a
-    proposition that is no ``build_props`` entry ``FormulaError``.
+    quiet tail. A subtree searched clean once in this call is counted, not
+    searched, when another prefix reaches its node (``_extend``), so the
+    explored count is still every lasso up to the violation. ``max_len``
+    below 1 raises ``ValueError``, and a proposition that is no
+    ``build_props`` entry ``FormulaError``.
     """
     if max_len < 1:
         raise ValueError(f"max_len {max_len} is below 1: no lasso to search")
@@ -558,7 +577,7 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
     check_props(formula, props)
     alphabet = Alphabet(curated_alphabet(space), space, props)
     search = SimpleNamespace(guards=guards, alphabet=alphabet, path=[],
-                             verdicts={}, explored=0)
+                             verdicts={}, clean=set(), explored=0)
     start = (CompiledMonitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
     for length in range(1, max_len + 1):
         sid = _extend(search, *start, length)

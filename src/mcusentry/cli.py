@@ -240,8 +240,18 @@ def cmd_attack(args) -> int:
     return EXIT_OK if wins == 0 and violations == 0 else EXIT_VIOLATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one line, ``mcusentry <cmd>: error:
+    ...``, with no usage block (the mutant list alone wraps over several),
+    and exit 2. ``add_subparsers`` builds every subcommand's parser as
+    one too."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcusentry",
         description="simulate, verify, and attack the sensing-authorization monitor")
     sub = parser.add_subparsers(dest="command", required=True)

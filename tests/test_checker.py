@@ -816,6 +816,46 @@ def test_bounded_search_evaluates_each_obligation_once_per_state(monkeypatch):
     assert 0 < calls <= 40
 
 
+def test_bounded_search_expands_each_node_once(monkeypatch):
+    # A (state, obligation, letters left) node searched clean is not
+    # searched again: the same search without that memo steps 2,056 nodes
+    # (1 + 13 + 157 + 1,885 over its four depths).
+    extend, step = checker._extend, Alphabet.step
+    left, expanded = [], []
+
+    def entering(search, sid, oid, length):
+        left.append(length - len(search.path))
+        try:
+            return extend(search, sid, oid, length)
+        finally:
+            left.pop()
+
+    def stepping(self, guards, sid, oid):
+        expanded.append((sid, oid, left[-1]))
+        return step(self, guards, sid, oid)
+    monkeypatch.setattr(checker, "_extend", entering)
+    monkeypatch.setattr(Alphabet, "step", stepping)
+    entry = catalogue_by_name()["e2e-authorized-sensing"]
+    result = brute_force_check(entry.formula, SPACE6,
+                               mutant_guards("no-relock-on-write"), max_len=4)
+    assert result.holds and result.explored_states == 22_620
+    assert len(set(expanded)) == len(expanded) <= 50
+
+
+@pytest.mark.parametrize("width", [5, 6, 7])
+def test_goal_bounded_search_past_the_sweeps_bound(width):
+    # Cheap only because clean nodes are searched once: the healthy goal
+    # over every lasso of up to 6 of the 12 letters, and the relock mutant,
+    # which the sweep's bound of 4 does not convict, convicted at 5.
+    space, goal = scaled_space(width), authorized_sensing_goal()
+    healthy = brute_force_check(goal, space, max_len=6)
+    assert (healthy.verdict, healthy.explored_states) == ("holds", 3_257_436)
+    guards = mutant_guards("no-relock-on-write")
+    result = brute_force_check(goal, space, guards, max_len=5)
+    assert (result.verdict, result.explored_states) == ("violated", 27_270)
+    assert replay_counterexample(goal, result.counterexample, space, guards)
+
+
 @pytest.mark.parametrize("max_len", [0, -1])
 def test_bounded_search_refuses_a_bound_below_one(max_len, monkeypatch):
     # An empty search is no "holds": refused before any alphabet is built.

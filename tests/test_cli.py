@@ -202,6 +202,21 @@ def test_check_refuses_conflicting_targets(tmp_path, capsys, args):
     assert "not allowed with argument" in captured.err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["check", "--width", "5", "--mutate", "nope"], "invalid choice: 'nope'"),
+    (["check", "--mutate", "irq-dma-ignored", "--formula", "x"],
+     "argument --formula: not allowed with argument --mutate"),
+    (["run", "--message", "msg.bin"], "the following arguments are required: --er")],
+    ids=["unknown-mutant", "conflicting-targets", "missing-required"])
+def test_argument_errors_are_one_line(capsys, argv, words):
+    # No usage block: the error alone, named by its subcommand, exit 2.
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"mcusentry {argv[0]}: error: ") and words in line
+
+
 def test_check_usage_error_on_bad_formula(capsys):
     assert main(["check", "--formula", "(G (-> p", "--width", "5"]) == EXIT_USAGE
 

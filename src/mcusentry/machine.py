@@ -494,17 +494,55 @@ class RunContext:
         )
 
 
+def _complete_reset(machine: Machine, monitor, rec: StateRecord) -> StateRecord:
+    """``rec`` marked ``reset=True``, after ``force_reset`` and
+    ``reset_routine``, which erases the data RAM and runs ``on_reset``."""
+    if monitor is not None:
+        monitor.force_reset()
+    reset_routine(machine)
+    return rec._replace(reset=True)
+
+
 def commit(machine: Machine, monitor, rec: StateRecord) -> StateRecord:
-    """The one judge-and-reset step of every record (``run``, ``install``,
-    ``verify_dev``): step ``monitor`` (if any) on ``rec``; on a fault or a
-    monitor reset, return it marked ``reset=True`` after ``force_reset``
-    and ``reset_routine``, which erases the data RAM and runs ``on_reset``."""
+    """The judge-and-reset step of each cycle ``run`` executes: step
+    ``monitor`` (if any) on ``rec``; on a fault or a monitor reset,
+    complete the reset and return the record marked ``reset=True``.
+    The protocol's synthesized records go through ``commit_run``."""
     if (monitor is not None and monitor.step(rec)) or rec.reset:
-        rec = rec._replace(reset=True)
-        if monitor is not None:
-            monitor.force_reset()
-        reset_routine(machine)
+        rec = _complete_reset(machine, monitor, rec)
     return rec
+
+
+def commit_run(machine: Machine, monitor, run: list[StateRecord],
+               out: list[StateRecord],
+               store: tuple[int, bytes] | None = None) -> bool:
+    """The judge-and-reset step of a run of synthesized records, the
+    trusted verifier's and installer's cycles: step ``monitor`` (if any)
+    over the whole run with ``Monitor.step_run`` and keep the records up
+    to and including the first that resets, appended to ``out``;
+    ``machine.cycle`` advances by the number kept. A store run passes
+    ``store = (addr, data)``: record ``i`` stores the word ``data[2i:2i+2]``
+    at ``addr + 2i``, and the kept words are written before the reset
+    completes as in ``commit``. Return whether the run reset.
+
+    The run's records are built with the cycle numbers they will carry
+    and never fault. Verifier execution is uninterruptible: DMA and IRQ are
+    never serviced during a run, and requests scheduled at its cycles
+    lapse. Once the scheduler services them (ROADMAP item 4), a run must be
+    cut at each scheduled DMA or IRQ cycle.
+    """
+    cut = len(run) if monitor is None else monitor.step_run(run)
+    kept = min(cut + 1, len(run))
+    machine.cycle += kept
+    if store is not None:
+        addr, data = store
+        machine.memory[addr:addr + 2 * kept] = data[:2 * kept]
+    if cut == len(run):
+        out += run
+        return False
+    out += run[:cut]
+    out.append(_complete_reset(machine, monitor, run[cut]))
+    return True
 
 
 def run(machine: Machine, monitor, ctx: RunContext, max_cycles: int) -> Trace:

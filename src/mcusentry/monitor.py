@@ -396,7 +396,9 @@ class Monitor:
 
     A step looks up (state, letter) in the memo of its guard set's
     ``compiled_monitor``, shared by every monitor of that set, and steps
-    the FSMs only on a miss; it reports the global reset only. A check
+    the FSMs only on a miss; it reports the global reset only.
+    ``step_run`` steps a whole run of records the same way, for
+    ``machine.commit_run``, and stops at the first that resets. A check
     that needs one FSM's own output steps that FSM
     (``step_atomicity_fsm`` and its siblings) on ``table_letter(layout)``
     of each record. ``local_resets_log`` is always empty: the benchmark
@@ -417,6 +419,24 @@ class Monitor:
             hit = self._memo[state][letter] = monitor_step(state, letter, self.guards)
         self.state, out = hit
         return out
+
+    def step_run(self, records) -> int:
+        """Step over ``records`` in order, as ``step`` on each one would, up
+        to and including the first that resets; return that record's index,
+        or ``len(records)`` when none resets. The state is left as that
+        record's step leaves it. Same memo and miss rule as ``step``."""
+        state, letter, memo, guards = self.state, self._letter, self._memo, self.guards
+        for i, rec in enumerate(records):
+            key = letter(rec)
+            hit = memo[state].get(key)
+            if hit is None:
+                hit = memo[state][key] = monitor_step(state, key, guards)
+            state, out = hit
+            if out:
+                self.state = state
+                return i
+        self.state = state
+        return len(records)
 
     def force_reset(self) -> None:
         """A machine reset actually happened: re-initialise all FSMs.

@@ -9,9 +9,16 @@ pattern (window reads from trusted-verifier addresses, key-region writes,
 the final authorization record) instead of running foreign instructions,
 with a record count affine in the window size.
 
-The live window bounds the records carry are read once per phase and again
-after a store into ``layout.er_metadata``, exact since ``er_window`` reads
-only those cells; records and cost model are those of a per-record read.
+Each phase is emitted as runs: the installer's mailbox, window and
+metadata chunks, and the verifier's header, digest sweep, tail, key writes
+and final authorization record, each build their records in one pass and
+hand them to ``machine.commit_run``, which steps the monitor over the whole
+run at once and keeps the records up to and including the first that
+resets. A store run's kept words are stored before that reset completes. A
+run samples the live window bounds once, and a store run also ends after
+any store into ``layout.er_metadata``, exact since ``er_window`` reads only
+those cells. Records, memory, cycle count and monitor state are those of
+judging and storing one record at a time, and so is the cost model.
 
 Wire format of an authorization message, bit exact:
 
@@ -20,12 +27,14 @@ Wire format of an authorization message, bit exact:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count, cycle, repeat
+from typing import Iterable, Iterator
 
 from .crypto import (CHAL_BYTES, KEY_BYTES, MAC_BYTES, derive_enc_key,
                      token_mac)
 from .errors import SizeError
 from .layout import ErWindow, MemoryLayout, default_layout
-from .machine import Machine, RunContext, StateRecord, Trace, commit, run
+from .machine import Machine, RunContext, StateRecord, Trace, commit_run, run
 from .monitor import Monitor
 from .oracle import BOTTOM, TOP
 
@@ -108,29 +117,14 @@ def install(msg: AuthorizationMessage, machine: Machine, er: ErWindow,
     installer_pc = (layout.pmem.start + 0x80) & 0xFFFE
     padded = msg.binary + bytes(span - len(msg.binary))
     records: list[StateRecord] = []
-    mem = machine.memory
-    meta_lo, meta_hi = layout.er_metadata.start, layout.er_metadata.end
-
-    def staged_write(addr: int, chunk: bytes) -> bool:
-        # Signals, store, then verdict, like exec_step; True on a reset. The
-        # bounds change only by a store into the metadata cells.
-        er_min, er_max = machine.er_window()
-        if len(chunk) % 2:  # a short token: the last word's high byte is 0
-            chunk += b"\x00"
-        for i in range(0, len(chunk), 2):
-            a = (addr + i) & 0xFFFE
-            mem[a:a + 2] = chunk[i:i + 2]
-            if _emit(machine, monitor, records, installer_pc, er_min, er_max,
-                     False, True, addr + i):
-                return True
-            if meta_lo <= a <= meta_hi:
-                er_min, er_max = machine.er_window()
-        return False
-
-    if not (staged_write(layout.atok_mailbox.start, mailbox)
-            or staged_write(er.er_min, padded)):
-        staged_write(layout.er_min_cell,
-                     er.er_min.to_bytes(2, "little") + er.er_max.to_bytes(2, "little"))
+    pcs = repeat(installer_pc)
+    if len(mailbox) % 2:  # a short token: the last word's high byte is 0
+        mailbox += b"\x00"
+    if not (_store_runs(machine, monitor, records, pcs,
+                        layout.atok_mailbox.start, mailbox)
+            or _store_runs(machine, monitor, records, pcs, er.er_min, padded)):
+        _store_runs(machine, monitor, records, pcs, layout.er_min_cell,
+                    er.er_min.to_bytes(2, "little") + er.er_max.to_bytes(2, "little"))
     return records
 
 
@@ -144,19 +138,39 @@ def _set_stored_counter(machine: Machine, value: int) -> None:
     machine.memory[start:start + 8] = value.to_bytes(8, "big")
 
 
-def _emit(machine: Machine, monitor: Monitor | None, records: list[StateRecord],
-          pc: int, er_min: int, er_max: int, r_en: bool, w_en: bool,
-          d_addr: int) -> bool:
-    # Verifier execution is uninterruptible: DMA and IRQ are never serviced
-    # during these cycles; pending requests at these cycles lapse.
-    # Built as the tuple of ``machine.COLUMNS`` (no DMA, no irq, no reset):
-    # the named tuple's own constructor costs about 0.3 us more per record.
-    rec = _tuple_new(StateRecord, (machine.cycle, pc, r_en, w_en, d_addr, False,
-                                   0, False, False, False, pc, er_min, er_max))
-    machine.cycle += 1
-    rec = commit(machine, monitor, rec)
-    records.append(rec)
-    return rec.reset
+def _run(machine: Machine, pcs: Iterator[int], r_en: bool, w_en: bool,
+         d_addrs: Iterable[int]) -> list[StateRecord]:
+    """One run's records, built in one pass: one per ``d_addrs`` entry, pc
+    (and ``executed``) from ``pcs``, cycles counted from ``machine.cycle``,
+    and the live bounds sampled once. Each is the tuple of
+    ``machine.COLUMNS`` with no DMA, irq or reset: the named tuple's own
+    constructor costs about 0.3 us more per record. ``d_addrs`` comes
+    first in the ``zip``, so a run takes no pc beyond its last record from
+    a ``pcs`` shared with the next run."""
+    er_min, er_max = machine.er_window()
+    return [_tuple_new(StateRecord, (c, pc, r_en, w_en, d, False, 0, False,
+                                     False, False, pc, er_min, er_max))
+            for d, c, pc in zip(d_addrs, count(machine.cycle), pcs)]
+
+
+def _store_runs(machine: Machine, monitor: Monitor | None,
+                records: list[StateRecord], pcs: Iterator[int], addr: int,
+                data: bytes) -> bool:
+    """Store ``data`` (whole words) from the word-aligned ``addr`` on, one
+    record per word with its pc from ``pcs``, through ``commit_run``; True
+    on a reset. A run ends after a store into the metadata cells, the only
+    store that moves the bounds, so the next run samples the new ones."""
+    meta = machine.layout.er_metadata
+    end = addr + len(data)
+    while addr < end:
+        first_meta = max(addr, meta.start)  # the first word that may be one
+        stop = first_meta + 2 if first_meta <= meta.end and first_meta < end else end
+        run = _run(machine, pcs, False, True, range(addr, stop, 2))
+        if commit_run(machine, monitor, run, records, (addr, data)):
+            return True
+        data = data[stop - addr:]
+        addr = stop
+    return False
 
 
 def verify_dev(key: bytes, machine: Machine,
@@ -167,44 +181,38 @@ def verify_dev(key: bytes, machine: Machine,
     stored counter advances, the fresh one-time key lands in the key
     region, and the final emitted record sits at the authorization address;
     on mismatch that address is never reached and the staged message stays
-    for retry. ``machine.commit`` completes a reset on the record that fires it.
+    for retry. ``machine.commit_run`` completes a reset on the record that
+    fires it, and verification stops there.
     """
     layout = machine.layout
     records: list[StateRecord] = []
-    vr_lo, vr_hi = layout.vr.start, layout.vr.end
+    pcs = cycle(range(layout.vr.start, layout.vr.end + 1, 2))
     mb = layout.atok_mailbox.start
     chal = int.from_bytes(machine.memory[mb:mb + CHAL_BYTES], "big")
     staged_token = bytes(machine.memory[mb + CHAL_BYTES:mb + CHAL_BYTES + MAC_BYTES])
 
-    # Only the key writes store, so one sample of the live bounds serves
-    # the header, window and tail records.
-    er_min, er_max = machine.er_window()
-    pc = vr_lo
-    for i in range(VERIFY_HEADER_RECORDS):
-        if _emit(machine, monitor, records, pc, er_min, er_max,
-                 True, False, (mb + 2 * i) & 0xFFFE):
-            return BOTTOM, records
-        pc = pc + 2 if pc + 2 <= vr_hi else vr_lo
+    def read_run(r_en: bool, d_addrs: Iterable[int]) -> bool:
+        return commit_run(machine, monitor,
+                          _run(machine, pcs, r_en, False, d_addrs), records)
+
+    if read_run(True, [(mb + 2 * i) & 0xFFFE for i in range(VERIFY_HEADER_RECORDS)]):
+        return BOTTOM, records
 
     if chal <= stored_counter(machine):
         return BOTTOM, records
 
+    er_min, er_max = machine.er_window()
     if er_min > er_max:
         return BOTTOM, records
     window_bytes = bytes(machine.memory[er_min:er_max + 2])
-    for d_addr in range(er_min, er_min + len(window_bytes), 2):
-        for _ in range(VERIFY_RECORDS_PER_WORD):
-            if _emit(machine, monitor, records, pc, er_min, er_max,
-                     True, False, d_addr):
-                return BOTTOM, records
-            pc = pc + 2 if pc + 2 <= vr_hi else vr_lo
+    # Each word's address VERIFY_RECORDS_PER_WORD times in a row.
+    sweep = range(er_min, er_min + len(window_bytes), 2)
+    if read_run(True, chain.from_iterable(zip(*[sweep] * VERIFY_RECORDS_PER_WORD))):
+        return BOTTOM, records
     sigma = token_mac(key, chal, window_bytes)
 
-    for _ in range(VERIFY_TAIL_RECORDS):
-        if _emit(machine, monitor, records, pc, er_min, er_max,
-                 False, False, 0):
-            return BOTTOM, records
-        pc = pc + 2 if pc + 2 <= vr_hi else vr_lo
+    if read_run(False, (0,) * VERIFY_TAIL_RECORDS):
+        return BOTTOM, records
 
     # Constant-time compare is irrelevant in simulation; equality is the contract.
     if sigma != staged_token:
@@ -212,16 +220,11 @@ def verify_dev(key: bytes, machine: Machine,
 
     _set_stored_counter(machine, chal)
     k_enc = derive_enc_key(key, chal)
-    ekr = layout.ekr
-    er_min, er_max = machine.er_window()  # ekr never overlaps er_metadata
-    for i in _key_offsets(layout):
-        machine.store_word(ekr.start + i, int.from_bytes(k_enc[i:i + 2], "little"))
-        if _emit(machine, monitor, records, pc, er_min, er_max,
-                 False, True, ekr.start + i):
-            return BOTTOM, records
-        pc = pc + 2 if pc + 2 <= vr_hi else vr_lo
-    _emit(machine, monitor, records, layout.i_auth, er_min, er_max,
-          False, False, 0)
+    if _store_runs(machine, monitor, records, pcs, layout.ekr.start,
+                   k_enc[:2 * len(_key_offsets(layout))]):
+        return BOTTOM, records
+    commit_run(machine, monitor, _run(machine, repeat(layout.i_auth), False, False, (0,)),
+               records)
     return TOP, records
 
 

@@ -26,8 +26,9 @@ it, the shadow is compared with memory, and the fetched bytes are decoded
 from the shadow with ``isa.decode`` itself, never through the machine's
 decode memo. Records that ``protocol`` synthesizes for staging and
 verification are no ``exec_step`` cycles and are outside the per-cycle
-facts, but their resets run through ``machine.commit`` and so reach
-``on_reset``: ``check_reset`` covers every reset of a round.
+facts, but their resets run through ``machine.commit_run``, which completes
+them as ``machine.commit`` does, and so reach ``on_reset``: ``check_reset``
+covers every reset of a round.
 
 The three ``*_mutant`` functions are faulty machines, one per fact, built by
 editing what the real ``exec_step`` reports.

@@ -106,3 +106,30 @@ def test_every_workload_runs_its_calls_on_small_inputs():
             op = workload.call(state, inputs, i)
             assert op.ok, (name, i, op.verdict)
             workload.describe(op)
+
+
+def test_every_required_span_records_calls_on_small_inputs():
+    # The bench's self-test, on small inputs: each workload runs once
+    # untraced, then set-up, start and every call under the bench's own
+    # tracer, as its traced pass does; every span it requires on that
+    # workload must record a call. So attest still reaches Monitor.step
+    # through its boot, and campaign the goal check's eval_vector.
+    tracing, workloads = _load("tracing"), _load("workloads")
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls()
+        workload.random_plans, workload.messages, workload.width = 3, 16, 5
+        inputs = workload.generate(1)
+        calls = workload.round_calls if name == "modelcheck" else len(inputs)
+        state = workload.start(inputs)
+        for i in range(calls):
+            workload.call(state, inputs, i)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            workload.generate(1)
+            state = workload.start(inputs)
+            for i in range(calls):
+                workload.call(state, inputs, i)
+        finally:
+            tracer.remove()
+        assert tracing.missing_calls(tracer.summary(), name) == [], name

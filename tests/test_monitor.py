@@ -1,5 +1,6 @@
 """FSM transition semantics and the composed monitor."""
 
+from collections import defaultdict
 from dataclasses import fields
 from itertools import product
 
@@ -334,6 +335,56 @@ def test_memoized_step_equals_monitor_step_from_every_state(drawn, guards):
                 monitor.state = state
                 assert monitor.step(rec) == expected_out, (state, rec)
                 assert monitor.state == expected_state, (state, rec)
+
+
+def _resets_by_record(monitor, stream):
+    """Indices of the resetting records, stepping one record at a time and
+    forcing a reset after each, as ``machine.commit`` does."""
+    cuts = []
+    for i, rec in enumerate(stream):
+        if monitor.step(rec):
+            cuts.append(i)
+            monitor.force_reset()
+    return cuts
+
+
+def _resets_by_run(monitor, stream):
+    """The same through ``step_run``, one run cut after each reset, as
+    ``machine.commit_run`` cuts and resets a phase's run."""
+    cuts, start = [], 0
+    while start < len(stream):
+        cut = start + monitor.step_run(stream[start:])
+        if cut == len(stream):
+            break
+        cuts.append(cut)
+        monitor.force_reset()
+        start = cut + 1
+    return cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=hugging_streams(), guards=st.sampled_from(_GUARD_SETS),
+       start=st.sampled_from(_EVERY_STATE))
+def test_step_run_equals_step_record_by_record(drawn, guards, start):
+    """From every monitor state, under the healthy and every mutant's guard
+    set: the run steps from an empty memo (every first letter a miss), then
+    from the filled shared one, and both give the per-record steps' first
+    reset, resets after it and final state."""
+    stream = drawn[0] * 3  # repeats hit entries the run itself filled
+    by_record = Monitor(LAYOUT, guards)
+    fresh = Monitor(LAYOUT, guards)
+    fresh._memo = defaultdict(dict)
+    warm = Monitor(LAYOUT, guards)
+    for monitor in (by_record, fresh, warm):
+        monitor.state = start
+    want = _resets_by_record(by_record, stream)
+    assert _resets_by_run(fresh, stream) == want
+    assert _resets_by_run(warm, stream) == want
+    assert fresh.state == warm.state == by_record.state
+    assert _memo_entries_equal_monitor_step(fresh._memo, guards)
+    first = Monitor(LAYOUT, guards)
+    first.state = start
+    assert first.step_run(stream) == (want[0] if want else len(stream))
 
 
 def _memo_entries_equal_monitor_step(memo, guards):

@@ -319,11 +319,12 @@ def test_settle_after_verify_is_a_no_op():
 
 
 # -- Differential reference: the per-record protocol cycles -------------------
-# ``install`` and ``verify_dev`` sample the live bounds once per phase and
-# stage bytes straight into memory. The reference below re-reads
-# ``er_window()`` on every record and stages through ``store_word``; both
-# must give the same records, memory, cycle count and monitor state. Both
-# judge each record with ``machine.commit`` and stop at the first reset.
+# ``install`` and ``verify_dev`` emit each phase as runs judged by
+# ``machine.commit_run``, sample the live bounds once per run and stage bytes
+# straight into memory. The reference below re-reads ``er_window()`` on every
+# record, stages through ``store_word`` and judges each record with
+# ``machine.commit``; both must give the same records, memory, cycle count
+# and monitor state, and both stop at the first reset.
 
 def _reference_emit(machine, monitor, records, pc, *, r_en=False, w_en=False,
                     d_addr=0, er=None):
@@ -498,3 +499,89 @@ def test_metadata_record_carries_the_new_lower_bound():
     assert machine.er_window() == (0x4000, 0x400E)
     ok, verified = verify_dev(KEY, machine, monitor)
     assert ok and all((r.er_min, r.er_max) == (0x4000, 0x400E) for r in verified)
+
+
+# -- Hostile live bounds: runs cut in the middle ------------------------------
+# Raw bounds written straight into the metadata cells after staging, as an
+# attacker with a write primitive could: windows spanning GPIO or key words
+# (the digest sweep reads them and resets partway through), inverted and odd
+# bounds, and windows over the verifier's own words, the authorization
+# address or the staging cells.
+
+HOSTILE_BOUNDS = [
+    (LAYOUT.gpio.start - 4, LAYOUT.gpio.start + 4),
+    (LAYOUT.gpio.start - 3, LAYOUT.gpio.start + 1),
+    (LAYOUT.ekr.start - 2, LAYOUT.ekr.start + 2),
+    (0x4010, 0x4000),
+    (LAYOUT.vr.start, LAYOUT.vr.end - 1),
+    (LAYOUT.vr.start + 8, LAYOUT.vr.start + 16),
+    (LAYOUT.i_auth, LAYOUT.i_auth + 2),
+    (LAYOUT.i_auth - 4, LAYOUT.i_auth),
+    (LAYOUT.er_metadata.start, LAYOUT.counter_cell.end - 1),
+    (0xFFF0, 0xFFFF),
+]
+
+
+def _write_bounds(machine, bounds):
+    for cell, value in zip((LAYOUT.er_min_cell, LAYOUT.er_max_cell), bounds):
+        machine.store_word(cell, value)
+
+
+def _hostile_session(bounds, monitor_mode, live_token, install_fn, verify_fn):
+    """Stage, write ``bounds``, verify; then stage again under those bounds,
+    write them once more and verify again. With ``live_token`` the mailbox
+    token is replaced by a valid one over the live window bytes, so the
+    verification reaches its key writes and final record."""
+    binary = bytes(range(1, 33))
+    er = window_for(binary, 0x4000)
+    machine, monitor = booted_machine(er)
+    if monitor_mode == "none":
+        monitor = None
+    counter, seen = 0, []
+    for _ in range(2):
+        msg, counter = authorize_ctrl(KEY, counter, binary)
+        staged = install_fn(msg, machine, er, monitor)
+        _write_bounds(machine, bounds)
+        if live_token:
+            lo, hi = machine.er_window()
+            token = token_mac(KEY, msg.chal, bytes(machine.memory[lo:hi + 2]))
+            mb = LAYOUT.atok_mailbox.start + 8
+            machine.memory[mb:mb + len(token)] = token
+        ok, verified = verify_fn(KEY, machine, monitor)
+        seen.append((staged, ok, verified, bytes(machine.memory), machine.cycle,
+                     None if monitor is None else monitor.state))
+    return seen
+
+
+@pytest.mark.parametrize("live_token", [False, True])
+@pytest.mark.parametrize("monitor_mode", ["live", "none"])
+@pytest.mark.parametrize("bounds", HOSTILE_BOUNDS,
+                         ids=[f"{lo:04x}-{hi:04x}" for lo, hi in HOSTILE_BOUNDS])
+def test_hostile_bounds_equal_the_per_record_reference(bounds, monitor_mode,
+                                                       live_token):
+    got = _hostile_session(bounds, monitor_mode, live_token, install, verify_dev)
+    want = _hostile_session(bounds, monitor_mode, live_token,
+                            reference_install, reference_verify_dev)
+    assert got == want
+
+
+def test_a_sweep_over_gpio_is_cut_past_its_first_record(monkeypatch):
+    # The window's first two words lie below GPIO: the sweep's third read
+    # is the first GPIO read, and the locked monitor resets on it.
+    cuts = []
+    inner = Monitor.step_run
+
+    def recorded(self, records):
+        cut = inner(self, records)
+        cuts.append((cut, len(records)))
+        return cut
+
+    monkeypatch.setattr(Monitor, "step_run", recorded)
+    machine, monitor, msg, er = staged(bytes(range(1, 33)))
+    _write_bounds(machine, (LAYOUT.gpio.start - 4, LAYOUT.gpio.start + 4))
+    ok, records = verify_dev(KEY, machine, monitor)
+    assert not ok
+    assert cuts[-1] == (2, 5)
+    assert len(records) == VERIFY_HEADER_RECORDS + 3
+    assert records[-1].reset and records[-1].d_addr == LAYOUT.gpio.start
+    assert not any(r.reset for r in records[:-1])

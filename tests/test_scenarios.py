@@ -1,6 +1,10 @@
 """Game outcomes for the scenario catalogue and the randomized generator."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +129,19 @@ def test_parallel_campaign_matches_serial():
     parallel = run_campaign(names=["irq-mid-er", "dma-gpio-snoop"],
                             random_count=4, seed=5, jobs=2)
     assert serial == parallel
+
+
+def test_importing_the_package_leaves_multiprocessing_out():
+    # run_campaign imports its process pool only for jobs > 1, so a
+    # single-process run does not carry multiprocessing's resident memory.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mcusentry; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_reset_scenarios_leave_no_marker_in_ram():

@@ -27,7 +27,7 @@ from .crypto import (decrypt_ctrl, decrypt_output, derive_enc_key,
 from .ltl import Formula, LassoTrace, eval_formula, eval_naive, parse, to_text
 from .catalogue import builtin_formulas, all_formulas, catalogue_by_name
 from .checker import (CheckResult, brute_force_check, check_catalogue,
-                      exhaustive_check, find_mutant_violation,
+                      exhaustive_check, find_mutant_violation, first_violation,
                       replay_counterexample, scaled_space)
 from .oracle import atomic_exec_oracle
 from .referee import GameOutcome, run_campaign, run_scenario

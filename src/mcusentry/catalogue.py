@@ -17,6 +17,9 @@ record's write addresses, a sensor value reaches software only through a
 record with a GPIO read, the next pc is a successor the instruction allows)
 are no formulas here: they relate a record to machine state that records
 do not carry, so the test suite checks them per cycle on the simulator.
+
+Every entry is listed whatever the device; the checker leaves out those
+that ``needs_ekr`` for a guard set without a key region.
 """
 from __future__ import annotations
 
@@ -162,27 +165,24 @@ def authorized_sensing_goal() -> Formula:
     return And(in_er, before)
 
 
-def builtin_formulas(ekr_enabled: bool = True) -> list[CatalogueEntry]:
+def builtin_formulas() -> list[CatalogueEntry]:
     """The 11 primary named formulas (9 monitor + 2 end-to-end)."""
-    entries = _monitor()
-    entries.append(CatalogueEntry(
-        "e2e-atomic-execution", GROUP_E2E, atomic_execution_goal(),
-        "every window execution is atomic with controlled invocation",
-    ))
-    entries.append(CatalogueEntry(
-        "e2e-authorized-sensing", GROUP_E2E, authorized_sensing_goal(),
-        "sensing happens only inside a window authorized and untouched since",
-    ))
-    if not ekr_enabled:
-        entries = [e for e in entries if not e.needs_ekr]
-    return entries
+    return _monitor() + [
+        CatalogueEntry(
+            "e2e-atomic-execution", GROUP_E2E, atomic_execution_goal(),
+            "every window execution is atomic with controlled invocation",
+        ),
+        CatalogueEntry(
+            "e2e-authorized-sensing", GROUP_E2E, authorized_sensing_goal(),
+            "sensing happens only inside a window authorized and untouched since",
+        ),
+    ]
 
 
-def all_formulas(ekr_enabled: bool = True) -> list[CatalogueEntry]:
+def all_formulas() -> list[CatalogueEntry]:
     """Primary catalogue plus the supplementary revocation properties."""
-    return builtin_formulas(ekr_enabled) + [
-        e for e in _supplementary() if ekr_enabled or not e.needs_ekr]
+    return builtin_formulas() + _supplementary()
 
 
-def catalogue_by_name(ekr_enabled: bool = True) -> dict[str, CatalogueEntry]:
-    return {e.name: e for e in all_formulas(ekr_enabled)}
+def catalogue_by_name() -> dict[str, CatalogueEntry]:
+    return {e.name: e for e in all_formulas()}

@@ -29,17 +29,19 @@ a syntactically safe conjunct (``_is_safe``; Kupferman & Vardi, FMSD
 2001) has a finite bad prefix, so it shows up on some reachable edge;
 any other conjunct (the before-operator end-to-end goal) is refused with
 ``FormulaError`` and checked on traces. A monitor state is its number in
-the guard set's ``monitor.compiled_monitor`` (a device without a key
-region is the set's ``keyless()``), whose successor function gives each
-reachable state one row: the next state's number and the reset output on
-every letter. A node expands by gathering its obligation's progressions
-(computed once per process for each code of the propositions it reads,
-``_Obligations``) at its row's reset outputs. New nodes are queued in
-the order of the first letter that reaches them, and the violation
-reported is the first violating letter. Counterexamples are rebuilt as
-concrete lassos and replay through ``monitor_step``, a path independent
-of the tables, which must bring the FSMs back to their loop-entry
-states.
+the guard set's ``monitor.compiled_monitor``, whose successor function
+gives each reachable state one row: the next state's number and the
+reset output on every letter. A node expands by gathering its
+obligation's progressions (computed once per process for each code of
+the propositions it reads, ``_Obligations``) at its row's reset outputs.
+New nodes are queued in the order of the first letter that reaches them,
+and the violation reported is the first violating letter. A device
+without a key region is a guard set equal to its own ``keyless()``; the
+catalogue formulas that need the key region are left out for it
+(``check_catalogue``, ``first_violation``). Counterexamples are rebuilt
+as concrete lassos and replay through ``monitor_step``, a path
+independent of the tables, which must bring the FSMs back to their
+loop-entry states.
 
 Bounded lasso enumeration (``brute_force_check``) can show a violation
 but not its absence, so it is no verdict path; it cross-checks the walk
@@ -63,11 +65,11 @@ from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType, SimpleNamespace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .catalogue import all_formulas
+from .catalogue import CatalogueEntry, all_formulas
 from .errors import BudgetError, FormulaError
 from .layout import Region
 from .ltl import (And, B, Formula, G, Implies, LassoTrace, Not, Or, Prop, U,
@@ -418,9 +420,9 @@ def _quiet_tail(state: MonitorState, start: int, space: ScaledSpace,
 
 @lru_cache(maxsize=8)
 def _catalogue_key(space: ScaledSpace) -> tuple[Mapping, frozenset[str]]:
-    """The space's proposition table, read-only, and the propositions the
-    catalogue's formulas name, which every check's class key carries."""
-    props = MappingProxyType(build_props(space))
+    """The space's proposition table and the propositions the catalogue's
+    formulas name, which every check's class key carries."""
+    props = build_props(space)
     return props, frozenset().union(*(check_props(e.formula, props)
                                       for e in all_formulas()))
 
@@ -561,7 +563,7 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
 
     Complete only to the bound, so a "holds" proves nothing past it: this is
     the independent cross-check for the product exploration, and the search
-    ``find_mutant_violation`` runs on formulas outside its safe fragment.
+    ``first_violation`` runs on formulas outside its safe fragment.
     Sequences go shortest first, each length in product order, and the
     first violating lasso is returned. Each sequence progresses the formula
     (see the module docstring); ``eval_naive`` judges what is left on the
@@ -613,34 +615,32 @@ def replay_counterexample(formula: Formula, lasso: LassoTrace,
     return not eval_naive(formula, lasso, 0, props)
 
 
+def _entries(guards: GuardFlags) -> list[CatalogueEntry]:
+    """The catalogue, less its key formulas if ``guards`` has no key region."""
+    keyed = guards != guards.keyless()
+    return [entry for entry in all_formulas() if keyed or not entry.needs_ekr]
+
+
 def check_catalogue(space: ScaledSpace,
-                    guards: GuardFlags = DEFAULT_GUARDS,
-                    ekr_enabled: bool = True,
-                    state_budget: int = 2_000_000) -> list[CheckResult]:
-    """Exhaustively check every monitor formula in the catalogue; without
-    ``ekr_enabled``, on a device without a key region."""
-    guards = guards if ekr_enabled else guards.keyless()
-    return [exhaustive_check(entry.formula, space, guards,
-                             state_budget=state_budget, name=entry.name)
-            for entry in all_formulas(ekr_enabled)
+                    guards: GuardFlags = DEFAULT_GUARDS) -> list[CheckResult]:
+    """Exhaustively check every monitor formula in the catalogue that
+    applies to ``guards``."""
+    return [exhaustive_check(entry.formula, space, guards, name=entry.name)
+            for entry in _entries(guards)
             if entry.name != "e2e-authorized-sensing"]  # the goal: checked on traces
 
 
-def find_mutant_violation(mutant_id: str, space: ScaledSpace,
-                          ekr_enabled: bool = True,
-                          state_budget: int = 2_000_000):
-    """Search the catalogue for a formula the mutant violates; without
-    ``ekr_enabled``, on a device without a key region.
+def first_violation(space: ScaledSpace, guards: GuardFlags):
+    """Search the catalogue formulas that apply to ``guards`` for one
+    their monitor violates: exhaustively where the formula is safe, by
+    bounded search where it is not.
 
     Returns (formula_name, CheckResult with a replayable counterexample),
     or (None, None) when it violates none.
     """
-    guards = mutant_guards(mutant_id)
-    guards = guards if ekr_enabled else guards.keyless()
-    for entry in all_formulas(ekr_enabled):
+    for entry in _entries(guards):
         if _is_safe(entry.formula):
-            result = exhaustive_check(entry.formula, space, guards,
-                                      state_budget=state_budget, name=entry.name)
+            result = exhaustive_check(entry.formula, space, guards, name=entry.name)
         else:
             result = brute_force_check(entry.formula, space, guards,
                                        max_len=4, name=entry.name)
@@ -648,3 +648,7 @@ def find_mutant_violation(mutant_id: str, space: ScaledSpace,
             return entry.name, result
     return None, None
 
+
+def find_mutant_violation(mutant_id: str, space: ScaledSpace):
+    """``first_violation`` of the named mutant's guards."""
+    return first_violation(space, mutant_guards(mutant_id))

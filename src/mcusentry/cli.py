@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .catalogue import catalogue_by_name
-from .checker import (check_catalogue, exhaustive_check, find_mutant_violation,
+from .checker import (check_catalogue, exhaustive_check, first_violation,
                       replay_counterexample, scaled_space)
 from .errors import McuSentryError
 from .layout import ErWindow, default_layout, parse_layout
@@ -164,17 +164,16 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     space = scaled_space(args.width)
-    ekr = not args.no_ekr
     guards = mutant_guards(args.mutate) if args.mutate else DEFAULT_GUARDS
-    guards = guards if ekr else guards.keyless()
+    guards = guards.keyless() if args.no_ekr else guards
+    entries = catalogue_by_name()
     if args.mutate:
-        name, result = find_mutant_violation(args.mutate, space, ekr_enabled=ekr)
+        name, result = first_violation(space, guards)
         if name is None:
             print(f"mutant {args.mutate}: no catalogue formula violated")
             return EXIT_VIOLATION
         replayed = replay_counterexample(
-            catalogue_by_name(ekr)[name].formula, result.counterexample,
-            space, guards)
+            entries[name].formula, result.counterexample, space, guards)
         print(f"mutant {args.mutate}: violates {name} "
               f"(counterexample of {result.counterexample.length} steps, "
               f"replayed={'ok' if replayed else 'FAILED'})")
@@ -187,15 +186,12 @@ def cmd_check(args) -> int:
             formula = parse_formula(Path(args.formula_file).read_text())
             name = args.formula_file
         else:
-            entries = catalogue_by_name(ekr)
-            if args.formula in entries:
-                formula = entries[args.formula].formula
-            elif args.formula in catalogue_by_name():
+            entry = entries.get(args.formula)
+            if entry is not None and entry.needs_ekr and guards == guards.keyless():
                 print(f"error: catalogue formula {args.formula!r} needs the key "
                       "region and is left out with --no-ekr", file=sys.stderr)
                 return EXIT_USAGE
-            else:
-                formula = parse_formula(args.formula)
+            formula = parse_formula(args.formula) if entry is None else entry.formula
             name = args.formula
         result = exhaustive_check(formula, space, guards, name=name)
         print(f"{name}: {result.verdict} "
@@ -204,7 +200,7 @@ def cmd_check(args) -> int:
             _dump_lasso(args.counterexample_out, result.counterexample, space)
         return EXIT_OK if result.holds else EXIT_VIOLATION
 
-    results = check_catalogue(space, ekr_enabled=ekr)
+    results = check_catalogue(space, guards)
     bad = 0
     for result in results:
         print(f"{result.formula_name:32} {result.verdict:9} "

@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import FormulaError
-from .machine import RecordColumns
+from .machine import RecordColumns, Trace
 
 # ---------------------------------------------------------------------------
 # AST
@@ -171,17 +171,17 @@ class LassoTrace:
         return pos + 1 if pos + 1 < self.length else self.loop_start
 
     @staticmethod
-    def from_records(records: Sequence,
-                     packed: np.ndarray | None = None) -> "LassoTrace":
+    def from_records(records: Sequence | Trace) -> "LassoTrace":
         """Stutter-complete a finite record sequence on its final record.
 
-        A caller that already holds the records' ``pack_records`` rows
-        passes them as ``packed``; the column view then reuses them."""
-        if not records:
+        Given a ``machine.Trace``, the lasso shares the trace's column
+        view, whose positions are its own."""
+        states = records.records if isinstance(records, Trace) else records
+        if not states:
             raise ValueError("cannot lift an empty trace")
-        lasso = LassoTrace(prefix=list(records[:-1]), loop=[records[-1]])
-        if packed is not None:
-            lasso.columns = RecordColumns(lasso.states, packed)
+        lasso = LassoTrace(prefix=list(states[:-1]), loop=[states[-1]])
+        if states is not records:
+            lasso.columns = records.columns
         return lasso
 
 
@@ -190,7 +190,7 @@ class LassoTrace:
 
 
 def eval_naive(f: Formula, trace: LassoTrace, pos: int = 0,
-               props: dict[str, PropValuation] | None = None) -> bool:
+               props: Mapping[str, PropValuation] | None = None) -> bool:
     """Literal recursive evaluation; the semantic reference."""
     n = trace.length
     if not 0 <= pos < n:
@@ -199,7 +199,7 @@ def eval_naive(f: Formula, trace: LassoTrace, pos: int = 0,
 
 
 def _ev(g: Formula, i: int, trace: LassoTrace,
-        props: dict[str, PropValuation] | None) -> bool:
+        props: Mapping[str, PropValuation] | None) -> bool:
     # A module function, not a closure over itself: a recursive closure is
     # a reference cycle that keeps the trace alive until a full collection.
     if isinstance(g, Prop):
@@ -267,7 +267,7 @@ def _ev(g: Formula, i: int, trace: LassoTrace,
 
 
 def eval_vector(f: Formula, trace: LassoTrace,
-                props: dict[str, PropValuation] | None = None) -> np.ndarray:
+                props: Mapping[str, PropValuation] | None = None) -> np.ndarray:
     """Evaluate ``f`` at every position; returns a bool array of length n.
 
     Table contract: each entry of ``props`` is called once, on the trace's
@@ -361,7 +361,7 @@ def check_props(f: Formula, props: Mapping[str, PropValuation]) -> set[str]:
 
 
 def eval_formula(f: Formula, trace: LassoTrace, pos: int = 0,
-                 props: dict[str, PropValuation] | None = None) -> bool:
+                 props: Mapping[str, PropValuation] | None = None) -> bool:
     """Fast-path evaluation at one position through ``eval_vector``, whose
     table contract applies (``eval_naive`` takes any per-record table)."""
     return bool(eval_vector(f, trace, props)[pos])

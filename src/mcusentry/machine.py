@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -157,23 +158,20 @@ def pack_records(records: Sequence[StateRecord]) -> np.ndarray:
 class RecordColumns:
     """Struct-of-arrays view of a record sequence.
 
-    Each ``StateRecord`` field is an int32 array under the field's own
-    name, so an expression over record attributes written with ``&``,
-    ``|`` and comparisons evaluates on one record and on a whole sequence
-    alike. A caller that already holds the records' ``pack_records`` rows
-    passes them as ``packed``.
+    ``packed`` is the records' ``pack_records`` matrix, read-only, and
+    each ``StateRecord`` field is its row under the field's own name, so
+    an expression over record attributes written with ``&``, ``|`` and
+    comparisons evaluates on one record and on a whole sequence alike.
     """
 
-    def __init__(self, records: Sequence[StateRecord],
-                 packed: np.ndarray | None = None):
-        if packed is None:
-            packed = pack_records(records)
-        self._len = packed.shape[1]
-        for name, column in zip(COLUMNS, packed):
+    def __init__(self, records: Sequence[StateRecord]):
+        self.packed = pack_records(records)
+        self.packed.flags.writeable = False
+        for name, column in zip(COLUMNS, self.packed):
             setattr(self, name, column)
 
     def __len__(self) -> int:
-        return self._len
+        return self.packed.shape[1]
 
 
 def _region_table(layout: MemoryLayout) -> np.ndarray:
@@ -215,7 +213,13 @@ def _dump_tags(rec: StateRecord, layout: MemoryLayout) -> list[str]:
 
 @dataclass
 class Trace:
-    """Record sequence plus how the run ended."""
+    """Record sequence plus how the run ended.
+
+    ``columns``, the records' ``RecordColumns``, is packed at first use
+    and kept: ``digest`` reads it, and so does the lasso
+    ``ltl.LassoTrace.from_records`` builds from the trace. So ``records``
+    must not change once it is read.
+    """
 
     records: list[StateRecord] = field(default_factory=list)
     terminal: str = "max-cycles"  # "halted" | "reset-sink" | "max-cycles"
@@ -239,20 +243,21 @@ class Trace:
         lines.append(f"#terminal={self.terminal}")
         return "\n".join(lines) + "\n"
 
-    def digest(self, layout: MemoryLayout, packed: np.ndarray | None = None) -> str:
+    @cached_property
+    def columns(self) -> RecordColumns:
+        return RecordColumns(self.records)
+
+    def digest(self, layout: MemoryLayout) -> str:
         """SHA-256 over the packed record columns, ``terminal`` and the
         layout's region table.
 
         That is everything ``dump`` prints: the tags are a function of the
         record fields and those regions. ``executed`` is committed to as
-        well, although the dump omits it. A caller that already holds the
-        records' ``pack_records`` rows passes them as ``packed``.
+        well, although the dump omits it.
         """
-        if packed is None:
-            packed = pack_records(self.records)
         h = hashlib.sha256(self.terminal.encode() + b"\0")
         h.update(_region_table(layout).tobytes())
-        h.update(packed.astype("<i4", copy=False).tobytes())
+        h.update(self.columns.packed.astype("<i4", copy=False).tobytes())
         return h.hexdigest()
 
 
@@ -283,7 +288,8 @@ class Machine:
 
     def er_window(self) -> tuple[int, int]:
         """Live window bounds as the monitor samples them each cycle: the
-        little-endian words in the two metadata cells, both word aligned."""
+        raw little-endian words in the two metadata cells. Nothing aligns
+        them, so either may be odd (metadata is attacker writable)."""
         mem, layout = self.memory, self.layout
         lo, hi = layout.er_min_cell, layout.er_max_cell
         return mem[lo] | mem[lo + 1] << 8, mem[hi] | mem[hi + 1] << 8

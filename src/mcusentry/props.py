@@ -20,10 +20,16 @@ checker reads its whole alphabet's letters, and every proposition it
 checks, from these entries on the alphabet's column view. No entry reads
 ``executed``, and only ``reset`` reads ``reset``: the checker takes that
 one from the monitor's reset output instead.
+
+The table is built once per layout value and shared read-only by every
+reader, so a cache keyed on an entry (``ltl.LassoTrace.prop_bits``) sees
+one function per name.
 """
 from __future__ import annotations
 
-from typing import Callable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .layout import MemoryLayout
 from .machine import named_region
@@ -31,8 +37,10 @@ from .machine import named_region
 PropFn = Callable[[object], object]
 
 
-def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
-    """Proposition table for one layout; keys match the formula text format."""
+@lru_cache(maxsize=8)
+def build_props(layout: MemoryLayout) -> Mapping[str, PropFn]:
+    """Proposition table for one layout, read-only; keys match the formula
+    text format."""
     vr = layout.vr
     props: dict[str, PropFn] = {
         "irq": lambda r: r.irq,
@@ -70,4 +78,4 @@ def build_props(layout: MemoryLayout) -> dict[str, PropFn]:
             cpu(r) | dma(r)
         props[f"write {name}"] = lambda r, cpu=props[f"cpu_write {name}"], dma=dma: \
             cpu(r) | dma(r)
-    return props
+    return MappingProxyType(props)

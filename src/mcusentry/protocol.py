@@ -182,7 +182,8 @@ def verify_dev(key: bytes, machine: Machine,
     region, and the final emitted record sits at the authorization address;
     on mismatch that address is never reached and the staged message stays
     for retry. ``machine.commit_run`` completes a reset on the record that
-    fires it, and verification stops there.
+    fires it, and verification stops there with ``BOTTOM``, the final
+    authorization record's own reset included.
     """
     layout = machine.layout
     records: list[StateRecord] = []
@@ -223,8 +224,9 @@ def verify_dev(key: bytes, machine: Machine,
     if _store_runs(machine, monitor, records, pcs, layout.ekr.start,
                    k_enc[:2 * len(_key_offsets(layout))]):
         return BOTTOM, records
-    commit_run(machine, monitor, _run(machine, repeat(layout.i_auth), False, False, (0,)),
-               records)
+    if commit_run(machine, monitor, _run(machine, repeat(layout.i_auth), False, False, (0,)),
+                  records):
+        return BOTTOM, records
     return TOP, records
 
 

@@ -14,19 +14,12 @@ are recorded but never count as wins.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
-
-import numpy as np
 
 from .catalogue import authorized_sensing_goal
 from .crypto import KEY_BYTES
-from .layout import MemoryLayout
 from .machine import (ConstantSensor, DmaRequest, Machine, RunContext,
-                      SequenceSensor, SensorProvider, Trace, load_image,
-                      pack_records, run)
+                      SequenceSensor, SensorProvider, Trace, load_image, run)
 from .ltl import LassoTrace, eval_formula
 from .monitor import Monitor
 from .oracle import atomic_exec_oracle
@@ -50,7 +43,6 @@ class GameOutcome:
     trace: Trace
     trace_digest: str
     goal_violations: list[str]
-    packed: np.ndarray  # the trace's read-only ``pack_records`` rows
 
 
 def _sensor_for(plan: ScenarioPlan) -> SensorProvider:
@@ -91,13 +83,6 @@ def _mutate(msg: AuthorizationMessage, which: str, seed: int) -> AuthorizationMe
 
 # The goal check's formula, built once and shared by every round.
 _SENSING_GOAL = authorized_sensing_goal()
-
-
-@lru_cache(maxsize=8)
-def _layout_props(layout: MemoryLayout) -> Mapping:
-    """The goal check's proposition table, built once per layout and
-    shared read-only by every round."""
-    return MappingProxyType(build_props(layout))
 
 
 def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
@@ -189,12 +174,10 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
     wins = win_unauthorized or win_tampered
 
     full = Trace(records=records, terminal=xs_trace.terminal)
-    packed = pack_records(records)  # shared by the goal check and the digest
-    packed.flags.writeable = False
     goal_violations = []
     if check_goal and records:
-        lasso = LassoTrace.from_records(records, packed)
-        if not eval_formula(_SENSING_GOAL, lasso, 0, _layout_props(layout)):
+        lasso = LassoTrace.from_records(full)  # shares the digest's columns
+        if not eval_formula(_SENSING_GOAL, lasso, 0, build_props(layout)):
             goal_violations.append("authorized-sensing-goal")
 
     return GameOutcome(
@@ -205,9 +188,8 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
         reset_seen=any(r.reset for r in records),
         verify_results=verify_results,
         trace=full,
-        trace_digest=full.digest(layout, packed),
+        trace_digest=full.digest(layout),
         goal_violations=goal_violations,
-        packed=packed,
     )
 
 

@@ -114,7 +114,7 @@ def test_criterion_2_construction_implies_goals():
         outcome = run_scenario(random_plan(2_001, i), check_goal=False)
         if not outcome.trace.records:
             continue
-        lasso = LassoTrace.from_records(outcome.trace.records, outcome.packed)
+        lasso = LassoTrace.from_records(outcome.trace)
         if all(bool(eval_vector(e.formula, lasso, props)[0]) for e in entries):
             satisfying += 1
             if not all(bool(eval_vector(g.formula, lasso, props)[0])

@@ -36,6 +36,24 @@ def test_every_span_site_resolves():
         assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
 
 
+def test_the_tracer_wraps_every_span_site_and_restores_it():
+    # ``Tracer.install`` passes over a site it cannot find without a word,
+    # so a renamed site that no workload requires (``checker.exhaustive_check``,
+    # say) would only drop out of the layer rows.
+    tracing = _load("tracing")
+    originals = [vars(owner).get(attr) for owner, attr, _ in tracing.SPAN_SITES]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = [vars(owner).get(attr) for owner, attr, _ in tracing.SPAN_SITES]
+    finally:
+        tracer.remove()
+    names = [f"{owner.__name__}.{attr}" for owner, attr, _ in tracing.SPAN_SITES]
+    assert [n for n, o in zip(names, originals) if o is None] == []
+    assert [n for n, w, o in zip(names, wrapped, originals) if w is o] == []
+    assert [vars(owner).get(attr) for owner, attr, _ in tracing.SPAN_SITES] == originals
+
+
 def test_monitor_step_span_can_size_itself():
     # The Monitor.step span sizes each call by the monitor's reset log.
     assert isinstance(Monitor.for_layout(default_layout()).local_resets_log, list)

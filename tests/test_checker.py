@@ -14,7 +14,7 @@ from mcusentry.checker import (Alphabet, _bfs, _is_safe, _quiet_tail,
                                brute_force_check, build_alphabet,
                                check_catalogue, curated_alphabet,
                                default_er_choices, exhaustive_check,
-                               find_mutant_violation, progress,
+                               find_mutant_violation, first_violation, progress,
                                replay_counterexample, scaled_space)
 from mcusentry.errors import BudgetError, FormulaError
 from mcusentry.ltl import (And, B, G, Implies, LassoTrace, Not, Or, Prop, U,
@@ -354,8 +354,9 @@ def test_mutant_convictions_are_pinned_at_width_6(mutant_id):
         == MUTANTS_AT_6[mutant_id]
 
 
-# Without a key region: the catalogue drops its key formulas, and the two
-# key mutants violate none of those left.
+# Without a key region (guards equal to their own ``keyless()``): the
+# catalogue drops its key formulas, and the two key mutants violate none of
+# those left.
 
 CATALOGUE_AT_5_KEYLESS = [
     ("mon-gpio-read-in-er", "holds", 8),
@@ -397,14 +398,14 @@ MUTANTS_AT_5_KEYLESS = {
 
 
 def test_keyless_catalogue_results_are_pinned_at_width_5():
-    results = check_catalogue(SPACE5, ekr_enabled=False)
+    results = check_catalogue(SPACE5, DEFAULT_GUARDS.keyless())
     assert [(r.formula_name, r.verdict, r.explored_states)
             for r in results] == CATALOGUE_AT_5_KEYLESS
 
 
 @pytest.mark.parametrize("mutant_id", sorted(MUTANTS_AT_5_KEYLESS))
 def test_keyless_mutant_convictions_are_pinned_at_width_5(mutant_id):
-    name, result = find_mutant_violation(mutant_id, SPACE5, ekr_enabled=False)
+    name, result = first_violation(SPACE5, mutant_guards(mutant_id).keyless())
     if result is None:
         assert name is None and MUTANTS_AT_5_KEYLESS[mutant_id] is None
         return
@@ -412,6 +413,28 @@ def test_keyless_mutant_convictions_are_pinned_at_width_5(mutant_id):
     assert (name, result.explored_states, len(lasso.prefix), len(lasso.loop),
             hashlib.sha256(repr(lasso).encode()).hexdigest()) \
         == MUTANTS_AT_5_KEYLESS[mutant_id]
+
+
+_KEY_FORMULAS = {e.name for e in all_formulas() if e.needs_ekr}
+
+
+@pytest.mark.parametrize("keyless", [False, True])
+@pytest.mark.parametrize("mutant_id", ["healthy"] + sorted(MUTANTS))
+def test_the_guard_set_alone_decides_the_key_formulas(mutant_id, keyless):
+    # Every mutant flips one guard, so only a set with both key guards off
+    # (its own keyless()) is a device without a key region.
+    guards = DEFAULT_GUARDS if mutant_id == "healthy" else mutant_guards(mutant_id)
+    guards = guards.keyless() if keyless else guards
+    checked = {r.formula_name for r in check_catalogue(SPACE5, guards)}
+    keyed = guards != guards.keyless()
+    assert keyed == (not keyless)
+    assert (checked & _KEY_FORMULAS) == (_KEY_FORMULAS if keyed else set())
+
+
+@pytest.mark.parametrize("mutant_id", sorted(MUTANTS))
+def test_a_mutant_conviction_is_the_first_violation_of_its_guards(mutant_id):
+    assert first_violation(SPACE5, mutant_guards(mutant_id)) == \
+        find_mutant_violation(mutant_id, SPACE5)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcusentry.checker import scaled_space
 from mcusentry.errors import FormulaError
 from mcusentry.layout import default_layout
 from mcusentry.ltl import (MAX_NESTING, And, B, G, Implies, LassoTrace, Not,
                            Or, Prop, U, W, X, eval_naive, eval_vector, parse,
                            to_text)
-from mcusentry.machine import RecordColumns, StateRecord
+from mcusentry.machine import RecordColumns, StateRecord, Trace
 from mcusentry.props import build_props
 
 
@@ -186,6 +187,15 @@ def test_stutter_lift_from_records():
     assert eval_naive(G(Or(P, Q)), tr, 0)
 
 
+def test_stutter_lift_of_a_trace_shares_its_columns():
+    records = [StateRecord(cycle=i, pc=2 * i) for i in range(3)]
+    trace = Trace(records)
+    lifted = LassoTrace.from_records(trace)
+    assert lifted == LassoTrace.from_records(records)
+    assert lifted.columns is trace.columns
+    assert lifted.columns.pc.tolist() == [0, 2, 4]
+
+
 class TestTextFormat:
     def test_example_formula_parses(self):
         f = parse("(G (-> (read GPIO) (pc_in ER)))")
@@ -317,6 +327,18 @@ def record_lassos(draw):
 
 def test_table_matches_reference_names():
     assert set(PROPS) == set(REFERENCE)
+
+
+def test_one_read_only_table_per_layout_value():
+    # Built once per layout value: every reader shares the same entries.
+    assert build_props(default_layout()) is PROPS
+    assert build_props(scaled_space(5)) is build_props(scaled_space(5))
+    assert build_props(scaled_space(5)) is not build_props(scaled_space(6))
+    with pytest.raises(TypeError):
+        PROPS["irq"] = lambda r: False
+    with pytest.raises(TypeError):
+        PROPS["new"] = lambda r: True
+    assert PROPS["irq"](StateRecord(cycle=0, pc=0, irq=True))
 
 
 @settings(max_examples=150, deadline=None)

@@ -409,7 +409,8 @@ def reference_verify_dev(key, machine, monitor):
         if _reference_emit(machine, monitor, records, vr_pc(),
                            w_en=True, d_addr=ekr.start + i):
             return BOTTOM, records
-    _reference_emit(machine, monitor, records, layout.i_auth)
+    if _reference_emit(machine, monitor, records, layout.i_auth):
+        return BOTTOM, records
     return TOP, records
 
 
@@ -563,6 +564,26 @@ def test_hostile_bounds_equal_the_per_record_reference(bounds, monitor_mode,
     want = _hostile_session(bounds, monitor_mode, live_token,
                             reference_install, reference_verify_dev)
     assert got == want
+
+
+def test_an_authorization_record_that_resets_fails_the_verification():
+    # A valid token over a window laid across the verifier: every record
+    # up to the key writes is judged clean, but the final record, at the
+    # authorization address just past the window, resets. Verification
+    # must then report BOTTOM, not the authorization the monitor revoked.
+    binary = bytes(range(1, 33))
+    er = window_for(binary, 0x4000)
+    machine, monitor = booted_machine(er)
+    msg, _ = authorize_ctrl(KEY, 0, binary)
+    install(msg, machine, er, monitor)
+    _write_bounds(machine, (0x0100, 0x02FE))
+    token = token_mac(KEY, msg.chal, bytes(machine.memory[0x0100:0x0300]))
+    mb = LAYOUT.atok_mailbox.start + 8
+    machine.memory[mb:mb + len(token)] = token
+    ok, records = verify_dev(KEY, machine, monitor)
+    assert ok is False
+    assert records[-1].pc == LAYOUT.i_auth and records[-1].reset
+    assert not any(r.reset for r in records[:-1])
 
 
 def test_a_sweep_over_gpio_is_cut_past_its_first_record(monkeypatch):

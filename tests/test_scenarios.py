@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcusentry import machine, referee
 from mcusentry.catalogue import authorized_sensing_goal
 from mcusentry.layout import default_layout
 from mcusentry.ltl import LassoTrace, eval_formula, eval_naive
@@ -218,6 +219,30 @@ def test_catalogue_trace_digests_are_pinned(outcomes, name):
     assert out.trace_digest == digest
     assert out.trace.digest(LAYOUT) == digest
     assert hashlib.sha256(out.trace.dump(LAYOUT).encode()).hexdigest() == dump_sha
+
+
+def test_a_round_packs_its_trace_once_and_the_goal_check_shares_it(monkeypatch):
+    # The trace owns its columns: the goal check's lasso and the digest
+    # both read them, so a round with the goal check on packs once.
+    packs, lassos = [], []
+    pack, evaluate = machine.pack_records, referee.eval_formula
+
+    def counted_pack(records):
+        packs.append(len(records))
+        return pack(records)
+
+    def kept_lasso(formula, lasso, *args):
+        lassos.append(lasso)
+        return evaluate(formula, lasso, *args)
+
+    monkeypatch.setattr(machine, "pack_records", counted_pack)
+    monkeypatch.setattr(referee, "eval_formula", kept_lasso)
+    for plan in [happy_path()] + [random_plan(5, i) for i in range(4)]:
+        packs.clear()
+        lassos.clear()
+        out = run_scenario(plan)
+        assert packs == [len(out.trace.records)], plan.name
+        assert len(lassos) == 1 and lassos[0].columns is out.trace.columns
 
 
 # ---------------------------------------------------------------------------

@@ -45,24 +45,24 @@ loop-entry states.
 
 Bounded lasso enumeration (``brute_force_check``) can show a violation
 but not its absence, so it is no verdict path; it cross-checks the walk
-and searches the end-to-end goal for mutant convictions. It walks the
-same product depth first over a small curated alphabet, progressing the
-formula letter by letter as the walk does (U and B included), and judges
-what each bounded prefix leaves pending on its quiet tail with
+and searches the end-to-end goal for mutant convictions. It steps the
+same product over a small curated alphabet, progressing the formula
+letter by letter as the walk does (U and B included), and judges what
+each bounded prefix leaves pending on its quiet tail with
 ``eval_naive``, once per (obligation, monitor state): the tail's
 propositions depend on the state alone. So every lasso's verdict is a
-function of the product node its letters end in, and a node searched
-clean with some number of letters left is clean whatever prefix reaches
-it: each call keeps such (state, obligation, letters left) nodes and
-counts a revisited one's lassos without expanding it, as explicit-state
-checkers cache visited states (Holzmann, IEEE TSE 1997). That is bounded
-search over a finite alphabet (Biere, Cimatti, Clarke & Zhu, TACAS
-1999); past its bound it stays incomplete.
+function of the product node its letters end in, and the search walks
+one layer of nodes per length, each node kept with the least letter
+sequence that reaches it: the first violating node of the shortest
+violating length gives the first violating lasso in letter order, and
+the lassos before it are counted, not built. That is bounded search over
+a finite alphabet (Biere, Cimatti, Clarke & Zhu, TACAS 1999); past its
+bound it stays incomplete.
 """
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -419,12 +419,11 @@ def _quiet_tail(state: MonitorState, start: int, space: ScaledSpace,
 
 
 @lru_cache(maxsize=8)
-def _catalogue_key(space: ScaledSpace) -> tuple[Mapping, frozenset[str]]:
-    """The space's proposition table and the propositions the catalogue's
-    formulas name, which every check's class key carries."""
+def _catalogue_key(space: ScaledSpace) -> frozenset[str]:
+    """The propositions the catalogue's formulas name, which every check's
+    class key carries."""
     props = build_props(space)
-    return props, frozenset().union(*(check_props(e.formula, props)
-                                      for e in all_formulas()))
+    return frozenset().union(*(check_props(e.formula, props) for e in all_formulas()))
 
 
 def _bfs(formula: Formula, guards: GuardFlags, alphabet: Alphabet,
@@ -478,8 +477,8 @@ def exhaustive_check(formula: Formula, space: ScaledSpace,
         if not _is_safe(conjunct):
             raise FormulaError(f"{to_text(conjunct)} is outside the exhaustive "
                                "checker's safe fragment; it is checked on traces")
-    props, catalogue = _catalogue_key(space)
-    alphabet = build_alphabet(space, catalogue | check_props(formula, props))
+    names = _catalogue_key(space) | check_props(formula, build_props(space))
+    alphabet = build_alphabet(space, names)
     explored_total = 0
     for conjunct in conjuncts:
         violation, state, explored = _bfs(conjunct, guards, alphabet, state_budget)
@@ -516,45 +515,6 @@ def curated_alphabet(space: ScaledSpace) -> list[StateRecord]:
     ]
 
 
-def _extend(search: SimpleNamespace, sid: int, oid: int, length: int) -> int | None:
-    """Extend ``search.path``, (letter, reset output) pairs that lead to
-    product node (``sid``, obligation ``oid``), to ``length`` letters in
-    product order, judging each lasso. Returns the monitor state number
-    after the first violating one, its letters left in ``search.path``, or
-    None. Each lasso's verdict depends only on the node it ends in, so a
-    node with ``left`` letters to go that was searched clean once is clean
-    whatever prefix reaches it: ``search.clean`` records such (``sid``,
-    ``oid``, ``left``) triples, and a second visit counts the subtree's
-    ``len(alphabet) ** left`` lassos as explored without expanding it. A
-    module function, for the reason given at ``ltl._ev``."""
-    guards, alphabet, path = search.guards, search.alphabet, search.path
-    left = length - len(path)
-    node = (sid, oid, left)
-    if node in search.clean:
-        search.explored += len(alphabet) ** left
-        return None
-    nxt_ids, outs, nxt_oids = (a.tolist() for a in alphabet.step(guards, sid, oid))
-    for idx, (nxt, out, nxt_oid) in enumerate(zip(nxt_ids, outs, nxt_oids)):
-        path.append((idx, out))
-        if len(path) < length:
-            found = _extend(search, nxt, nxt_oid, length)
-        else:
-            search.explored += 1
-            holds = search.verdicts.get((nxt_oid, nxt))
-            if holds is None:  # one quiet tail per state; no proposition reads cycle
-                lead, loop = _quiet_tail(CompiledMonitor.states[nxt], 0,
-                                         alphabet.space, guards)
-                holds = search.verdicts[nxt_oid, nxt] = eval_naive(
-                    _OBLIGATIONS.entries[nxt_oid][0], LassoTrace(lead, loop), 0,
-                    alphabet.props)
-            found = None if holds else nxt
-        if found is not None:
-            return found
-        path.pop()
-    search.clean.add(node)
-    return None
-
-
 def brute_force_check(formula: Formula, space: ScaledSpace,
                       guards: GuardFlags = DEFAULT_GUARDS, *,
                       max_len: int = 5, name: str = "") -> CheckResult:
@@ -564,33 +524,51 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
     Complete only to the bound, so a "holds" proves nothing past it: this is
     the independent cross-check for the product exploration, and the search
     ``first_violation`` runs on formulas outside its safe fragment.
-    Sequences go shortest first, each length in product order, and the
-    first violating lasso is returned. Each sequence progresses the formula
-    (see the module docstring); ``eval_naive`` judges what is left on the
-    quiet tail. A subtree searched clean once in this call is counted, not
-    searched, when another prefix reaches its node (``_extend``), so the
-    explored count is still every lasso up to the violation. ``max_len``
-    below 1 raises ``ValueError``, and a proposition that is no
-    ``build_props`` entry ``FormulaError``.
+    Sequences go shortest first, each length in letter order, and the first
+    violating lasso is returned. Layer L maps each product node that
+    exactly L letters reach to the least sequence of (letter index, reset
+    output) pairs reaching it, its nodes in that order (see the module
+    docstring). The explored count is every lasso up to the violating one:
+    n + n² + … + n^(L-1) for the shorter lengths, then the sequence's rank
+    in base n, plus one, for n letters. ``max_len`` below 1 raises
+    ``ValueError``, and a proposition that is no ``build_props`` entry
+    ``FormulaError``.
     """
     if max_len < 1:
         raise ValueError(f"max_len {max_len} is below 1: no lasso to search")
     props = build_props(space)
     check_props(formula, props)
     alphabet = Alphabet(curated_alphabet(space), space, props)
-    search = SimpleNamespace(guards=guards, alphabet=alphabet, path=[],
-                             verdicts={}, clean=set(), explored=0)
     start = (CompiledMonitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
+    layer: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {start: ()}
+    verdicts: dict[tuple[int, int], bool] = {}
+    explored = 0
     for length in range(1, max_len + 1):
-        sid = _extend(search, *start, length)
-        if sid is not None:
-            path = [alphabet[idx]._replace(reset=bool(out), cycle=i)
-                    for i, (idx, out) in enumerate(search.path)]
-            lead, loop = _quiet_tail(CompiledMonitor.states[sid], len(path),
-                                     space, guards)
-            return CheckResult("violated", LassoTrace(path + lead, loop),
-                               search.explored, name)
-    return CheckResult("holds", None, search.explored, name)
+        reached = {}
+        # Stepped in path order, letters in index order: the first path to
+        # reach a node is its least, and the nodes come in that order.
+        for (sid, oid), path in layer.items():
+            steps = zip(*(a.tolist() for a in alphabet.step(guards, sid, oid)))
+            for idx, (nxt, out, nxt_oid) in enumerate(steps):
+                reached.setdefault((nxt, nxt_oid), path + ((idx, out),))
+        layer = reached
+        for (sid, oid), path in layer.items():
+            if (sid, oid) not in verdicts:  # no proposition reads cycle
+                lead, loop = _quiet_tail(CompiledMonitor.states[sid], 0, space, guards)
+                verdicts[sid, oid] = eval_naive(_OBLIGATIONS.entries[oid][0],
+                                                LassoTrace(lead, loop), 0, props)
+            if not verdicts[sid, oid]:
+                rank = 0
+                for idx, _ in path:
+                    rank = rank * len(alphabet) + idx
+                letters = [alphabet[idx]._replace(reset=bool(out), cycle=i)
+                           for i, (idx, out) in enumerate(path)]
+                lead, loop = _quiet_tail(CompiledMonitor.states[sid], length,
+                                         space, guards)
+                return CheckResult("violated", LassoTrace(letters + lead, loop),
+                                   explored + rank + 1, name)
+        explored += len(alphabet) ** length
+    return CheckResult("holds", None, explored, name)
 
 
 def replay_counterexample(formula: Formula, lasso: LassoTrace,
@@ -623,11 +601,10 @@ def _entries(guards: GuardFlags) -> list[CatalogueEntry]:
 
 def check_catalogue(space: ScaledSpace,
                     guards: GuardFlags = DEFAULT_GUARDS) -> list[CheckResult]:
-    """Exhaustively check every monitor formula in the catalogue that
-    applies to ``guards``."""
+    """Exhaustively check every safe formula in the catalogue that applies
+    to ``guards``; the others (the end-to-end goal) are checked on traces."""
     return [exhaustive_check(entry.formula, space, guards, name=entry.name)
-            for entry in _entries(guards)
-            if entry.name != "e2e-authorized-sensing"]  # the goal: checked on traces
+            for entry in _entries(guards) if _is_safe(entry.formula)]
 
 
 def first_violation(space: ScaledSpace, guards: GuardFlags):

@@ -4,7 +4,7 @@ One instruction executes per cycle and emits exactly one StateRecord
 carrying the bus signals the hardware monitor consumes: pc, read/write
 enables with the data address, DMA enable/address, the interrupt line, and
 the reset signal. Propositions over records are the ``props`` entries; the
-trace dump's region-tag column is printed from the same raw signals.
+trace dump's region-tag column is printed from them too.
 
 A StateRecord is a ``typing.NamedTuple``: immutable (assigning a field
 raises ``AttributeError``), hashable, iterable in ``COLUMNS`` order and
@@ -42,16 +42,8 @@ import numpy as np
 
 from .errors import DecodeError, ImageError
 from .isa import MODE_ABS, WORD_MASK, decode
-from .layout import ADDRESS_SPACE, ErWindow, MemoryLayout, Region
-
-# Region names of the dump's tag column and of the ``props`` entries; ER is
-# the record's own live window, the others are fixed layout regions.
-REGION_NAMES = ("GPIO", "EKR", "ER", "METADATA", "VR", "ROM", "PMEM", "DMEM")
-
-
-def named_region(layout: MemoryLayout, name: str) -> Region:
-    """The fixed layout region a ``REGION_NAMES`` name other than ER denotes."""
-    return layout.region_named("er_metadata" if name == "METADATA" else name.lower())
+from .layout import ADDRESS_SPACE, ErWindow, MemoryLayout
+from .props import REGION_NAMES, build_props, named_region
 
 
 def _align(addr: int) -> int:
@@ -187,23 +179,13 @@ def _region_table(layout: MemoryLayout) -> np.ndarray:
 def _dump_tags(rec: StateRecord, layout: MemoryLayout) -> list[str]:
     """The dump's tag column of one record, in sorted order: per region
     name, the CPU read or write and the DMA transfer (by direction) that
-    touch it, and the interrupt and reset lines. The live window bounds
-    are raw sampled values (metadata is attacker writable), so window
-    membership is a plain interval test, empty when inverted."""
-    out = []
-    for name in REGION_NAMES:
-        if name == "ER":
-            lo, hi = rec.er_min, rec.er_max
-        else:
-            region = named_region(layout, name)
-            lo, hi = region.start, region.end
-        if lo <= rec.d_addr <= hi:
-            if rec.r_en:
-                out.append(f"READ({name})")
-            if rec.w_en:
-                out.append(f"WRITE({name})")
-        if rec.dma_en and lo <= rec.dma_addr <= hi:
-            out.append(f"DMA_W({name})" if rec.dma_write else f"DMA_R({name})")
+    touch it, as its ``cpu_read``, ``cpu_write`` and ``dma_touch`` entries
+    of ``props`` say, and the interrupt and reset lines."""
+    props = build_props(layout)
+    tags = ("READ", "cpu_read"), ("WRITE", "cpu_write"), \
+        ("DMA_W" if rec.dma_write else "DMA_R", "dma_touch")
+    out = [f"{tag}({name})" for name in REGION_NAMES for tag, entry in tags
+           if props[f"{entry} {name}"](rec)]
     if rec.irq:
         out.append("IRQ")
     if rec.reset:
@@ -289,7 +271,10 @@ class Machine:
     def er_window(self) -> tuple[int, int]:
         """Live window bounds as the monitor samples them each cycle: the
         raw little-endian words in the two metadata cells. Nothing aligns
-        them, so either may be odd (metadata is attacker writable)."""
+        them, so either may be odd (metadata is attacker writable). A pc is
+        always even, so ``pc_at ermin`` or ``pc_at ermax`` never meets an
+        odd bound: ``protocol.verify_dev`` refuses such a window before its
+        digest sweep, as ``ErWindow`` refuses odd bounds."""
         mem, layout = self.memory, self.layout
         lo, hi = layout.er_min_cell, layout.er_max_cell
         return mem[lo] | mem[lo + 1] << 8, mem[hi] | mem[hi + 1] << 8

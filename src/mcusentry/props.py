@@ -31,10 +31,18 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .layout import MemoryLayout
-from .machine import named_region
+from .layout import MemoryLayout, Region
 
 PropFn = Callable[[object], object]
+
+# Region names of the ``props`` entries and of the trace dump's tag column;
+# ER is the record's own live window, the others are fixed layout regions.
+REGION_NAMES = ("GPIO", "EKR", "ER", "METADATA", "VR", "ROM", "PMEM", "DMEM")
+
+
+def named_region(layout: MemoryLayout, name: str) -> Region:
+    """The fixed layout region a ``REGION_NAMES`` name other than ER denotes."""
+    return layout.region_named("er_metadata" if name == "METADATA" else name.lower())
 
 
 @lru_cache(maxsize=8)
@@ -56,7 +64,7 @@ def build_props(layout: MemoryLayout) -> Mapping[str, PropFn]:
         "pc_in VR": lambda r: (vr.start <= r.pc) & (r.pc <= vr.end),
     }
 
-    regions = ("GPIO", "EKR", "METADATA", "VR", "ROM", "PMEM", "DMEM")
+    regions = tuple(name for name in REGION_NAMES if name != "ER")
     for name in regions:
         reg = named_region(layout, name)
         lo, hi = reg.start, reg.end

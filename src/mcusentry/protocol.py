@@ -177,13 +177,14 @@ def verify_dev(key: bytes, machine: Machine,
                monitor: Monitor | None) -> tuple[bool, list[StateRecord]]:
     """Device-side verification over the live window bytes.
 
-    Rejects stale challenges before any digest work. On a digest match the
-    stored counter advances, the fresh one-time key lands in the key
-    region, and the final emitted record sits at the authorization address;
-    on mismatch that address is never reached and the staged message stays
-    for retry. ``machine.commit_run`` completes a reset on the record that
-    fires it, and verification stops there with ``BOTTOM``, the final
-    authorization record's own reset included.
+    Rejects stale challenges, and live windows that are inverted or have
+    an odd bound (see ``Machine.er_window``), before any digest work. On a
+    digest match the stored counter advances, the fresh one-time key lands
+    in the key region, and the final emitted record sits at the
+    authorization address; on mismatch that address is never reached and
+    the staged message stays for retry. ``machine.commit_run`` completes a
+    reset on the record that fires it, and verification stops there with
+    ``BOTTOM``, the final authorization record's own reset included.
     """
     layout = machine.layout
     records: list[StateRecord] = []
@@ -203,7 +204,7 @@ def verify_dev(key: bytes, machine: Machine,
         return BOTTOM, records
 
     er_min, er_max = machine.er_window()
-    if er_min > er_max:
+    if er_min > er_max or er_min % 2 or er_max % 2:
         return BOTTOM, records
     window_bytes = bytes(machine.memory[er_min:er_max + 2])
     # Each word's address VERIFY_RECORDS_PER_WORD times in a row.

@@ -604,8 +604,7 @@ def test_a_formula_outside_the_catalogue_checks_alike_on_either_key(
         checked = [exhaustive_check(formula, SPACE5, guards) for guards in _ALL_GUARD_SETS]
         return [(r.verdict, r.explored_states, repr(r.counterexample)) for r in checked]
     with_catalogue = results()
-    monkeypatch.setattr(checker, "_catalogue_key",
-                        lambda space: (build_props(space), frozenset()))
+    monkeypatch.setattr(checker, "_catalogue_key", lambda space: frozenset())
     assert results() == with_catalogue
 
 
@@ -840,29 +839,30 @@ def test_bounded_search_evaluates_each_obligation_once_per_state(monkeypatch):
 
 
 def test_bounded_search_expands_each_node_once(monkeypatch):
-    # A (state, obligation, letters left) node searched clean is not
-    # searched again: the same search without that memo steps 2,056 nodes
-    # (1 + 13 + 157 + 1,885 over its four depths).
-    extend, step = checker._extend, Alphabet.step
-    left, expanded = [], []
-
-    def entering(search, sid, oid, length):
-        left.append(length - len(search.path))
-        try:
-            return extend(search, sid, oid, length)
-        finally:
-            left.pop()
+    # The search walks one layer per length: it steps each node of a layer
+    # once, and the next layer is the set of their successors. Stepping
+    # every prefix instead takes 2,056 steps (1 + 13 + 157 + 1,885 over
+    # the four lengths).
+    step, stepped = Alphabet.step, []
 
     def stepping(self, guards, sid, oid):
-        expanded.append((sid, oid, left[-1]))
-        return step(self, guards, sid, oid)
-    monkeypatch.setattr(checker, "_extend", entering)
+        nxt_ids, outs, nxt_oids = step(self, guards, sid, oid)
+        stepped.append(((sid, oid), set(zip(nxt_ids.tolist(), nxt_oids.tolist()))))
+        return nxt_ids, outs, nxt_oids
     monkeypatch.setattr(Alphabet, "step", stepping)
     entry = catalogue_by_name()["e2e-authorized-sensing"]
     result = brute_force_check(entry.formula, SPACE6,
                                mutant_guards("no-relock-on-write"), max_len=4)
     assert result.holds and result.explored_states == 22_620
-    assert len(set(expanded)) == len(expanded) <= 50
+    assert len(stepped) <= 50
+    layer, layers = {stepped[0][0]}, []
+    while stepped:
+        chunk, stepped = stepped[:len(layer)], stepped[len(layer):]
+        nodes = [node for node, _ in chunk]
+        assert len(set(nodes)) == len(nodes) and set(nodes) == layer
+        layers.append(nodes)
+        layer = set().union(*(successors for _, successors in chunk))
+    assert len(layers) == 4  # lengths 1 to 4 step layers 0 to 3
 
 
 @pytest.mark.parametrize("width", [5, 6, 7])

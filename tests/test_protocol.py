@@ -386,7 +386,7 @@ def reference_verify_dev(key, machine, monitor):
     if chal <= stored_counter(machine):
         return BOTTOM, records
     er_min, er_max = machine.er_window()
-    if er_min > er_max:
+    if er_min > er_max or er_min % 2 or er_max % 2:
         return BOTTOM, records
     window_bytes = bytes(machine.memory[er_min:er_max + 2])
     for offset in range(0, len(window_bytes), 2):
@@ -584,6 +584,23 @@ def test_an_authorization_record_that_resets_fails_the_verification():
     assert ok is False
     assert records[-1].pc == LAYOUT.i_auth and records[-1].reset
     assert not any(r.reset for r in records[:-1])
+
+
+@pytest.mark.parametrize("bounds", [(0x4001, 0x400E), (0x4000, 0x400F),
+                                    (0x4001, 0x400F)])
+def test_odd_live_bounds_fail_the_verification_before_the_sweep(bounds):
+    # A valid token over the live bytes, so only the bounds refuse it: a pc
+    # is always even, so no run ever meets an odd bound.
+    machine, monitor, msg, er = staged(bytes(range(1, 33)))
+    _write_bounds(machine, bounds)
+    lo, hi = bounds
+    token = token_mac(KEY, msg.chal, bytes(machine.memory[lo:hi + 2]))
+    mb = LAYOUT.atok_mailbox.start + 8
+    machine.memory[mb:mb + len(token)] = token
+    ok, records = verify_dev(KEY, machine, monitor)
+    assert ok is False
+    assert len(records) == VERIFY_HEADER_RECORDS
+    assert not any(r.reset or lo <= r.d_addr <= hi for r in records)
 
 
 def test_a_sweep_over_gpio_is_cut_past_its_first_record(monkeypatch):

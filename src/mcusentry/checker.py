@@ -46,7 +46,8 @@ loop-entry states.
 Bounded lasso enumeration (``brute_force_check``) can show a violation
 but not its absence, so it is no verdict path; it cross-checks the walk
 and searches the end-to-end goal for mutant convictions. It steps the
-same product over a small curated alphabet, progressing the formula
+same product over a small curated alphabet (one ``Alphabet`` per space,
+kept as ``build_alphabet``'s are), progressing the formula
 letter by letter as the walk does (U and B included), and judges what
 each bounded prefix leaves pending on its quiet tail with
 ``eval_naive``, once per (obligation, monitor state): the tail's
@@ -515,6 +516,14 @@ def curated_alphabet(space: ScaledSpace) -> list[StateRecord]:
     ]
 
 
+@lru_cache(maxsize=8)
+def _curated(space: ScaledSpace) -> Alphabet:
+    """``curated_alphabet`` as an ``Alphabet``, one per space, so every
+    bounded search over the space shares the tables it fills, as the
+    checks over one of ``build_alphabet``'s alphabets do."""
+    return Alphabet(curated_alphabet(space), space, build_props(space))
+
+
 def brute_force_check(formula: Formula, space: ScaledSpace,
                       guards: GuardFlags = DEFAULT_GUARDS, *,
                       max_len: int = 5, name: str = "") -> CheckResult:
@@ -538,7 +547,7 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
         raise ValueError(f"max_len {max_len} is below 1: no lasso to search")
     props = build_props(space)
     check_props(formula, props)
-    alphabet = Alphabet(curated_alphabet(space), space, props)
+    alphabet = _curated(space)
     start = (CompiledMonitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
     layer: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {start: ()}
     verdicts: dict[tuple[int, int], bool] = {}

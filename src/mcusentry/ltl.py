@@ -7,6 +7,13 @@ recursive one that follows the operator definitions literally (the
 reference), and a bit-parallel one (one Python int per subformula) used on
 large trace corpora. Tests keep them in agreement.
 
+The bit-parallel evaluator does not walk the formula tree per trace. A
+formula compiles once to a ``_Program``: its distinct proposition names,
+then one step per distinct subformula in dependency order (structurally
+equal subtrees merged), which ``eval_vector`` runs as one flat loop over
+ints. Programs are cached per formula object, keyed by identity, for the
+last ``PROGRAM_CACHE_SIZE`` formulas compiled.
+
 Propositions come from a table of named expressions (``props.build_props``)
 or, when no table is given, from same-named attributes of the states. The
 naive evaluator applies a table entry to one record at a time. The
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -283,53 +290,121 @@ def eval_vector(f: Formula, trace: LassoTrace,
     operators run on the trace doubled around its loop: one extra unrolling
     is enough for the least fixpoint because every position then sees a
     full loop iteration ahead of it.
+
+    ``f`` runs as its ``_Program``, compiled at its first call and kept
+    in a cache of the last ``PROGRAM_CACHE_SIZE`` formula objects
+    compiled: one flat pass over the distinct subformulas, so a subtree
+    that occurs twice is computed once.
     """
     n = trace.length
-    bits = _bits(f, (trace, props, {}, (1 << n) - 1, n - trace.loop_start))
-    packed = (bits << (-n % 8)).to_bytes((n + 7) // 8, "big")
+    names, steps, size = _program(f)
+    full, k = (1 << n) - 1, n - trace.loop_start
+    v = [0] * size
+    for slot, name in names:
+        if props is not None:
+            v[slot] = trace.prop_bits(props[name])
+        else:
+            v[slot] = int("".join("1" if getattr(s, name) else "0"
+                                  for s in trace.states), 2)
+    for op, a, b, out in steps:
+        x = v[a]
+        if op == _AND:
+            v[out] = x & v[b]
+        elif op == _NOT:
+            v[out] = full ^ x
+        elif op == _IMPLIES:
+            v[out] = (full ^ x) | v[b]
+        elif op == _G:
+            v[out] = _globally(x, k)
+        elif op == _OR:
+            v[out] = x | v[b]
+        elif op == _X:  # the last position's successor is the loop start, bit k-1
+            v[out] = ((x << 1) & full) | ((x >> (k - 1)) & 1)
+        elif op == _W:
+            v[out] = _until(x, v[b], k) | _globally(x, k)
+        elif op == _U:
+            v[out] = _until(x, v[b], k)
+        else:  # B: not ((not left) U right)
+            v[out] = full ^ _until(full ^ x, v[b], k)
+    packed = (v[-1] << (-n % 8)).to_bytes((n + 7) // 8, "big")
     return np.unpackbits(np.frombuffer(packed, np.uint8), count=n).view(bool)
 
 
-def _bits(g: Formula, env: tuple) -> int:
-    # env: trace, props, a memo keyed by node identity (hashing a frozen node
-    # hashes its subtree), ``full`` (a one at every position), k (the loop
-    # length). Not a closure over itself, for the reason given at ``_ev``.
-    trace, props, memo, full, k = env
-    hit = memo.get(id(g))
-    if hit is not None:
-        return hit
+# Opcodes of a ``_Program`` step, numbered in ``eval_vector``'s test order,
+# which follows how often the catalogue's formulas use each operator.
+_AND, _NOT, _IMPLIES, _G, _OR, _X, _W, _U, _B = range(9)
+_OPCODES = {And: _AND, Not: _NOT, Implies: _IMPLIES, G: _G, Or: _OR, X: _X,
+            W: _W, U: _U, B: _B}
+_UNARY_OPS = (_NOT, _G, _X)
+PROGRAM_CACHE_SIZE = 256  # formula objects whose programs are kept
+
+
+class _Program(NamedTuple):
+    """A formula as ``size`` value slots, one per distinct subformula, in
+    dependency order with the formula's own value last: ``props`` fills
+    the slot of each distinct proposition name, and each step ``(opcode,
+    a, b, out)`` computes slot ``out`` from slots ``a`` and ``b`` (``b``
+    repeats ``a`` for a unary operator). Structurally equal subtrees
+    share one slot."""
+
+    props: tuple[tuple[int, str], ...]
+    steps: tuple[tuple[int, int, int, int], ...]
+    size: int
+
+
+# id(formula) -> (formula, program); the entry keeps its formula alive, so
+# the id cannot pass to another object while the entry is here.
+_PROGRAMS: dict[int, tuple[Formula, _Program]] = {}
+
+
+def _program(f: Formula) -> _Program:
+    """``f``'s program from the cache, or compiled into it, evicting the
+    oldest entry when the cache holds ``PROGRAM_CACHE_SIZE``."""
+    hit = _PROGRAMS.get(id(f))
+    if hit is not None and hit[0] is f:
+        return hit[1]
+    props, steps, slots = [], [], {}
+    _visit(f, (props, steps, slots, {}))
+    program = _Program(tuple(props), tuple(steps), len(slots))
+    if len(_PROGRAMS) >= PROGRAM_CACHE_SIZE:
+        del _PROGRAMS[next(iter(_PROGRAMS))]
+    _PROGRAMS[id(f)] = (f, program)
+    return program
+
+
+def _visit(g: Formula, acc: tuple) -> int:
+    """Give ``g`` and its subformulas slots, in post-order, and return
+    ``g``'s.
+
+    acc: the program's props and steps; the slot of each structural key (a
+    name, or an opcode and its operands' slots), which merges equal
+    subtrees; and the slot of each node identity, so that a node shared by
+    reference is walked once. Not a closure over itself, for the reason
+    given at ``_ev``."""
+    props, steps, slots, by_id = acc
+    slot = by_id.get(id(g))
+    if slot is not None:
+        return slot
     if isinstance(g, Prop):
-        if props is not None:
-            out = trace.prop_bits(props[g.name])
-        else:
-            out = int("".join("1" if getattr(s, g.name) else "0"
-                              for s in trace.states), 2)
-    elif isinstance(g, Not):
-        out = full ^ _bits(g.sub, env)
-    elif isinstance(g, And):
-        out = _bits(g.left, env) & _bits(g.right, env)
-    elif isinstance(g, Or):
-        out = _bits(g.left, env) | _bits(g.right, env)
-    elif isinstance(g, Implies):
-        out = (full ^ _bits(g.left, env)) | _bits(g.right, env)
-    elif isinstance(g, X):
-        # The last position's successor is the loop start, bit k-1.
-        sub = _bits(g.sub, env)
-        out = ((sub << 1) & full) | ((sub >> (k - 1)) & 1)
-    elif isinstance(g, G):
-        out = _globally(_bits(g.sub, env), k)
-    elif isinstance(g, (U, W, B)):
-        left, right = _bits(g.left, env), _bits(g.right, env)
-        if isinstance(g, U):
-            out = _until(left, right, k)
-        elif isinstance(g, W):
-            out = _until(left, right, k) | _globally(left, k)
-        else:  # B: not ((not left) U right)
-            out = full ^ _until(full ^ left, right, k)
+        key = g.name
     else:
-        raise TypeError(f"unknown formula node {g!r}")
-    memo[id(g)] = out
-    return out
+        op = _OPCODES.get(type(g))
+        if op is None:
+            raise TypeError(f"unknown formula node {g!r}")
+        if op in _UNARY_OPS:
+            a = b = _visit(g.sub, acc)
+        else:
+            a, b = _visit(g.left, acc), _visit(g.right, acc)
+        key = (op, a, b)
+    slot = slots.get(key)
+    if slot is None:
+        slot = slots[key] = len(slots)
+        if isinstance(g, Prop):
+            props.append((slot, key))
+        else:
+            steps.append((*key, slot))
+    by_id[id(g)] = slot
+    return slot
 
 
 def _globally(sub: int, k: int) -> int:

@@ -34,8 +34,10 @@ write into code, the reset routine's DMEM erasure and a direct write to
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -130,21 +132,27 @@ class StateRecord(NamedTuple):
 # which lies below every window since addresses are unsigned words.
 COLUMNS = ("cycle", "pc", "r_en", "w_en", "d_addr", "dma_en", "dma_addr",
            "dma_write", "irq", "reset", "executed", "er_min", "er_max")
+_WIDTH, _EXECUTED = len(COLUMNS), COLUMNS.index("executed")
+_NONE_AS_MINUS_ONE = {None: -1}.get  # as get(x, x): -1 for None, else x
 
 
 def pack_records(records: Sequence[StateRecord]) -> np.ndarray:
     """The record-to-column mapping for a sequence of ``StateRecord``
     tuples: one int32 row per field of ``COLUMNS`` (flags as 0/1), one
-    column per record."""
+    column per record.
+
+    The records' fields are flattened into one list and converted by one
+    ``struct.pack``; only the ``executed`` slice is rewritten, and only
+    when it holds a ``None``."""
     if records and not isinstance(records[0], StateRecord):
         raise TypeError("pack_records takes StateRecords, not "
                         f"{type(records[0]).__name__}")
-    out = np.empty((len(COLUMNS), len(records)), dtype=np.int32)
-    for name, row, column in zip(COLUMNS, out, zip(*records)):
-        if name == "executed":
-            column = [-1 if pc is None else pc for pc in column]
-        row[:] = column
-    return out
+    flat = list(chain.from_iterable(records))
+    executed = flat[_EXECUTED::_WIDTH]
+    if None in executed:
+        flat[_EXECUTED::_WIDTH] = map(_NONE_AS_MINUS_ONE, executed, executed)
+    words = struct.pack(f"={len(flat)}i", *flat)
+    return np.frombuffer(words, np.int32).reshape(len(records), _WIDTH).T.copy()
 
 
 class RecordColumns:
@@ -166,14 +174,18 @@ class RecordColumns:
         return self.packed.shape[1]
 
 
+@lru_cache(maxsize=8)
 def _region_table(layout: MemoryLayout) -> np.ndarray:
-    """Bounds of the fixed regions the dump's tags are computed against."""
+    """Bounds of the fixed regions the dump's tags are computed against;
+    built once per layout value and read-only, as ``build_props`` is."""
     bounds = []
     for name in REGION_NAMES:
         if name != "ER":
             region = named_region(layout, name)
             bounds += [region.start, region.end]
-    return np.array(bounds, dtype="<i4")
+    table = np.array(bounds, dtype="<i4")
+    table.flags.writeable = False
+    return table
 
 
 def _dump_tags(rec: StateRecord, layout: MemoryLayout) -> list[str]:
@@ -327,6 +339,7 @@ def reset_routine(machine: Machine) -> Machine:
 
 
 _FAULT = ()  # memo value of fetched bytes that do not decode
+_tuple_new = tuple.__new__
 
 
 def exec_step(
@@ -449,10 +462,12 @@ def exec_step(
         next_pc = layout.effective_irq_vector
 
     machine.pc = next_pc
-    # Positional, in ``COLUMNS`` order: keywords cost about 1 us more per
-    # record, once per simulated cycle.
-    return StateRecord(cycle, pc, r_en, w_en, d_addr, dma_en, dma_addr,
-                       dma_write, irq_line, False, pc, er_min, er_max)
+    # The tuple of ``COLUMNS`` values, as ``protocol._run`` builds its
+    # records: the named tuple's own constructor costs about 0.3 us more
+    # per record, once per simulated cycle.
+    return _tuple_new(StateRecord, (cycle, pc, r_en, w_en, d_addr, dma_en,
+                                    dma_addr, dma_write, irq_line, False, pc,
+                                    er_min, er_max))
 
 
 POST_RESET_CYCLES = 16  # records ``run`` keeps after the first reset

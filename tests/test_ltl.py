@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcusentry import ltl
 from mcusentry.checker import scaled_space
 from mcusentry.errors import FormulaError
 from mcusentry.layout import default_layout
-from mcusentry.ltl import (MAX_NESTING, And, B, G, Implies, LassoTrace, Not,
-                           Or, Prop, U, W, X, eval_naive, eval_vector, parse,
-                           to_text)
+from mcusentry.ltl import (MAX_NESTING, PROGRAM_CACHE_SIZE, And, B, G,
+                           Implies, LassoTrace, Not, Or, Prop, U, W, X,
+                           eval_naive, eval_vector, parse, to_text)
 from mcusentry.machine import RecordColumns, StateRecord, Trace
 from mcusentry.props import build_props
 
@@ -365,3 +366,81 @@ def test_vectorized_agrees_with_naive_on_records(f, g, tr):
         vec = eval_vector(formula, tr, PROPS)
         for pos in range(tr.length):
             assert bool(vec[pos]) == eval_naive(formula, tr, pos, PROPS)
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs: shared subtrees, several tables, the bounded cache
+
+
+@st.composite
+def sharing_formulas(draw):
+    """Two to four formulas over "pqr" built from one pool of subtrees:
+    each leaf is a pool entry, taken by reference or as a structurally
+    equal copy (parsed back from its text), so equal subtrees recur
+    within a formula and across formulas."""
+    pool = draw(st.lists(formulas(depth=2), min_size=1, max_size=4))
+
+    def build(depth):
+        if depth == 0 or draw(st.integers(0, 3)) == 0:
+            sub = draw(st.sampled_from(pool))
+            return parse(to_text(sub)) if draw(st.booleans()) else sub
+        node = draw(st.sampled_from([Not, And, Or, Implies, X, G, U, W, B]))
+        if node in (Not, X, G):
+            return node(build(depth - 1))
+        return node(build(depth - 1), build(depth - 1))
+
+    return [build(3) for _ in range(draw(st.integers(2, 4)))]
+
+
+# Two tables over the same names, both written to the table contract.
+_TABLES = (
+    {"p": lambda r: r.irq, "q": lambda r: r.reset,
+     "r": lambda r: r.pc == r.er_min},
+    {"p": lambda r: r.r_en | r.w_en, "q": lambda r: r.dma_en,
+     "r": lambda r: (r.er_min <= r.pc) & (r.pc <= r.er_max)},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sharing_formulas(), lassos(), record_lassos())
+def test_programs_agree_with_naive_on_shared_subtrees(fs, tr, records):
+    # One formula after another on the same lassos: the states' own
+    # attributes on ``tr``, and two different tables on ``records``.
+    for f in fs:
+        for lasso, props in ((tr, None), (records, _TABLES[0]),
+                             (records, _TABLES[1])):
+            vec = eval_vector(f, lasso, props)
+            assert vec.tolist() == [eval_naive(f, lasso, pos, props)
+                                    for pos in range(lasso.length)], props
+
+
+def test_program_cache_stays_at_its_bound():
+    tr = lasso("p q pq . p", 2)
+    made = []
+    for i in range(PROGRAM_CACHE_SIZE + 40):
+        f = P
+        for bit in bin(i)[2:]:  # a distinct shape per i
+            f = X(f) if bit == "1" else Or(Not(f), Q)
+        f = W(f, G(Q))
+        made.append(f)
+        assert eval_vector(f, tr).tolist() == \
+            [eval_naive(f, tr, pos) for pos in range(tr.length)], i
+        assert len(ltl._PROGRAMS) <= PROGRAM_CACHE_SIZE
+    assert len(ltl._PROGRAMS) == PROGRAM_CACHE_SIZE
+    # The first formulas were evicted; they compile again, still right.
+    assert all(id(f) not in ltl._PROGRAMS for f in made[:40])
+    first = made[1]
+    assert eval_vector(first, tr).tolist() == \
+        [eval_naive(first, tr, pos) for pos in range(tr.length)]
+    assert ltl._program(first) is ltl._program(first)
+    assert len(ltl._PROGRAMS) == PROGRAM_CACHE_SIZE
+
+
+def test_program_merges_equal_subtrees():
+    # (G (-> p q)) twice, once a parsed copy: one value for both.
+    f = And(G(Implies(P, Q)), Or(parse("(G (-> p q))"), X(P)))
+    program = ltl._program(f)
+    assert program.props == ((0, "p"), (1, "q"))
+    assert [step[0] for step in program.steps] == \
+        [ltl._IMPLIES, ltl._G, ltl._X, ltl._OR, ltl._AND]
+    assert program.size == 7 and program.steps[-1][-1] == 6

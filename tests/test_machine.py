@@ -12,8 +12,8 @@ from mcusentry.isa import (ADD, BRZ, CALL, HALT, JMP, LOAD, LOADI, NOP, RET,
 from mcusentry.layout import ErWindow, default_layout
 from mcusentry.machine import (COLUMNS, ConstantSensor, DmaRequest, RunContext,
                                SequenceSensor, StateRecord, Trace, exec_step,
-                               _dump_tags, load_image, pack_records,
-                               reset_routine, run)
+                               _dump_tags, _region_table, load_image,
+                               pack_records, reset_routine, run)
 
 LAYOUT = default_layout()
 ER = ErWindow(0x4000, 0x4004)
@@ -411,6 +411,40 @@ def test_pack_records_equals_per_field_packing(records):
     assert set(np.unique(flags)) <= {0, 1}
 
 
+def _pack_by_zip(records):
+    """Reference packing, column by column: each ``zip(*records)``
+    column assigned to its row."""
+    out = np.empty((len(COLUMNS), len(records)), dtype=np.int32)
+    for name, row, column in zip(COLUMNS, out, zip(*records)):
+        if name == "executed":
+            column = [-1 if pc is None else pc for pc in column]
+        row[:] = column
+    return out
+
+
+_FULL = StateRecord(cycle=7, pc=0xFFFE, r_en=True, w_en=False, d_addr=0xFFFF,
+                    dma_en=True, dma_addr=0xFFFF, dma_write=True, irq=True,
+                    reset=True, executed=0xFFFE, er_min=0xFFFF, er_max=0xFFFF)
+
+
+@pytest.mark.parametrize("records", [
+    [],
+    [StateRecord(cycle=0, pc=0)],
+    [_FULL],
+    [_FULL._replace(executed=None)],
+    [StateRecord(cycle=0, pc=0x4000, executed=0x4000), _FULL,
+     _FULL._replace(executed=None, cycle=8), StateRecord(cycle=9, pc=0xFFFE)],
+    [StateRecord(cycle=i, pc=i, executed=None if i % 3 else i, irq=bool(i % 2))
+     for i in range(40)],
+], ids=["none", "one", "flags-and-0xffff", "executed-none", "mixed", "many-none"])
+def test_pack_records_equals_the_column_by_column_packing(records):
+    packed = pack_records(records)
+    expected = _pack_by_zip(records)
+    assert packed.dtype == expected.dtype and packed.shape == expected.shape
+    assert packed.tobytes() == expected.tobytes()
+    assert packed.flags.c_contiguous and packed.flags.writeable
+
+
 def test_pack_records_of_nothing_has_a_row_per_column():
     assert pack_records([]).shape == (len(COLUMNS), 0)
 
@@ -421,3 +455,20 @@ def test_pack_records_refuses_what_is_not_a_state_record():
         pack_records([rec._asdict(), rec._asdict()])
     with pytest.raises(TypeError):
         pack_records([tuple(rec)])
+
+
+def test_region_table_is_built_once_per_layout_and_read_only():
+    table = _region_table(LAYOUT)
+    assert _region_table(default_layout()) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
+
+
+def test_an_executed_cycle_is_a_state_record():
+    machine = fresh_machine(assemble([LOADI(1, 5)]))
+    rec = step(machine)
+    assert type(rec) is StateRecord
+    assert rec == StateRecord(cycle=0, pc=0x4000, executed=0x4000,
+                              er_min=ER.er_min, er_max=ER.er_max)
+    assert rec._replace(reset=True).reset

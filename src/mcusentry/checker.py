@@ -15,11 +15,12 @@ names; Graf & Saïdi, CAV 1997). Every catalogue proposition is a
 function of the monitor letter, so the catalogue adds no class, and
 every catalogue formula over one space gets the same ``Alphabet`` from
 ``build_alphabet``, which keeps the last few it built. It holds every
-table the walk reads: the letters' FSM-table indices, each obligation's
-progressions and, per guard set, each reached monitor state's row.
+table the walk reads: each letter's ``table_letter`` int, each
+obligation's progressions and, per guard set, each reached monitor
+state's row.
 Coverage is exhaustive only over the classes the curated windows
 produce: the FSM state (rUNLOCK, wUNLOCK, lastER) is never reached
-(ROADMAP open item 5).
+(ROADMAP open item 19).
 
 Checking walks the reachable product of monitor state with a pending
 obligation by formula progression (Bacchus & Kabanza, AIJ 2000): each
@@ -31,17 +32,19 @@ any other conjunct (the before-operator end-to-end goal) is refused with
 ``FormulaError`` and checked on traces. A monitor state is its number in
 the guard set's ``monitor.compiled_monitor``, whose successor function
 gives each reachable state one row: the next state's number and the
-reset output on every letter. A node expands by gathering its
-obligation's progressions (computed once per process for each code of
-the propositions it reads, ``_Obligations``) at its row's reset outputs.
+reset output on every letter, each from one ``monitor_step`` on the
+letter's ``table_letter`` int: the step and letter functions the live
+``Monitor`` runs. A node expands by gathering its obligation's
+progressions (computed once per process for each code of the
+propositions it reads, ``_Obligations``) at its row's reset outputs.
 New nodes are queued in the order of the first letter that reaches them,
 and the violation reported is the first violating letter. A device
 without a key region is a guard set equal to its own ``keyless()``; the
 catalogue formulas that need the key region are left out for it
 (``check_catalogue``, ``first_violation``). Counterexamples are rebuilt
-as concrete lassos and replay through ``monitor_step``, a path
-independent of the tables, which must bring the FSMs back to their
-loop-entry states.
+as concrete lassos and replay through ``monitor_step`` and
+``eval_naive``, apart from the walk's rows and obligations, which must
+bring the FSMs back to their loop-entry states.
 
 Bounded lasso enumeration (``brute_force_check``) can show a violation
 but not its absence, so it is no verdict path; it cross-checks the walk
@@ -192,11 +195,12 @@ def _first_of_each_class(columns: dict[str, np.ndarray], props: dict,
 
 class Alphabet(tuple):
     """Letters (``StateRecord``s) with the tables the walks read over
-    them: their column view, each letter's index into each FSM table
-    (``indices``) and, filled at first use, each obligation's
-    progressions (``next_obligations``) and each guard set's rows
-    (``row``). ``props`` is the space's proposition table and ``names``
-    the propositions the letters' class key carries.
+    them: their column view, each one's monitor letter
+    (``monitor_letters``, the ``table_letter`` int the device's monitor
+    steps on) and, filled at first use, each obligation's progressions
+    (``next_obligations``) and each guard set's rows (``row``).
+    ``props`` is the space's proposition table and ``names`` the
+    propositions the letters' class key carries.
     """
 
     def __new__(cls, letters: Iterable[StateRecord], space: ScaledSpace,
@@ -204,9 +208,7 @@ class Alphabet(tuple):
         self = super().__new__(cls, letters)
         self.space, self.props, self.names = space, props, names
         self.view = RecordColumns(self)
-        self.indices = CompiledMonitor.indices(sum(
-            np.asarray(props[name](self.view), np.intp) << bit
-            for bit, name in enumerate(LETTER)))
+        self.monitor_letters = tuple(map(table_letter(space), self))
         self._next: dict[int, np.ndarray] = {}
         self._rows: dict[tuple[GuardFlags, int], tuple[np.ndarray, np.ndarray]] = {}
         return self
@@ -214,12 +216,11 @@ class Alphabet(tuple):
     def row(self, guards: GuardFlags, sid: int) -> tuple[np.ndarray, np.ndarray]:
         """Next-state numbers and reset outputs (0/1) of state ``sid`` in
         ``guards``' compiled monitor, both indexed by letter; kept per
-        guard set as uint8 (the monitor has 30 states)."""
+        guard set."""
         row = self._rows.get((guards, sid))
         if row is None:
-            row = self._rows[guards, sid] = tuple(
-                a.astype(np.uint8)
-                for a in compiled_monitor(guards).successors(sid, self.indices))
+            row = self._rows[guards, sid] = compiled_monitor(guards).successors(
+                sid, self.monitor_letters)
         return row
 
     def step(self, guards: GuardFlags, sid: int,

@@ -33,23 +33,21 @@ and DMA touches of GPIO and the key region, and CPU writes and DMA touches
 of the window and its metadata. The key-write FSM (``EKR_READS``, 4)
 reads pc at zero and in VR, CPU writes and DMA touches of the key region.
 The atomicity FSM (``ATOM_READS``, 6) reads pc at zero, in the window, at
-er_min and at er_max, irq and dmaen. So for one guard set each FSM
-compiles into a flat table over (FSM state, its bits), each entry from
-one call to the FSM's own step function. One ``compiled_monitor`` per
-guard set holds the live memo, those tables (built at the checker's
-first use), the 30 composed states numbered once (a global reset lands
-in ``INITIAL_STATE``, number 0), and the successor function over table
-indices that the checker's rows are. ``monitor_step`` stays the scalar
-composition that memo misses and the checker's quiet tails and replays
-step through. A monitor is a layout and a guard set, nothing else: a
-device without a key region runs ``GuardFlags.keyless()``.
+er_min and at er_max, irq and dmaen. One ``compiled_monitor`` per guard
+set holds the live memo, the 30 composed states numbered once (a global
+reset lands in ``INITIAL_STATE``, number 0), and the successor function
+the checker's rows come from. Memo misses, those rows and the checker's
+quiet tails and replays all step ``monitor_step``, so the checker judges
+the step function the device runs, on the letters ``table_letter``
+makes. A monitor is a layout and a guard set, nothing else: a device
+without a key region runs ``GuardFlags.keyless()``.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -283,30 +281,6 @@ EKR_READS = PC_ZERO | PC_VR | WRITE_EKR | DMA_EKR
 ATOM_READS = PC_ZERO | PC_ER | PC_ERMIN | PC_ERMAX | IRQ | DMA_EN
 
 
-def _bits(mask: int) -> list[int]:
-    return [bit for bit in range(mask.bit_length()) if mask >> bit & 1]
-
-
-def _index(letter, reads: int):
-    """The bits of ``letter`` (an int or an int array) that an FSM reading
-    ``reads`` reads, packed low to high: its index into the FSM's table."""
-    return sum((letter >> bit & 1) << j for j, bit in enumerate(_bits(reads)))
-
-
-def _fsm_table(states: type[Enum], reads: int, step) -> np.ndarray:
-    """``step`` (state, letter) -> (state, reset) as a uint8 table, one call
-    per entry: ``table[i, _index(letter, reads)]`` is ``j << 1 | reset``
-    when the FSM steps from its ``i``-th state on ``letter`` to its
-    ``j``-th with local reset output ``reset``."""
-    bits = _bits(reads)
-    letters = [sum((index >> j & 1) << bit for j, bit in enumerate(bits))
-               for index in range(1 << len(bits))]
-    states = list(states)
-    return np.array([[states.index(nxt) << 1 | out
-                      for nxt, out in (step(state, letter) for letter in letters)]
-                     for state in states], dtype=np.uint8)
-
-
 class MonitorState(NamedTuple):
     """Composed state of the three FSMs."""
 
@@ -340,49 +314,26 @@ class CompiledMonitor:
     entered by ``Monitor.step`` on a miss; a letter names comparator
     outputs, not addresses, so monitors over any layout share it.
     ``states`` numbers the 30 composed states once, in enum product order,
-    so a state's number is its index into the tables' (3, 2, 5) product
-    and ``INITIAL_STATE``, where every reset lands, is 0. ``tables`` are
-    the three FSM tables, built at their first use, which only the checker
-    makes (about 30 ms).
+    so ``INITIAL_STATE``, where every reset lands, is 0.
     """
 
     states = tuple(MonitorState(*triple)
                    for triple in product(GpioState, EkrState, AtomState))
     number = {state: sid for sid, state in enumerate(states)}
-    _shape = (len(GpioState), len(EkrState), len(AtomState))
 
     def __init__(self, guards: GuardFlags):
         self.memo: defaultdict = defaultdict(dict)
         self.guards = guards
 
-    @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The GPIO, key-write and atomicity FSMs' ``_fsm_table``s."""
-        guards = self.guards
-        return (
-            _fsm_table(GpioState, GPIO_READS,
-                       lambda s, letter: step_gpio_fsm(s, letter, guards)),
-            _fsm_table(EkrState, EKR_READS,
-                       lambda s, letter: step_ekr_write_fsm(s, letter, guards)),
-            _fsm_table(AtomState, ATOM_READS,
-                       lambda s, letter: step_atomicity_fsm(s, letter, guards)),
-        )
-
-    @staticmethod
-    def indices(letters) -> tuple:
-        """Each letter's index into each FSM's table."""
-        return tuple(_index(letters, reads)
-                     for reads in (GPIO_READS, EKR_READS, ATOM_READS))
-
-    def successors(self, sid: int, indices: tuple) -> tuple[np.ndarray, np.ndarray]:
+    def successors(self, sid: int, letters) -> tuple[np.ndarray, np.ndarray]:
         """The next state's number and the reset output (0/1) from state
-        number ``sid`` on every letter whose table indices are ``indices``."""
-        entries = [table[i, index] for table, i, index in
-                   zip(self.tables, np.unravel_index(sid, self._shape), indices)]
-        outs = (entries[0] | entries[1] | entries[2]).astype(np.intp) & 1
-        # Any local reset is the global one: every FSM goes to RESET.
-        return np.where(outs, self.number[INITIAL_STATE], np.ravel_multi_index(
-            [entry >> 1 for entry in entries], self._shape)), outs
+        number ``sid`` on each of ``letters`` (17-bit ints), as uint8
+        arrays, one ``monitor_step`` per letter. The memo is left alone:
+        it holds the transitions live runs take, not a checker's rows."""
+        state, guards, number = self.states[sid], self.guards, self.number
+        steps = [monitor_step(state, letter, guards) for letter in letters]
+        return (np.array([number[nxt] for nxt, _ in steps], np.uint8),
+                np.array([out for _, out in steps], np.uint8))
 
 
 # One per guard set: the healthy guards and the 12 mutants, each also keyless

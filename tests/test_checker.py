@@ -711,7 +711,7 @@ def test_nested_shapes_agree_with_bounded_search(text):
 
 
 # ---------------------------------------------------------------------------
-# Rows looked up in the FSM tables against monitor_step on every letter
+# Rows against monitor_step on every letter
 
 
 def assert_rows_equal_monitor_step(guards, alphabet: Alphabet) -> None:
@@ -748,6 +748,25 @@ def test_curated_rows_equal_monitor_step(width, ekr_enabled):
         assert_rows_equal_monitor_step(
             guards if ekr_enabled else guards.keyless(),
             Alphabet(curated_alphabet(space), space, build_props(space)))
+
+
+def test_the_checker_judges_monitor_step_itself(monkeypatch):
+    # Rows step the monitor module's own monitor_step on each letter's
+    # table_letter int, so a fault there is one the checker sees: made to
+    # step under rlock-reads-allowed's guards, the healthy monitor breaks
+    # that mutant's formula.
+    formula = catalogue_by_name()["mon-gpio-read-in-er"].formula
+    shared = catalogue_alphabet(SPACE5)
+
+    def fresh(*args):
+        return Alphabet(tuple(shared), SPACE5, build_props(SPACE5), shared.names)
+    monkeypatch.setattr(checker, "build_alphabet", fresh)
+    assert exhaustive_check(formula, SPACE5).holds
+    inner, mutant = monitor.monitor_step, mutant_guards("rlock-reads-allowed")
+    monkeypatch.setattr(monitor, "monitor_step",
+                        lambda state, letter, guards: inner(state, letter, mutant))
+    result = exhaustive_check(formula, SPACE5)
+    assert result.verdict == "violated" and result.counterexample is not None
 
 
 def test_a_second_sweep_builds_no_tables(monkeypatch):

@@ -4,7 +4,6 @@ from collections import defaultdict
 from dataclasses import fields
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +13,8 @@ from mcusentry.layout import default_layout
 from mcusentry.machine import StateRecord
 from mcusentry.monitor import (ATOM_READS, DEFAULT_GUARDS, DMA_EKR, EKR_READS,
                                GPIO_READS, INITIAL_STATE, LETTER, READ_EKR,
-                               WRITE_EKR, AtomState, EkrState, GpioState,
-                               GuardFlags, Monitor, MonitorState,
+                               WRITE_EKR, AtomState, CompiledMonitor, EkrState,
+                               GpioState, GuardFlags, Monitor, MonitorState,
                                compiled_monitor, monitor_step,
                                step_atomicity_fsm, step_ekr_write_fsm,
                                step_gpio_fsm, table_letter)
@@ -438,39 +437,26 @@ def test_one_memo_per_guards_across_layouts():
         assert all(other is not memo for other in others)
 
 
-# The FSM tables against the step functions they are filled from, on
-# arbitrary letters: all 17 bits drawn, not only the combinations records make.
+# The checker's rows against monitor_step, on arbitrary letters: all 17
+# bits drawn, not only the combinations records make.
 _LETTERS = st.integers(0, (1 << len(LETTER)) - 1)
 
 
 @settings(max_examples=100, deadline=None)
-@given(letter=_LETTERS, guards=st.sampled_from(_GUARD_SETS))
-def test_table_step_equals_monitor_step_from_every_state(letter, guards):
+@given(letters=st.lists(_LETTERS, min_size=1, max_size=20),
+       guards=st.sampled_from(_GUARD_SETS))
+def test_successors_equal_monitor_step_from_every_state(letters, guards):
     compiled = compiled_monitor(guards)
-    indices = compiled.indices(np.array([letter]))
+    memo = {state: dict(row) for state, row in compiled.memo.items()}
     for state in _EVERY_STATE:
-        nxt, out = compiled.successors(compiled.number[state], indices)
-        assert (compiled.states[nxt[0]], bool(out[0])) == \
-            monitor_step(state, letter, guards), state
+        nxt, out = compiled.successors(compiled.number[state], letters)
+        assert [(compiled.states[n], bool(o)) for n, o in zip(nxt, out)] == \
+            [monitor_step(state, letter, guards) for letter in letters], state
+    # Rows leave the live memo as they found it.
+    assert compiled.memo == memo
 
 
-def test_keyless_guards_ignore_every_key_bit():
-    # Without a key region no key access may change a step: from every
-    # composed state, on all 2^17 letters, the key bits cleared or not.
-    letters = np.arange(1 << len(LETTER))
-    keyless = dict.fromkeys(g.keyless() for g in _GUARD_SETS)
-    assert len(keyless) == 11
-    for guards in keyless:
-        compiled = compiled_monitor(guards)
-        indices = compiled.indices(letters)
-        cleared = compiled.indices(letters & ~(READ_EKR | WRITE_EKR | DMA_EKR))
-        for sid in range(len(compiled.states)):
-            for got, want in zip(compiled.successors(sid, indices),
-                                 compiled.successors(sid, cleared)):
-                assert np.array_equal(got, want), (guards, compiled.states[sid])
-
-
-# Each FSM with the bits its table is indexed by, stepped under a guard set.
+# Each FSM with the bits it reads, stepped under a guard set.
 _FSMS = [
     (GpioState, GPIO_READS, step_gpio_fsm),
     (EkrState, EKR_READS, step_ekr_write_fsm),
@@ -481,8 +467,8 @@ _FSMS = [
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(letter=_LETTERS)
 def test_each_fsm_reads_only_the_bits_of_its_table(letter):
-    # A table entry stands for every letter that agrees on the FSM's read
-    # bits; a guard that reads one more bit must add it to the mask.
+    # An FSM steps alike on every letter that agrees on its read bits; a
+    # guard that reads one more bit must add it to the mask.
     assert [reads.bit_count() for _, reads, _ in _FSMS] == [12, 4, 6]
     for states, reads, step in _FSMS:
         for bit in range(len(LETTER)):
@@ -494,11 +480,29 @@ def test_each_fsm_reads_only_the_bits_of_its_table(letter):
                     step(state, letter, guards), (state, LETTER[bit])
 
 
-def test_fsm_tables_are_kept_per_guard_set():
+def _letters_within(mask: int) -> list[int]:
+    """Every letter with no bit outside ``mask``."""
+    return [letter for letter in range(mask + 1) if not letter & ~mask]
+
+
+def test_keyless_guards_ignore_every_key_bit():
+    # Without a key region no key access may change a step: each FSM, from
+    # each of its states, on every letter of the bits it reads, the key
+    # bits cleared or not. The composed step ORs the three, so it too.
+    keyless = dict.fromkeys(g.keyless() for g in _GUARD_SETS)
+    assert len(keyless) == 11
+    for states, reads, step in _FSMS:
+        letters = _letters_within(reads)
+        cleared = [letter & ~(READ_EKR | WRITE_EKR | DMA_EKR) for letter in letters]
+        for guards, state in product(keyless, states):
+            assert [step(state, letter, guards) for letter in letters] == \
+                [step(state, letter, guards) for letter in cleared], (guards, state)
+
+
+def test_compiled_monitors_are_kept_per_guard_set():
     assert len(_GUARD_SETS) == 24
     assert compiled_monitor.cache_info().maxsize >= len(_GUARD_SETS)
     compiled = compiled_monitor(DEFAULT_GUARDS)
-    assert [t.shape for t in compiled.tables] == [(3, 4096), (2, 16), (5, 64)]
     assert compiled_monitor(GuardFlags()) is compiled
     assert compiled_monitor(DEFAULT_GUARDS.keyless()) is not compiled
     # The 30 FSM triples in product order, each numbered by its index.
@@ -556,12 +560,12 @@ def test_letter_tables_are_built_once_per_layout_value():
     assert table_letter.cache_info().misses == built
 
 
-def test_live_rounds_build_no_fsm_table(monkeypatch):
-    # Live misses step through monitor_step, so rounds never pay the FSM
-    # tables' build (about 30 ms per guard set), and every round after the
-    # first steps on the memo the first one compiled.
+def test_live_rounds_build_no_checker_row(monkeypatch):
+    # Live misses step through monitor_step, so rounds never build a row of
+    # the checker's, and every round after the first steps on the memo the
+    # first one compiled.
     built = []
-    monkeypatch.setattr("mcusentry.monitor._fsm_table",
+    monkeypatch.setattr(CompiledMonitor, "successors",
                         lambda *args: built.append(args))
     compiled_monitor.cache_clear()
     misses = []

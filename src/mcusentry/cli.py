@@ -10,8 +10,10 @@ default layout file.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .catalogue import catalogue_by_name
@@ -64,8 +66,10 @@ def cmd_authorize(args) -> int:
     else:
         counter = 0
     msg, counter = authorize_ctrl(key, counter, binary)
-    Path(args.out).write_bytes(msg.to_wire())
+    # The counter first: a message whose challenge was never recorded
+    # would be issued again, for another binary, by the next call.
     counter_path.write_text(f"{counter}\n")
+    Path(args.out).write_bytes(msg.to_wire())
     print(f"message written to {args.out} (challenge {msg.chal})")
     return EXIT_OK
 
@@ -223,13 +227,14 @@ def _dump_lasso(path: str, lasso, space) -> None:
 
 def cmd_attack(args) -> int:
     names = None if args.name is None else [args.name]
-    results = run_campaign(names=names, random_count=args.random,
-                           seed=args.seed, jobs=args.jobs)
-    if args.report:
-        import json
-        with open(args.report, "w") as fh:
-            for r in results:
-                fh.write(json.dumps(r, sort_keys=True) + "\n")
+    # Opened before the first round, so a bad path wastes no campaign, and
+    # emptied only after the last, so a failed campaign keeps an old report.
+    with open(args.report, "a") if args.report else nullcontext() as report:
+        results = run_campaign(names=names, random_count=args.random,
+                               seed=args.seed, jobs=args.jobs)
+        if report is not None:
+            report.truncate(0)
+            report.writelines(json.dumps(r, sort_keys=True) + "\n" for r in results)
     print(summary_table(results))
     wins = sum(1 for r in results if r["adversary_wins"])
     violations = sum(len(r["goal_violations"]) for r in results)

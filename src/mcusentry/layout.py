@@ -182,10 +182,11 @@ def parse_layout(text: str) -> MemoryLayout:
     """Parse the line-oriented config format.
 
     One entry per line: ``name=start:end`` for ranges, ``name=addr`` for
-    single addresses. ``#`` starts a comment. Overlap and containment rules
-    are enforced by MemoryLayout itself.
+    single addresses. ``#`` starts a comment. A key given twice is refused.
+    Overlap and containment rules are enforced by MemoryLayout itself.
     """
     entries: dict[str, object] = {}
+    lines: dict[str, int] = {}  # the line each key was read from
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -195,6 +196,8 @@ def parse_layout(text: str) -> MemoryLayout:
         name, _, value = line.partition("=")
         name = name.strip()
         value = value.strip()
+        if lines.setdefault(name, lineno) != lineno:
+            raise LayoutError(f"line {lineno}: {name} already set on line {lines[name]}")
         if name in _REGION_KEYS + _SUB_KEYS:
             if ":" not in value:
                 raise LayoutError(f"line {lineno}: {name} needs start:end")

@@ -37,7 +37,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -462,7 +462,7 @@ def exec_step(
         next_pc = layout.effective_irq_vector
 
     machine.pc = next_pc
-    # The tuple of ``COLUMNS`` values, as ``protocol._run`` builds its
+    # The tuple of ``COLUMNS`` values, as ``commit_run`` builds its
     # records: the named tuple's own constructor costs about 0.3 us more
     # per record, once per simulated cycle.
     return _tuple_new(StateRecord, (cycle, pc, r_en, w_en, d_addr, dma_en,
@@ -513,36 +513,44 @@ def commit(machine: Machine, monitor, rec: StateRecord) -> StateRecord:
     """The judge-and-reset step of each cycle ``run`` executes: step
     ``monitor`` (if any) on ``rec``; on a fault or a monitor reset,
     complete the reset and return the record marked ``reset=True``.
-    The protocol's synthesized records go through ``commit_run``."""
+    The protocol's synthesized records are built and judged by
+    ``commit_run``, one run at a time."""
     if (monitor is not None and monitor.step(rec)) or rec.reset:
         rec = _complete_reset(machine, monitor, rec)
     return rec
 
 
-def commit_run(machine: Machine, monitor, run: list[StateRecord],
-               out: list[StateRecord],
-               store: tuple[int, bytes] | None = None) -> bool:
-    """The judge-and-reset step of a run of synthesized records, the
-    trusted verifier's and installer's cycles: step ``monitor`` (if any)
-    over the whole run with ``Monitor.step_run`` and keep the records up
-    to and including the first that resets, appended to ``out``;
-    ``machine.cycle`` advances by the number kept. A store run passes
-    ``store = (addr, data)``: record ``i`` stores the word ``data[2i:2i+2]``
-    at ``addr + 2i``, and the kept words are written before the reset
-    completes as in ``commit``. Return whether the run reset.
+def commit_run(machine: Machine, monitor, out: list[StateRecord],
+               pcs: Iterable[int], d_addrs: Iterable[int], *, r_en: bool = False,
+               w_en: bool = False, store: bytes | None = None) -> bool:
+    """Build and judge one run of synthesized records, the trusted
+    verifier's and installer's cycles; return whether the run reset.
 
-    The run's records are built with the cycle numbers they will carry
-    and never fault. Verifier execution is uninterruptible: DMA and IRQ are
-    never serviced during a run, and requests scheduled at its cycles
-    lapse. Once the scheduler services them (ROADMAP item 4), a run must be
-    cut at each scheduled DMA or IRQ cycle.
+    One record per ``d_addrs`` entry, with pc (and ``executed``) from
+    ``pcs``, cycles counted from ``machine.cycle``, the live bounds
+    sampled once, and no DMA, irq or reset; a ``pcs`` shared with the
+    next run loses no pc past the last record. ``monitor`` (if any)
+    steps the whole run with ``Monitor.step_run``; the records up to and
+    including the first that resets go to ``out``, and ``machine.cycle``
+    advances by their number. A store run's ``store`` holds its words,
+    stored at the run's contiguous addresses; the kept words are written
+    before the reset completes, as in ``commit``.
+
+    Verifier execution is uninterruptible: DMA and IRQ are never serviced
+    during a run, and requests scheduled at its cycles lapse. Once the
+    scheduler services them (ROADMAP item 4), a run must be cut at each
+    scheduled DMA or IRQ cycle.
     """
+    er_min, er_max = machine.er_window()
+    run = [_tuple_new(StateRecord, (c, pc, r_en, w_en, d, False, 0, False,
+                                    False, False, pc, er_min, er_max))
+           for d, c, pc in zip(d_addrs, count(machine.cycle), pcs)]
     cut = len(run) if monitor is None else monitor.step_run(run)
     kept = min(cut + 1, len(run))
     machine.cycle += kept
-    if store is not None:
-        addr, data = store
-        machine.memory[addr:addr + 2 * kept] = data[:2 * kept]
+    if store:
+        start = run[0].d_addr
+        machine.memory[start:start + 2 * kept] = store[:2 * kept]
     if cut == len(run):
         out += run
         return False

@@ -9,16 +9,18 @@ pattern (window reads from trusted-verifier addresses, key-region writes,
 the final authorization record) instead of running foreign instructions,
 with a record count affine in the window size.
 
-Each phase is emitted as runs: the installer's mailbox, window and
-metadata chunks, and the verifier's header, digest sweep, tail, key writes
-and final authorization record, each build their records in one pass and
-hand them to ``machine.commit_run``, which steps the monitor over the whole
-run at once and keeps the records up to and including the first that
-resets. A store run's kept words are stored before that reset completes. A
-run samples the live window bounds once, and a store run also ends after
-any store into ``layout.er_metadata``, exact since ``er_window`` reads only
-those cells. Records, memory, cycle count and monitor state are those of
-judging and storing one record at a time, and so is the cost model.
+Each phase is one ``machine.commit_run`` call, which builds the run's
+records, steps the monitor over the whole run at once and keeps the
+records up to and including the first that resets: the installer's
+mailbox, window, er_min cell and er_max cell, and the verifier's header,
+digest sweep, tail, key writes and final authorization record. A store
+run's kept words are stored before that reset completes. A run samples
+the live window bounds once; only the two bound stores touch the cells
+``er_window`` reads (the layout keeps the mailbox, the window and the key
+region off them), and each is a run of its own, so the next record sees
+the bound it stored. Records, memory, cycle count and monitor state are
+those of judging and storing one record at a time, and so is the cost
+model.
 
 Wire format of an authorization message, bit exact:
 
@@ -27,8 +29,7 @@ Wire format of an authorization message, bit exact:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, cycle, repeat
-from typing import Iterable, Iterator
+from itertools import chain, cycle, repeat
 
 from .crypto import (CHAL_BYTES, KEY_BYTES, MAC_BYTES, derive_enc_key,
                      token_mac)
@@ -39,7 +40,6 @@ from .monitor import Monitor
 from .oracle import BOTTOM, TOP
 
 MAGIC = b"VRSA"
-_tuple_new = tuple.__new__
 
 # Record-count model for one verification pass.
 VERIFY_HEADER_RECORDS = 6       # mailbox parse and counter compare
@@ -114,17 +114,17 @@ def install(msg: AuthorizationMessage, machine: Machine, er: ErWindow,
     mailbox = msg.chal.to_bytes(CHAL_BYTES, "big") + msg.token
     if len(mailbox) + len(mailbox) % 2 > len(layout.atok_mailbox):  # whole words
         raise SizeError(f"challenge and token of {len(mailbox)} bytes overflow the mailbox")
-    installer_pc = (layout.pmem.start + 0x80) & 0xFFFE
+    pcs = repeat((layout.pmem.start + 0x80) & 0xFFFE)  # the installer's pc
     padded = msg.binary + bytes(span - len(msg.binary))
     records: list[StateRecord] = []
-    pcs = repeat(installer_pc)
     if len(mailbox) % 2:  # a short token: the last word's high byte is 0
         mailbox += b"\x00"
-    if not (_store_runs(machine, monitor, records, pcs,
-                        layout.atok_mailbox.start, mailbox)
-            or _store_runs(machine, monitor, records, pcs, er.er_min, padded)):
-        _store_runs(machine, monitor, records, pcs, layout.er_min_cell,
-                    er.er_min.to_bytes(2, "little") + er.er_max.to_bytes(2, "little"))
+    for addr, data in ((layout.atok_mailbox.start, mailbox), (er.er_min, padded),
+                       (layout.er_min_cell, er.er_min.to_bytes(2, "little")),
+                       (layout.er_max_cell, er.er_max.to_bytes(2, "little"))):
+        if commit_run(machine, monitor, records, pcs, range(addr, addr + len(data), 2),
+                      w_en=True, store=data):
+            break
     return records
 
 
@@ -136,41 +136,6 @@ def stored_counter(machine: Machine) -> int:
 def _set_stored_counter(machine: Machine, value: int) -> None:
     start = machine.layout.counter_cell.start
     machine.memory[start:start + 8] = value.to_bytes(8, "big")
-
-
-def _run(machine: Machine, pcs: Iterator[int], r_en: bool, w_en: bool,
-         d_addrs: Iterable[int]) -> list[StateRecord]:
-    """One run's records, built in one pass: one per ``d_addrs`` entry, pc
-    (and ``executed``) from ``pcs``, cycles counted from ``machine.cycle``,
-    and the live bounds sampled once. Each is the tuple of
-    ``machine.COLUMNS`` with no DMA, irq or reset: the named tuple's own
-    constructor costs about 0.3 us more per record. ``d_addrs`` comes
-    first in the ``zip``, so a run takes no pc beyond its last record from
-    a ``pcs`` shared with the next run."""
-    er_min, er_max = machine.er_window()
-    return [_tuple_new(StateRecord, (c, pc, r_en, w_en, d, False, 0, False,
-                                     False, False, pc, er_min, er_max))
-            for d, c, pc in zip(d_addrs, count(machine.cycle), pcs)]
-
-
-def _store_runs(machine: Machine, monitor: Monitor | None,
-                records: list[StateRecord], pcs: Iterator[int], addr: int,
-                data: bytes) -> bool:
-    """Store ``data`` (whole words) from the word-aligned ``addr`` on, one
-    record per word with its pc from ``pcs``, through ``commit_run``; True
-    on a reset. A run ends after a store into the metadata cells, the only
-    store that moves the bounds, so the next run samples the new ones."""
-    meta = machine.layout.er_metadata
-    end = addr + len(data)
-    while addr < end:
-        first_meta = max(addr, meta.start)  # the first word that may be one
-        stop = first_meta + 2 if first_meta <= meta.end and first_meta < end else end
-        run = _run(machine, pcs, False, True, range(addr, stop, 2))
-        if commit_run(machine, monitor, run, records, (addr, data)):
-            return True
-        data = data[stop - addr:]
-        addr = stop
-    return False
 
 
 def verify_dev(key: bytes, machine: Machine,
@@ -193,11 +158,8 @@ def verify_dev(key: bytes, machine: Machine,
     chal = int.from_bytes(machine.memory[mb:mb + CHAL_BYTES], "big")
     staged_token = bytes(machine.memory[mb + CHAL_BYTES:mb + CHAL_BYTES + MAC_BYTES])
 
-    def read_run(r_en: bool, d_addrs: Iterable[int]) -> bool:
-        return commit_run(machine, monitor,
-                          _run(machine, pcs, r_en, False, d_addrs), records)
-
-    if read_run(True, [(mb + 2 * i) & 0xFFFE for i in range(VERIFY_HEADER_RECORDS)]):
+    if commit_run(machine, monitor, records, pcs,
+                  range(mb, mb + 2 * VERIFY_HEADER_RECORDS, 2), r_en=True):
         return BOTTOM, records
 
     if chal <= stored_counter(machine):
@@ -209,11 +171,12 @@ def verify_dev(key: bytes, machine: Machine,
     window_bytes = bytes(machine.memory[er_min:er_max + 2])
     # Each word's address VERIFY_RECORDS_PER_WORD times in a row.
     sweep = range(er_min, er_min + len(window_bytes), 2)
-    if read_run(True, chain.from_iterable(zip(*[sweep] * VERIFY_RECORDS_PER_WORD))):
+    if commit_run(machine, monitor, records, pcs,
+                  chain.from_iterable(zip(*[sweep] * VERIFY_RECORDS_PER_WORD)), r_en=True):
         return BOTTOM, records
     sigma = token_mac(key, chal, window_bytes)
 
-    if read_run(False, (0,) * VERIFY_TAIL_RECORDS):
+    if commit_run(machine, monitor, records, pcs, (0,) * VERIFY_TAIL_RECORDS):
         return BOTTOM, records
 
     # Constant-time compare is irrelevant in simulation; equality is the contract.
@@ -221,12 +184,12 @@ def verify_dev(key: bytes, machine: Machine,
         return BOTTOM, records
 
     _set_stored_counter(machine, chal)
-    k_enc = derive_enc_key(key, chal)
-    if _store_runs(machine, monitor, records, pcs, layout.ekr.start,
-                   k_enc[:2 * len(_key_offsets(layout))]):
+    k_enc = derive_enc_key(key, chal)[:2 * len(_key_offsets(layout))]
+    ekr = layout.ekr.start
+    if commit_run(machine, monitor, records, pcs, range(ekr, ekr + len(k_enc), 2),
+                  w_en=True, store=k_enc):
         return BOTTOM, records
-    if commit_run(machine, monitor, _run(machine, repeat(layout.i_auth), False, False, (0,)),
-                  records):
+    if commit_run(machine, monitor, records, (layout.i_auth,), (0,)):
         return BOTTOM, records
     return TOP, records
 

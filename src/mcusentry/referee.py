@@ -26,7 +26,7 @@ from .oracle import atomic_exec_oracle
 from .props import build_props
 from .protocol import (AuthorizationMessage, authorize_ctrl, install,
                        verify_dev, xsensing)
-from .scenarios import ScenarioPlan
+from .scenarios import CATALOGUE, ScenarioPlan, random_plan
 
 DEFAULT_KEY = hashlib.sha256(b"pre-shared master key (simulation)").digest()
 assert len(DEFAULT_KEY) == KEY_BYTES
@@ -194,7 +194,6 @@ def run_scenario(plan: ScenarioPlan, key: bytes = DEFAULT_KEY,
 
 
 def _run_named(args) -> dict:
-    from .scenarios import CATALOGUE, random_plan
     kind, payload = args
     if kind == "catalogue":
         plan = CATALOGUE[payload]()
@@ -222,7 +221,6 @@ def run_campaign(names: list[str] | None = None, random_count: int = 0,
     unknown name, a negative ``random_count`` or ``jobs`` below 1 raises
     ``ValueError`` before any round runs.
     """
-    from .scenarios import CATALOGUE
     if random_count < 0:
         raise ValueError(f"random count must not be negative, got {random_count}")
     if jobs < 1:

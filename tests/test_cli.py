@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcusentry import cli
 from mcusentry.checker import brute_force_check, scaled_space
 from mcusentry.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from mcusentry.isa import HALT, LOAD, LOADI, STORE, assemble
@@ -70,6 +71,24 @@ def test_authorize_rejects_short_key(workdir):
     tmp, _ = workdir
     (tmp / "key.bin").write_bytes(b"short")
     assert _authorize(tmp) == EXIT_USAGE
+
+
+def test_authorize_writes_no_message_when_the_counter_write_fails(workdir, capsys,
+                                                                  monkeypatch):
+    # A message whose challenge was not recorded would be issued again.
+    tmp, _ = workdir
+    write_text = Path.write_text
+
+    def refuse_counter(path, *args, **kwargs):
+        if path.name == "counter.txt":
+            raise PermissionError(f"cannot write {path}")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", refuse_counter)
+    assert _authorize(tmp) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write")
+    assert not (tmp / "msg.bin").exists()
 
 
 def _run_args(tmp, er, extra=()):
@@ -381,6 +400,20 @@ def test_run_rejects_cycle_counts_below_one(workdir, capsys, args):
     assert len(err) == 1 and err[0] == f"error: {args[0]} must be positive, got {args[1]}"
 
 
+def test_run_refuses_a_layout_key_given_twice(workdir, capsys):
+    tmp, binary = workdir
+    _authorize(tmp)
+    capsys.readouterr()
+    text = format_layout(LAYOUT) + "gpio=0xF040:0xF07F\n"
+    (tmp / "layout.cfg").write_text(text)
+    code = main(_run_args(tmp, window_for(binary, 0x4000)))
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(err) == 1 and err[0] == (f"error: line {len(text.splitlines())}: "
+                                        "gpio already set on line 4")
+
+
 @pytest.mark.parametrize("window", ["0x4000", ":0x4004", "0x4000:0x4004:2"])
 def test_run_malformed_window_is_a_usage_error(workdir, capsys, window):
     tmp, binary = workdir
@@ -453,6 +486,26 @@ def test_attack_report_file(tmp_path, capsys):
     lines = [json.loads(line) for line in report.read_text().splitlines()]
     assert len(lines) == 6
     assert all(not entry["adversary_wins"] for entry in lines)
+
+
+def test_attack_unwritable_report_fails_before_the_first_round(tmp_path, capsys,
+                                                              monkeypatch):
+    def no_rounds(**kwargs):
+        pytest.fail("the campaign ran before the report was opened")
+
+    monkeypatch.setattr(cli, "run_campaign", no_rounds)
+    report = tmp_path / "missing-dir" / "report.jsonl"
+    assert main(["attack", "--name", "happy-path", "--report", str(report)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+
+def test_attack_usage_error_keeps_an_existing_report(tmp_path, capsys):
+    report = tmp_path / "report.jsonl"
+    report.write_text("{}\n")
+    assert main(["attack", "--name", "nope", "--report", str(report)]) == EXIT_USAGE
+    assert report.read_text() == "{}\n"
 
 
 def test_attack_deterministic_digests(tmp_path):

@@ -36,6 +36,16 @@ def test_parser_reports_bad_lines():
         parse_layout("rom=0x0000:0x0FFF\n")
 
 
+def test_parser_refuses_a_key_given_twice():
+    # The second gpio line is a valid region of its own; it must not
+    # silently replace the first.
+    text = format_layout(default_layout()) + "gpio=0xF040:0xF07F\n"
+    second = len(text.splitlines())
+    first = text.splitlines().index("gpio=0xF000:0xF03F") + 1
+    with pytest.raises(LayoutError, match=f"line {second}: gpio already set on line {first}"):
+        parse_layout(text)
+
+
 def test_vr_must_sit_in_rom():
     layout = default_layout()
     with pytest.raises(LayoutError, match="vr"):

@@ -416,6 +416,14 @@ def reference_verify_dev(key, machine, monitor):
 
 EKR8_LAYOUT = parse_layout(format_layout(LAYOUT).replace("ekr=0xF100:0xF11F",
                                                          "ekr=0xF100:0xF107"))
+# The mailbox right against the metadata cells: its run ends on the word
+# before the er_min cell, or starts on the word after the er_max cell.
+MAILBOX_BEFORE_CELLS_LAYOUT = parse_layout(
+    format_layout(LAYOUT).replace("er_metadata=0x1000:0x1003", "er_metadata=0x1028:0x102B")
+    .replace("atok_mailbox=0x1010:0x103F", "atok_mailbox=0x1000:0x1027"))
+MAILBOX_AFTER_CELLS_LAYOUT = parse_layout(
+    format_layout(LAYOUT).replace("atok_mailbox=0x1010:0x103F", "atok_mailbox=0x1004:0x102B")
+    .replace("counter_cell=0x1040:0x1047", "counter_cell=0x102C:0x1033"))
 
 
 def _session(layout, boot_er, monitor_mode, steps, install_fn, verify_fn):
@@ -457,7 +465,8 @@ def _steps(kind, binary, er):
 
 
 @settings(max_examples=60, deadline=None)
-@given(layout=st.sampled_from([LAYOUT, EKR8_LAYOUT]),
+@given(layout=st.sampled_from([LAYOUT, EKR8_LAYOUT, MAILBOX_BEFORE_CELLS_LAYOUT,
+                                MAILBOX_AFTER_CELLS_LAYOUT]),
        span=st.integers(1, 512).map(lambda words: 2 * words),
        cut=st.integers(0, 1023),
        er_min=st.integers(0x2000, 0x2400).map(lambda a: a & 0xFFFE),
@@ -469,8 +478,8 @@ def _steps(kind, binary, er):
 def test_protocol_cycles_equal_the_per_record_reference(
         layout, span, cut, er_min, boot_er_min, kind, monitor_mode, seed):
     # The binary may be shorter than the window, of odd length, and the
-    # session may boot on another window, so the metadata chunk moves the
-    # live bounds between its two records.
+    # session may boot on another window, so the er_min cell's store moves
+    # the live bounds that the er_max cell's record samples.
     binary = random.Random(seed).randbytes(max(1, span - cut % span))
     er = ErWindow(er_min, er_min + span - 2)
     boot_er = ErWindow(boot_er_min, boot_er_min + 2 * (seed % 8))

@@ -36,7 +36,10 @@ reset output on every letter, each from one ``monitor_step`` on the
 letter's ``table_letter`` int: the step and letter functions the live
 ``Monitor`` runs. A node expands by gathering its obligation's
 progressions (computed once per process for each code of the
-propositions it reads, ``_Obligations``) at its row's reset outputs.
+propositions it reads, ``_Obligations``) at its row's reset outputs,
+then in one first-occurrence pass over its letters, with no sort over
+them (``_expand``): each letter is keyed on (next obligation, next
+state) and each key's first letter taken with one ``np.minimum.at``.
 New nodes are queued in the order of the first letter that reaches them,
 and the violation reported is the first violating letter. A device
 without a key region is a guard set equal to its own ``keyless()``; the
@@ -428,6 +431,24 @@ def _catalogue_key(space: ScaledSpace) -> frozenset[str]:
     return frozenset().union(*(check_props(e.formula, props) for e in all_formulas()))
 
 
+def _expand(nxt_ids: np.ndarray, outs: np.ndarray, nxt_oids: np.ndarray,
+            n_oids: int):
+    """One node's letters in one first-occurrence pass: each letter keyed
+    on (next obligation, next state), with obligation ids below
+    ``n_oids``, and each key's first letter taken with one
+    ``np.minimum.at``. Returns the first letter whose next obligation is
+    ``false`` (or None) and, in letter order, each key's (first letter,
+    next state, next obligation, reset output)."""
+    n_states, n = len(CompiledMonitor.states), len(nxt_ids)
+    first = np.full(n_oids * n_states, n)
+    np.minimum.at(first, nxt_oids * n_states + nxt_ids, np.arange(n))
+    bad = int(first[:n_states].min())  # the keys of ``false``, obligation 0
+    idxs = np.sort(first[first < n])
+    return (bad if bad < n else None,
+            list(zip(idxs.tolist(), nxt_ids[idxs].tolist(),
+                     nxt_oids[idxs].tolist(), outs[idxs].tolist())))
+
+
 def _bfs(formula: Formula, guards: GuardFlags, alphabet: Alphabet,
          state_budget: int):
     """BFS over (monitor state, obligation) nodes of ``guards``' monitor
@@ -445,19 +466,18 @@ def _bfs(formula: Formula, guards: GuardFlags, alphabet: Alphabet,
         if explored > state_budget:
             raise BudgetError(f"state budget {state_budget} exceeded")
         nxt_ids, outs, nxt_oids = alphabet.step(guards, *node)
-        violating = nxt_oids == _OBLIGATIONS.false
-        if violating.any():
-            idx = int(np.argmax(violating))
+        idx, successors = _expand(nxt_ids, outs, nxt_oids,
+                                  len(_OBLIGATIONS.entries))
+        if idx is not None:
             path = [alphabet[idx]._replace(reset=bool(outs[idx]))]
             while parents[node] is not None:
                 node, prev, reset = parents[node]
                 path.append(alphabet[prev]._replace(reset=bool(reset)))
             return path[::-1], states[nxt_ids[idx]], explored
-        keys = nxt_oids * len(states) + nxt_ids
-        for idx in np.sort(np.unique(keys, return_index=True)[1]).tolist():
-            succ = (int(nxt_ids[idx]), int(nxt_oids[idx]))
-            if succ[1] != _OBLIGATIONS.true and succ not in parents:
-                parents[succ] = (node, idx, int(outs[idx]))
+        for idx, sid, oid, reset in successors:
+            succ = (sid, oid)
+            if oid != _OBLIGATIONS.true and succ not in parents:
+                parents[succ] = (node, idx, reset)
                 queue.append(succ)
     return None, None, explored
 

@@ -1,9 +1,10 @@
 """Memory layout: named regions, the executable window, and the config format.
 
 Addresses are byte addresses in a 64 KB space. All regions are inclusive
-``[start, end]`` byte ranges and must start on a word boundary; the machine
-forces word alignment on every access, so interval membership on the low
-byte of an access is exact.
+``[start, end]`` byte ranges of whole words: each starts on an even
+address and ends on an odd one, and ``i_auth``, ``boot_entry`` and
+``irq_vector`` are even. The machine forces word alignment on every
+access, so interval membership on the low byte of an access is exact.
 
 The executable window is a pair of word-aligned addresses ``(er_min,
 er_max)`` where ``er_max`` is the *start of the last word*: the byte extent
@@ -89,6 +90,14 @@ class MemoryLayout:
     irq_vector: int | None = None
 
     def __post_init__(self):
+        for key in _REGION_KEYS + _SUB_KEYS:
+            region = getattr(self, key)
+            if region.start % 2 or not region.end % 2:
+                raise LayoutError(f"{key} must start on an even address "
+                                  "and end on an odd one")
+        for key in _ADDR_KEYS:
+            if (getattr(self, key) or 0) % 2:
+                raise LayoutError(f"{key} must be an even address")
         top = {k: getattr(self, k) for k in _REGION_KEYS}
         keys = list(top)
         for i, a in enumerate(keys):
@@ -111,8 +120,6 @@ class MemoryLayout:
                 raise LayoutError(f"{name} must not overlap gpio or ekr")
             if not (region.start in self.pmem and region.end in self.pmem):
                 raise LayoutError(f"{name} must lie in pmem (writable, persistent)")
-            if region.start % 2:
-                raise LayoutError(f"{name} must start word aligned")
         skeys = list(sub)
         for i, a in enumerate(skeys):
             for b in skeys[i + 1:]:
@@ -124,8 +131,6 @@ class MemoryLayout:
             raise LayoutError("atok_mailbox needs at least 40 bytes")
         if len(self.counter_cell) < 8:
             raise LayoutError("counter_cell needs 8 bytes")
-        if len(self.gpio) < 2 or len(self.ekr) < 2:
-            raise LayoutError("gpio and ekr each need at least one word")
 
     @property
     def er_min_cell(self) -> int:

@@ -4,13 +4,15 @@ import hashlib
 import time
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mcusentry import checker
 from mcusentry.catalogue import (all_formulas, authorized_sensing_goal,
                                  builtin_formulas, catalogue_by_name)
-from mcusentry.checker import (Alphabet, _bfs, _is_safe, _quiet_tail,
+from mcusentry.checker import (Alphabet, _bfs, _expand, _is_safe, _quiet_tail,
                                brute_force_check, build_alphabet,
                                check_catalogue, curated_alphabet,
                                default_er_choices, exhaustive_check,
@@ -334,6 +336,56 @@ def test_mutant_convictions_are_pinned_at_width_5(mutant_id):
     lasso = result.counterexample
     assert (name, result.explored_states, len(lasso.prefix),
             len(lasso.loop)) == MUTANTS_AT_5[mutant_id]
+
+
+def test_state_budget_is_exact():
+    # A budget of exactly the pinned explored count suffices, one less
+    # does not; the count includes the node whose letter violates.
+    entries = catalogue_by_name()
+    explored = {name: count for name, _, count in CATALOGUE_AT_5}
+    formula = entries["mon-gpio-one-shot"].formula
+    budget = explored["mon-gpio-one-shot"]
+    assert exhaustive_check(formula, SPACE5, state_budget=budget).holds
+    with pytest.raises(BudgetError):
+        exhaustive_check(formula, SPACE5, state_budget=budget - 1)
+    name, budget = MUTANTS_AT_5["unlock-without-auth"][:2]
+    result = exhaustive_check(entries[name].formula, SPACE5,
+                              mutant_guards("unlock-without-auth"),
+                              state_budget=budget)
+    assert result.verdict == "violated" and result.explored_states == budget
+
+
+def reference_expand(nxt_ids, outs, nxt_oids):
+    """A node's first violating letter and successors by sorting: the
+    first index of each distinct (obligation, state) key, in index order."""
+    violating = nxt_oids == 0
+    bad = int(np.argmax(violating)) if violating.any() else None
+    keys = nxt_oids * len(CompiledMonitor.states) + nxt_ids
+    firsts = np.sort(np.unique(keys, return_index=True)[1]).tolist()
+    return bad, [(i, int(nxt_ids[i]), int(nxt_oids[i]), int(outs[i]))
+                 for i in firsts]
+
+
+@st.composite
+def node_rows(draw):
+    """One node's row as the walk sees it: next states, reset outputs and
+    next obligations, the obligations from a few ids up to 5,000 and
+    ``false`` (0) among them or not."""
+    n = draw(st.integers(1, 2000))
+    pool = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        pool.append(0)
+    return (draw(arrays(np.uint8, n, elements=st.integers(0, 29))),
+            draw(arrays(np.uint8, n, elements=st.integers(0, 1))),
+            draw(arrays(np.intp, n, elements=st.sampled_from(pool))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=node_rows())
+def test_expand_equals_the_sorting_reference(row):
+    nxt_ids, outs, nxt_oids = row
+    assert _expand(nxt_ids, outs, nxt_oids, int(nxt_oids.max()) + 1) == \
+        reference_expand(nxt_ids, outs, nxt_oids)
 
 
 SPACE6 = scaled_space(6)

@@ -414,6 +414,19 @@ def test_run_refuses_a_layout_key_given_twice(workdir, capsys):
                                         "gpio already set on line 4")
 
 
+def test_run_refuses_a_region_starting_on_an_odd_address(workdir, capsys):
+    tmp, binary = workdir
+    _authorize(tmp)
+    capsys.readouterr()
+    (tmp / "layout.cfg").write_text(format_layout(LAYOUT).replace(
+        "gpio=0xF000:0xF03F", "gpio=0xF001:0xF03F"))
+    code = main(_run_args(tmp, window_for(binary, 0x4000)))
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert err == ["error: gpio must start on an even address and end on an odd one"]
+
+
 @pytest.mark.parametrize("window", ["0x4000", ":0x4004", "0x4000:0x4004:2"])
 def test_run_malformed_window_is_a_usage_error(workdir, capsys, window):
     tmp, binary = workdir

@@ -46,6 +46,34 @@ def test_parser_refuses_a_key_given_twice():
         parse_layout(text)
 
 
+def test_parser_refuses_a_region_starting_on_an_odd_address():
+    text = format_layout(default_layout()).replace(
+        "gpio=0xF000:0xF03F", "gpio=0xF001:0xF03F")
+    with pytest.raises(LayoutError, match="gpio must start on an even address "
+                                          "and end on an odd one"):
+        parse_layout(text)
+
+
+def test_parser_refuses_a_region_ending_on_an_even_address():
+    # A 3-byte key region would have the key's second word written past
+    # its end.
+    text = format_layout(default_layout()).replace(
+        "ekr=0xF100:0xF11F", "ekr=0xF100:0xF102")
+    with pytest.raises(LayoutError, match="ekr must start on an even address "
+                                          "and end on an odd one"):
+        parse_layout(text)
+
+
+@pytest.mark.parametrize("key, line", [("i_auth", "i_auth=0x0301"),
+                                       ("boot_entry", "boot_entry=0x0001"),
+                                       ("irq_vector", "irq_vector=0x0011")])
+def test_parser_refuses_an_odd_address(key, line):
+    text = "\n".join(row for row in format_layout(default_layout()).splitlines()
+                     if not row.startswith(key + "=")) + f"\n{line}\n"
+    with pytest.raises(LayoutError, match=f"{key} must be an even address"):
+        parse_layout(text)
+
+
 def test_vr_must_sit_in_rom():
     layout = default_layout()
     with pytest.raises(LayoutError, match="vr"):

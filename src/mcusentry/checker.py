@@ -6,16 +6,18 @@ are free inputs the attacker can steer via metadata writes) are
 generated concretely from boundary-biased candidate sets over the six
 curated windows of ``default_er_choices``; the machine never asserts CPU
 read and write together, so neither do they. One class key deduplicates
-them: the value of each ``build_props`` entry the monitor letter is made
-of (``monitor.LETTER``, the 17 predicates the FSMs read), the catalogue
-names or the checked formula names. The monitor and the formula see a
-letter only through that key, so the first candidate of a class stands
-for all of it (predicate abstraction keeps every predicate the property
-names; Graf & Saïdi, CAV 1997). Every catalogue proposition is a
-function of the monitor letter, so the catalogue adds no class, and
-every catalogue formula over one space gets the same ``Alphabet`` from
-``build_alphabet``, which keeps the last few it built. It holds every
-table the walk reads: each letter's ``table_letter`` int, each
+them, in one pass over every window's candidates: the value of each
+``build_props`` entry the monitor letter is made of (``monitor.LETTER``,
+the 17 predicates the FSMs read), the catalogue names or the checked
+formula names. The monitor and the formula see a letter only through
+that key, so the first candidate of a class stands for all of it
+(predicate abstraction keeps every predicate the property names; Graf &
+Saïdi, CAV 1997). Every catalogue proposition is a function of the
+monitor letter, so the catalogue adds no class, and every catalogue
+formula over one space gets the same ``Alphabet`` from
+``build_alphabet``, which keeps the last few it built. An ``Alphabet``
+reads its proposition table from its space (``build_props``). It holds
+every table the walk reads: each letter's ``table_letter`` int, each
 obligation's progressions and, per guard set, each reached monitor
 state's row.
 Coverage is exhaustive only over the classes the curated windows
@@ -104,9 +106,6 @@ class ScaledSpace:
     er_metadata: Region
     i_auth: int
 
-    def region_named(self, name: str) -> Region:
-        return getattr(self, name)
-
 
 def scaled_space(width: int = 6) -> ScaledSpace:
     """Regions scaled proportionally into a 2**width address space.
@@ -183,33 +182,20 @@ def _candidates(space: ScaledSpace, er_min: int, er_max: int) -> dict[str, np.nd
     }
 
 
-def _first_of_each_class(columns: dict[str, np.ndarray], props: dict,
-                         names: list[str]):
-    """The columns cut to the first candidate of each class, in order, and
-    those candidates' class keys: one bit per ``props`` entry in ``names``,
-    at most the table's 51, so an int64."""
-    view = SimpleNamespace(**columns)
-    keys = np.zeros(view.pc.shape, np.int64)
-    for name in names:
-        keys = keys << 1 | np.broadcast_to(props[name](view), keys.shape)  # constants too
-    first = np.sort(np.unique(keys, return_index=True)[1])
-    return {name: col[first] for name, col in columns.items()}, keys[first]
-
-
 class Alphabet(tuple):
     """Letters (``StateRecord``s) with the tables the walks read over
     them: their column view, each one's monitor letter
     (``monitor_letters``, the ``table_letter`` int the device's monitor
     steps on) and, filled at first use, each obligation's progressions
     (``next_obligations``) and each guard set's rows (``row``).
-    ``props`` is the space's proposition table and ``names`` the
-    propositions the letters' class key carries.
+    ``props`` is ``build_props(space)`` and ``names`` the propositions
+    the letters' class key carries.
     """
 
     def __new__(cls, letters: Iterable[StateRecord], space: ScaledSpace,
-                props: dict, names: frozenset[str] = frozenset()):
+                names: frozenset[str] = frozenset()):
         self = super().__new__(cls, letters)
-        self.space, self.props, self.names = space, props, names
+        self.space, self.props, self.names = space, build_props(space), names
         self.view = RecordColumns(self)
         self.monitor_letters = tuple(map(table_letter(space), self))
         self._next: dict[int, np.ndarray] = {}
@@ -263,18 +249,22 @@ class Alphabet(tuple):
 @lru_cache(maxsize=8)
 def build_alphabet(space: ScaledSpace, names: frozenset[str]) -> Alphabet:
     """Concrete letters: the first candidate of each class of the key
-    that extends the monitor letter with ``names``, in candidate order.
+    that extends the monitor letter with ``names``, in candidate order,
+    the windows' candidates taken one after another. The key holds one bit
+    per ``build_props`` entry, at most the table's 51, so an int64.
     Memoised on its (hashable) arguments, hence immutable but for the
     tables it fills at first use, which every check over it shares."""
-    props, key = build_props(space), sorted(set(LETTER) | names)
-    kept = [_first_of_each_class(_candidates(space, lo, hi), props, key)
-            for lo, hi in default_er_choices(space)]
-    first = np.sort(np.unique(np.concatenate([keys for _, keys in kept]),
-                              return_index=True)[1])
-    columns = {name: np.concatenate([c[name] for c, _ in kept])[first].tolist()
-               for name in kept[0][0]}
+    props = build_props(space)
+    candidates = [_candidates(space, lo, hi) for lo, hi in default_er_choices(space)]
+    view = SimpleNamespace(**{name: np.concatenate([c[name] for c in candidates])
+                              for name in candidates[0]})
+    keys = np.zeros(view.pc.shape, np.int64)
+    for name in sorted(set(LETTER) | names):
+        keys = keys << 1 | np.broadcast_to(props[name](view), keys.shape)  # constants too
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    columns = {name: col[first].tolist() for name, col in vars(view).items()}
     return Alphabet((StateRecord(cycle=0, **dict(zip(columns, row)))
-                     for row in zip(*columns.values())), space, props, names)
+                     for row in zip(*columns.values())), space, names)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +532,7 @@ def _curated(space: ScaledSpace) -> Alphabet:
     """``curated_alphabet`` as an ``Alphabet``, one per space, so every
     bounded search over the space shares the tables it fills, as the
     checks over one of ``build_alphabet``'s alphabets do."""
-    return Alphabet(curated_alphabet(space), space, build_props(space))
+    return Alphabet(curated_alphabet(space), space)
 
 
 def brute_force_check(formula: Formula, space: ScaledSpace,

@@ -5,6 +5,8 @@ Addresses are byte addresses in a 64 KB space. All regions are inclusive
 address and ends on an odd one, and ``i_auth``, ``boot_entry`` and
 ``irq_vector`` are even. The machine forces word alignment on every
 access, so interval membership on the low byte of an access is exact.
+``irq_vector`` lies in the space, as the other addresses do by lying in
+ROM: pc is masked to 16 bits, so 0x10000 would vector to boot.
 
 The executable window is a pair of word-aligned addresses ``(er_min,
 er_max)`` where ``er_max`` is the *start of the last word*: the byte extent
@@ -98,6 +100,9 @@ class MemoryLayout:
         for key in _ADDR_KEYS:
             if (getattr(self, key) or 0) % 2:
                 raise LayoutError(f"{key} must be an even address")
+        if not 0 <= (self.irq_vector or 0) < ADDRESS_SPACE - 1:
+            raise LayoutError(f"irq_vector {self.irq_vector:#x} lies outside "
+                              f"0x0000..0x{ADDRESS_SPACE - 2:04X}")
         top = {k: getattr(self, k) for k in _REGION_KEYS}
         keys = list(top)
         for i, a in enumerate(keys):
@@ -143,9 +148,6 @@ class MemoryLayout:
     @property
     def effective_irq_vector(self) -> int:
         return self.boot_entry if self.irq_vector is None else self.irq_vector
-
-    def region_named(self, name: str) -> Region:
-        return getattr(self, name)
 
     def validate_window(self, er: ErWindow) -> None:
         """Reject windows that collide with protected or reserved regions."""

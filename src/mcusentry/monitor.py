@@ -24,8 +24,10 @@ is the monitor's only reader of records, so ``Monitor.step`` memoizes
 each (state, letter) transition. The fixed regions never change for a
 layout, so the letter looks them up in per-address ``bytes`` class
 tables (pc, CPU read, CPU write, DMA; 4 x 64 KB) built once per layout
-value. The live window's bits stay comparisons against the record's own
-``er_min``/``er_max``, so a metadata rewrite is seen on the next cycle.
+value from the ``build_props`` entries of their bits, so ``props`` alone
+says which region a bit tests. The live window's bits stay comparisons
+against the record's own ``er_min``/``er_max``, so a metadata rewrite is
+seen on the next cycle.
 
 Each FSM reads only part of the letter. The GPIO FSM (``GPIO_READS``, 12
 bits) reads pc at zero, at i_auth, in the window and at er_max, CPU reads
@@ -49,12 +51,14 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .layout import ADDRESS_SPACE, MemoryLayout, Region
+from .layout import ADDRESS_SPACE, MemoryLayout
 from .machine import StateRecord
+from .props import build_props
 
 
 # Enum members are singletons, so identity hashing agrees with equality and
@@ -103,17 +107,19 @@ _PROTECTED_WRITES = WRITE_ER | DMA_ER | WRITE_META | DMA_META
 def table_letter(layout: MemoryLayout):
     """The function from a record to its letter over ``layout``'s fixed
     regions, which it reads from its pc, CPU read, CPU write and DMA
-    tables, each entry in units of its table's lowest letter bit."""
-    tables = np.zeros((4, ADDRESS_SPACE), np.uint8)
-    units = (PC_ZERO, READ_GPIO, WRITE_ER, DMA_GPIO)
-    gpio, ekr, meta = layout.gpio, layout.ekr, layout.er_metadata
-    for i, bit, region in (
-            (0, PC_ZERO, Region(0, 0)), (0, PC_IAUTH, Region(layout.i_auth, layout.i_auth)),
-            (0, PC_VR, layout.vr), (1, READ_GPIO, gpio), (1, READ_EKR, ekr),
-            (2, WRITE_META, meta), (2, WRITE_EKR, ekr),
-            (3, DMA_GPIO, gpio), (3, DMA_EKR, ekr), (3, DMA_META, meta)):
-        tables[i, region.start:region.end + 1] |= bit // units[i]
-    pc_t, read_t, write_t, dma_t = map(bytes, tables)
+    tables, each entry in units of its table's lowest letter bit. Each
+    table keeps its own bits of the ``build_props(layout)`` entries in
+    ``LETTER``, evaluated once with every address as pc, CPU and DMA
+    address; the window's bits are compared per record."""
+    props, every = build_props(layout), np.arange(ADDRESS_SPACE)
+    view = SimpleNamespace(pc=every, d_addr=every, dma_addr=every, r_en=True,
+                           w_en=True, dma_en=True, irq=False, er_min=0, er_max=0)
+    fixed = sum(np.asarray(props[name](view), np.int64) << bit
+                for bit, name in enumerate(LETTER))
+    pc_t, read_t, write_t, dma_t = (
+        ((fixed & bits) // unit).astype(np.uint8).tobytes() for unit, bits in (
+            (PC_ZERO, PC_ZERO | PC_IAUTH | PC_VR), (READ_GPIO, READ_GPIO | READ_EKR),
+            (WRITE_ER, WRITE_META | WRITE_EKR), (DMA_GPIO, DMA_GPIO | DMA_EKR | DMA_META)))
 
     def letter(rec):
         pc, lo, hi = rec.pc, rec.er_min, rec.er_max

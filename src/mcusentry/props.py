@@ -15,11 +15,12 @@ split CPU from DMA accesses, and the monitor's letter (``monitor.LETTER``)
 is made of them and the ``pc``, ``irq`` and ``dmaen`` entries. ``read X``
 is the entry ``cpu_read X | dma_touch X`` and ``write X`` is ``cpu_write
 X | dma_touch X``: a DMA transfer counts as both, since its direction is
-not a guard input. ``monitor.table_letter`` takes one record; the
-checker reads its whole alphabet's letters, and every proposition it
-checks, from these entries on the alphabet's column view. No entry reads
-``executed``, and only ``reset`` reads ``reset``: the checker takes that
-one from the monitor's reset output instead.
+not a guard input. These entries are the only statement of what a letter
+bit tests: ``monitor.table_letter`` fills its per-address tables from
+them and compares the live window as the ER entries do, and the checker
+reads every proposition it checks from them on its alphabet's column
+view. No entry reads ``executed``, and only ``reset`` reads ``reset``:
+the checker takes that one from the monitor's reset output instead.
 
 The table is built once per layout value and shared read-only by every
 reader, so a cache keyed on an entry (``ltl.LassoTrace.prop_bits``) sees
@@ -42,7 +43,7 @@ REGION_NAMES = ("GPIO", "EKR", "ER", "METADATA", "VR", "ROM", "PMEM", "DMEM")
 
 def named_region(layout: MemoryLayout, name: str) -> Region:
     """The fixed layout region a ``REGION_NAMES`` name other than ER denotes."""
-    return layout.region_named("er_metadata" if name == "METADATA" else name.lower())
+    return getattr(layout, "er_metadata" if name == "METADATA" else name.lower())
 
 
 @lru_cache(maxsize=8)

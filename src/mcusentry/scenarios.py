@@ -22,6 +22,8 @@ OUT_BUF = 0x5000
 EXIT_TARGET = 0x5800
 SNIPPET_BASE = 0x3000
 DEFAULT_ER_MIN = 0x4000
+# The layout of every plan: one frozen value, validated once.
+_LAYOUT = default_layout()
 
 
 @dataclass
@@ -64,17 +66,15 @@ def _exit_stub() -> tuple[int, bytes]:
 
 def _base_plan(name: str, binary: bytes, er: ErWindow, *,
                extra_segments: tuple = (), **kw) -> ScenarioPlan:
-    layout = default_layout()
     image = _segments(_exit_stub(), (SNIPPET_BASE, spin_forever(SNIPPET_BASE)),
                       *extra_segments)
     return ScenarioPlan(
-        name=name, layout=layout, er=er, image=image,
+        name=name, layout=_LAYOUT, er=er, image=image,
         rom=boot_rom(STACK_TOP), binary=binary, **kw)
 
 
 def _simple_reader_plan(name: str, **kw) -> ScenarioPlan:
-    layout = default_layout()
-    binary = assemble(gpio_reader(layout))
+    binary = assemble(gpio_reader(_LAYOUT))
     er = window_for(binary, DEFAULT_ER_MIN)
     return _base_plan(name, binary, er, **kw)
 
@@ -84,8 +84,7 @@ def _simple_reader_plan(name: str, **kw) -> ScenarioPlan:
 
 
 def happy_path() -> ScenarioPlan:
-    layout = default_layout()
-    binary, er = sensing_app(layout, DEFAULT_ER_MIN, STAGING, OUT_BUF,
+    binary, er = sensing_app(_LAYOUT, DEFAULT_ER_MIN, STAGING, OUT_BUF,
                              EXIT_TARGET)
     return _base_plan(
         "happy-path", binary, er,
@@ -112,7 +111,6 @@ def unauthorized_cpu_gpio_read() -> ScenarioPlan:
 
 
 def dma_gpio_snoop() -> ScenarioPlan:
-    layout = default_layout()
     binary = assemble(no_gpio_app())
     er = window_for(binary, DEFAULT_ER_MIN)
     plan = _base_plan(
@@ -121,7 +119,7 @@ def dma_gpio_snoop() -> ScenarioPlan:
         description="DMA reads GPIO while the CPU idles; no authorization anywhere")
     plan.interlude_pc = 4  # boot spin
     plan.interlude_cycles = 4
-    plan.interlude_dma = [(1, "read", layout.gpio.start, 0)]
+    plan.interlude_dma = [(1, "read", _LAYOUT.gpio.start, 0)]
     return plan
 
 
@@ -208,8 +206,7 @@ def stale_chal() -> ScenarioPlan:
 
 
 def ekr_read_unauthorized() -> ScenarioPlan:
-    layout = default_layout()
-    binary = assemble([LOAD(0, layout.ekr.start), HALT()])
+    binary = assemble([LOAD(0, _LAYOUT.ekr.start), HALT()])
     er = window_for(binary, DEFAULT_ER_MIN)
     return _base_plan(
         "ekr-read-unauthorized", binary, er, token_strategy="none",
@@ -218,8 +215,7 @@ def ekr_read_unauthorized() -> ScenarioPlan:
 
 
 def ekr_write_non_vr() -> ScenarioPlan:
-    layout = default_layout()
-    binary = assemble([LOADI(0, 0xBEEF), STORE(0, layout.ekr.start), HALT()])
+    binary = assemble([LOADI(0, 0xBEEF), STORE(0, _LAYOUT.ekr.start), HALT()])
     er = window_for(binary, DEFAULT_ER_MIN)
     return _base_plan(
         "ekr-write-non-vr", binary, er, token_strategy="none",
@@ -301,11 +297,10 @@ def _random_binary(rng: random.Random, layout: MemoryLayout,
 
 def random_plan(seed: int, index: int) -> ScenarioPlan:
     rng = random.Random(seed * 1_000_003 + index)
-    layout = default_layout()
     er_min = DEFAULT_ER_MIN + 2 * rng.randrange(0, 64)
     n_words = rng.randint(3, 10)
     er = ErWindow(er_min, er_min + 2 * (n_words - 1))
-    binary = _random_binary(rng, layout, er)
+    binary = _random_binary(rng, _LAYOUT, er)
     strategy = rng.choices(
         ["fresh", "none", "mutated", "replay", "stale"],
         weights=[4, 2, 2, 1, 1])[0]
@@ -318,7 +313,7 @@ def random_plan(seed: int, index: int) -> ScenarioPlan:
     offsets = rng.sample(range(12), k=rng.randint(0, 2))
     for offset in offsets:
         plan.xs_dma.append((offset, rng.choice(["read", "write"]),
-                            _biased_addr(rng, layout, er), rng.randrange(0x10000)))
+                            _biased_addr(rng, _LAYOUT, er), rng.randrange(0x10000)))
     if rng.random() < 0.3:
         plan.xs_irq_offsets = [rng.randrange(0, 12)]
     plan.xsensing_cycles = 400

@@ -3,6 +3,7 @@
 import hashlib
 import time
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from mcusentry.ltl import (And, B, G, Implies, LassoTrace, Not, Or, Prop, U,
                            W, X, check_props, eval_naive, parse)
 from mcusentry.machine import StateRecord
 from mcusentry import monitor
-from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, CompiledMonitor,
-                               compiled_monitor, monitor_step, table_letter)
+from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, LETTER,
+                               CompiledMonitor, compiled_monitor, monitor_step,
+                               table_letter)
 from mcusentry.mutants import MUTANTS, mutant_guards
 from mcusentry.props import build_props
 
@@ -558,6 +560,39 @@ def test_alphabet_keyed_on_48_names_equals_scalar_enumeration():
     assert_alphabet_equals_scalar_enumeration(SPACE5, frozenset(names))
 
 
+def two_pass_alphabet(space, names) -> list[StateRecord]:
+    """The alphabet built window by window: each window's first candidate
+    of each class, then the first of each class among those survivors."""
+    props, key = build_props(space), sorted(set(LETTER) | names)
+    kept = []
+    for er_min, er_max in default_er_choices(space):
+        columns = checker._candidates(space, er_min, er_max)
+        view = SimpleNamespace(**columns)
+        keys = np.zeros(view.pc.shape, np.int64)
+        for name in key:
+            keys = keys << 1 | np.broadcast_to(props[name](view), keys.shape)
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        kept.append(({name: col[first] for name, col in columns.items()}, keys[first]))
+    first = np.sort(np.unique(np.concatenate([keys for _, keys in kept]),
+                              return_index=True)[1])
+    columns = {name: np.concatenate([c[name] for c, _ in kept])[first].tolist()
+               for name in kept[0][0]}
+    return [StateRecord(cycle=0, **dict(zip(columns, row)))
+            for row in zip(*columns.values())]
+
+
+@pytest.mark.parametrize("width", [5, 6, 7])
+@pytest.mark.parametrize("catalogue, extra", [
+    (True, ()), (True, ("cpu_read DMEM", "read ROM")), (False, ("dma_touch PMEM",))])
+def test_alphabet_equals_the_per_window_two_pass_reference(width, catalogue, extra):
+    # One class pass over every window's candidates keeps the first
+    # candidate of a class in the earliest window that has it, in order.
+    space = scaled_space(width)
+    names = (catalogue_names(space) if catalogue else frozenset()) | frozenset(extra)
+    alphabet, expected = build_alphabet(space, names), two_pass_alphabet(space, names)
+    assert [repr(letter) for letter in alphabet] == [repr(letter) for letter in expected]
+
+
 def test_alphabet_columns_equal_the_table_on_each_letter():
     # Every entry the checker accepts, on every third letter of an alphabet
     # keyed on all of them, under both reset outputs.
@@ -627,7 +662,7 @@ def test_walks_over_the_shared_alphabet_equal_walks_over_a_fresh_one():
     conjuncts = [c for f in _CATALOGUE for c in checker._flatten(f, And) if _is_safe(c)]
     for guards in _ALL_GUARD_SETS:
         for conjunct in conjuncts:
-            fresh = Alphabet(tuple(shared), SPACE5, build_props(SPACE5), shared.names)
+            fresh = Alphabet(tuple(shared), SPACE5, shared.names)
             assert _bfs(conjunct, guards, shared, 10_000) == \
                 _bfs(conjunct, guards, fresh, 10_000), (guards, conjunct)
 
@@ -799,7 +834,7 @@ def test_curated_rows_equal_monitor_step(width, ekr_enabled):
     for guards in _GUARD_SETS:
         assert_rows_equal_monitor_step(
             guards if ekr_enabled else guards.keyless(),
-            Alphabet(curated_alphabet(space), space, build_props(space)))
+            Alphabet(curated_alphabet(space), space))
 
 
 def test_the_checker_judges_monitor_step_itself(monkeypatch):
@@ -811,7 +846,7 @@ def test_the_checker_judges_monitor_step_itself(monkeypatch):
     shared = catalogue_alphabet(SPACE5)
 
     def fresh(*args):
-        return Alphabet(tuple(shared), SPACE5, build_props(SPACE5), shared.names)
+        return Alphabet(tuple(shared), SPACE5, shared.names)
     monkeypatch.setattr(checker, "build_alphabet", fresh)
     assert exhaustive_check(formula, SPACE5).holds
     inner, mutant = monitor.monitor_step, mutant_guards("rlock-reads-allowed")
@@ -860,7 +895,7 @@ def reference_brute_force(formula, space, guards=DEFAULT_GUARDS,
     """The bounded search with no word memo, every lasso evaluated: its
     verdict, explored count and counterexample ``repr``."""
     props = build_props(space)
-    alphabet = Alphabet(curated_alphabet(space), space, props)
+    alphabet = Alphabet(curated_alphabet(space), space)
     rows = {}
     start = CompiledMonitor.number[INITIAL_STATE]
     explored = 0

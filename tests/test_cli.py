@@ -427,6 +427,18 @@ def test_run_refuses_a_region_starting_on_an_odd_address(workdir, capsys):
     assert err == ["error: gpio must start on an even address and end on an odd one"]
 
 
+def test_run_refuses_an_irq_vector_outside_the_address_space(workdir, capsys):
+    tmp, binary = workdir
+    _authorize(tmp)
+    capsys.readouterr()
+    (tmp / "layout.cfg").write_text(format_layout(LAYOUT) + "irq_vector=0x10000\n")
+    code = main(_run_args(tmp, window_for(binary, 0x4000)))
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert err == ["error: irq_vector 0x10000 lies outside 0x0000..0xFFFE"]
+
+
 @pytest.mark.parametrize("window", ["0x4000", ":0x4004", "0x4000:0x4004:2"])
 def test_run_malformed_window_is_a_usage_error(workdir, capsys, window):
     tmp, binary = workdir

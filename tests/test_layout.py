@@ -74,6 +74,14 @@ def test_parser_refuses_an_odd_address(key, line):
         parse_layout(text)
 
 
+@pytest.mark.parametrize("value", ["0x10000", "-2"])
+def test_parser_refuses_an_irq_vector_outside_the_address_space(value):
+    # The machine masks pc to 16 bits, so 0x10000 would vector to boot.
+    text = format_layout(default_layout()) + f"irq_vector={value}\n"
+    with pytest.raises(LayoutError, match="irq_vector .* lies outside 0x0000..0xFFFE"):
+        parse_layout(text)
+
+
 def test_vr_must_sit_in_rom():
     layout = default_layout()
     with pytest.raises(LayoutError, match="vr"):

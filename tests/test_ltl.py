@@ -251,8 +251,8 @@ def reference_props(layout):
     ``in``): the reference ``build_props`` must agree with on every record,
     whether an entry is applied to one record or to a column view."""
     def region_of(name):
-        return layout.region_named("er_metadata" if name == "METADATA"
-                                   else name.lower())
+        return getattr(layout, "er_metadata" if name == "METADATA"
+                       else name.lower())
 
     def read_mem(r, region=None):
         lo, hi = (r.er_min, r.er_max) if region is None else (region.start, region.end)

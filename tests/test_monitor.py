@@ -1,7 +1,7 @@
 """FSM transition semantics and the composed monitor."""
 
 from collections import defaultdict
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcusentry import referee
 from mcusentry.checker import scaled_space
-from mcusentry.layout import default_layout
+from mcusentry.layout import Region, default_layout
 from mcusentry.machine import StateRecord
 from mcusentry.monitor import (ATOM_READS, DEFAULT_GUARDS, DMA_EKR, EKR_READS,
                                GPIO_READS, INITIAL_STATE, LETTER, READ_EKR,
@@ -513,7 +513,8 @@ def test_compiled_monitors_are_kept_per_guard_set():
 
 # The letter against the ``props`` entries its bits are named after, on
 # records whose addresses hug every bound the letter compares against.
-_LETTER_LAYOUTS = [default_layout(), scaled_space(5)]
+_LETTER_LAYOUTS = [default_layout(), scaled_space(5), scaled_space(6), scaled_space(7),
+                   replace(default_layout(), ekr=Region(0xF100, 0xF107))]
 
 
 @st.composite
@@ -553,7 +554,8 @@ def test_letter_tables_are_built_once_per_layout_value():
     # A key-less monitor reads the same letters: its guards drop the key bits.
     assert Monitor(layout, DEFAULT_GUARDS.keyless())._letter is table_letter(again)
     assert table_letter(scaled_space(5)) is not table_letter(layout)
-    # Each round's Monitor.for_layout is handed a new layout equal to ``layout``.
+    # Each round's Monitor.for_layout is handed the scenarios' one layout, a
+    # different object equal to ``layout``.
     built = table_letter.cache_info().misses
     for _ in range(2):
         referee.run_scenario(CATALOGUE["happy-path"]())

@@ -255,9 +255,10 @@ def build_alphabet(space: ScaledSpace, names: frozenset[str]) -> Alphabet:
     Memoised on its (hashable) arguments, hence immutable but for the
     tables it fills at first use, which every check over it shares."""
     props = build_props(space)
-    candidates = [_candidates(space, lo, hi) for lo, hi in default_er_choices(space)]
-    view = SimpleNamespace(**{name: np.concatenate([c[name] for c in candidates])
-                              for name in candidates[0]})
+    windows = [_candidates(space, lo, hi) for lo, hi in default_er_choices(space)]
+    view = SimpleNamespace(**{name: np.concatenate([w[name] for w in windows])
+                              for name in windows[0]})
+    del windows  # the joined columns hold every candidate
     keys = np.zeros(view.pc.shape, np.int64)
     for name in sorted(set(LETTER) | names):
         keys = keys << 1 | np.broadcast_to(props[name](view), keys.shape)  # constants too

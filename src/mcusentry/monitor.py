@@ -107,19 +107,21 @@ _PROTECTED_WRITES = WRITE_ER | DMA_ER | WRITE_META | DMA_META
 def table_letter(layout: MemoryLayout):
     """The function from a record to its letter over ``layout``'s fixed
     regions, which it reads from its pc, CPU read, CPU write and DMA
-    tables, each entry in units of its table's lowest letter bit. Each
-    table keeps its own bits of the ``build_props(layout)`` entries in
-    ``LETTER``, evaluated once with every address as pc, CPU and DMA
+    tables, each entry in units of its table's lowest letter bit. A table
+    holds its fixed-region bits, the ``build_props(layout)`` entries in
+    ``LETTER``, each evaluated once with every address as pc, CPU and DMA
     address; the window's bits are compared per record."""
-    props, every = build_props(layout), np.arange(ADDRESS_SPACE)
-    view = SimpleNamespace(pc=every, d_addr=every, dma_addr=every, r_en=True,
-                           w_en=True, dma_en=True, irq=False, er_min=0, er_max=0)
-    fixed = sum(np.asarray(props[name](view), np.int64) << bit
-                for bit, name in enumerate(LETTER))
-    pc_t, read_t, write_t, dma_t = (
-        ((fixed & bits) // unit).astype(np.uint8).tobytes() for unit, bits in (
+    props, every = build_props(layout), np.arange(ADDRESS_SPACE, dtype=np.uint16)
+    view = SimpleNamespace(pc=every, d_addr=every, dma_addr=every,
+                           r_en=True, w_en=True, dma_en=True)
+    tables = np.zeros((4, ADDRESS_SPACE), np.uint8)
+    for table, (unit, bits) in zip(tables, (
             (PC_ZERO, PC_ZERO | PC_IAUTH | PC_VR), (READ_GPIO, READ_GPIO | READ_EKR),
-            (WRITE_ER, WRITE_META | WRITE_EKR), (DMA_GPIO, DMA_GPIO | DMA_EKR | DMA_META)))
+            (WRITE_ER, WRITE_META | WRITE_EKR), (DMA_GPIO, DMA_GPIO | DMA_EKR | DMA_META))):
+        for bit, name in enumerate(LETTER):
+            if bits >> bit & 1:
+                table[props[name](view)] |= (1 << bit) // unit
+    pc_t, read_t, write_t, dma_t = map(bytes, tables)
 
     def letter(rec):
         pc, lo, hi = rec.pc, rec.er_min, rec.er_max

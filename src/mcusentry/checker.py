@@ -258,7 +258,7 @@ def build_alphabet(space: ScaledSpace, names: frozenset[str]) -> Alphabet:
     windows = [_candidates(space, lo, hi) for lo, hi in default_er_choices(space)]
     view = SimpleNamespace(**{name: np.concatenate([w[name] for w in windows])
                               for name in windows[0]})
-    del windows  # the joined columns hold every candidate
+    del windows  # frees the per-window copies before the key pass
     keys = np.zeros(view.pc.shape, np.int64)
     for name in sorted(set(LETTER) | names):
         keys = keys << 1 | np.broadcast_to(props[name](view), keys.shape)  # constants too

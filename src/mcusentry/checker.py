@@ -1,4 +1,6 @@
-"""Exhaustive verification of the monitor against the property catalogue.
+"""Exhaustive verification of the monitor against the property catalogue:
+the walks over (monitor state, obligation) products and counterexample
+replay. What a formula means, progression included, is ``ltl``'s.
 
 The input space is reduced to a configurable address width. Letters
 (per-cycle signal assignments, including the live window bounds, which
@@ -25,29 +27,26 @@ produce: the FSM state (rUNLOCK, wUNLOCK, lastER) is never reached
 (ROADMAP open item 19).
 
 Checking walks the reachable product of monitor state with a pending
-obligation by formula progression (Bacchus & Kabanza, AIJ 2000): each
-letter progresses a node's obligation over the letter's propositions;
-``false`` is a violation and ``true`` is not queued. Every violation of
-a syntactically safe conjunct (``_is_safe``; Kupferman & Vardi, FMSD
-2001) has a finite bad prefix, so it shows up on some reachable edge;
-any other conjunct (the before-operator end-to-end goal) is refused with
-``FormulaError`` and checked on traces. A monitor state is its number in
-the guard set's ``monitor.compiled_monitor``, whose successor function
-gives each reachable state one row: the next state's number and the
-reset output on every letter, each from one ``monitor_step`` on the
-letter's ``table_letter`` int: the step and letter functions the live
-``Monitor`` runs. A node expands by gathering its obligation's
-progressions (computed once per process for each code of the
-propositions it reads, ``_Obligations``) at its row's reset outputs,
-then in one first-occurrence pass over its letters, with no sort over
-them (``_expand``): each letter is keyed on (next obligation, next
-state) and each key's first letter taken with one ``np.minimum.at``.
-New nodes are queued in the order of the first letter that reaches them,
-and the violation reported is the first violating letter. A device
-without a key region is a guard set equal to its own ``keyless()``; the
-catalogue formulas that need the key region are left out for it
-(``check_catalogue``, ``first_violation``). Counterexamples are rebuilt
-as concrete lassos and replay through ``monitor_step`` and
+obligation: each letter progresses a node's obligation over the letter's
+propositions (``ltl.progress``, obligations numbered in
+``ltl.OBLIGATIONS``); ``false`` is a violation and ``true`` is not
+queued. A conjunct outside the safe fragment (``ltl.is_safe``; the
+before-operator end-to-end goal) is refused with ``FormulaError`` and
+checked on traces. A monitor state is its number in the guard set's
+``monitor.compiled_monitor``, whose successor function gives each
+reachable state one row: the next state's number and the reset output
+on every letter, each from one ``monitor_step`` on the letter's
+``table_letter`` int: the step and letter functions the live ``Monitor``
+runs. A node expands by gathering its obligation's progressions at its
+row's reset outputs, then in one first-occurrence pass over its letters,
+with no sort over them (``_expand``): each letter is keyed on (next
+obligation, next state) and each key's first letter taken with one
+``np.minimum.at``. New nodes are queued in the order of the first letter
+that reaches them, and the violation reported is the first violating
+letter. A device without a key region is a guard set equal to its own
+``keyless()``; the catalogue formulas that need the key region are left
+out for it (``check_catalogue``, ``first_violation``). Counterexamples
+are rebuilt as concrete lassos and replay through ``monitor_step`` and
 ``eval_naive``, apart from the walk's rows and obligations, which must
 bring the FSMs back to their loop-entry states.
 
@@ -81,8 +80,8 @@ import numpy as np
 from .catalogue import CatalogueEntry, all_formulas
 from .errors import BudgetError, FormulaError
 from .layout import Region
-from .ltl import (And, B, Formula, G, Implies, LassoTrace, Not, Or, Prop, U,
-                  W, X, check_props, eval_naive, to_text)
+from .ltl import (OBLIGATIONS, And, Formula, LassoTrace, Prop, check_props,
+                  eval_naive, flatten, is_safe, to_text)
 from .machine import RecordColumns, StateRecord
 from .monitor import (DEFAULT_GUARDS, INITIAL_STATE, LETTER, CompiledMonitor,
                       GuardFlags, MonitorState, compiled_monitor, monitor_step,
@@ -238,10 +237,10 @@ class Alphabet(tuple):
         nxt = self._next.get(oid)
         if nxt is None:
             packed = np.zeros((2, len(self)), dtype=np.intp)
-            for bit, name in enumerate(_OBLIGATIONS.entries[oid][1]):  # its reads
+            for bit, name in enumerate(OBLIGATIONS.entries[oid][1]):  # its reads
                 packed |= self.column(Prop(name)).astype(np.intp) << bit
             codes, index = np.unique(packed, return_inverse=True)
-            lut = np.array([_OBLIGATIONS.next(oid, code) for code in codes.tolist()])
+            lut = np.array([OBLIGATIONS.next(oid, code) for code in codes.tolist()])
             nxt = self._next[oid] = lut[index.reshape(packed.shape)]
         return nxt
 
@@ -266,119 +265,6 @@ def build_alphabet(space: ScaledSpace, names: frozenset[str]) -> Alphabet:
     columns = {name: col[first].tolist() for name, col in vars(view).items()}
     return Alphabet((StateRecord(cycle=0, **dict(zip(columns, row)))
                      for row in zip(*columns.values())), space, names)
-
-
-# ---------------------------------------------------------------------------
-# Formula progression over the syntactically safe fragment
-
-TRUE, FALSE = Prop("true"), Prop("false")
-
-
-def _is_safe(f: Formula, positive: bool = True) -> bool:
-    """Syntactically safe: no U or B, and no G or W under a negation or
-    in an implication's antecedent (Kupferman & Vardi, FMSD 2001)."""
-    if isinstance(f, Prop):
-        return True
-    if isinstance(f, Not):
-        return _is_safe(f.sub, not positive)
-    if isinstance(f, Implies):
-        return _is_safe(f.left, not positive) and _is_safe(f.right, positive)
-    allowed = isinstance(f, (And, Or, X)) or positive and isinstance(f, (G, W))
-    return allowed and all(_is_safe(child, positive) for child in vars(f).values())
-
-
-def _flatten(f: Formula, op: type) -> list[Formula]:
-    """The operands of a nest of ``op`` (And or Or) nodes, left to right."""
-    if isinstance(f, op):
-        return _flatten(f.left, op) + _flatten(f.right, op)
-    return [f]
-
-
-def _not(f: Formula) -> Formula:
-    if isinstance(f, Not):
-        return f.sub
-    return FALSE if f == TRUE else TRUE if f == FALSE else Not(f)
-
-
-def _join(op: type, parts: list[Formula]) -> Formula:
-    """``op`` (And or Or) over ``parts``, constants folded and nested
-    ``op`` operands flattened, deduplicated and sorted by text."""
-    unit, zero = (TRUE, FALSE) if op is And else (FALSE, TRUE)
-    flat = {leaf for part in parts for leaf in _flatten(part, op)} - {unit}
-    if zero in flat or not flat:
-        return zero if flat else unit
-    out, *rest = sorted(flat, key=to_text)
-    for part in rest:
-        out = op(out, part)
-    return out
-
-
-def progress(f: Formula, values: dict[str, bool]) -> Formula:
-    """What must hold from the next position on for ``f`` to hold at this
-    one, given the values here of the propositions it reads outside X
-    and of ``true`` and ``false`` (Bacchus & Kabanza, AIJ 2000),
-    so a prefix violates a safe formula once it progresses to ``false``.
-    Past the safe fragment a U or B may stay pending for ever."""
-    if isinstance(f, Prop):
-        return TRUE if values[f.name] else FALSE
-    if isinstance(f, Not):
-        return _not(progress(f.sub, values))
-    if isinstance(f, (And, Or)):
-        return _join(type(f), [progress(f.left, values), progress(f.right, values)])
-    if isinstance(f, Implies):
-        return _join(Or, [_not(progress(f.left, values)), progress(f.right, values)])
-    if isinstance(f, X):
-        return f.sub
-    if isinstance(f, G):
-        return _join(And, [progress(f.sub, values), f])
-    if isinstance(f, (U, W)):
-        return _join(Or, [progress(f.right, values),
-                          _join(And, [progress(f.left, values), f])])
-    if isinstance(f, B):
-        return _join(And, [_not(progress(f.right, values)),
-                           _join(Or, [progress(f.left, values), f])])
-    raise TypeError(f"unknown formula node {f!r}")
-
-
-def _reads(f: Formula) -> set[str]:
-    """The propositions ``progress`` reads: those outside X, constants aside."""
-    if isinstance(f, X):
-        return set()
-    if isinstance(f, Prop):
-        return {f.name} - {"true", "false"}
-    return set().union(*map(_reads, vars(f).values()))
-
-
-class _Obligations:
-    """Obligations numbered once per process (``false`` is 0, ``true``
-    1), each kept with the propositions it reads, sorted, and progressed
-    once per code of their values (``reads[i]`` at bit ``i``): progression
-    depends only on the formula, so every guard set and alphabet shares
-    these."""
-
-    def __init__(self):
-        self.number: dict[Formula, int] = {}
-        self.entries: list[tuple[Formula, tuple[str, ...]]] = []  # formula, reads
-        self._next: dict[tuple[int, int], int] = {}
-        self.false, self.true = self.intern(FALSE), self.intern(TRUE)
-
-    def intern(self, f: Formula) -> int:
-        if f not in self.number:
-            self.number[f] = len(self.entries)
-            self.entries.append((f, tuple(sorted(_reads(f)))))
-        return self.number[f]
-
-    def next(self, oid: int, code: int) -> int:
-        nxt = self._next.get((oid, code))
-        if nxt is None:
-            f, reads = self.entries[oid]
-            values = {name: bool(code >> bit & 1) for bit, name in enumerate(reads)}
-            values.update(true=True, false=False)
-            nxt = self._next[oid, code] = self.intern(progress(f, values))
-        return nxt
-
-
-_OBLIGATIONS = _Obligations()
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +333,7 @@ def _bfs(formula: Formula, guards: GuardFlags, alphabet: Alphabet,
     violation path (letters with baked outputs) and the monitor state
     after it, or (None, None), plus the explored count."""
     states = CompiledMonitor.states
-    start = (CompiledMonitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
+    start = (CompiledMonitor.number[INITIAL_STATE], OBLIGATIONS.intern(formula))
     parents: dict = {start: None}
     queue = deque([start])
     explored = 0
@@ -458,7 +344,7 @@ def _bfs(formula: Formula, guards: GuardFlags, alphabet: Alphabet,
             raise BudgetError(f"state budget {state_budget} exceeded")
         nxt_ids, outs, nxt_oids = alphabet.step(guards, *node)
         idx, successors = _expand(nxt_ids, outs, nxt_oids,
-                                  len(_OBLIGATIONS.entries))
+                                  len(OBLIGATIONS.entries))
         if idx is not None:
             path = [alphabet[idx]._replace(reset=bool(outs[idx]))]
             while parents[node] is not None:
@@ -467,7 +353,7 @@ def _bfs(formula: Formula, guards: GuardFlags, alphabet: Alphabet,
             return path[::-1], states[nxt_ids[idx]], explored
         for idx, sid, oid, reset in successors:
             succ = (sid, oid)
-            if oid != _OBLIGATIONS.true and succ not in parents:
+            if oid != OBLIGATIONS.true and succ not in parents:
                 parents[succ] = (node, idx, reset)
                 queue.append(succ)
     return None, None, explored
@@ -485,9 +371,9 @@ def exhaustive_check(formula: Formula, space: ScaledSpace,
     module docstring) raises ``FormulaError`` before any alphabet is
     built, and so does a proposition that is not a ``build_props`` entry.
     """
-    conjuncts = _flatten(formula, And)
+    conjuncts = flatten(formula, And)
     for conjunct in conjuncts:
-        if not _is_safe(conjunct):
+        if not is_safe(conjunct):
             raise FormulaError(f"{to_text(conjunct)} is outside the exhaustive "
                                "checker's safe fragment; it is checked on traces")
     names = _catalogue_key(space) | check_props(formula, build_props(space))
@@ -560,7 +446,7 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
     props = build_props(space)
     check_props(formula, props)
     alphabet = _curated(space)
-    start = (CompiledMonitor.number[INITIAL_STATE], _OBLIGATIONS.intern(formula))
+    start = (CompiledMonitor.number[INITIAL_STATE], OBLIGATIONS.intern(formula))
     layer: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {start: ()}
     verdicts: dict[tuple[int, int], bool] = {}
     explored = 0
@@ -576,7 +462,7 @@ def brute_force_check(formula: Formula, space: ScaledSpace,
         for (sid, oid), path in layer.items():
             if (sid, oid) not in verdicts:  # no proposition reads cycle
                 lead, loop = _quiet_tail(CompiledMonitor.states[sid], 0, space, guards)
-                verdicts[sid, oid] = eval_naive(_OBLIGATIONS.entries[oid][0],
+                verdicts[sid, oid] = eval_naive(OBLIGATIONS.entries[oid][0],
                                                 LassoTrace(lead, loop), 0, props)
             if not verdicts[sid, oid]:
                 rank = 0
@@ -625,7 +511,7 @@ def check_catalogue(space: ScaledSpace,
     """Exhaustively check every safe formula in the catalogue that applies
     to ``guards``; the others (the end-to-end goal) are checked on traces."""
     return [exhaustive_check(entry.formula, space, guards, name=entry.name)
-            for entry in _entries(guards) if _is_safe(entry.formula)]
+            for entry in _entries(guards) if is_safe(entry.formula)]
 
 
 def first_violation(space: ScaledSpace, guards: GuardFlags):
@@ -637,7 +523,7 @@ def first_violation(space: ScaledSpace, guards: GuardFlags):
     or (None, None) when it violates none.
     """
     for entry in _entries(guards):
-        if _is_safe(entry.formula):
+        if is_safe(entry.formula):
             result = exhaustive_check(entry.formula, space, guards, name=entry.name)
         else:
             result = brute_force_check(entry.formula, space, guards,

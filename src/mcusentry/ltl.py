@@ -5,7 +5,13 @@ terminal record (halt or post-reset idle), which is sound because every
 proposition is constant on that sink. Two evaluators are provided: a naive
 recursive one that follows the operator definitions literally (the
 reference), and a bit-parallel one (one Python int per subformula) used on
-large trace corpora. Tests keep them in agreement.
+large trace corpora. Tests keep them in agreement. Formula progression
+(``progress``; Bacchus & Kabanza, AIJ 2000) joins them as a third
+reading: what must hold from the next position on for a formula to hold
+at this one. Every violation of a syntactically safe formula (``is_safe``;
+Kupferman & Vardi, FMSD 2001) has a finite prefix that progresses it to
+``false``. ``OBLIGATIONS`` numbers the formulas progression reaches, once
+per process, with their progressions per code of the values they read.
 
 The bit-parallel evaluator does not walk the formula tree per trace. A
 formula compiles once to a ``_Program``: its distinct proposition names,
@@ -199,10 +205,14 @@ class LassoTrace:
 def eval_naive(f: Formula, trace: LassoTrace, pos: int = 0,
                props: Mapping[str, PropValuation] | None = None) -> bool:
     """Literal recursive evaluation; the semantic reference."""
+    _check_position(trace, pos)
+    return _ev(f, pos, trace, props)
+
+
+def _check_position(trace: LassoTrace, pos: int) -> None:
     n = trace.length
     if not 0 <= pos < n:
         raise ValueError(f"position {pos} outside unrolled trace of length {n}")
-    return _ev(f, pos, trace, props)
 
 
 def _ev(g: Formula, i: int, trace: LassoTrace,
@@ -230,9 +240,10 @@ def _ev(g: Formula, i: int, trace: LassoTrace,
         ls = trace.loop_start
         return all(_ev(g.sub, j, trace, props)
                    for j in range(i if i < ls else ls, trace.length))
-    if isinstance(g, U):
+    if isinstance(g, (U, W)):
         # Walk successors until a repeat: if right never holds before the
-        # walk closes on itself, the until fails.
+        # walk closes on itself, left held forever around the loop, which
+        # fails the until and satisfies the weak until.
         j = i
         seen = set()
         while j not in seen:
@@ -242,18 +253,7 @@ def _ev(g: Formula, i: int, trace: LassoTrace,
             if not _ev(g.left, j, trace, props):
                 return False
             j = trace.successor(j)
-        return False
-    if isinstance(g, W):
-        j = i
-        seen = set()
-        while j not in seen:
-            seen.add(j)
-            if _ev(g.right, j, trace, props):
-                return True
-            if not _ev(g.left, j, trace, props):
-                return False
-            j = trace.successor(j)
-        return True  # left held forever around the loop
+        return isinstance(g, W)
     if isinstance(g, B):
         # not ((not left) U right), unfolded natively.
         j = i
@@ -439,7 +439,120 @@ def eval_formula(f: Formula, trace: LassoTrace, pos: int = 0,
                  props: Mapping[str, PropValuation] | None = None) -> bool:
     """Fast-path evaluation at one position through ``eval_vector``, whose
     table contract applies (``eval_naive`` takes any per-record table)."""
+    _check_position(trace, pos)
     return bool(eval_vector(f, trace, props)[pos])
+
+
+# ---------------------------------------------------------------------------
+# Formula progression over the syntactically safe fragment
+
+TRUE, FALSE = Prop("true"), Prop("false")
+
+
+def is_safe(f: Formula, positive: bool = True) -> bool:
+    """Syntactically safe: no U or B, and no G or W under a negation or
+    in an implication's antecedent (Kupferman & Vardi, FMSD 2001)."""
+    if isinstance(f, Prop):
+        return True
+    if isinstance(f, Not):
+        return is_safe(f.sub, not positive)
+    if isinstance(f, Implies):
+        return is_safe(f.left, not positive) and is_safe(f.right, positive)
+    allowed = isinstance(f, (And, Or, X)) or positive and isinstance(f, (G, W))
+    return allowed and all(is_safe(child, positive) for child in vars(f).values())
+
+
+def flatten(f: Formula, op: type) -> list[Formula]:
+    """The operands of a nest of ``op`` (And or Or) nodes, left to right."""
+    if isinstance(f, op):
+        return flatten(f.left, op) + flatten(f.right, op)
+    return [f]
+
+
+def _not(f: Formula) -> Formula:
+    if isinstance(f, Not):
+        return f.sub
+    return FALSE if f == TRUE else TRUE if f == FALSE else Not(f)
+
+
+def _join(op: type, parts: list[Formula]) -> Formula:
+    """``op`` (And or Or) over ``parts``, constants folded and nested
+    ``op`` operands flattened, deduplicated and sorted by text."""
+    unit, zero = (TRUE, FALSE) if op is And else (FALSE, TRUE)
+    flat = {leaf for part in parts for leaf in flatten(part, op)} - {unit}
+    if zero in flat or not flat:
+        return zero if flat else unit
+    out, *rest = sorted(flat, key=to_text)
+    for part in rest:
+        out = op(out, part)
+    return out
+
+
+def progress(f: Formula, values: dict[str, bool]) -> Formula:
+    """What must hold from the next position on for ``f`` to hold at this
+    one, given the values here of the propositions it reads outside X
+    and of ``true`` and ``false`` (Bacchus & Kabanza, AIJ 2000),
+    so a prefix violates a safe formula once it progresses to ``false``.
+    Past the safe fragment a U or B may stay pending for ever."""
+    if isinstance(f, Prop):
+        return TRUE if values[f.name] else FALSE
+    if isinstance(f, Not):
+        return _not(progress(f.sub, values))
+    if isinstance(f, (And, Or)):
+        return _join(type(f), [progress(f.left, values), progress(f.right, values)])
+    if isinstance(f, Implies):
+        return _join(Or, [_not(progress(f.left, values)), progress(f.right, values)])
+    if isinstance(f, X):
+        return f.sub
+    if isinstance(f, G):
+        return _join(And, [progress(f.sub, values), f])
+    if isinstance(f, (U, W)):
+        return _join(Or, [progress(f.right, values),
+                          _join(And, [progress(f.left, values), f])])
+    if isinstance(f, B):
+        return _join(And, [_not(progress(f.right, values)),
+                           _join(Or, [progress(f.left, values), f])])
+    raise TypeError(f"unknown formula node {f!r}")
+
+
+def _reads(f: Formula) -> set[str]:
+    """The propositions ``progress`` reads: those outside X, constants aside."""
+    if isinstance(f, X):
+        return set()
+    if isinstance(f, Prop):
+        return {f.name} - {"true", "false"}
+    return set().union(*map(_reads, vars(f).values()))
+
+
+class _Obligations:
+    """Obligations numbered once per process (``false`` is 0, ``true``
+    1), each kept with the propositions it reads, sorted, and progressed
+    once per code of their values (``reads[i]`` at bit ``i``): progression
+    depends only on the formula, so every walk shares these."""
+
+    def __init__(self):
+        self.number: dict[Formula, int] = {}
+        self.entries: list[tuple[Formula, tuple[str, ...]]] = []  # formula, reads
+        self._next: dict[tuple[int, int], int] = {}
+        self.false, self.true = self.intern(FALSE), self.intern(TRUE)
+
+    def intern(self, f: Formula) -> int:
+        if f not in self.number:
+            self.number[f] = len(self.entries)
+            self.entries.append((f, tuple(sorted(_reads(f)))))
+        return self.number[f]
+
+    def next(self, oid: int, code: int) -> int:
+        nxt = self._next.get((oid, code))
+        if nxt is None:
+            f, reads = self.entries[oid]
+            values = {name: bool(code >> bit & 1) for bit, name in enumerate(reads)}
+            values.update(true=True, false=False)
+            nxt = self._next[oid, code] = self.intern(progress(f, values))
+        return nxt
+
+
+OBLIGATIONS = _Obligations()
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +630,8 @@ def _parse_expr(toks: _Tokens, depth: int = 0) -> Formula:
     if depth == MAX_NESTING:
         raise FormulaError(f"formula nests deeper than {MAX_NESTING} levels", off)
     head, hoff = toks.next()
+    if head in ("(", ")"):
+        raise FormulaError(f"unexpected {head!r}", hoff)
     if head in _UNARY:
         sub = _parse_expr(toks, depth + 1)
         _expect_close(toks, head, hoff)

@@ -60,17 +60,15 @@ def _segments(*parts: tuple[int, bytes]) -> bytes:
     return bytes(image)
 
 
-def _exit_stub() -> tuple[int, bytes]:
-    return EXIT_TARGET, assemble([HALT()])
+# The boot ROM and code segments of every plan: immutable bytes, built once.
+_ROM = boot_rom(STACK_TOP)
+_IMAGE = _segments((EXIT_TARGET, assemble([HALT()])),
+                   (SNIPPET_BASE, spin_forever(SNIPPET_BASE)))
 
 
-def _base_plan(name: str, binary: bytes, er: ErWindow, *,
-               extra_segments: tuple = (), **kw) -> ScenarioPlan:
-    image = _segments(_exit_stub(), (SNIPPET_BASE, spin_forever(SNIPPET_BASE)),
-                      *extra_segments)
-    return ScenarioPlan(
-        name=name, layout=_LAYOUT, er=er, image=image,
-        rom=boot_rom(STACK_TOP), binary=binary, **kw)
+def _base_plan(name: str, binary: bytes, er: ErWindow, **kw) -> ScenarioPlan:
+    return ScenarioPlan(name=name, layout=_LAYOUT, er=er, image=_IMAGE,
+                        rom=_ROM, binary=binary, **kw)
 
 
 def _simple_reader_plan(name: str, **kw) -> ScenarioPlan:

@@ -13,15 +13,16 @@ from hypothesis.extra.numpy import arrays
 from mcusentry import checker
 from mcusentry.catalogue import (all_formulas, authorized_sensing_goal,
                                  builtin_formulas, catalogue_by_name)
-from mcusentry.checker import (Alphabet, _bfs, _expand, _is_safe, _quiet_tail,
+from mcusentry.checker import (Alphabet, _bfs, _expand, _quiet_tail,
                                brute_force_check, build_alphabet,
                                check_catalogue, curated_alphabet,
                                default_er_choices, exhaustive_check,
-                               find_mutant_violation, first_violation, progress,
+                               find_mutant_violation, first_violation,
                                replay_counterexample, scaled_space)
 from mcusentry.errors import BudgetError, FormulaError
 from mcusentry.ltl import (And, B, G, Implies, LassoTrace, Not, Or, Prop, U,
-                           W, X, check_props, eval_naive, parse)
+                           W, X, check_props, eval_naive, flatten, is_safe,
+                           parse, progress)
 from mcusentry.machine import StateRecord
 from mcusentry import monitor
 from mcusentry.monitor import (DEFAULT_GUARDS, INITIAL_STATE, LETTER,
@@ -636,7 +637,7 @@ def test_each_check_builds_its_alphabet_once_and_the_catalogue_shares_one(
     built = built_alphabets(monkeypatch)
     checks = 0
     for guards in _GUARD_SETS:
-        for formula in filter(_is_safe, _CATALOGUE):
+        for formula in filter(is_safe, _CATALOGUE):
             exhaustive_check(formula, SPACE5, guards)
             checks += 1
     assert len(built) == checks == 12 * len(_GUARD_SETS)
@@ -659,7 +660,7 @@ def test_walks_over_the_shared_alphabet_equal_walks_over_a_fresh_one():
     # shared alphabet, its tables filled by the guard sets before it.
     assert len(_ALL_GUARD_SETS) == 24
     shared = catalogue_alphabet(SPACE5)
-    conjuncts = [c for f in _CATALOGUE for c in checker._flatten(f, And) if _is_safe(c)]
+    conjuncts = [c for f in _CATALOGUE for c in flatten(f, And) if is_safe(c)]
     for guards in _ALL_GUARD_SETS:
         for conjunct in conjuncts:
             fresh = Alphabet(tuple(shared), SPACE5, shared.names)
@@ -741,7 +742,7 @@ def letter_lassos(draw):
 def test_progression_is_one_step_of_the_semantics(f, w):
     # f holds at 0 iff what it progresses to over w[0] holds at 1.
     props = build_props(SPACE5)
-    assert _is_safe(f)
+    assert is_safe(f)
     values = {name: bool(props[name](w.states[0])) for name in check_props(f, props)}
     assert eval_naive(f, w, 0, props) == eval_naive(progress(f, values), w, 1, props)
 

@@ -245,6 +245,11 @@ def test_check_unknown_proposition_is_named(capsys):
     assert capsys.readouterr().err == "error: unknown proposition 'x'\n"
 
 
+def test_check_names_a_parenthesis_where_a_name_belongs(capsys):
+    assert main(["check", "--formula", "(G ((read GPIO))", "--width", "5"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unexpected '(' (at offset 4)\n"
+
+
 def test_check_dmem_read_is_violated(capsys):
     assert main(["check", "--width", "6", "--formula",
                  "(G (! (cpu_read DMEM)))"]) == EXIT_VIOLATION

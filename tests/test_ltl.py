@@ -13,7 +13,8 @@ from mcusentry.errors import FormulaError
 from mcusentry.layout import default_layout
 from mcusentry.ltl import (MAX_NESTING, PROGRAM_CACHE_SIZE, And, B, G,
                            Implies, LassoTrace, Not, Or, Prop, U, W, X,
-                           eval_naive, eval_vector, parse, to_text)
+                           eval_formula, eval_naive, eval_vector, parse,
+                           to_text)
 from mcusentry.machine import RecordColumns, StateRecord, Trace
 from mcusentry.props import build_props
 
@@ -76,6 +77,14 @@ def test_next_wraps_into_loop():
     tr = lasso("p q", 1)
     assert eval_naive(X(Q), tr, 0)
     assert eval_naive(X(Q), tr, 1)  # loop successor of the loop is itself
+
+
+@pytest.mark.parametrize("evaluate", [eval_naive, eval_formula])
+@pytest.mark.parametrize("pos", [-1, 3])
+def test_a_position_outside_the_unrolled_trace_is_refused(evaluate, pos):
+    # Neither a negative index nor one past the end reads a position.
+    with pytest.raises(ValueError, match=f"position {pos} outside unrolled trace"):
+        evaluate(P, lasso("p . .", 1), pos)
 
 
 def test_before_needs_strictly_earlier_witness():
@@ -227,6 +236,15 @@ class TestTextFormat:
             parse("(G p) trailing")
         with pytest.raises(FormulaError):
             parse(")")
+
+    @pytest.mark.parametrize("text, paren, offset",
+                             [("((a)", "(", 1), ("(G ((a))", "(", 4), ("())", ")", 1)])
+    def test_a_parenthesis_is_no_operator_or_name(self, text, paren, offset):
+        # Where an operator or a proposition name belongs, a parenthesis
+        # is refused, not read as the first word of a name.
+        with pytest.raises(FormulaError, match=f"unexpected '\\{paren}'") as err:
+            parse(text)
+        assert err.value.position == offset
 
     def test_nesting_limit(self):
         deepest = "(G " * MAX_NESTING + "p" + ")" * MAX_NESTING

@@ -117,6 +117,13 @@ def test_random_plans_are_deterministic():
         random_plan(7, 4).er != a.er
 
 
+def test_plans_share_one_boot_rom_and_image():
+    # The fixed ROM and code segments are immutable bytes, built once.
+    a, b = random_plan(1, 0), random_plan(1, 1)
+    assert a.rom is b.rom and a.image is b.image
+    assert happy_path().rom is a.rom
+
+
 def test_random_campaign_has_zero_wins():
     results = run_campaign(names=[], random_count=250, seed=11)
     assert len(results) == 250
